@@ -102,15 +102,10 @@ def hom_through_C(m: FDModule, n: FDModule, c: FDModule):
     for h in hom_space(env.target, n):
         out.append(env.delta.then(h))
     span = maps_subspace(out, m, n)
-    maps = []
-    for i in range(span.dim):
-        row = span.basis.row(i)
-        mat = Mat.from_rows(
-            m.field,
-            [[row.entry(0, u * n.dim + v) for v in range(n.dim)] for u in range(m.dim)],
-        )
-        maps.append(ModuleMap(m, n, mat, check=False))
-    return maps
+    return [
+        ModuleMap(m, n, span.basis.row(i).reshape(m.dim, n.dim), check=False)
+        for i in range(span.dim)
+    ]
 
 
 def check_controlled(emb: EmbeddingData, pairs, seed: int = 0):

@@ -8,8 +8,6 @@ implication, decided exactly through free realisations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import Algebra, AlgebraElement
 from .linalg import Mat, Subspace
 from .modules import FDModule, fp_module
@@ -140,24 +138,13 @@ def _formula_matrix(phi: PpFormula, m: FDModule) -> Mat:
     rows, cols = (phi.n + phi.c) * d, phi.e * d
     field = m.field
     cache = {}
-    if field.is_prime_field:
-        big = np.zeros((rows, cols), dtype=np.int64)
-        for (i, j), elt in phi.coeffs.items():
-            k = elt.key()
-            if k not in cache:
-                cache[k] = m.act(elt).array()
-            big[i * d : (i + 1) * d, j * d : (j + 1) * d] = cache[k]
-        return Mat.of_array(field, big)
-    grid = [[field.zero()] * cols for _ in range(rows)]
+    big = Mat.zeros(field, rows, cols).array().copy()
     for (i, j), elt in phi.coeffs.items():
         k = elt.key()
         if k not in cache:
-            cache[k] = m.act(elt)
-        block = cache[k]
-        for u in range(d):
-            for v in range(d):
-                grid[i * d + u][j * d + v] = block.entry(u, v)
-    return Mat.from_rows(field, grid) if rows else Mat.zeros(field, 0, cols)
+            cache[k] = m.act(elt).array()
+        big[i * d : (i + 1) * d, j * d : (j + 1) * d] = cache[k]
+    return Mat.of_array(field, big)
 
 
 def eval_formula(phi: PpFormula, m: FDModule) -> Subspace:

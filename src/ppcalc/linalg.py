@@ -1,9 +1,11 @@
 """Exact dense linear algebra over prime fields and the rationals.
 
 Everything downstream works with row vectors: maps act on the right
-(v -> v @ M), kernels are left kernels, images are row spaces.  Prime
-fields are backed by int64 numpy arrays reduced mod p; the rationals by
-tuples of Fraction.  No floating point anywhere.
+(v -> v @ M), kernels are left kernels, images are row spaces.  Every
+matrix is one read-only numpy array: int64 reduced mod p over a prime
+field, dtype=object holding only Fraction over the rationals.  No
+floating point anywhere.  A prime field needs (p-1)^2 < 2^63, so that
+the product of two reduced entries fits in int64.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ __all__ = [
     "Subspace",
     "DimensionMismatch",
 ]
+
+_INT64_BOUND = 2**63
 
 
 class DimensionMismatch(ValueError):
@@ -40,7 +44,7 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """An exact base field: the rationals or a prime field F_p."""
 
-    __slots__ = ("kind", "characteristic")
+    __slots__ = ("kind", "characteristic", "dtype")
 
     def __init__(self, kind: str, characteristic: int):
         if kind not in ("rationals", "prime"):
@@ -48,10 +52,15 @@ class FieldSpec:
         if kind == "rationals":
             if characteristic != 0:
                 raise ValueError("rationals have characteristic 0")
+        elif (characteristic - 1) ** 2 >= _INT64_BOUND:
+            raise ValueError(
+                f"characteristic {characteristic} is too large: need (p-1)^2 < 2^63"
+            )
         elif not _is_prime(characteristic):
             raise ValueError(f"characteristic {characteristic} is not prime")
         self.kind = kind
         self.characteristic = characteristic
+        self.dtype = np.int64 if kind == "prime" else object
 
     @property
     def is_prime_field(self) -> bool:
@@ -71,6 +80,16 @@ class FieldSpec:
         if isinstance(x, Fraction):
             return x
         return Fraction(x)
+
+    def canonical(self, a) -> np.ndarray:
+        """A new array of canonical scalars holding the values of a."""
+        if self.kind == "prime":
+            return np.asarray(a, dtype=np.int64) % self.p
+        return np.frompyfunc(self.coerce, 1, 1)(np.asarray(a))
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """Canonical form of an array computed from canonical arrays."""
+        return a % self.characteristic if self.characteristic else a
 
     def zero(self):
         return 0 if self.kind == "prime" else Fraction(0)
@@ -114,42 +133,32 @@ def GF(p: int) -> FieldSpec:
     return FieldSpec("prime", p)
 
 
-# ---------------------------------------------------------------------------
-# Rational (Fraction) backend: plain list-of-lists Gaussian elimination.
-# ---------------------------------------------------------------------------
+def _zeros(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
+    return np.full((rows, cols), field.zero(), dtype=field.dtype)
 
 
-def _q_rref(rows, ncols):
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                row_r = m[r]
-                m[i] = [a - f * b for a, b in zip(m[i], row_r)]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-# ---------------------------------------------------------------------------
-# Prime-field backend: vectorised elimination on int64 arrays.
-# ---------------------------------------------------------------------------
+def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the field, for canonical arrays."""
+    if field.dtype is object:
+        # Fraction arithmetic dominates: add outer products over the
+        # nonzero entries only (a plain object @ multiplies every zero).
+        out = _zeros(field, a.shape[0], b.shape[1])
+        for k in range(a.shape[1]):
+            rows = np.flatnonzero(a[:, k])
+            cols = np.flatnonzero(b[k])
+            if rows.size and cols.size:
+                out[np.ix_(rows, cols)] += np.multiply.outer(a[rows, k], b[k, cols])
+        return out
+    # Delayed reduction: a chunk of `step` products of reduced entries
+    # cannot overflow int64.
+    p = field.p
+    step = (_INT64_BOUND - 1) // (p - 1) ** 2
+    if a.shape[1] <= step:
+        return a @ b % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], step):
+        out = (out + a[:, s : s + step] @ b[s : s + step] % p) % p
+    return out
 
 
 _GF2_PACK_THRESHOLD = 8192
@@ -188,46 +197,55 @@ def _gf2_rref(a: np.ndarray):
     return bits.astype(np.int64), pivots
 
 
-def _gf_rref(a: np.ndarray, p: int):
-    a = np.array(a, dtype=np.int64) % p
+def _rref(a: np.ndarray, field: FieldSpec):
+    """Gauss-Jordan elimination of a copy of a canonical array."""
+    a = a.copy()
     nrows, ncols = a.shape
     pivots = []
     r = 0
     for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
+        # rows r.. are zero left of column c, so only columns c.. change
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
+            a[[r, i], c:] = a[[i, r], c:]
+        pivot_row = a[r, c:]
+        inv = field.inv(pivot_row.item(0))
         if inv != 1:
-            a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
+            pivot_row[:] = field.reduce(pivot_row * inv)
+        col = a[:, c]
         mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        mask[r] = False
+        others = mask.nonzero()[0]
+        if others.size:
+            a[others, c:] = field.reduce(a[others, c:] - np.multiply.outer(col[others], pivot_row))
         pivots.append(c)
         r += 1
+        if r == nrows:
+            break
     return a, pivots
 
 
 class Mat:
     """An immutable exact matrix; rows x cols over a FieldSpec."""
 
-    __slots__ = ("field", "rows", "cols", "_a", "_q")
+    __slots__ = ("field", "rows", "cols", "_a")
 
-    def __init__(self, field: FieldSpec, rows: int, cols: int, _a=None, _q=None):
+    def __init__(self, field: FieldSpec, rows: int, cols: int, _a=None):
         self.field = field
         self.rows = rows
         self.cols = cols
         self._a = _a
-        self._q = _q
 
     # -- construction -------------------------------------------------
+
+    @staticmethod
+    def _of(field: FieldSpec, a: np.ndarray) -> "Mat":
+        """Wrap a canonical array that nothing else writes to."""
+        a.setflags(write=False)
+        return Mat(field, a.shape[0], a.shape[1], _a=a)
 
     @staticmethod
     def from_rows(field: FieldSpec, data) -> "Mat":
@@ -237,48 +255,23 @@ class Mat:
         for r in data:
             if len(r) != cols:
                 raise DimensionMismatch("ragged rows")
-        if field.is_prime_field:
-            a = np.array(
-                [[int(field.coerce(x)) for x in r] for r in data], dtype=np.int64
-            ).reshape(rows, cols)
-            a.flags.writeable = False
-            return Mat(field, rows, cols, _a=a)
-        q = tuple(tuple(field.coerce(x) for x in r) for r in data)
-        return Mat(field, rows, cols, _q=q)
+        a = np.array([[field.coerce(x) for x in r] for r in data], dtype=field.dtype)
+        return Mat._of(field, a.reshape(rows, cols))
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Mat":
-        if field.is_prime_field:
-            a = np.zeros((rows, cols), dtype=np.int64)
-            a.flags.writeable = False
-            return Mat(field, rows, cols, _a=a)
-        z = Fraction(0)
-        return Mat(field, rows, cols, _q=tuple((z,) * cols for _ in range(rows)))
+        return Mat._of(field, _zeros(field, rows, cols))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
-        if field.is_prime_field:
-            a = np.eye(n, dtype=np.int64)
-            a.flags.writeable = False
-            return Mat(field, n, n, _a=a)
-        return Mat(
-            field,
-            n,
-            n,
-            _q=tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            ),
-        )
+        a = _zeros(field, n, n)
+        np.fill_diagonal(a, field.one())
+        return Mat._of(field, a)
 
     @staticmethod
-    def of_array(field: FieldSpec, a: np.ndarray) -> "Mat":
-        """Wrap an int array (prime fields only); reduces mod p."""
-        if not field.is_prime_field:
-            raise ValueError("of_array is for prime fields")
-        a = np.asarray(a, dtype=np.int64) % field.p
-        a = np.ascontiguousarray(a)
-        a.flags.writeable = False
-        return Mat(field, a.shape[0], a.shape[1], _a=a)
+    def of_array(field: FieldSpec, a) -> "Mat":
+        """Wrap a copy of an array of integers (or, over QQ, rationals)."""
+        return Mat._of(field, field.canonical(a))
 
     # -- accessors ----------------------------------------------------
 
@@ -287,44 +280,37 @@ class Mat:
         return (self.rows, self.cols)
 
     def entry(self, i: int, j: int):
-        if self._a is not None:
-            return int(self._a[i, j])
-        return self._q[i][j]
+        return self._a.item(i, j)
 
     def row(self, i: int) -> "Mat":
-        if self._a is not None:
-            return Mat.of_array(self.field, self._a[i : i + 1])
-        return Mat(self.field, 1, self.cols, _q=(self._q[i],))
+        return Mat._of(self.field, self._a[i : i + 1])
 
     def to_rows(self):
-        if self._a is not None:
-            return [[int(x) for x in r] for r in self._a]
-        return [list(r) for r in self._q]
+        return self._a.tolist()
 
     def array(self) -> np.ndarray:
-        if self._a is None:
-            raise ValueError("not a prime-field matrix")
+        """The read-only backing array: int64 mod p, or Fraction objects."""
         return self._a
 
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The same entries in row-major order, as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise DimensionMismatch(f"reshape {self.shape} to {(rows, cols)}")
+        return Mat._of(self.field, self._a.reshape(rows, cols))
+
     def is_zero(self) -> bool:
-        if self._a is not None:
-            return not self._a.any()
-        return all(x == 0 for r in self._q for x in r)
+        return not self._a.any()
 
     def key(self):
         """Hashable canonical form (for dedup dictionaries)."""
-        if self._a is not None:
-            return (self.rows, self.cols, self._a.tobytes())
-        return (self.rows, self.cols, self._q)
+        if self.field.dtype is object:
+            return (self.rows, self.cols, tuple(self._a.flat))
+        return (self.rows, self.cols, self._a.tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, Mat) or self.field != other.field:
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        if self._a is not None:
-            return bool(np.array_equal(self._a, other._a))
-        return self._q == other._q
+        return self.shape == other.shape and bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
         return hash(self.key())
@@ -342,102 +328,32 @@ class Mat:
         self._check_same(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        if self._a is not None:
-            return Mat.of_array(self.field, self._a + other._a)
-        return Mat(
-            self.field,
-            self.rows,
-            self.cols,
-            _q=tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._q, other._q)
-            ),
-        )
+        return Mat._of(self.field, self.field.reduce(self._a + other._a))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_same(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"sub {self.shape} vs {other.shape}")
-        if self._a is not None:
-            return Mat.of_array(self.field, self._a - other._a)
-        return Mat(
-            self.field,
-            self.rows,
-            self.cols,
-            _q=tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._q, other._q)
-            ),
-        )
+        return Mat._of(self.field, self.field.reduce(self._a - other._a))
 
     def __neg__(self) -> "Mat":
-        if self._a is not None:
-            return Mat.of_array(self.field, -self._a)
-        return Mat(
-            self.field,
-            self.rows,
-            self.cols,
-            _q=tuple(tuple(-a for a in r) for r in self._q),
-        )
+        return Mat._of(self.field, self.field.reduce(-self._a))
 
     def scale(self, c) -> "Mat":
-        c = self.field.coerce(c)
-        if self._a is not None:
-            return Mat.of_array(self.field, self._a * int(c))
-        return Mat(
-            self.field,
-            self.rows,
-            self.cols,
-            _q=tuple(tuple(c * a for a in r) for r in self._q),
-        )
+        return Mat._of(self.field, self.field.reduce(self._a * self.field.coerce(c)))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_same(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul {self.shape} @ {other.shape}")
-        if self._a is not None:
-            return Mat.of_array(self.field, self._a @ other._a)
-        out = []
-        for i in range(self.rows):
-            ri = self._q[i]
-            row = []
-            for j in range(other.cols):
-                s = Fraction(0)
-                for l in range(self.cols):
-                    if ri[l]:
-                        s += ri[l] * other._q[l][j]
-                row.append(s)
-            out.append(tuple(row))
-        return Mat(self.field, self.rows, other.cols, _q=tuple(out))
+        return Mat._of(self.field, _product(self.field, self._a, other._a))
 
     def transpose(self) -> "Mat":
-        if self._a is not None:
-            return Mat.of_array(self.field, self._a.T)
-        return Mat(
-            self.field,
-            self.cols,
-            self.rows,
-            _q=tuple(
-                tuple(self._q[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-        )
+        return Mat._of(self.field, self._a.T)
 
     def kron(self, other: "Mat") -> "Mat":
         self._check_same(other)
-        if self._a is not None:
-            return Mat.of_array(self.field, np.kron(self._a, other._a))
-        rows = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                rows.append(
-                    tuple(
-                        self._q[i][j] * other._q[k][l]
-                        for j in range(self.cols)
-                        for l in range(other.cols)
-                    )
-                )
-        return Mat(self.field, self.rows * other.rows, self.cols * other.cols, _q=tuple(rows))
+        return Mat._of(self.field, self.field.reduce(np.kron(self._a, other._a)))
 
     @staticmethod
     def vstack(mats) -> "Mat":
@@ -449,10 +365,7 @@ class Mat:
         for m in mats:
             if m.field != field or m.cols != cols:
                 raise DimensionMismatch("vstack shape mismatch")
-        if field.is_prime_field:
-            return Mat.of_array(field, np.vstack([m._a for m in mats]))
-        rows = tuple(r for m in mats for r in m._q)
-        return Mat(field, len(rows), cols, _q=rows)
+        return Mat._of(field, np.vstack([m._a for m in mats]))
 
     @staticmethod
     def hstack(mats) -> "Mat":
@@ -464,38 +377,13 @@ class Mat:
         for m in mats:
             if m.field != field or m.rows != rows:
                 raise DimensionMismatch("hstack shape mismatch")
-        if field.is_prime_field:
-            return Mat.of_array(field, np.hstack([m._a for m in mats]))
-        out = tuple(
-            tuple(x for m in mats for x in m._q[i]) for i in range(rows)
-        )
-        return Mat(field, rows, sum(m.cols for m in mats), _q=out)
+        return Mat._of(field, np.hstack([m._a for m in mats]))
 
     def take_rows(self, idx) -> "Mat":
-        idx = list(idx)
-        if self._a is not None:
-            if not idx:
-                return Mat.zeros(self.field, 0, self.cols)
-            return Mat.of_array(self.field, self._a[idx, :])
-        return Mat(
-            self.field,
-            len(idx),
-            self.cols,
-            _q=tuple(self._q[i] for i in idx),
-        )
+        return Mat._of(self.field, self._a[list(idx)])
 
     def take_columns(self, idx) -> "Mat":
-        idx = list(idx)
-        if self._a is not None:
-            if not idx:
-                return Mat.zeros(self.field, self.rows, 0)
-            return Mat.of_array(self.field, self._a[:, idx])
-        return Mat(
-            self.field,
-            self.rows,
-            len(idx),
-            _q=tuple(tuple(r[j] for j in idx) for r in self._q),
-        )
+        return Mat._of(self.field, self._a[:, list(idx)])
 
     # -- elimination --------------------------------------------------
 
@@ -503,50 +391,39 @@ class Mat:
         """Reduced row echelon form; returns (Mat, pivot column list)."""
         if self.rows == 0 or self.cols == 0:
             return self, []
-        if self._a is not None:
-            if self.field.p == 2 and self._a.size >= _GF2_PACK_THRESHOLD:
-                a, piv = _gf2_rref(self._a)
-            else:
-                a, piv = _gf_rref(self._a, self.field.p)
-            return Mat.of_array(self.field, a), piv
-        m, piv = _q_rref(self._q, self.cols)
-        return Mat(self.field, self.rows, self.cols, _q=tuple(tuple(r) for r in m)), piv
+        if self.field.p == 2 and self._a.size >= _GF2_PACK_THRESHOLD:
+            a, piv = _gf2_rref(self._a)
+        else:
+            a, piv = _rref(self._a, self.field)
+        return Mat._of(self.field, a), piv
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Mat":
         """Basis (rows, in rref) of the left kernel {v : v @ self = 0}."""
-        n = self.rows
+        field, n = self.field, self.rows
         red, piv = self.transpose().rref()
         pivset = set(piv)
         free = [j for j in range(n) if j not in pivset]
         if not free:
-            return Mat.zeros(self.field, 0, n)
-        out = Mat.zeros(self.field, len(free), n).to_rows()
-        for k, f in enumerate(free):
-            out[k][f] = 1
-            for r, pc in enumerate(piv):
-                out[k][pc] = self.field.neg(red.entry(r, f))
-        return Mat.from_rows(self.field, out).rref()[0]
+            return Mat.zeros(field, 0, n)
+        out = _zeros(field, len(free), n)
+        out[np.arange(len(free)), free] = field.one()
+        out[:, piv] = field.reduce(-red._a[: len(piv), free].T)
+        return Mat._of(field, out).rref()[0]
 
     def solve_left(self, b: "Mat"):
         """Solve X @ self = b; returns one X (free vars 0) or None."""
         self._check_same(b)
         if b.cols != self.cols:
             raise DimensionMismatch("solve_left column mismatch")
-        at = self.transpose()
-        bt = b.transpose()
-        aug = Mat.hstack([at, bt])
-        red, piv = aug.rref()
-        for c in piv:
-            if c >= self.rows:
-                return None
-        xt = Mat.zeros(self.field, self.rows, b.rows).to_rows()
-        for r, pc in enumerate(piv):
-            for j in range(b.rows):
-                xt[pc][j] = red.entry(r, self.rows + j)
-        return Mat.from_rows(self.field, xt).transpose()
+        red, piv = Mat.hstack([self.transpose(), b.transpose()]).rref()
+        if piv and piv[-1] >= self.rows:
+            return None
+        xt = _zeros(self.field, self.rows, b.rows)
+        xt[piv] = red._a[: len(piv), self.rows :]
+        return Mat._of(self.field, xt.T)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -562,12 +439,7 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise DimensionMismatch("trace of non-square matrix")
-        if self._a is not None:
-            return int(np.trace(self._a) % self.field.p)
-        s = Fraction(0)
-        for i in range(self.rows):
-            s += self._q[i][i]
-        return s
+        return self.field.coerce(self._a.trace())
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -606,8 +478,7 @@ class Subspace:
         if m.cols != ambient:
             raise DimensionMismatch(f"ambient {ambient} vs vector length {m.cols}")
         red, piv = m.rref()
-        basis = Mat.from_rows(field, red.to_rows()[: len(piv)]) if piv else Mat.zeros(field, 0, ambient)
-        return Subspace(field, ambient, basis, piv)
+        return Subspace(field, ambient, Mat._of(field, red._a[: len(piv)]), piv)
 
     @staticmethod
     def zero(field: FieldSpec, ambient: int) -> "Subspace":
@@ -636,15 +507,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
     def reduce(self, v: Mat) -> Mat:
-        """Canonical coset representative of v modulo this subspace."""
+        """Canonical coset representatives of the rows of v modulo this subspace."""
         if v.cols != self.ambient:
             raise DimensionMismatch("vector length mismatch")
-        out = v
-        for r, pc in enumerate(self.pivots):
-            c = out.entry(0, pc)
-            if c != 0:
-                out = out - self.basis.row(r).scale(c)
-        return out
+        # the basis is in rref, so each row's pivot entries are its coordinates
+        return v - v.take_columns(self.pivots) @ self.basis
 
     def contains_vector(self, v: Mat) -> bool:
         return self.reduce(v).is_zero()
@@ -652,20 +519,12 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient mismatch")
-        for i in range(other.dim):
-            if not self.contains_vector(other.basis.row(i)):
-                return False
-        return True
+        return self.contains_vector(other.basis)
 
     def coordinates_of(self, v: Mat):
         """Express v over the basis rows; returns 1 x dim Mat or None."""
-        if self.dim == 0:
-            return Mat.zeros(self.field, 1, 0) if v.is_zero() else None
-        coeffs = [v.entry(0, pc) for pc in self.pivots]
-        cand = Mat.from_rows(self.field, [coeffs])
-        if (cand @ self.basis) == v:
-            return cand
-        return None
+        cand = v.take_columns(self.pivots)
+        return cand if cand @ self.basis == v else None
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient or other.field != self.field:

@@ -11,6 +11,7 @@ spaces via the trace form.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .algebra import Algebra, AlgebraElement, ValidationReport
 from .linalg import Mat, Subspace
@@ -218,21 +219,18 @@ def hom_space(m: FDModule, n: FDModule):
         blocks.append(m.action[l].transpose().kron(it) - i_s.kron(n.action[l]))
     constraint = Mat.hstack(blocks)
     ker = constraint.kernel()
-    maps = []
-    for r in range(ker.rows):
-        flat = ker.row(r)
-        rows = [[flat.entry(0, u * t + v) for v in range(t)] for u in range(s)]
-        maps.append(ModuleMap(m, n, Mat.from_rows(field, rows), check=False))
-    return maps
+    return [ModuleMap(m, n, ker.row(r).reshape(s, t), check=False) for r in range(ker.rows)]
+
+
+def _flat_span(field, amb: int, mats) -> Subspace:
+    """Span of matrices with amb entries each, flattened row-major into k^amb."""
+    rows = [mat.reshape(1, amb) for mat in mats]
+    return Subspace.from_vectors(field, amb, Mat.vstack(rows) if rows else [])
 
 
 def maps_subspace(maps, source: FDModule, target: FDModule) -> Subspace:
     """Flattened span of a family of maps inside Hom(source, target)."""
-    amb = source.dim * target.dim
-    rows = []
-    for f in maps:
-        rows.append([f.matrix.entry(u, v) for u in range(source.dim) for v in range(target.dim)])
-    return Subspace.from_vectors(source.field, amb, rows)
+    return _flat_span(source.field, source.dim * target.dim, [f.matrix for f in maps])
 
 
 # ---------------------------------------------------------------------------
@@ -559,15 +557,9 @@ def is_direct_summand(n: FDModule, m: FDModule, require_witness=True):
                 return True, (f, corrected)
     # no unit composite: for indecomposable n the identity cannot be in the
     # span either (End n is local); verify to catch precondition violations
-    flat = []
-    for f in fs:
-        for g in gs:
-            comp = f.matrix @ g.matrix
-            flat.append([comp.entry(u, v) for u in range(n.dim) for v in range(n.dim)])
-    span = Subspace.from_vectors(n.field, n.dim * n.dim, flat)
-    ident = Mat.identity(n.field, n.dim)
-    idvec = Mat.from_rows(n.field, [[ident.entry(u, v) for u in range(n.dim) for v in range(n.dim)]])
-    if span.contains_vector(idvec):
+    amb = n.dim * n.dim
+    span = _flat_span(n.field, amb, [f.matrix @ g.matrix for f in fs for g in gs])
+    if span.contains_vector(Mat.identity(n.field, n.dim).reshape(1, amb)):
         raise ModuleError("is_direct_summand: first argument is not indecomposable")
     return False, None
 
@@ -620,26 +612,22 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
     if e == 1:
         m._indec = True
         return IndecResult("indecomposable", certificate="dim End = 1")
+
+    def combine(coeffs):
+        mat = Mat.zeros(m.field, m.dim, m.dim)
+        for c, f in zip(coeffs, end):
+            if c:
+                mat = mat + f.matrix.scale(c)
+        return mat
+
     # deterministic spanning set, then seeded random combinations
     rng = random.Random(seed)
-    candidates = [f.matrix for f in end]
     if m.field.is_prime_field:
-        p = m.field.p
-        for _ in range(40):
-            coeffs = [rng.randrange(p) for _ in range(e)]
-            mat = Mat.zeros(m.field, m.dim, m.dim)
-            for c, f in zip(coeffs, end):
-                if c:
-                    mat = mat + f.matrix.scale(c)
-            candidates.append(mat)
+        draw = partial(rng.randrange, m.field.p)
     else:
-        for _ in range(40):
-            coeffs = [rng.randint(-3, 3) for _ in range(e)]
-            mat = Mat.zeros(m.field, m.dim, m.dim)
-            for c, f in zip(coeffs, end):
-                if c:
-                    mat = mat + f.matrix.scale(c)
-            candidates.append(mat)
+        draw = partial(rng.randint, -3, 3)
+    candidates = [f.matrix for f in end]
+    candidates += [combine([draw() for _ in range(e)]) for _ in range(40)]
     for mat in candidates:
         split = _fitting_split(m, mat)
         if split is not None:
@@ -651,10 +639,7 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
             ident = Mat.identity(m.field, m.dim)
             coeffs = [0] * e
             while True:
-                mat = Mat.zeros(m.field, m.dim, m.dim)
-                for c, f in zip(coeffs, end):
-                    if c:
-                        mat = mat + f.matrix.scale(c)
+                mat = combine(coeffs)
                 if mat @ mat == mat and not mat.is_zero() and mat != ident:
                     m._indec = False
                     return IndecResult("decomposed", witness=ModuleMap(m, m, mat))
@@ -764,19 +749,20 @@ def rad_end(x: FDModule, seed: int = 0):
     # verify nilpotency: the trace-form kernel is a two-sided ideal, and a
     # nilpotent ideal is contained in the radical, forcing equality
     amb = x.dim * x.dim
-    power = Subspace.from_vectors(field, amb, [[f.matrix.entry(u, v) for u in range(x.dim) for v in range(x.dim)] for f in rad])
     base = [f.matrix for f in rad]
+    power = _flat_span(field, amb, base)
     for _ in range(e + 1):
         if power.dim == 0:
             return rad
-        rows = []
-        for i in range(power.dim):
-            w = power.basis.row(i)
-            wmat = Mat.from_rows(field, [[w.entry(0, u * x.dim + v) for v in range(x.dim)] for u in range(x.dim)])
-            for bmat in base:
-                prod = wmat @ bmat
-                rows.append([prod.entry(u, v) for u in range(x.dim) for v in range(x.dim)])
-        power = Subspace.from_vectors(field, amb, rows)
+        power = _flat_span(
+            field,
+            amb,
+            [
+                power.basis.row(i).reshape(x.dim, x.dim) @ bmat
+                for i in range(power.dim)
+                for bmat in base
+            ],
+        )
     raise UnsupportedCharacteristicError(
         "trace form is degenerate at this characteristic (kernel not nilpotent)"
     )
@@ -802,15 +788,8 @@ def rad_hom(m: FDModule, n: FDModule, seed: int = 0, decomp_m=None, decomp_n=Non
                 block = [f.matrix for f in hom_space(x, y)]
             for bmat in block:
                 collected.append(px.matrix @ bmat @ iy.matrix)
-    amb = m.dim * n.dim
-    span = Subspace.from_vectors(
-        field,
-        amb,
-        [[bm.entry(u, v) for u in range(m.dim) for v in range(n.dim)] for bm in collected],
-    )
-    out = []
-    for i in range(span.dim):
-        row = span.basis.row(i)
-        mat = Mat.from_rows(field, [[row.entry(0, u * n.dim + v) for v in range(n.dim)] for u in range(m.dim)])
-        out.append(ModuleMap(m, n, mat, check=False))
-    return out
+    span = _flat_span(field, m.dim * n.dim, collected)
+    return [
+        ModuleMap(m, n, span.basis.row(i).reshape(m.dim, n.dim), check=False)
+        for i in range(span.dim)
+    ]

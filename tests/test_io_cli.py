@@ -221,3 +221,13 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pp"
     bad.write_text("{not json")
     assert main(["freereal", "--formula", str(bad)]) == 2
+
+
+def test_cli_field_too_large_exit_code(files, tmp_path, capsys):
+    big = tmp_path / "big.alg"
+    big.write_text(dumps({"field": "fp:4294967291", "basis": [], "one": [], "mul": []}))
+    assert main(["inventory", "--algebra", str(big), "--cap", "2"]) == 2
+    assert "too large" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", "fp:4294967291", "inventory", "--algebra", files["quiver.q"], "--cap", "2"])
+    assert exc.value.code == 2

@@ -1,7 +1,13 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppcalc.io import ParseError, field_from_str
 from ppcalc.linalg import GF, QQ, DimensionMismatch, Mat, Subspace, quotient_basis
 
 F2 = GF(2)
@@ -156,7 +162,7 @@ def test_power_and_trace():
 
 
 def test_gf2_packed_rref_matches_generic():
-    from ppcalc.linalg import _gf2_rref, _gf_rref
+    from ppcalc.linalg import _gf2_rref, _rref
     import numpy as np
 
     rng = random.Random(99)
@@ -167,6 +173,200 @@ def test_gf2_packed_rref_matches_generic():
             [[rng.randrange(2) for _ in range(c)] for _ in range(r)], dtype=np.int64
         )
         fast, piv_fast = _gf2_rref(a)
-        slow, piv_slow = _gf_rref(a, 2)
+        slow, piv_slow = _rref(a, F2)
         assert piv_fast == piv_slow
         assert (fast == slow).all()
+
+
+# -- property tests over every representation --------------------------------
+
+# name -> (field, rows range, cols range).  GF(2) appears twice: matrices
+# of at least 8192 entries take the bitpacked elimination, smaller ones
+# the generic one.
+CASES = {
+    "gf2": (F2, (1, 6), (1, 6)),
+    "gf2-packed": (F2, (64, 80), (128, 150)),
+    "gf3": (F3, (1, 6), (1, 6)),
+    "gf1048573": (GF(1048573), (1, 6), (1, 6)),
+    "qq": (QQ, (1, 6), (1, 6)),
+}
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+def scalars(field):
+    if field.is_prime_field:
+        return st.integers(0, field.p - 1)
+    return st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def matrices(draw, case, rows=None, cols=None):
+    """A matrix over the case's field, of the case's shape unless given."""
+    field, (rlo, rhi), (clo, chi) = CASES[case]
+    rows = draw(st.integers(rlo, rhi)) if rows is None else rows
+    cols = draw(st.integers(clo, chi)) if cols is None else cols
+    if rows * cols >= 8192:
+        # too many entries to draw one by one: draw a seed and a rank
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rank = draw(st.integers(0, rows))
+        b = Mat.of_array(field, gen.integers(0, field.p, (rows, rank)))
+        c = Mat.of_array(field, gen.integers(0, field.p, (rank, cols)))
+        return b @ c
+    entries = draw(st.lists(scalars(field), min_size=rows * cols, max_size=rows * cols))
+    return Mat.from_rows(field, [entries[i * cols : (i + 1) * cols] for i in range(rows)])
+
+
+def assert_canonical(mat):
+    """Entries are reduced int64 (GF(p)) or Fraction objects (QQ), read out as Python scalars."""
+    a = mat.array()
+    if mat.field.is_prime_field:
+        assert a.dtype == np.int64 and ((0 <= a) & (a < mat.field.p)).all()
+        scalar = int
+    else:
+        assert a.dtype == object and all(type(x) is Fraction for x in a.flat)
+        scalar = Fraction
+    assert all(type(x) is scalar for row in mat.to_rows() for x in row)
+    if mat.rows and mat.cols:
+        assert type(mat.entry(mat.rows - 1, mat.cols - 1)) is scalar
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_property_rref_idempotent_echelon(case, data):
+    m = data.draw(matrices(case))
+    red, piv = m.rref()
+    assert red.rref() == (red, piv)
+    assert red.take_rows(range(len(piv), red.rows)).is_zero()
+    assert red.take_rows(range(len(piv))).take_columns(piv) == Mat.identity(m.field, len(piv))
+
+
+@PROPERTY
+@given(matrices("qq"))
+def test_property_qq_rref_matches_sympy(m):
+    red, piv = m.rref()
+    ref, ref_piv = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.to_rows()]
+    ).rref()
+    assert piv == list(ref_piv)
+    assert red.to_rows() == [[Fraction(int(x.p), int(x.q)) for x in row] for row in ref.tolist()]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_property_kernel_annihilates_rank_nullity(case, data):
+    m = data.draw(matrices(case))
+    ker = m.kernel()
+    assert (ker @ m).is_zero()
+    assert m.rank() + ker.rows == m.rows
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_property_solve_left_consistent(case, data):
+    m = data.draw(matrices(case))
+    # a right-hand side in the row space is always solved
+    b = data.draw(matrices(case, rows=2, cols=m.rows)) @ m
+    sol = m.solve_left(b)
+    assert sol is not None and sol @ m == b
+    # an arbitrary one exactly when it lies in the row space
+    c = data.draw(matrices(case, rows=2, cols=m.cols))
+    sol = m.solve_left(c)
+    assert (sol is not None) == (Mat.vstack([m, c]).rank() == m.rank())
+    if sol is not None:
+        assert sol @ m == c
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_property_sum_and_intersection_dimensions(case, data):
+    m = data.draw(matrices(case))
+    n = data.draw(matrices(case, cols=m.cols))
+    u = Subspace.from_vectors(m.field, m.cols, m)
+    w = Subspace.from_vectors(m.field, m.cols, n)
+    total, meet = u.sum_with(w), u.intersect(w)
+    assert total.dim + meet.dim == u.dim + w.dim
+    assert total.contains(u) and total.contains(w)
+    assert u.contains(meet) and w.contains(meet)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_property_results_are_canonical(case, data):
+    m = data.draw(matrices(case))
+    field = m.field
+    results = [
+        Mat.zeros(field, 2, 3),
+        Mat.identity(field, 3),
+        Mat.of_array(field, np.arange(-3, 3).reshape(2, 3)),
+        m.rref()[0],
+        m.kernel(),
+        m.solve_left(m),
+        m @ m.transpose(),
+        m.take_columns([0]).kron(m.take_rows([0])),
+        m + m,
+        m - m,
+        -m,
+        m.scale(2),
+        m.reshape(1, m.rows * m.cols),
+        Subspace.from_vectors(field, m.cols, m).basis,
+    ]
+    for r in results:
+        assert_canonical(r)
+    k = min(m.rows, m.cols)
+    square = m.take_rows(range(k)).take_columns(range(k))
+    assert type(square.trace()) is (int if field.is_prime_field else Fraction)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_property_reshape_is_row_major(case, data):
+    m = data.draw(matrices(case))
+    flat = m.reshape(1, m.rows * m.cols)
+    assert flat.to_rows() == [[x for row in m.to_rows() for x in row]]
+    assert flat.reshape(m.rows, m.cols) == m
+
+
+@PROPERTY
+@given(matrices("qq"))
+def test_property_equal_qq_matrices_share_key_and_hash(m):
+    rows = m.to_rows()
+    copies = [
+        Mat.from_rows(QQ, [[Fraction(x.numerator, x.denominator) for x in r] for r in rows]),
+        Mat.of_array(QQ, np.array(rows, dtype=object)),
+        m + Mat.zeros(QQ, m.rows, m.cols),
+        Mat.identity(QQ, m.rows) @ m,
+        m.transpose().transpose(),
+    ]
+    for c in copies:
+        assert c == m and c.key() == m.key() and hash(c) == hash(m)
+    assert len({m, *copies}) == 1
+
+
+@pytest.mark.parametrize("p", [4294967291, 2**61 - 1, 3037000501])
+def test_characteristic_beyond_int64_products_is_rejected(p):
+    # (p-1)^2 >= 2^63: checked before the primality test, so 2^61-1 is quick
+    with pytest.raises(ValueError, match="too large"):
+        GF(p)
+    with pytest.raises(ParseError, match="too large"):
+        field_from_str(f"fp:{p}")
+
+
+@pytest.mark.parametrize("p", [1000000007, 3037000493])
+def test_products_near_the_bound_are_exact(p):
+    # 3037000493 is the largest prime with (p-1)^2 < 2^63: products are
+    # reduced after every term there
+    field = GF(p)
+    rng = random.Random(p)
+    n = 30
+    a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    expect = [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+    am = Mat.from_rows(field, a)
+    assert (am @ Mat.from_rows(field, b)).to_rows() == expect
+    assert am @ am.inverse() == Mat.identity(field, n)
