@@ -10,8 +10,11 @@ spaces via the trace form.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import partial
+
+import numpy as np
 
 from .algebra import Algebra, AlgebraElement, ValidationReport
 from .linalg import Mat, Subspace
@@ -279,24 +282,21 @@ def submodule_generated(m: FDModule, vectors) -> Subspace:
     """Closure of the span of the given vectors under all actions."""
     span = Subspace.from_vectors(m.field, m.dim, [v.to_rows()[0] if isinstance(v, Mat) else list(v) for v in vectors])
     while True:
-        new_rows = []
-        for i in range(span.dim):
-            row = span.basis.row(i)
-            for act in m.action:
-                new_rows.append((row @ act).to_rows()[0])
-        bigger = span.sum_with(Subspace.from_vectors(m.field, m.dim, new_rows))
+        images = Mat.vstack([span.basis] + [span.basis @ act for act in m.action])
+        bigger = Subspace.from_vectors(m.field, m.dim, images)
         if bigger.dim == span.dim:
             return span
         span = bigger
 
 
 def _invariance_witness(m: FDModule, u: Subspace):
-    for i in range(u.dim):
-        row = u.basis.row(i)
-        for l, act in enumerate(m.action):
-            if not u.contains_vector(row @ act):
-                return row, m.algebra.labels[l]
-    return None
+    """The first (basis row, label) whose image leaves u, rows before labels."""
+    escapes = np.array([(u.reduce(u.basis @ act).array() != 0).any(axis=1) for act in m.action])
+    hits = np.argwhere(escapes.T)
+    if not hits.size:
+        return None
+    i, l = hits[0]
+    return u.basis.row(i), m.algebra.labels[l]
 
 
 def submodule_module(m: FDModule, u: Subspace):
@@ -324,24 +324,12 @@ def quotient_module(m: FDModule, u: Subspace):
             f"cannot quotient by non-invariant subspace: vector "
             f"{w[0].to_rows()[0]} escapes under {w[1]}"
         )
-    field = m.field
+    # the non-pivot coordinates of the canonical coset representatives
     nonpiv = u.nonpivot_columns()
-    qdim = len(nonpiv)
-
-    def reduce_coords(v: Mat):
-        red = u.reduce(v)
-        return [red.entry(0, j) for j in nonpiv]
-
-    action = []
-    for act in m.action:
-        rows = []
-        for j in nonpiv:
-            rows.append(reduce_coords(m.basis_vector(j) @ act))
-        action.append(Mat.from_rows(field, rows) if qdim else Mat.zeros(field, 0, 0))
-    q = FDModule(m.algebra, qdim, action)
-    proj_rows = [reduce_coords(m.basis_vector(i)) for i in range(m.dim)]
-    proj = ModuleMap(m, q, Mat.from_rows(field, proj_rows) if m.dim and qdim else Mat.zeros(field, m.dim, qdim), check=False)
-    return q, proj
+    action = [u.reduce(act.take_rows(nonpiv)).take_columns(nonpiv) for act in m.action]
+    q = FDModule(m.algebra, len(nonpiv), action)
+    proj = u.reduce(Mat.identity(m.field, m.dim)).take_columns(nonpiv)
+    return q, ModuleMap(m, q, proj, check=False)
 
 
 def free_module(a: Algebra, r: int):
@@ -481,18 +469,10 @@ def tensor_over(m: FDModule, b: Bimodule) -> TensorResult:
     # ambient: m tensor_k B with R acting on the B side
     i_m = Mat.identity(field, dm)
     ambient = FDModule(b.R, amb_dim, [i_m.kron(act) for act in b.right_action]) if amb_dim else zero_module(b.R)
-    rel_rows = []
-    for i in range(dm):
-        ei = Mat.identity(field, dm).row(i) if dm else None
-        for s in range(m.algebra.dim):
-            ms = ei @ m.action[s]
-            for j in range(db):
-                fj = Mat.identity(field, db).row(j)
-                sb = fj @ b.left_action[s]
-                vec = ms.kron(fj) - ei.kron(sb)
-                if not vec.is_zero():
-                    rel_rows.append(vec.to_rows()[0])
-    u = Subspace.from_vectors(field, amb_dim, rel_rows)
+    # row (i, j) of block s is e_i*s tensor f_j - e_i tensor s*f_j
+    i_b = Mat.identity(field, db)
+    blocks = [ms.kron(i_b) - i_m.kron(sb) for ms, sb in zip(m.action, b.left_action)]
+    u = Subspace.from_vectors(field, amb_dim, Mat.vstack(blocks))
     w = _invariance_witness(ambient, u)
     if w is not None:
         raise ModuleError("internal: tensor relations not R-invariant")
@@ -502,17 +482,10 @@ def tensor_over(m: FDModule, b: Bimodule) -> TensorResult:
 
 def tensor_hom(f: ModuleMap, b: Bimodule, t_source: TensorResult, t_target: TensorResult) -> ModuleMap:
     """The induced map f tensor id_B between the tensor quotients."""
-    field = b.field
-    db = b.dim
-    src = t_source.module
-    rows = []
-    nonpiv = t_source.relations.nonpivot_columns()
-    big = f.matrix.kron(Mat.identity(field, db))
-    for j in nonpiv:
-        amb = Mat.identity(field, f.source.dim * db).row(j)
-        rows.append(t_target._proj(amb @ big).to_rows()[0])
-    mat = Mat.from_rows(field, rows) if rows and t_target.module.dim else Mat.zeros(field, src.dim, t_target.module.dim)
-    return ModuleMap(src, t_target.module, mat)
+    # the source quotient's basis is the classes of the non-pivot unit vectors
+    big = f.matrix.kron(Mat.identity(b.field, b.dim))
+    mat = t_target._proj(big.take_rows(t_source.relations.nonpivot_columns()))
+    return ModuleMap(t_source.module, t_target.module, mat)
 
 
 def pushout(f: ModuleMap, g: ModuleMap):
@@ -522,13 +495,8 @@ def pushout(f: ModuleMap, g: ModuleMap):
     """
     if f.source != g.source:
         raise ModuleError("pushout needs a shared source")
-    x = f.source
     d, i1, i2, _, _ = direct_sum(f.target, g.target)
-    rows = []
-    for i in range(x.dim):
-        v = x.basis_vector(i)
-        rows.append((i1(f(v)) - i2(g(v))).to_rows()[0])
-    u = Subspace.from_vectors(d.field, d.dim, rows)
+    u = Subspace.from_vectors(d.field, d.dim, f.matrix @ i1.matrix - g.matrix @ i2.matrix)
     # the span of these rows is the image of a module map, hence invariant
     p, proj = quotient_module(d, u)
     return p, i1.then(proj), i2.then(proj)
@@ -626,8 +594,11 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
         draw = partial(rng.randrange, m.field.p)
     else:
         draw = partial(rng.randint, -3, 3)
-    candidates = [f.matrix for f in end]
-    candidates += [combine([draw() for _ in range(e)]) for _ in range(40)]
+    # built lazily: the search usually stops long before the last one
+    candidates = itertools.chain(
+        (f.matrix for f in end),
+        (combine([draw() for _ in range(e)]) for _ in range(40)),
+    )
     for mat in candidates:
         split = _fitting_split(m, mat)
         if split is not None:

@@ -1,6 +1,12 @@
+import functools
 import itertools
+import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppcalc.examples import (
     embedding_bimodule,
@@ -12,6 +18,9 @@ from ppcalc.examples import (
 )
 from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
+    Bimodule,
+    FDModule,
+    IndecResult,
     ModuleError,
     UnsupportedCharacteristicError,
     decompose,
@@ -37,6 +46,7 @@ from ppcalc.modules import (
     zero_map,
     zero_module,
     ModuleMap,
+    _fitting_split,
 )
 
 F2 = GF(2)
@@ -424,3 +434,329 @@ def test_bimodule_validation_rejects_bad_data(lam2, kron2, bim2):
     bad_left = [bim2.left_action[0], bim2.right_action[2]]
     with pytest.raises(ModuleError):
         Bimodule(lam2, kron2, 4, bad_left, bim2.right_action, bim2.generators)
+
+
+# -- whole-block constructions against their per-row references ---------
+#
+# tensor_over, quotient_module, submodule_generated, pushout and tensor_hom
+# build their relations, actions and maps as whole matrices.  The per-row
+# loops below are the reference they must match exactly: every result is a
+# canonical echelon subspace or a matrix read off one.
+
+
+def ref_tensor_relations(m, b):
+    """The relations e_i*s (x) f_j - e_i (x) s*f_j, one row at a time."""
+    field, dm, db = b.field, m.dim, b.dim
+    rel_rows = []
+    for i in range(dm):
+        ei = Mat.identity(field, dm).row(i)
+        for s in range(m.algebra.dim):
+            ms = ei @ m.action[s]
+            for j in range(db):
+                fj = Mat.identity(field, db).row(j)
+                sb = fj @ b.left_action[s]
+                vec = ms.kron(fj) - ei.kron(sb)
+                if not vec.is_zero():
+                    rel_rows.append(vec.to_rows()[0])
+    return Subspace.from_vectors(field, dm * db, rel_rows)
+
+
+def ref_quotient(m, u):
+    """The actions and projection matrix of m/u, one reduced vector at a time."""
+    field = m.field
+    nonpiv = u.nonpivot_columns()
+    qdim = len(nonpiv)
+
+    def reduce_coords(v):
+        red = u.reduce(v)
+        return [red.entry(0, j) for j in nonpiv]
+
+    action = []
+    for act in m.action:
+        rows = [reduce_coords(m.basis_vector(j) @ act) for j in nonpiv]
+        action.append(Mat.from_rows(field, rows) if qdim else Mat.zeros(field, 0, 0))
+    proj_rows = [reduce_coords(m.basis_vector(i)) for i in range(m.dim)]
+    proj = Mat.from_rows(field, proj_rows) if m.dim and qdim else Mat.zeros(field, m.dim, qdim)
+    return action, proj
+
+
+def ref_submodule_generated(m, vectors):
+    span = Subspace.from_vectors(m.field, m.dim, vectors)
+    while True:
+        new_rows = []
+        for i in range(span.dim):
+            row = span.basis.row(i)
+            for act in m.action:
+                new_rows.append((row @ act).to_rows()[0])
+        bigger = span.sum_with(Subspace.from_vectors(m.field, m.dim, new_rows))
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
+def ref_pushout(f, g):
+    """The pushout's actions and the matrices of its two legs."""
+    d, i1, i2, _, _ = direct_sum(f.target, g.target)
+    rows = []
+    for i in range(f.source.dim):
+        v = f.source.basis_vector(i)
+        rows.append((i1(f(v)) - i2(g(v))).to_rows()[0])
+    action, proj = ref_quotient(d, Subspace.from_vectors(d.field, d.dim, rows))
+    return action, i1.matrix @ proj, i2.matrix @ proj
+
+
+def ref_tensor_hom(f, b, t_source, t_target):
+    field, db = b.field, b.dim
+    big = f.matrix.kron(Mat.identity(field, db))
+    rows = []
+    for j in t_source.relations.nonpivot_columns():
+        amb = Mat.identity(field, f.source.dim * db).row(j)
+        rows.append(t_target._proj(amb @ big).to_rows()[0])
+    src, tgt = t_source.module, t_target.module
+    return Mat.from_rows(field, rows) if rows and tgt.dim else Mat.zeros(field, src.dim, tgt.dim)
+
+
+ORACLE_FIELDS = {"gf2": GF(2), "gf3": GF(3), "gf1048573": GF(1048573), "qq": QQ}
+ORACLE = settings(max_examples=25, deadline=None)
+
+
+def regular_bimodule(a):
+    """A as an (A, A)-bimodule: tensoring with it is the identity functor."""
+    basis = [a.basis_element(i).coeffs for i in range(a.dim)]
+    return Bimodule(
+        a, a, a.dim,
+        [a.left_mult_matrix(x) for x in basis],
+        [a.right_mult_matrix(x) for x in basis],
+        [a.one],
+    )
+
+
+@functools.cache
+def oracle_algebras(field):
+    """(Lambda, Kronecker, the embedding bimodule, the regular Kronecker bimodule)."""
+    lam, kron = lambda_algebra(field), kronecker_algebra(field)
+    return lam, kron, embedding_bimodule(lam, kron), regular_bimodule(kron)
+
+
+def oracle_scalars(field):
+    if field.is_prime_field:
+        return st.integers(0, field.p - 1)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def oracle_mats(draw, field, rows, cols):
+    entries = draw(st.lists(oracle_scalars(field), min_size=rows * cols, max_size=rows * cols))
+    if not rows:
+        return Mat.zeros(field, 0, cols)
+    return Mat.from_rows(field, [entries[i * cols : (i + 1) * cols] for i in range(rows)])
+
+
+def basis_change(m, a):
+    """m with act -> P act P^-1, P = (1 + lower part of a)(1 + upper part of a)."""
+    field, n = m.field, m.dim
+    ident = Mat.identity(field, n)
+    p = (Mat.of_array(field, np.tril(a, -1)) + ident) @ (Mat.of_array(field, np.triu(a, 1)) + ident)
+    pinv = p.inverse()
+    return FDModule(m.algebra, n, [p @ act @ pinv for act in m.action])
+
+
+def conjugate(draw, m):
+    """m in a random basis."""
+    return basis_change(m, draw(oracle_mats(m.field, m.dim, m.dim)).array())
+
+
+@st.composite
+def lambda_modules(draw, field, max_dim=4):
+    """A k[x]/(x^2)-module: x is a random square-zero matrix in a random basis."""
+    lam = oracle_algebras(field)[0]
+    d = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, d))
+    x = np.full((d, d), field.zero(), dtype=field.dtype)
+    x[: d - c, d - c :] = draw(oracle_mats(field, d - c, c)).array()
+    acts = {"e1": Mat.identity(field, d), "x": Mat.of_array(field, x)}
+    return conjugate(draw, FDModule(lam, d, [acts[label] for label in lam.labels]))
+
+
+@st.composite
+def kronecker_modules(draw, field, max_side=2):
+    """A Kronecker representation with random arrow matrices, in a random basis."""
+    kron = oracle_algebras(field)[1]
+    d1, d2 = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    a, b = draw(oracle_mats(field, d1, d2)), draw(oracle_mats(field, d1, d2))
+    return conjugate(draw, kronecker_rep(kron, a, b))
+
+
+@st.composite
+def module_maps(draw, source, target):
+    """A random k-combination of the hom-space basis."""
+    field = source.field
+    mat = Mat.zeros(field, source.dim, target.dim)
+    for f in hom_space(source, target):
+        mat = mat + f.matrix.scale(draw(oracle_scalars(field)))
+    return ModuleMap(source, target, mat)
+
+
+def tensor_kinds(field):
+    """(module strategy, bimodule): Lambda-modules with the embedding
+    bimodule, Kronecker modules with the regular bimodule."""
+    _, _, emb, reg = oracle_algebras(field)
+    return [(lambda_modules(field), emb), (kronecker_modules(field), reg)]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_tensor_over_matches_per_row_reference(case, data):
+    field = ORACLE_FIELDS[case]
+    for modules, b in tensor_kinds(field):
+        m = data.draw(modules)
+        t = tensor_over(m, b)
+        assert t.relations == ref_tensor_relations(m, b)
+        i_m = Mat.identity(field, m.dim)
+        ambient = FDModule(b.R, m.dim * b.dim, [i_m.kron(act) for act in b.right_action])
+        action, proj = ref_quotient(ambient, t.relations)
+        assert t.module.action == action
+        assert t._proj.matrix == proj
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_submodule_and_quotient_match_per_row_reference(case, data):
+    field = ORACLE_FIELDS[case]
+    for m in (data.draw(lambda_modules(field)), data.draw(kronecker_modules(field))):
+        vectors = data.draw(oracle_mats(field, data.draw(st.integers(0, 2)), m.dim)).to_rows()
+        u = submodule_generated(m, vectors)
+        assert u == ref_submodule_generated(m, vectors)
+        q, proj = quotient_module(m, u)
+        action, pmat = ref_quotient(m, u)
+        assert q.action == action
+        assert proj.matrix == pmat
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_pushout_matches_per_row_reference(case, data):
+    field = ORACLE_FIELDS[case]
+    x = data.draw(kronecker_modules(field, max_side=1))
+    y, z = data.draw(kronecker_modules(field)), data.draw(kronecker_modules(field))
+    f, g = data.draw(module_maps(x, y)), data.draw(module_maps(x, z))
+    p, h1, h2 = pushout(f, g)
+    action, leg1, leg2 = ref_pushout(f, g)
+    assert p.action == action
+    assert h1.matrix == leg1 and h2.matrix == leg2
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_tensor_hom_matches_per_row_reference(case, data):
+    field = ORACLE_FIELDS[case]
+    for modules, b in tensor_kinds(field):
+        m, n = data.draw(modules), data.draw(modules)
+        f = data.draw(module_maps(m, n))
+        ts, tt = tensor_over(m, b), tensor_over(n, b)
+        assert tensor_hom(f, b, ts, tt).matrix == ref_tensor_hom(f, b, ts, tt)
+
+
+def test_invariance_witness_is_lowest_row_then_lowest_label(kron2):
+    # row 0 escapes only under b, row 1 only under a: the witness is (row 0, b)
+    m = kronecker_rep(kron2, Mat.from_rows(F2, [[0, 0], [1, 0]]), Mat.from_rows(F2, [[0, 1], [0, 0]]))
+    u = Subspace.from_vectors(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(ModuleError, match=re.escape("vector [1, 0, 0, 0] under b")):
+        submodule_module(m, u)
+    with pytest.raises(ModuleError, match=re.escape("vector [1, 0, 0, 0] escapes under b")):
+        quotient_module(m, u)
+
+
+# -- the lazy Fitting candidates against the eager list ------------------
+
+
+def eager_indecomposability(m, seed, budget=1 << 17):
+    """indecomposability with all 40 random candidates built before the search."""
+    end = hom_space(m, m)
+    e = len(end)
+    if e == 1:
+        return IndecResult("indecomposable", certificate="dim End = 1")
+
+    def combine(coeffs):
+        mat = Mat.zeros(m.field, m.dim, m.dim)
+        for c, f in zip(coeffs, end):
+            if c:
+                mat = mat + f.matrix.scale(c)
+        return mat
+
+    rng = random.Random(seed)
+    if m.field.is_prime_field:
+        draw = functools.partial(rng.randrange, m.field.p)
+    else:
+        draw = functools.partial(rng.randint, -3, 3)
+    candidates = [f.matrix for f in end]
+    candidates += [combine([draw() for _ in range(e)]) for _ in range(40)]
+    for mat in candidates:
+        split = _fitting_split(m, mat)
+        if split is not None:
+            return IndecResult("decomposed", witness=split)
+    if m.field.is_prime_field:
+        p = m.field.p
+        if p**e <= budget:
+            ident = Mat.identity(m.field, m.dim)
+            coeffs = [0] * e
+            while True:
+                mat = combine(coeffs)
+                if mat @ mat == mat and not mat.is_zero() and mat != ident:
+                    return IndecResult("decomposed", witness=ModuleMap(m, m, mat))
+                i = 0
+                while i < e and coeffs[i] == p - 1:
+                    coeffs[i] = 0
+                    i += 1
+                if i == e:
+                    break
+                coeffs[i] += 1
+            return IndecResult(
+                "indecomposable",
+                certificate=f"no nontrivial idempotent among {p}^{e} End elements",
+            )
+    return IndecResult("probably-indecomposable")
+
+
+def indec_cases(field):
+    """Decomposable modules, then indecomposable ones, in a seeded random basis."""
+    lam, kron, _, _ = oracle_algebras(field)
+    # in the bases this seed draws, no End basis element splits the first
+    # case over GF(2), GF(3) or QQ (the test checks it)
+    rng = random.Random(111)
+
+    def seeded_basis(m):
+        n = m.dim
+        return basis_change(m, Mat.from_rows(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]).array())
+
+    reg, simple = regular_module(lam), simple_lambda_module(lam)
+    r2 = kronecker_rep(kron, Mat.identity(field, 2), Mat.from_rows(field, [[0, 1], [0, 0]]))
+    brick = kronecker_rep(kron, Mat.identity(field, 1), Mat.zeros(field, 1, 1))
+    # small enough for QQ, where the Fitting powers grow long fractions
+    decomposable = [
+        direct_sum(brick, brick)[0],
+        direct_sum(reg, reg)[0],
+        direct_sum(reg, simple)[0],
+        direct_sum(simple, simple)[0],
+    ]
+    return [seeded_basis(m) for m in decomposable + [reg, r2]]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+def test_lazy_candidates_give_the_eager_answer(field):
+    cases = indec_cases(field)
+    # no End basis element splits the first case, so the random candidates are reached
+    first = cases[0]
+    assert not any(_fitting_split(first, f.matrix) for f in hom_space(first, first))
+    for m in cases:
+        for seed in range(10):
+            lazy, eager = indecomposability(m, seed), eager_indecomposability(m, seed)
+            assert (lazy.status, lazy.certificate) == (eager.status, eager.certificate)
+            if eager.witness is None:
+                assert lazy.witness is None
+            else:
+                assert lazy.witness.matrix == eager.witness.matrix
