@@ -353,7 +353,27 @@ class Mat:
 
     def kron(self, other: "Mat") -> "Mat":
         self._check_same(other)
-        return Mat._of(self.field, self.field.reduce(np.kron(self._a, other._a)))
+        a, b = self._a, other._a
+        # one broadcast product, entry ((i, k), (j, l)) = a[i, j] * b[k, l]
+        out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+            self.rows * other.rows, self.cols * other.cols
+        )
+        return Mat._of(self.field, self.field.reduce(out))
+
+    def kron_sum(self, other: "Mat", n: int) -> "Mat":
+        """The sum over l of A_l kron B_l, as one product over l.
+
+        self stacks the n blocks A_0, ..., A_{n-1} vertically, and other
+        the n blocks B_0, ..., B_{n-1}.
+        """
+        self._check_same(other)
+        if n < 1 or self.rows % n or other.rows % n:
+            raise DimensionMismatch(f"kron_sum of {self.shape} and {other.shape} in {n} blocks")
+        (p, q), (r, s) = (self.rows // n, self.cols), (other.rows // n, other.cols)
+        a, b = self._a.reshape(n, p * q), other._a.reshape(n, r * s)
+        # rows (i, j) of a.T times columns (k, l) of b, regrouped as ((i, k), (j, l))
+        out = _product(self.field, a.T, b).reshape(p, q, r, s).transpose(0, 2, 1, 3)
+        return Mat._of(self.field, out.reshape(p * r, q * s))
 
     @staticmethod
     def vstack(mats) -> "Mat":
@@ -402,16 +422,22 @@ class Mat:
 
     def kernel(self) -> "Mat":
         """Basis (rows, in rref) of the left kernel {v : v @ self = 0}."""
+        return self.kernel_basis().rref()[0]
+
+    def kernel_basis(self) -> "Mat":
+        """A basis (rows, not in rref) of the left kernel, from one elimination.
+
+        Row f is the solution that is 1 at the free coordinate f and 0 at
+        the other free coordinates.
+        """
         field, n = self.field, self.rows
         red, piv = self.transpose().rref()
         pivset = set(piv)
         free = [j for j in range(n) if j not in pivset]
-        if not free:
-            return Mat.zeros(field, 0, n)
         out = _zeros(field, len(free), n)
         out[np.arange(len(free)), free] = field.one()
         out[:, piv] = field.reduce(-red._a[: len(piv), free].T)
-        return Mat._of(field, out).rref()[0]
+        return Mat._of(field, out)
 
     def solve_left(self, b: "Mat"):
         """Solve X @ self = b; returns one X (free vars 0) or None."""

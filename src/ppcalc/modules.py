@@ -208,21 +208,57 @@ def zero_map(m: FDModule, n: FDModule) -> ModuleMap:
 
 
 def hom_space(m: FDModule, n: FDModule):
-    """k-basis of Hom(m, n) in canonical echelon order."""
+    """k-basis of Hom(m, n) in canonical echelon order, by spinning.
+
+    A map f is fixed by the images y_i = g_i f of generators g_1..g_r of m,
+    and those images may be chosen freely subject to the relations among
+    the spun vectors g_i a_l (a_l the algebra's basis, M_l and N_l its
+    action matrices on m and n).  m and n must be modules (see
+    validate_module).  Four eliminations:
+
+    1. Greedy generators: the basis vector e_j is one iff its row is
+       independent of the rows before it in the stack of the rows
+       [e_j, e_j M_0, ..., e_j M_{dim A - 1}] over all j, that is iff it
+       is not in the submodule generated by e_0, ..., e_{j-1}.
+    2. G has the rows g_i M_l, indexed (l, i); they span m.  One
+       elimination of [G | I] gives the relations K (K G = 0, in rref)
+       and a left inverse X (X G = I).
+    3. f = X Y, where Y has the rows y_i N_l, is a homomorphism iff
+       K Y = 0.  With W = [K; X] cut into blocks W_l of r columns, one
+       product sum_l W_l^T kron N_l gives [Phi | L]: Phi is the
+       (r*t) x (nrel*t) system y Phi = 0 on y = (y_1, ..., y_r), whose
+       left kernel is taken (not in rref), and y L is f flattened
+       row-major.
+    4. The rref of the images y L is the basis returned.
+
+    With s = dim m, t = dim n and nrel = r*dim A - s relations, the
+    largest system is Phi, against the (s*t) x (s*t*dim A) system of
+    the Kronecker formulation.
+    """
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise ModuleError("hom_space needs modules over the same algebra")
     s, t = m.dim, n.dim
     if s == 0 or t == 0:
         return []
-    field = m.field
-    blocks = []
-    it = Mat.identity(field, t)
-    i_s = Mat.identity(field, s)
-    for l in range(m.algebra.dim):
-        blocks.append(m.action[l].transpose().kron(it) - i_s.kron(n.action[l]))
-    constraint = Mat.hstack(blocks)
-    ker = constraint.kernel()
-    return [ModuleMap(m, n, ker.row(r).reshape(s, t), check=False) for r in range(ker.rows)]
+    field, na = m.field, m.algebra.dim
+    # 1. rows (j, l) of the stack: e_j for l = 0, then e_j M_0, ...
+    stack = Mat.hstack([Mat.identity(field, s)] + m.action).reshape(s * (na + 1), s)
+    gens = [c // (na + 1) for c in stack.transpose().rref()[1] if c % (na + 1) == 0]
+    r = len(gens)
+    # 2. rref [G | I] = [[I, X], [0, K]], as G has rank s, its width
+    g = Mat.vstack([act.take_rows(gens) for act in m.action])
+    red, piv = Mat.hstack([g, Mat.identity(field, na * r)]).rref()
+    if piv[:s] != list(range(s)):
+        raise ModuleError("hom_space: the spun generators do not span the source; is it a module?")
+    nrel = na * r - s
+    w = red.take_rows(list(range(s, na * r)) + list(range(s))).take_columns(range(s, s + na * r))
+    # 3. W^T stacks the blocks W_l^T, and W_l^T kron N_l has rows (i, c) and
+    # columns (k, u): entry W[k, (l, i)] N_l[c, u]
+    phi_l = w.transpose().kron_sum(Mat.vstack(n.action), na)
+    ys = phi_l.take_columns(range(nrel * t)).kernel_basis()
+    # 4. the canonical basis of the images y L
+    basis = (ys @ phi_l.take_columns(range(nrel * t, (nrel + s) * t))).rref()[0]
+    return [ModuleMap(m, n, basis.row(i).reshape(s, t), check=False) for i in range(basis.rows)]
 
 
 def _flat_span(field, amb: int, mats) -> Subspace:
@@ -473,9 +509,7 @@ def tensor_over(m: FDModule, b: Bimodule) -> TensorResult:
     i_b = Mat.identity(field, db)
     blocks = [ms.kron(i_b) - i_m.kron(sb) for ms, sb in zip(m.action, b.left_action)]
     u = Subspace.from_vectors(field, amb_dim, Mat.vstack(blocks))
-    w = _invariance_witness(ambient, u)
-    if w is not None:
-        raise ModuleError("internal: tensor relations not R-invariant")
+    # quotient_module checks that the relations are R-invariant
     q, proj = quotient_module(ambient, u)
     return TensorResult(q, m, b, u, proj)
 

@@ -370,3 +370,64 @@ def test_products_near_the_bound_are_exact(p):
     am = Mat.from_rows(field, a)
     assert (am @ Mat.from_rows(field, b)).to_rows() == expect
     assert am @ am.inverse() == Mat.identity(field, n)
+
+
+# -- Kronecker products and one-elimination kernels ---------------------------
+
+SMALL_CASES = ["gf2", "gf3", "gf1048573", "qq"]
+
+
+@st.composite
+def small_matrices(draw, field, rows=None, cols=None):
+    """A matrix of 0 to 3 rows and columns (empty shapes included)."""
+    rows = draw(st.integers(0, 3)) if rows is None else rows
+    cols = draw(st.integers(0, 3)) if cols is None else cols
+    entries = draw(st.lists(scalars(field), min_size=rows * cols, max_size=rows * cols))
+    return Mat.of_array(field, np.array(entries, dtype=object).reshape(rows, cols))
+
+
+@pytest.mark.parametrize("case", SMALL_CASES)
+@PROPERTY
+@given(data=st.data())
+def test_property_kron_matches_numpy(case, data):
+    field = CASES[case][0]
+    a, b = data.draw(small_matrices(field)), data.draw(small_matrices(field))
+    got = a.kron(b)
+    assert got.shape == (a.rows * b.rows, a.cols * b.cols)
+    assert np.array_equal(got.array(), field.reduce(np.kron(a.array(), b.array())))
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("case", SMALL_CASES)
+@PROPERTY
+@given(data=st.data())
+def test_property_kron_sum_is_the_sum_of_krons(case, data):
+    field = CASES[case][0]
+    (p, q), (r, s) = [(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))) for _ in range(2)]
+    count = data.draw(st.integers(1, 3))
+    lefts = [data.draw(small_matrices(field, p, q)) for _ in range(count)]
+    rights = [data.draw(small_matrices(field, r, s)) for _ in range(count)]
+    expect = lefts[0].kron(rights[0])
+    for x, y in zip(lefts[1:], rights[1:]):
+        expect = expect + x.kron(y)
+    got = Mat.vstack(lefts).kron_sum(Mat.vstack(rights), count)
+    assert got == expect
+    assert_canonical(got)
+
+
+def test_kron_sum_rejects_uneven_blocks():
+    with pytest.raises(DimensionMismatch):
+        Mat.identity(F3, 3).kron_sum(Mat.identity(F3, 2), 2)
+    with pytest.raises(DimensionMismatch):
+        Mat.identity(F3, 2).kron_sum(Mat.identity(F3, 2), 0)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_property_kernel_basis_spans_the_kernel(case, data):
+    m = data.draw(matrices(case))
+    basis = m.kernel_basis()
+    assert (basis @ m).is_zero()
+    assert basis.rank() == basis.rows == m.rows - m.rank()
+    assert basis.rref()[0] == m.kernel()

@@ -16,6 +16,7 @@ from ppcalc.examples import (
     lambda_algebra,
     simple_lambda_module,
 )
+from ppcalc.algebra import Algebra
 from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
     Bimodule,
@@ -760,3 +761,78 @@ def test_lazy_candidates_give_the_eager_answer(field):
                 assert lazy.witness is None
             else:
                 assert lazy.witness.matrix == eager.witness.matrix
+
+
+# -- hom_space by spinning against the Kronecker system --------------------
+
+
+def ref_hom_space(m, n):
+    """Hom(m, n) as the left kernel of the (s*t) x (s*t*dim A) Kronecker system."""
+    s, t = m.dim, n.dim
+    if s == 0 or t == 0:
+        return []
+    field = m.field
+    it, i_s = Mat.identity(field, t), Mat.identity(field, s)
+    blocks = [m.action[l].transpose().kron(it) - i_s.kron(n.action[l]) for l in range(m.algebra.dim)]
+    ker = Mat.hstack(blocks).kernel()
+    return [ker.row(r).reshape(s, t) for r in range(ker.rows)]
+
+
+@functools.cache
+def truncated_algebra(field):
+    """k[x]/(x^3), given by its structure constants (no quiver)."""
+    unit = [[1 if k == j else 0 for k in range(3)] for j in range(3)]
+    zero = Mat.zeros(field, 1, 3)
+    mul = [[Mat.from_rows(field, [unit[i + j]]) if i + j < 3 else zero for j in range(3)] for i in range(3)]
+    return Algebra(field, ["1", "x", "x2"], Mat.from_rows(field, [unit[0]]), mul)
+
+
+@st.composite
+def truncated_modules(draw, field):
+    """k[x]/(x^k) for k = 0..3 in a random basis: k = 3 is the regular module."""
+    reg = regular_module(truncated_algebra(field))
+    k = draw(st.integers(0, 3))
+    if k < 3:
+        reg = quotient_module(reg, submodule_generated(reg, [[int(j == k) for j in range(3)]]))[0]
+    return conjugate(draw, reg)
+
+
+@st.composite
+def summed(draw, modules):
+    """One or two drawn modules, their direct sum in a random basis."""
+    total = draw(modules)
+    if draw(st.booleans()):
+        total = conjugate(draw, direct_sum(total, draw(modules))[0])
+    return total
+
+
+def hom_kinds(field):
+    """Module strategies; the two arguments of one hom_space come from the same one."""
+    lam, kron = oracle_algebras(field)[:2]
+    kinds = [lambda_modules(field), kronecker_modules(field), truncated_modules(field)]
+    zeros = [st.just(zero_module(a)) for a in (lam, kron, truncated_algebra(field))]
+    return [summed(k) for k in kinds] + [st.one_of(k, z) for k, z in zip(kinds, zeros)]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_hom_space_matches_kronecker_reference(case, data):
+    field = ORACLE_FIELDS[case]
+    modules = data.draw(st.sampled_from(hom_kinds(field)))
+    m, n = data.draw(modules), data.draw(modules)
+    maps = hom_space(m, n)
+    assert [f.matrix for f in maps] == ref_hom_space(m, n)
+    for f in maps:
+        ModuleMap(m, n, f.matrix, check=True)
+
+
+def test_hom_space_rejects_a_non_module(lam2):
+    # the unit acts as zero, so the spun vectors span nothing
+    bad = FDModule(lam2, 2, [Mat.zeros(F2, 2, 2)] * 2)
+    # over k itself, a nilpotent "unit": one generator spins to one vector
+    k = Algebra(F2, ["1"], Mat.from_rows(F2, [[1]]), [[Mat.from_rows(F2, [[1]])]])
+    shift = FDModule(k, 3, [Mat.from_rows(F2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])])
+    for m in (bad, shift):
+        with pytest.raises(ModuleError, match="is it a module"):
+            hom_space(m, m)
