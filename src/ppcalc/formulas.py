@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, AlgebraElement
 from .linalg import Mat, Subspace
-from .modules import FDModule, fp_module
+from .modules import FDModule, _hom_system, fp_module
 
 __all__ = [
     "PpFormula",
@@ -98,12 +98,22 @@ class PpFormula:
         return f"PpFormula(n={self.n}, c={self.c}, e={self.e})"
 
     def with_realisation(self, module, tup) -> "PpFormula":
+        """Attach (module, tup) as this formula's free realisation.
+
+        Nothing checks that the formula generates the pp-type of tup in
+        module: implies and beta trust it (see FreeRealisation).
+        """
         self._realisation = FreeRealisation(module, tup, self)
         return self
 
 
 class FreeRealisation:
-    """A module and tuple whose pp-type the formula generates."""
+    """A module C and tuple c whose pp-type the formula generates.
+
+    Construction checks only the arity.  implies trusts the realisations
+    of both of its formulas: psi <= phi is read off Hom(C_phi, C_psi), so
+    a tuple whose pp-type is not the one phi generates gives wrong answers.
+    """
 
     def __init__(self, module: FDModule, tup, formula: PpFormula):
         self.module = module
@@ -153,7 +163,7 @@ def eval_formula(phi: PpFormula, m: FDModule) -> Subspace:
         raise FormulaError("formula and module live over different algebras")
     d = m.dim
     big = _formula_matrix(phi, m)
-    ker = big.kernel()
+    ker = big.kernel_basis()
     sol = Subspace.from_vectors(m.field, (phi.n + phi.c) * d, ker)
     return sol.project_columns(range(phi.n * d))
 
@@ -336,24 +346,26 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
 
 
 def implies(psi: PpFormula, phi: PpFormula) -> bool:
-    """Decide psi <= phi (solution-set inclusion in every module)."""
+    """Decide psi <= phi (solution-set inclusion in every module).
+
+    By the free-realisation criterion, psi <= phi iff some homomorphism
+    C_phi -> C_psi sends c_phi to c_psi, where (C_phi, c_phi) and
+    (C_psi, c_psi) are free realisations of phi and psi.  The maps are
+    those of hom_space's spinning system [Phi | L], with L replaced by
+    the evaluation E at c_phi, so one solve of y [Phi | E] = [0 | c_psi]
+    decides.  The answer trusts the realisations attached to both
+    formulas (see PpFormula.with_realisation).
+    """
     if psi.n != phi.n:
         raise FormulaError("implies needs equal arities")
     if psi.algebra != phi.algebra:
         raise FormulaError("implies needs a common algebra")
-    fr = free_realisation(psi)
-    c_mod = fr.module
-    d = c_mod.dim
-    big = _formula_matrix(phi, c_mod)
-    tflat = fr.tuple_flat()
-    if big.cols == 0:
-        return True
-    x_part = big.take_rows(range(phi.n * d))
-    rhs = -(tflat @ x_part) if phi.n * d else Mat.zeros(c_mod.field, 1, big.cols)
-    if phi.c * d == 0:
-        return rhs.is_zero()
-    y_part = big.take_rows(range(phi.n * d, (phi.n + phi.c) * d))
-    return y_part.solve_left(rhs) is not None
+    fr_psi, fr_phi = free_realisation(psi), free_realisation(phi)
+    target = fr_psi.module
+    c_phi = fr_phi.tuple_flat().reshape(phi.n, fr_phi.module.dim)
+    system, nrel = _hom_system(fr_phi.module, target, at=c_phi)
+    rhs = Mat.hstack([Mat.zeros(target.field, 1, nrel * target.dim), fr_psi.tuple_flat()])
+    return system.solve_left(rhs) is not None
 
 
 def equivalent(phi: PpFormula, psi: PpFormula) -> bool:

@@ -565,7 +565,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient)
         stacked = Mat.vstack([self.basis, other.basis])
-        ker = stacked.kernel()
+        ker = stacked.kernel_basis()
         if ker.rows == 0:
             return Subspace.zero(self.field, self.ambient)
         first = ker.take_columns(range(self.dim))

@@ -240,7 +240,21 @@ def hom_space(m: FDModule, n: FDModule):
     s, t = m.dim, n.dim
     if s == 0 or t == 0:
         return []
-    field, na = m.field, m.algebra.dim
+    phi_l, nrel = _hom_system(m, n)
+    ys = phi_l.take_columns(range(nrel * t)).kernel_basis()
+    # 4. the canonical basis of the images y L
+    basis = (ys @ phi_l.take_columns(range(nrel * t, (nrel + s) * t))).rref()[0]
+    return [ModuleMap(m, n, basis.row(i).reshape(s, t), check=False) for i in range(basis.rows)]
+
+
+def _hom_system(m: FDModule, n: FDModule, at: Mat | None = None):
+    """Steps 1 to 3 of hom_space: the system [Phi | L] and nrel.
+
+    With at, whose rows v_1..v_k are vectors of m, L is replaced by E:
+    column (j, u) of y E is coordinate u of v_j f, so y E = (v_1 f, ...,
+    v_k f).  The zero module m gives a system with no rows.
+    """
+    s, field, na = m.dim, m.field, m.algebra.dim
     # 1. rows (j, l) of the stack: e_j for l = 0, then e_j M_0, ...
     stack = Mat.hstack([Mat.identity(field, s)] + m.action).reshape(s * (na + 1), s)
     gens = [c // (na + 1) for c in stack.transpose().rref()[1] if c % (na + 1) == 0]
@@ -252,13 +266,12 @@ def hom_space(m: FDModule, n: FDModule):
         raise ModuleError("hom_space: the spun generators do not span the source; is it a module?")
     nrel = na * r - s
     w = red.take_rows(list(range(s, na * r)) + list(range(s))).take_columns(range(s, s + na * r))
+    if at is not None:
+        # v_j f = v_j X Y, so the rows at X stand in for X
+        w = Mat.vstack([w.take_rows(range(nrel)), at @ w.take_rows(range(nrel, nrel + s))])
     # 3. W^T stacks the blocks W_l^T, and W_l^T kron N_l has rows (i, c) and
     # columns (k, u): entry W[k, (l, i)] N_l[c, u]
-    phi_l = w.transpose().kron_sum(Mat.vstack(n.action), na)
-    ys = phi_l.take_columns(range(nrel * t)).kernel_basis()
-    # 4. the canonical basis of the images y L
-    basis = (ys @ phi_l.take_columns(range(nrel * t, (nrel + s) * t))).rref()[0]
-    return [ModuleMap(m, n, basis.row(i).reshape(s, t), check=False) for i in range(basis.rows)]
+    return w.transpose().kron_sum(Mat.vstack(n.action), na), nrel
 
 
 def _flat_span(field, amb: int, mats) -> Subspace:
@@ -586,7 +599,7 @@ def _fitting_split(m: FDModule, f_mat: Mat):
     while (1 << k) < max(m.dim, 1):
         k += 1
     power = f_mat.power(1 << k)
-    ker = Subspace.from_vectors(m.field, m.dim, power.kernel())
+    ker = Subspace.from_vectors(m.field, m.dim, power.kernel_basis())
     if ker.dim == 0 or ker.dim == m.dim:
         return None
     img = Subspace.from_vectors(m.field, m.dim, power)
@@ -678,7 +691,7 @@ def decompose(m: FDModule, seed: int, budget: int = 1 << 17):
         return [(m, identity_map(m), identity_map(m))]
     e = res.witness.matrix
     img = Subspace.from_vectors(m.field, m.dim, e)
-    ker = Subspace.from_vectors(m.field, m.dim, e.kernel())
+    ker = Subspace.from_vectors(m.field, m.dim, e.kernel_basis())
     t = Mat.vstack([ker.basis, img.basis])
     tinv = t.inverse()
     out = []

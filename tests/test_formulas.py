@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ppcalc.formulas import (
     FormulaError,
     PpFormula,
     PpPair,
+    _formula_matrix,
     conj,
     equivalent,
     eval_formula,
@@ -15,13 +18,25 @@ from ppcalc.formulas import (
     top_formula,
     zero_formula,
 )
-from ppcalc.linalg import GF, Mat, Subspace
+from ppcalc.lattice import BetaMap, minimize_realisation
+from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
     direct_sum,
     hom_space,
     indecomposability,
     iso_test,
+    regular_module,
     zero_module,
+)
+
+from test_modules import (
+    ORACLE,
+    ORACLE_FIELDS,
+    kronecker_modules,
+    lambda_modules,
+    module_maps,
+    oracle_algebras,
+    oracle_mats,
 )
 
 F2 = GF(2)
@@ -277,3 +292,152 @@ def test_formula_pipeline_over_rationals(lamq):
     assert equivalent(gen, div)
     assert equivalent(conj(div, ann), div)
     assert pair_open(PpPair(ann, div), free_realisation(ann, via="fp").module)
+
+
+# -- implies against the direct system -----------------------------------
+#
+# implies looks for a map C_phi -> C_psi sending c_phi to c_psi.  The
+# reference solves phi's own system inside C_psi at c_psi instead, so it
+# reads phi's matrix and only psi's realisation.
+
+
+def ref_implies(psi, phi):
+    """psi <= phi iff c_psi lies in phi(C_psi), by phi's whole system."""
+    fr = free_realisation(psi)
+    c_mod = fr.module
+    d = c_mod.dim
+    big = _formula_matrix(phi, c_mod)
+    tflat = fr.tuple_flat()
+    if big.cols == 0:
+        return True
+    x_part = big.take_rows(range(phi.n * d))
+    rhs = -(tflat @ x_part) if phi.n * d else Mat.zeros(c_mod.field, 1, big.cols)
+    if phi.c * d == 0:
+        return rhs.is_zero()
+    y_part = big.take_rows(range(phi.n * d, (phi.n + phi.c) * d))
+    return y_part.solve_left(rhs) is not None
+
+
+def unrealised(phi):
+    """The same formula with no realisation attached: implies takes the fp route."""
+    return PpFormula(phi.algebra, phi.n, phi.c, phi.e, phi.coeffs)
+
+
+@st.composite
+def module_tuples(draw, m, n):
+    return [draw(oracle_mats(m.field, 1, m.dim)) if m.dim else m.zero_vector() for _ in range(n)]
+
+
+@st.composite
+def generators(draw, modules, n):
+    """A pp-type generator of a random n-tuple in a random module."""
+    m = draw(modules)
+    return pp_type_generator(m, draw(module_tuples(m, n)))
+
+
+@st.composite
+def realised_formulas(draw, field, kind, n):
+    """An n-ary formula over Lambda ("lam") or Kronecker ("kron"), by one
+    of the routes that attach a realisation, or with none attached."""
+    lam, kron, emb, _ = oracle_algebras(field)
+    modules = lambda_modules(field, max_dim=3) if kind == "lam" else kronecker_modules(field)
+    routes = ["gen", "conj", "sum", "minimized", "fp", "top", "zero"]
+    if kind == "kron" and n == len(emb.generators):
+        routes.append("beta")
+    route = draw(st.sampled_from(routes))
+    if route == "gen":
+        return draw(generators(modules, n))
+    if route in ("conj", "sum"):
+        both = (draw(generators(modules, n)), draw(generators(modules, n)))
+        return conj(*both) if route == "conj" else sum_formula(*both)
+    if route == "minimized":
+        # the second summand's tuple is zero, so minimize_realisation drops it
+        m = draw(modules)
+        phi = sum_formula(draw(generators(modules, n)), pp_type_generator(m, [m.zero_vector()] * n))
+        fr = minimize_realisation(free_realisation(phi))
+        return unrealised(phi).with_realisation(fr.module, fr.tuple)
+    if route == "fp":
+        return unrealised(draw(generators(modules, n)))
+    if route == "beta":
+        return BetaMap(emb)(draw(generators(lambda_modules(field, max_dim=3), 1)))
+    algebra = lam if kind == "lam" else kron
+    return top_formula(algebra, n) if route == "top" else zero_formula(algebra, n)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_implies_matches_direct_system(case, data):
+    field = ORACLE_FIELDS[case]
+    kind, n = data.draw(st.sampled_from([("lam", 1), ("lam", 2), ("kron", 1), ("kron", 2)]))
+    psi = data.draw(realised_formulas(field, kind, n))
+    phi = data.draw(realised_formulas(field, kind, n))
+    assert implies(psi, phi) == ref_implies(psi, phi)
+    assert implies(phi, psi) == ref_implies(phi, psi)
+    assert implies(psi, psi)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_implies_along_an_endomorphism(case, data):
+    # gen(v f) <= gen(v) for f in End m; the converse is decided both ways
+    field = ORACLE_FIELDS[case]
+    m = data.draw(st.one_of(lambda_modules(field), kronecker_modules(field)))
+    tup = data.draw(module_tuples(m, 2))
+    f = data.draw(module_maps(m, m))
+    image = pp_type_generator(m, [f(v) for v in tup])
+    phi = pp_type_generator(m, tup)
+    assert implies(image, phi) and ref_implies(image, phi)
+    assert implies(phi, image) == ref_implies(phi, image)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+def test_implies_top_and_zero_on_both_sides(field):
+    lam = oracle_algebras(field)[0]
+    for n in (0, 1, 2):
+        top, zero = top_formula(lam, n), zero_formula(lam, n)
+        assert free_realisation(zero).module.dim == 0
+        assert implies(top, top) and implies(zero, zero) and implies(zero, top)
+        assert implies(top, zero) == (n == 0)
+        for psi, phi in ((top, top), (top, zero), (zero, top), (zero, zero)):
+            assert implies(psi, phi) == ref_implies(psi, phi)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+def test_implies_psi_realised_in_the_zero_module(field):
+    lam = oracle_algebras(field)[0]
+    reg, z = regular_module(lam), zero_module(lam)
+    in_zero = pp_type_generator(z, [z.zero_vector()])
+    socle = pp_type_generator(reg, [reg.element([0, 1])])
+    for phi in (socle, top_formula(lam, 1), zero_formula(lam, 1), in_zero):
+        assert implies(in_zero, phi)
+    assert not implies(socle, in_zero)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+def test_implies_phi_realised_in_dimension_zero(field):
+    # C_phi = 0, so psi <= phi iff c_psi = 0, however large C_psi is
+    lam = oracle_algebras(field)[0]
+    reg, z = regular_module(lam), zero_module(lam)
+    for phi in (zero_formula(lam, 1), pp_type_generator(z, [z.zero_vector()])):
+        assert free_realisation(phi).module.dim == 0
+        assert implies(pp_type_generator(reg, [reg.zero_vector()]), phi)
+        assert not implies(pp_type_generator(reg, [reg.element([0, 1])]), phi)
+        assert not implies(top_formula(lam, 1), phi)
+
+
+def test_implies_does_not_call_hom_space(lam2, reg2, s1_2, phis, monkeypatch):
+    # the benchmark times hom_space by its outermost calls, so implies
+    # builds its own system instead of calling it
+    import ppcalc.formulas
+    import ppcalc.modules
+
+    def refuse(*args):
+        raise AssertionError("implies called hom_space")
+
+    monkeypatch.setattr(ppcalc.modules, "hom_space", refuse)
+    monkeypatch.setattr(ppcalc.formulas, "hom_space", refuse, raising=False)
+    div, ann = phis
+    gen = pp_type_generator(reg2, [reg2.element([0, 1])])
+    assert implies(div, ann) and implies(gen, div) and not implies(ann, gen)

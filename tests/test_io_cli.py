@@ -4,7 +4,7 @@ import pytest
 
 from ppcalc.cli import main
 from ppcalc.examples import embedding_bimodule, kronecker_algebra, lambda_algebra
-from ppcalc.formulas import PpPair, equivalent, pp_type_generator, zero_formula
+from ppcalc.formulas import PpPair, equivalent, pp_type_generator, top_formula, zero_formula
 from ppcalc.interp import hom_interp_data
 from ppcalc.io import (
     ParseError,
@@ -25,7 +25,7 @@ from ppcalc.io import (
 from ppcalc.linalg import GF, QQ
 from ppcalc.modules import regular_module
 
-from test_formulas import ann_formula, div_formula
+from test_formulas import ann_formula, div_formula, ref_implies
 
 
 # -- round trips -------------------------------------------------------
@@ -141,6 +141,42 @@ def test_cli_implies(files, capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["implies", "--psi", files["ann.pp"], "--phi", files["div.pp"]]) == 0
     assert capsys.readouterr().out.strip() == "false"
+
+
+def test_cli_implies_on_loaded_formulas(files, tmp_path, capsys, lam2, kron2, reg2):
+    # loaded formulas carry no realisation: implies builds both by the fp
+    # route; files puts lam.alg and kron.alg beside them in tmp_path
+    kreg = regular_module(kron2)
+    e1, e2 = (kreg.basis_vector(i) for i in range(2))
+    made = {
+        "lam.alg": [
+            div_formula(lam2),
+            ann_formula(lam2),
+            pp_type_generator(reg2, [reg2.element([0, 1])]),
+            top_formula(lam2, 1),
+            zero_formula(lam2, 1),
+        ],
+        "kron.alg": [
+            pp_type_generator(kreg, [e1, e2]),
+            pp_type_generator(kreg, [e2, e1]),
+            pp_type_generator(kreg, [e1, kreg.zero_vector()]),
+            top_formula(kron2, 2),
+            zero_formula(kron2, 2),
+        ],
+    }
+    for ref, formulas in made.items():
+        paths = []
+        for i, phi in enumerate(formulas):
+            path = tmp_path / f"{ref}.{i}.pp"
+            path.write_text(dumps(formula_to_json(phi, algebra_ref=ref)))
+            paths.append(str(path))
+        for psi_path in paths:
+            for phi_path in paths:
+                want = ref_implies(load_formula(psi_path), load_formula(phi_path))
+                assert main(["implies", "--psi", psi_path, "--phi", phi_path]) == 0
+                assert capsys.readouterr().out == ("true" if want else "false") + "\n"
+                assert main(["--out", "json", "implies", "--psi", psi_path, "--phi", phi_path]) == 0
+                assert capsys.readouterr().out == dumps({"implies": want}) + "\n"
 
 
 def test_cli_eval_zero_module(files, capsys):
