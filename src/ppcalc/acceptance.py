@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import time
+from typing import NamedTuple
 
+from .algebra import Algebra
 from .controlled import EmbeddingData, inverse_interp, roundtrip_check
 from .examples import embedding_bimodule, kronecker_algebra, lambda_algebra
 from .formulas import (
     PpFormula,
     PpPair,
-    equivalent,
     eval_formula,
-    implies,
     pair_open,
     zero_formula,
 )
@@ -32,10 +32,22 @@ from .interp import (
     isolating_pair,
     pullback_pair,
 )
-from .inventory import direct_sums_up_to, enumerate_indecomposables, verify_completeness
-from .lattice import BetaMap, standard_sample, verify_embedding, verify_lattice_hom
+from .inventory import (
+    Inventory,
+    direct_sums_up_to,
+    enumerate_indecomposables,
+    verify_completeness,
+)
+from .lattice import (
+    BetaMap,
+    beta,
+    order_table,
+    standard_sample,
+    verify_embedding,
+    verify_lattice_hom,
+)
 from .linalg import GF
-from .modules import is_direct_summand, iso_test, tensor_over
+from .modules import Bimodule, is_direct_summand, iso_test, tensor_over
 
 __all__ = ["RunConfig", "run_acceptance", "render_text", "render_json"]
 
@@ -68,33 +80,47 @@ class RunConfig:
         )
 
 
-def _f2_context(cfg: RunConfig):
+class PassContext(NamedTuple):
+    """What criteria 1-9 share within one core pass over GF(2).
+
+    lam_inv is the inventory of Lambda at cap 4; smaller caps are its
+    prefixes (Inventory.up_to).
+    """
+
+    lam: Algebra
+    kron: Algebra
+    bim: Bimodule
+    lam_inv: Inventory
+
+
+def _f2_context(cfg: RunConfig) -> PassContext:
     lam = lambda_algebra(GF(2))
     kron = kronecker_algebra(GF(2))
     bim = embedding_bimodule(lam, kron)
-    return lam, kron, bim
+    lam_inv = enumerate_indecomposables(lam, 4, cfg.budget, cfg.seed)
+    return PassContext(lam, kron, bim, lam_inv)
 
 
-def _sample_classes(sample):
-    """Number of equivalence classes in a sample of formulas."""
+def _sample_classes(order):
+    """Number of equivalence classes of a sample, given its order table."""
     reps = []
-    for f in sample:
-        if not any(equivalent(f, r) for r in reps):
-            reps.append(f)
+    for i in range(len(order)):
+        if not any(order[i][r] and order[r][i] for r in reps):
+            reps.append(i)
     return len(reps)
 
 
-def _criterion_1_2_3(cfg: RunConfig):
+def _criterion_1_2_3(cfg: RunConfig, ctx: PassContext):
     """The shared sample drives the first three criteria."""
-    lam, kron, bim = _f2_context(cfg)
-    inv3 = enumerate_indecomposables(lam, 3, cfg.budget, cfg.seed)
-    sample = standard_sample(lam, inv3.members)
-    bmap = BetaMap(bim)
+    sample = standard_sample(ctx.lam, ctx.lam_inv.up_to(3).members)
+    bmap = BetaMap(ctx.bim)
 
     start = time.monotonic()
-    hom_report = verify_lattice_hom(bmap, sample)
+    betas = [beta(bmap, f) for f in sample]
+    order = order_table(sample)
+    hom_report = verify_lattice_hom(bmap, sample, betas, order)
     elapsed = time.monotonic() - start
-    classes = _sample_classes(sample)
+    classes = _sample_classes(order)
     c1 = {
         "id": 1,
         "passed": hom_report["ok"] and len(sample) >= 10 and elapsed < 60.0,
@@ -107,7 +133,7 @@ def _criterion_1_2_3(cfg: RunConfig):
         },
     }
 
-    emb_report = verify_embedding(bmap, sample)
+    emb_report = verify_embedding(bmap, sample, betas, order)
     c2 = {
         "id": 2,
         "passed": emb_report["ok"] and emb_report["strict_pairs"] > 0,
@@ -117,26 +143,24 @@ def _criterion_1_2_3(cfg: RunConfig):
         },
     }
 
-    inv4 = enumerate_indecomposables(lam, 4, cfg.budget, cfg.seed)
+    members = ctx.lam_inv.members
+    evals = [[eval_formula(f, m) for m in members] for f in sample]
     mismatches = []
     checked = 0
-    for i, a in enumerate(sample):
-        evals_a = [eval_formula(a, m) for m in inv4.members]
-        for j, b in enumerate(sample):
+    for i in range(len(sample)):
+        for j in range(len(sample)):
             checked += 1
-            claimed = implies(a, b)
             pointwise = all(
-                eval_formula(b, m).contains(ev)
-                for m, ev in zip(inv4.members, evals_a)
+                ev_j.contains(ev_i) for ev_i, ev_j in zip(evals[i], evals[j])
             )
-            if claimed != pointwise:
+            if order[i][j] != pointwise:
                 mismatches.append([i, j])
     c3 = {
         "id": 3,
         "passed": not mismatches,
         "details": {
             "ordered_pairs_checked": checked,
-            "inventory_size": len(inv4.members),
+            "inventory_size": len(members),
             "mismatches": mismatches,
         },
     }
@@ -172,10 +196,9 @@ def _criterion_4(cfg: RunConfig):
     }
 
 
-def _criterion_5_6(cfg: RunConfig):
-    lam, kron, bim = _f2_context(cfg)
-    inv = enumerate_indecomposables(lam, 4, cfg.budget, cfg.seed)
-    emb = EmbeddingData(bim, control=None)
+def _criterion_5_6(cfg: RunConfig, ctx: PassContext):
+    inv = ctx.lam_inv
+    emb = EmbeddingData(ctx.bim, control=None)
     data = inverse_interp(emb)
     rows = []
     ok5 = True
@@ -194,11 +217,11 @@ def _criterion_5_6(cfg: RunConfig):
         )
     c5 = {"id": 5, "passed": ok5, "details": {"modules": rows}}
 
-    hom_data = hom_interp_data(bim)
+    hom_data = hom_interp_data(ctx.bim)
     double_rows = []
     ok6 = True
     for n_mod in inv.members:
-        t = tensor_over(n_mod, bim)
+        t = tensor_over(n_mod, ctx.bim)
         gfn = apply_interp(hom_data, t.module, check=False)
         is_summand = is_direct_summand(n_mod, gfn.module)[0]
         ok6 = ok6 and is_summand
@@ -209,10 +232,10 @@ def _criterion_5_6(cfg: RunConfig):
     return [c5, c6]
 
 
-def _criterion_7(cfg: RunConfig):
-    lam, kron, bim = _f2_context(cfg)
-    data = hom_interp_data(bim)
-    lam_inv = enumerate_indecomposables(lam, 2, cfg.budget, cfg.seed)
+def _criterion_7(cfg: RunConfig, ctx: PassContext):
+    kron = ctx.kron
+    data = hom_interp_data(ctx.bim)
+    lam_inv = ctx.lam_inv.up_to(2)
     simple = lam_inv.by_dim(1)[0]
     iso = isolating_pair(simple, simple.basis_vector(0), lam_inv.members, cfg.seed)
     sigma_tau, report = pullback_pair(data, iso.pair, d=1)
@@ -281,11 +304,11 @@ def _vertex2_sort_data(lam, kron):
     return InterpData(kron, lam, 1, PpPair(phi, psi), rhos)
 
 
-def _criterion_9(cfg: RunConfig):
-    lam, kron, bim = _f2_context(cfg)
+def _criterion_9(cfg: RunConfig, ctx: PassContext):
+    lam, kron, bim = ctx.lam, ctx.kron, ctx.bim
     data = _vertex2_sort_data(lam, kron)
     pairs = axiom_pairs(data)
-    lam_inv = enumerate_indecomposables(lam, 2, cfg.budget, cfg.seed)
+    lam_inv = ctx.lam_inv.up_to(2)
     image_reports = []
     image_ok = True
     image_isos = True
@@ -316,13 +339,14 @@ def _criterion_9(cfg: RunConfig):
 
 
 def _run_core(cfg: RunConfig):
+    ctx = _f2_context(cfg)
     criteria = []
-    criteria.extend(_criterion_1_2_3(cfg))
+    criteria.extend(_criterion_1_2_3(cfg, ctx))
     criteria.append(_criterion_4(cfg))
-    criteria.extend(_criterion_5_6(cfg))
-    criteria.append(_criterion_7(cfg))
+    criteria.extend(_criterion_5_6(cfg, ctx))
+    criteria.append(_criterion_7(cfg, ctx))
     criteria.append(_criterion_8(cfg))
-    criteria.append(_criterion_9(cfg))
+    criteria.append(_criterion_9(cfg, ctx))
     return criteria
 
 

@@ -18,7 +18,14 @@ from .controlled import EmbeddingData, check_controlled, inverse_interp, roundtr
 from .formulas import eval_formula, free_realisation, implies, pp_type_generator
 from .interp import apply_interp, bounds, isolating_pair, pullback_pair
 from .inventory import enumerate_indecomposables
-from .lattice import BetaMap, standard_sample, verify_embedding, verify_lattice_hom
+from .lattice import (
+    BetaMap,
+    beta,
+    order_table,
+    standard_sample,
+    verify_embedding,
+    verify_lattice_hom,
+)
 from .modules import indecomposability
 
 __all__ = ["main"]
@@ -93,8 +100,10 @@ def cmd_verify_lattice(args):
     else:
         inv = enumerate_indecomposables(bim.S, args.cap, args.budget, args.seed)
         sample = standard_sample(bim.S, inv.members)
-    hom = verify_lattice_hom(bmap, sample)
-    emb = verify_embedding(bmap, sample)
+    betas = [beta(bmap, f) for f in sample]
+    order = order_table(sample)
+    hom = verify_lattice_hom(bmap, sample, betas, order)
+    emb = verify_embedding(bmap, sample, betas, order)
     ok = hom["ok"] and emb["ok"]
     payload = {"homomorphism": hom, "embedding": emb, "ok": ok}
     text = (

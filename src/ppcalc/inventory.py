@@ -53,6 +53,19 @@ class Inventory:
     def by_dim(self, d: int):
         return [m for m in self.members if m.dim == d]
 
+    def up_to(self, cap: int) -> "Inventory":
+        """The members of dimension <= cap, in order, as an exhaustive inventory.
+
+        enumerate_indecomposables walks dimensions 1..cap in order, so
+        its members of dimension <= c do not depend on the cap: this is
+        what enumerating at cap c returns.
+        """
+        if cap > self.cap or not self.exhaustive:
+            raise ValueError(f"cannot take cap {cap} from {self!r}")
+        return Inventory(
+            self.algebra, cap, [m for m in self.members if m.dim <= cap], exhaustive=True
+        )
+
     def __iter__(self):
         return iter(self.members)
 

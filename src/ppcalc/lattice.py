@@ -31,6 +31,7 @@ __all__ = [
     "beta",
     "meet_via_pushout",
     "minimize_realisation",
+    "order_table",
     "standard_sample",
     "verify_lattice_hom",
     "verify_embedding",
@@ -146,13 +147,23 @@ def standard_sample(algebra, modules, close: bool = True):
     return out
 
 
-def verify_lattice_hom(bmap: BetaMap, sample):
+def order_table(formulas):
+    """The order on a list of formulas: entry [i][j] is implies(formulas[i], formulas[j])."""
+    return [[implies(a, b) for b in formulas] for a in formulas]
+
+
+def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
     """Check meet/join/order preservation of the map on all sample pairs.
 
-    Returns a report dict; failures carry the witnessing pair of sample
-    indices and the violated law.
+    betas and order, when passed, must be [beta(bmap, f) for f in sample]
+    and order_table(sample); they are computed when not passed.  Returns
+    a report dict; failures carry the witnessing pair of sample indices
+    and the violated law.
     """
-    betas = [beta(bmap, f) for f in sample]
+    if betas is None:
+        betas = [beta(bmap, f) for f in sample]
+    if order is None:
+        order = order_table(sample)
     failures = []
     pairs = 0
 
@@ -176,7 +187,7 @@ def verify_lattice_hom(bmap: BetaMap, sample):
                 failures.append(witness("join", i, j))
     for i in range(len(sample)):
         for j in range(len(sample)):
-            if i != j and implies(sample[i], sample[j]):
+            if i != j and order[i][j]:
                 if not implies(betas[i], betas[j]):
                     failures.append(witness("order", i, j))
     return {
@@ -188,16 +199,23 @@ def verify_lattice_hom(bmap: BetaMap, sample):
     }
 
 
-def verify_embedding(bmap: BetaMap, sample):
-    """Check that strict inequalities map to strict inequalities."""
-    betas = [beta(bmap, f) for f in sample]
+def verify_embedding(bmap: BetaMap, sample, betas=None, order=None):
+    """Check that strict inequalities map to strict inequalities.
+
+    betas and order, when passed, must be [beta(bmap, f) for f in sample]
+    and order_table(sample); they are computed when not passed.
+    """
+    if betas is None:
+        betas = [beta(bmap, f) for f in sample]
+    if order is None:
+        order = order_table(sample)
     failures = []
     strict = 0
     for i in range(len(sample)):
         for j in range(len(sample)):
             if i == j:
                 continue
-            if implies(sample[i], sample[j]) and not implies(sample[j], sample[i]):
+            if order[i][j] and not order[j][i]:
                 strict += 1
                 if implies(betas[j], betas[i]):
                     from .io import formula_to_json

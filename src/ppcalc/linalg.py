@@ -212,9 +212,9 @@ def _rref(a: np.ndarray, field: FieldSpec):
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
         pivot_row = a[r, c:]
-        inv = field.inv(pivot_row.item(0))
-        if inv != 1:
-            pivot_row[:] = field.reduce(pivot_row * inv)
+        lead = pivot_row.item(0)
+        if lead != 1:
+            pivot_row[:] = field.reduce(pivot_row * field.inv(lead))
         col = a[:, c]
         mask = col != 0
         mask[r] = False

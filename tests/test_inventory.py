@@ -96,3 +96,33 @@ def test_direct_sums_up_to(lam2):
     # sizes 0..3 over two members
     assert len(sums) == 1 + 2 + 3 + 4
     assert max(dims) == 6
+
+
+@pytest.mark.parametrize(
+    "make, p, big, small",
+    [
+        (lambda_algebra, 2, 4, 2),
+        (lambda_algebra, 2, 4, 3),
+        (kronecker_algebra, 2, 4, 2),
+        (kronecker_algebra, 2, 4, 3),
+        (kronecker_algebra, 3, 3, 2),
+    ],
+)
+def test_up_to_equals_fresh_enumeration(make, p, big, small):
+    algebra = make(GF(p))
+    prefix = enumerate_indecomposables(algebra, big, seed=0).up_to(small)
+    fresh = enumerate_indecomposables(algebra, small, seed=0)
+    assert prefix.cap == fresh.cap == small
+    assert prefix.exhaustive and fresh.exhaustive
+    assert prefix.algebra == fresh.algebra
+    assert len(prefix) == len(fresh)
+    for got, want in zip(prefix.members, fresh.members):
+        assert got.dim == want.dim
+        assert got.action == want.action
+    for d in range(1, small + 1):
+        assert [m.action for m in prefix.by_dim(d)] == [m.action for m in fresh.by_dim(d)]
+
+
+def test_up_to_refuses_a_larger_cap(lam2):
+    with pytest.raises(ValueError, match="cap 3"):
+        enumerate_indecomposables(lam2, 2, seed=0).up_to(3)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -267,3 +268,18 @@ def test_cli_field_too_large_exit_code(files, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--field", "fp:4294967291", "inventory", "--algebra", files["quiver.q"], "--cap", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_verify_lattice_payload_matches_unshared_reports(files, capsys):
+    from ppcalc.inventory import enumerate_indecomposables
+    from ppcalc.lattice import BetaMap, standard_sample, verify_embedding, verify_lattice_hom
+
+    assert main(["--out", "json", "verify-lattice", "--bimodule", files["bim.bim"], "--cap", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    bim = load_bimodule(files["bim.bim"], os.path.dirname(files["bim.bim"]))
+    bmap = BetaMap(bim)
+    sample = standard_sample(bim.S, enumerate_indecomposables(bim.S, 2, seed=0).members)
+    hom = verify_lattice_hom(bmap, sample)
+    emb = verify_embedding(bmap, sample)
+    expected = {"homomorphism": hom, "embedding": emb, "ok": hom["ok"] and emb["ok"]}
+    assert payload == json.loads(dumps(expected))

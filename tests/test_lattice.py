@@ -185,3 +185,27 @@ def test_beta_agrees_with_hom_functor_route(lam2, kron2, bim2, bmap2, s1_2, reg2
 
             expected = Subspace.from_vectors(GF(2), amb, rows)
             assert direct == expected, (phi, n_mod.dim)
+
+
+def test_order_table_is_pairwise_implies(lam2, s1_2, reg2):
+    from ppcalc.lattice import order_table
+
+    sample = standard_sample(lam2, [s1_2, reg2], close=False)
+    sample += [conj(sample[2], sample[3]), sum_formula(sample[2], sample[3])]
+    table = order_table(sample)
+    assert table == [[implies(a, b) for b in sample] for a in sample]
+    assert any(not row[0] for row in table)  # not every formula implies zero
+
+
+@pytest.mark.parametrize("bimodule", ["bmap2", "identity_bimodule"])
+def test_verifiers_agree_with_passed_betas_and_order(request, lam2, s1_2, reg2, bimodule):
+    from ppcalc.lattice import order_table
+
+    fixture = request.getfixturevalue(bimodule)
+    bmap = fixture if isinstance(fixture, BetaMap) else BetaMap(fixture)
+    sample = standard_sample(lam2, [s1_2, reg2], close=False)
+    betas = [beta(bmap, f) for f in sample]
+    order = order_table(sample)
+    assert verify_lattice_hom(bmap, sample, betas, order) == verify_lattice_hom(bmap, sample)
+    assert verify_embedding(bmap, sample, betas, order) == verify_embedding(bmap, sample)
+    assert verify_embedding(bmap, sample, order=order)["strict_pairs"] > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcalc.io import ParseError, field_from_str
-from ppcalc.linalg import GF, QQ, DimensionMismatch, Mat, Subspace, quotient_basis
+from ppcalc.linalg import GF, QQ, DimensionMismatch, FieldSpec, Mat, Subspace, quotient_basis
 
 F2 = GF(2)
 F3 = GF(3)
@@ -431,3 +431,19 @@ def test_property_kernel_basis_spans_the_kernel(case, data):
     assert (basis @ m).is_zero()
     assert basis.rank() == basis.rows == m.rows - m.rank()
     assert basis.rref()[0] == m.kernel()
+
+
+def test_rref_skips_inverse_of_unit_pivots(monkeypatch):
+    # Over GF(2) every pivot is 1; over GF(3) these pivots all come out 1.
+    cases = [
+        (F2, [[0, 1, 1], [1, 1, 0], [1, 0, 1]]),
+        (F3, [[1, 2, 0], [2, 2, 1]]),
+    ]
+    expected = [Mat.from_rows(field, rows).rref() for field, rows in cases]
+
+    def no_inverse(self, x):
+        raise AssertionError("inv called on a unit pivot")
+
+    monkeypatch.setattr(FieldSpec, "inv", no_inverse)
+    for (field, rows), want in zip(cases, expected):
+        assert Mat.from_rows(field, rows).rref() == want
