@@ -317,7 +317,7 @@ def _criterion_9(cfg: RunConfig, ctx: PassContext):
         rep = closure_report(pairs, t.module)
         image_ok = image_ok and rep["ok"]
         img = apply_interp(data, t.module, check=False)
-        back = iso_test(img.module, n_mod, cfg.seed) if img.module.dim == n_mod.dim else False
+        back = iso_test(img.module, n_mod, cfg.seed) is not None
         image_isos = image_isos and back
         image_reports.append({"module_dim": n_mod.dim, "all_closed": rep["ok"], "recovers_source": back})
     # the simple module at the second vertex is outside the domain

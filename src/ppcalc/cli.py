@@ -132,7 +132,7 @@ def cmd_isolate(args):
         print(f"module is not certified indecomposable: {res.status}", file=sys.stderr)
         return 1
     inv = enumerate_indecomposables(mod.algebra, args.cap, args.budget, args.seed)
-    iso = isolating_pair(mod, vec, inv.members, args.seed)
+    iso = isolating_pair(mod, vec, inv.members, args.seed, res)
     payload = {
         "pair": pio.pair_to_json(iso.pair),
         "scope": iso.scope,

@@ -10,8 +10,6 @@ roundtrip_check verifies with an explicit isomorphism witness.
 
 from __future__ import annotations
 
-import itertools
-
 from .formulas import PpPair, pp_type_generator
 from .interp import InterpData, InterpError, apply_interp, hom_interp_data
 from .linalg import Mat
@@ -22,7 +20,6 @@ from .modules import (
     ModuleMap,
     direct_sum_many,
     hom_space,
-    indecomposability,
     iso_test,
     maps_subspace,
     rad_hom,
@@ -39,7 +36,6 @@ __all__ = [
     "check_controlled",
     "inverse_interp",
     "roundtrip_check",
-    "iso_witness",
 ]
 
 
@@ -174,32 +170,6 @@ def inverse_interp(emb: EmbeddingData) -> InterpData:
     return InterpData(base.R, base.S, base.m, pair, base.rhos)
 
 
-def iso_witness(m: FDModule, n: FDModule, budget: int = 4096):
-    """An explicit isomorphism m -> n, or None.
-
-    Searches the hom space exhaustively over a prime field while the
-    budget allows.
-    """
-    if m.dim != n.dim:
-        return None
-    if m.dim == 0:
-        return ModuleMap(m, n, Mat.zeros(m.field, 0, 0), check=False)
-    basis = hom_space(m, n)
-    if not basis:
-        return None
-    p = m.field.p if m.field.is_prime_field else None
-    if p is None or p ** len(basis) > budget:
-        raise ModuleError("iso witness search out of budget")
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        mat = Mat.zeros(m.field, m.dim, n.dim)
-        for cf, f in zip(combo, basis):
-            if cf:
-                mat = mat + f.matrix.scale(cf)
-        if mat.is_invertible():
-            return ModuleMap(m, n, mat, check=False)
-    return None
-
-
 def roundtrip_check(emb: EmbeddingData, n_mod: FDModule, data: InterpData = None,
                     seed: int = 0):
     """Apply the inverse data to the image of a module and compare.
@@ -211,15 +181,10 @@ def roundtrip_check(emb: EmbeddingData, n_mod: FDModule, data: InterpData = None
         data = inverse_interp(emb)
     t = tensor_over(n_mod, emb.bimodule)
     img = apply_interp(data, t.module, check=False)
-    if n_mod.dim == 0:
-        return {"check": "roundtrip", "ok": img.module.dim == 0, "dims": [0, img.module.dim]}
-    if n_mod._indec is None:
-        indecomposability(n_mod, seed)
-    isomorphic = img.module.dim == n_mod.dim and iso_test(img.module, n_mod, seed)
-    witness = iso_witness(img.module, n_mod) if isomorphic else None
+    witness = iso_test(img.module, n_mod, seed)
     return {
         "check": "roundtrip",
-        "ok": isomorphic and witness is not None,
+        "ok": witness is not None,
         "dims": [n_mod.dim, img.module.dim],
         "witness": witness.matrix.to_rows() if witness is not None else None,
     }

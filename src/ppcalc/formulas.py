@@ -8,6 +8,8 @@ implication, decided exactly through free realisations.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import Algebra, AlgebraElement
 from .linalg import Mat, Subspace
 from .modules import FDModule, _hom_system, fp_module
@@ -323,7 +325,7 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
     # relation space of the spanning tuple (the standard basis of m):
     # rows indexed by (basis index, algebra basis index)
     if d:
-        rel = Mat.vstack([m.action[l].row(i) for i in range(d) for l in range(a.dim)])
+        rel = Mat.hstack(m.action).reshape(d * a.dim, d)
         ker = rel.kernel()
     else:
         ker = Mat.zeros(field, 0, 0)
@@ -335,11 +337,11 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
             g = tup[t].entry(0, i)
             if g != 0:
                 coeffs[(n + i, t)] = a.scalar_element(field.neg(g))
-    for j in range(ker.rows):
-        for i in range(d):
-            vec = ker.row(j).take_columns(range(i * a.dim, (i + 1) * a.dim))
-            if not vec.is_zero():
-                coeffs[(n + i, n + j)] = a.element(vec)
+    # row j * d + i of blocks: the coefficients of y_i in relation j
+    blocks = ker.reshape(ker.rows * d, a.dim)
+    for k in np.flatnonzero((blocks.array() != 0).any(axis=1)):
+        j, i = divmod(int(k), d)
+        coeffs[(n + i, n + j)] = a.element(blocks.row(k))
     out = PpFormula(a, n, d, n + ker.rows, coeffs)
     out.with_realisation(m, tup)
     return out

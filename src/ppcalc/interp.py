@@ -27,8 +27,10 @@ from .linalg import Mat, Subspace, quotient_basis
 from .modules import (
     Bimodule,
     FDModule,
+    IndecResult,
     ModuleMap,
     identity_map,
+    indecomposability,
     rad_hom,
     validate_module,
 )
@@ -379,19 +381,23 @@ class IsolatingPair:
         return f"IsolatingPair(subject dim {self.subject.dim}, scope {self.scope})"
 
 
-def isolating_pair(subject: FDModule, a_vec: Mat, inventory_members, seed: int = 0) -> IsolatingPair:
+def isolating_pair(subject: FDModule, a_vec: Mat, inventory_members, seed: int = 0,
+                   indec: IndecResult = None) -> IsolatingPair:
     """Isolate an indecomposable inside sums of inventory members.
 
     top: the pp-type generator of a nonzero element a; bottom: the sum of
     the pp-type generators of g(a) over a basis g of rad Hom(subject, X)
     for each inventory member X, plus x = 0.  A section of the subject
     keeps a out of the bottom (a radical endomorphism is nilpotent), and
-    any non-split image lands in it.
+    any non-split image lands in it.  indec is the subject's IndecResult
+    when the caller already has it.
     """
     a_vec = subject.element(a_vec)
     if a_vec.is_zero():
         raise InterpError("the isolated element must be nonzero")
-    if subject._indec is not True:
+    if indec is None:
+        indec = indecomposability(subject, seed)
+    if indec.status != "indecomposable":
         raise InterpError("subject must be certified indecomposable")
     algebra = subject.algebra
     phi = pp_type_generator(subject, [a_vec])

@@ -318,7 +318,7 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
                 )
             if res.status != "indecomposable":
                 continue
-            if not any(iso_test(cand, m, seed) for m in members if m.dim == d):
+            if not any(iso_test(cand, m, seed, res) for m in members if m.dim == d):
                 members.append(cand)
     return Inventory(algebra, cap, members, exhaustive=True)
 

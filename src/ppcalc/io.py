@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import partial
 
 from .algebra import Algebra, QuiverSpec, algebra_from_quiver, validate_algebra
 from .controlled import EmbeddingData
@@ -47,7 +48,8 @@ class ParseError(ValueError):
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    # rationals in a payload (QQ matrix rows) print as in module files
+    return json.dumps(payload, sort_keys=True, indent=2, default=partial(_scalar_out, QQ))
 
 
 def read_json(path: str):

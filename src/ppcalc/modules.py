@@ -69,7 +69,6 @@ class FDModule:
         for m in self.action:
             if m.shape != (dim, dim):
                 raise ModuleError(f"action matrix shape {m.shape}, expected {(dim, dim)}")
-        self._indec = None  # None unknown, True certified indec, False decomposable
 
     @property
     def field(self):
@@ -625,7 +624,6 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
     end = hom_space(m, m)
     e = len(end)
     if e == 1:
-        m._indec = True
         return IndecResult("indecomposable", certificate="dim End = 1")
 
     def combine(coeffs):
@@ -649,7 +647,6 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
     for mat in candidates:
         split = _fitting_split(m, mat)
         if split is not None:
-            m._indec = False
             return IndecResult("decomposed", witness=split)
     if m.field.is_prime_field:
         p = m.field.p
@@ -659,7 +656,6 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
             while True:
                 mat = combine(coeffs)
                 if mat @ mat == mat and not mat.is_zero() and mat != ident:
-                    m._indec = False
                     return IndecResult("decomposed", witness=ModuleMap(m, m, mat))
                 i = 0
                 while i < e and coeffs[i] == p - 1:
@@ -668,7 +664,6 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
                 if i == e:
                     break
                 coeffs[i] += 1
-            m._indec = True
             return IndecResult(
                 "indecomposable",
                 certificate=f"no nontrivial idempotent among {p}^{e} End elements",
@@ -676,19 +671,15 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
     return IndecResult("probably-indecomposable")
 
 
-def decompose(m: FDModule, seed: int, budget: int = 1 << 17):
-    """Full decomposition into certified indecomposables.
+def _split(m: FDModule, seed: int, budget: int = 1 << 17):
+    """Split m by the indecomposability search until no piece splits.
 
-    Returns a list of (summand, inclusion, projection); raises when a
-    piece cannot be certified within the budget.
+    Returns a list of (summand, inclusion, projection, IndecResult), each
+    result certified or probably indecomposable.
     """
-    if m.dim == 0:
-        return []
     res = indecomposability(m, seed, budget)
-    if res.status == "probably-indecomposable":
-        raise ModuleError("cannot certify a summand as indecomposable within budget")
-    if res.status == "indecomposable":
-        return [(m, identity_map(m), identity_map(m))]
+    if res.status != "decomposed":
+        return [(m, identity_map(m), identity_map(m), res)]
     e = res.witness.matrix
     img = Subspace.from_vectors(m.field, m.dim, e)
     ker = Subspace.from_vectors(m.field, m.dim, e.kernel_basis())
@@ -698,41 +689,71 @@ def decompose(m: FDModule, seed: int, budget: int = 1 << 17):
     for offset, space in ((0, ker), (ker.dim, img)):
         sub, incl = submodule_module(m, space)
         proj = ModuleMap(m, sub, tinv.take_columns(range(offset, offset + space.dim)), check=False)
-        for piece, pi, pp in decompose(sub, seed, budget):
-            out.append((piece, pi.then(incl), proj.then(pp)))
+        for piece, pi, pp, r in _split(sub, seed, budget):
+            out.append((piece, pi.then(incl), proj.then(pp), r))
     return out
 
 
-def iso_test(m: FDModule, n: FDModule, seed: int = 0) -> bool:
-    """Isomorphism via Krull-Schmidt: equal dims plus a one-sided summand.
+def decompose(m: FDModule, seed: int, budget: int = 1 << 17):
+    """Full decomposition into certified indecomposables.
 
-    One of the two modules must already carry an indecomposability
-    certificate (run indecomposability first).
+    Returns a list of (summand, inclusion, projection); raises when a
+    piece cannot be certified within the budget.
+    """
+    pieces = _split(m, seed, budget) if m.dim else []
+    if any(res.status != "indecomposable" for *_, res in pieces):
+        raise ModuleError("cannot certify a summand as indecomposable within budget")
+    return [piece[:3] for piece in pieces]
+
+
+def iso_test(m: FDModule, n: FDModule, seed: int = 0, indec: IndecResult = None):
+    """An isomorphism m -> n as a ModuleMap, or None when there is none.
+
+    indec is m's IndecResult when the caller already has it.  For m
+    certified indecomposable the witness is the split injection of
+    is_direct_summand(m, n); for m only probably indecomposable, n is
+    certified and the witness is the split surjection of
+    is_direct_summand(n, m); for m decomposed, the summands of both sides
+    are matched pairwise and the witness is the sum of the matches.
     """
     if m.dim != n.dim:
-        return False
+        return None
     if m.dim == 0:
-        return True
-    if m._indec is None and n._indec is None:
-        raise ModuleError("iso_test: certify one side indecomposable first (run indecomposability)")
-    if m._indec:
-        return is_direct_summand(m, n)[0]
-    if n._indec:
-        return is_direct_summand(n, m)[0]
-    # a cached negative certificate: fall back to decompositions
-    dm = decompose(m, seed)
-    pieces_n = decompose(n, seed)
-    used = [False] * len(pieces_n)
-    for piece, _, _ in dm:
-        found = False
-        for j, (q, _, _) in enumerate(pieces_n):
-            if not used[j] and iso_test(piece, q, seed):
-                used[j] = True
-                found = True
-                break
-        if not found:
-            return False
-    return all(used)
+        return zero_map(m, n)
+    if indec is None:
+        indec = indecomposability(m, seed)
+    if indec.status == "indecomposable":
+        ok, maps = is_direct_summand(m, n)
+        return maps[0] if ok else None
+    if indec.status == "probably-indecomposable":
+        if indecomposability(n, seed).status != "indecomposable":
+            raise ModuleError(
+                "iso_test: could not certify either module indecomposable within the budget"
+            )
+        ok, maps = is_direct_summand(n, m)
+        return maps[1] if ok else None
+    rest = _split(n, seed)
+    witness = Mat.zeros(m.field, m.dim, n.dim)
+    for piece, _, proj, res in _split(m, seed):
+        for k, (q, incl, _, _) in enumerate(rest):
+            if q.dim == piece.dim:
+                ok, maps = is_direct_summand(piece, q)
+                if ok:
+                    witness = witness + proj.matrix @ maps[0].matrix @ incl.matrix
+                    del rest[k]
+                    break
+        else:
+            # matched summands cancel (Krull-Schmidt), so an indecomposable
+            # piece of m must be a summand of a piece of n still in rest
+            if res.status == "indecomposable" and not any(
+                is_direct_summand(piece, q)[0] for q, *_ in rest if q.dim > piece.dim
+            ):
+                return None
+            raise ModuleError(
+                "iso_test: could not match a summand or certify it indecomposable"
+                " within the budget"
+            )
+    return ModuleMap(m, n, witness, check=False)
 
 
 def rad_end(x: FDModule, seed: int = 0):

@@ -5,7 +5,6 @@ from ppcalc.controlled import (
     check_controlled,
     hom_through_C,
     inverse_interp,
-    iso_witness,
     preenvelope,
     roundtrip_check,
 )
@@ -17,13 +16,17 @@ from ppcalc.examples import (
     simple_lambda_module,
 )
 from ppcalc.formulas import equivalent, zero_formula
-from ppcalc.interp import hom_interp_data
-from ppcalc.linalg import GF, Mat
+from ppcalc.interp import apply_interp, hom_interp_data
+from ppcalc.linalg import GF, QQ, Mat
 from ppcalc.modules import (
+    ModuleMap,
+    direct_sum,
     hom_space,
     identity_map,
+    iso_test,
     maps_subspace,
     regular_module,
+    tensor_over,
     zero_module,
 )
 
@@ -141,10 +144,33 @@ def test_roundtrip_simple_and_regular(emb2, s1_2, reg2, lam2):
 
 def test_iso_witness_finds_explicit_iso(reg2, lam2):
     other = regular_module(lam2)
-    w = iso_witness(reg2, other)
+    w = iso_test(reg2, other)
     assert w is not None and w.matrix.is_invertible()
     assert w.intertwines()
 
 
 def test_iso_witness_none_for_different_dims(s1_2, reg2):
-    assert iso_witness(s1_2, reg2) is None
+    assert iso_test(s1_2, reg2) is None
+
+
+def assert_roundtrip_witness(field, n_mod):
+    emb = EmbeddingData(embedding_bimodule(n_mod.algebra, kronecker_algebra(field)))
+    data = inverse_interp(emb)
+    report = roundtrip_check(emb, n_mod, data)
+    assert report["ok"], report
+    assert report["dims"] == [n_mod.dim, n_mod.dim]
+    img = apply_interp(data, tensor_over(n_mod, emb.bimodule).module, check=False)
+    # ModuleMap checks that the witness intertwines the actions
+    w = ModuleMap(img.module, n_mod, Mat.from_rows(field, report["witness"]))
+    assert w.matrix.is_invertible()
+
+
+@pytest.mark.parametrize("field", [GF(1048573), QQ], ids=repr)
+def test_roundtrip_simple_over_large_fields(field):
+    assert_roundtrip_witness(field, simple_lambda_module(lambda_algebra(field)))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_roundtrip_decomposable_module(field):
+    lam = lambda_algebra(field)
+    assert_roundtrip_witness(field, direct_sum(simple_lambda_module(lam), regular_module(lam))[0])

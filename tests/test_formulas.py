@@ -392,6 +392,44 @@ def test_implies_along_an_endomorphism(case, data):
     assert implies(phi, image) == ref_implies(phi, image)
 
 
+def ref_pp_type_generator(m, tup):
+    """pp_type_generator with the relation matrix and its kernel read row
+    by row and block by block."""
+    a, field, d = m.algebra, m.field, m.dim
+    tup = [m.element(t) for t in tup]
+    n = len(tup)
+    if d:
+        rel = Mat.vstack([m.action[l].row(i) for i in range(d) for l in range(a.dim)])
+        ker = rel.kernel()
+    else:
+        ker = Mat.zeros(field, 0, 0)
+    coeffs = {}
+    for t in range(n):
+        coeffs[(t, t)] = a.one_element()
+        for i in range(d):
+            g = tup[t].entry(0, i)
+            if g != 0:
+                coeffs[(n + i, t)] = a.scalar_element(field.neg(g))
+    for j in range(ker.rows):
+        for i in range(d):
+            vec = ker.row(j).take_columns(range(i * a.dim, (i + 1) * a.dim))
+            if not vec.is_zero():
+                coeffs[(n + i, n + j)] = a.element(vec)
+    return PpFormula(a, n, d, n + ker.rows, coeffs)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_pp_type_generator_matches_blockwise_reference(case, data):
+    field = ORACLE_FIELDS[case]
+    m = data.draw(st.one_of(lambda_modules(field), kronecker_modules(field)))
+    tup = data.draw(module_tuples(m, data.draw(st.integers(0, 2))))
+    gen, ref = pp_type_generator(m, tup), ref_pp_type_generator(m, tup)
+    assert gen.key() == ref.key()
+    assert list(gen.coeffs) == list(ref.coeffs)
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
 def test_implies_top_and_zero_on_both_sides(field):
     lam = oracle_algebras(field)[0]

@@ -4,7 +4,12 @@ import os
 import pytest
 
 from ppcalc.cli import main
-from ppcalc.examples import embedding_bimodule, kronecker_algebra, lambda_algebra
+from ppcalc.examples import (
+    embedding_bimodule,
+    kronecker_algebra,
+    lambda_algebra,
+    simple_lambda_module,
+)
 from ppcalc.formulas import PpPair, equivalent, pp_type_generator, top_formula, zero_formula
 from ppcalc.interp import hom_interp_data
 from ppcalc.io import (
@@ -252,6 +257,23 @@ def test_cli_check_controlled_and_roundtrip(files, capsys):
     capsys.readouterr()
     assert main(["roundtrip", "--bimodule", files["bim.bim"], "--module", files["reg.mod"]]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_roundtrip_over_rationals(tmp_path, capsys, lamq):
+    kronq = kronecker_algebra(QQ)
+    for name, payload in (
+        ("lam.alg", algebra_to_json(lamq)),
+        ("kron.alg", algebra_to_json(kronq)),
+        ("bim.bim", bimodule_to_json(embedding_bimodule(lamq, kronq), left_ref="lam.alg", right_ref="kron.alg")),
+        ("s1.mod", module_to_json(simple_lambda_module(lamq), algebra_ref="lam.alg")),
+    ):
+        (tmp_path / name).write_text(dumps(payload))
+    args = ["--bimodule", str(tmp_path / "bim.bim"), "--module", str(tmp_path / "s1.mod")]
+    assert main(["--out", "json", "roundtrip", *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["dims"] == [1, 1]
+    # a 1 x 1 witness: any nonzero scalar
+    assert [len(row) for row in report["witness"]] == [1] and report["witness"][0][0] != 0
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

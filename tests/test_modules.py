@@ -366,13 +366,79 @@ def test_iso_test(s1_2, reg2, lam2):
     assert not iso_test(s1_2, reg2)
 
 
-def test_iso_test_requires_certificate(lam2):
-    from ppcalc.modules import FDModule
-
-    a = FDModule(lam2, 1, [Mat.identity(F2, 1), Mat.zeros(F2, 1, 1)])
-    b = FDModule(lam2, 1, [Mat.identity(F2, 1), Mat.zeros(F2, 1, 1)])
+def test_iso_test_requires_certificate(lamq):
+    # dim End = 2 over QQ: neither copy can be certified indecomposable
+    a, b = regular_module(lamq), regular_module(lamq)
     with pytest.raises(ModuleError, match="certify"):
         iso_test(a, b)
+
+
+def test_iso_test_refuses_an_unmatched_uncertified_summand(lamq):
+    # S + Lambda against S + S + S over QQ: Lambda is only probably
+    # indecomposable, so no answer can be given for it
+    s, reg = simple_lambda_module(lamq), regular_module(lamq)
+    m = direct_sum(s, reg)[0]
+    n = direct_sum(direct_sum(s, s)[0], s)[0]
+    with pytest.raises(ModuleError, match="certify"):
+        iso_test(m, n)
+
+
+def random_basis(m, seed):
+    """m in a seeded random basis."""
+    rng = random.Random(seed)
+    entries = [[rng.randrange(3) for _ in range(m.dim)] for _ in range(m.dim)]
+    return basis_change(m, Mat.from_rows(m.field, entries).array())
+
+
+def assert_isomorphism(w, m, n):
+    assert w is not None and w.source is m and w.target is n
+    assert w.matrix.is_invertible() and w.intertwines()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+def test_iso_test_matches_summands(field):
+    lam = lambda_algebra(field)
+    s, reg = simple_lambda_module(lam), regular_module(lam)
+    s_reg = direct_sum(s, reg)[0]
+    for seed in range(3):
+        reg_s = random_basis(direct_sum(reg, s)[0], seed)
+        assert_isomorphism(iso_test(s_reg, reg_s, seed), s_reg, reg_s)
+        assert_isomorphism(iso_test(reg_s, s_reg, seed), reg_s, s_reg)
+    assert iso_test(direct_sum(s, s)[0], reg) is None
+    assert iso_test(direct_sum(s, s)[0], direct_sum(s, reg)[0]) is None
+
+
+def test_iso_test_certifies_the_other_side(lam3):
+    # a budget of 1 leaves m probably indecomposable; n certifies at the default
+    m = regular_module(lam3)
+    res = indecomposability(m, seed=0, budget=1)
+    assert res.status == "probably-indecomposable"
+    n = random_basis(regular_module(lam3), 4)
+    assert_isomorphism(iso_test(m, n, indec=res), m, n)
+    s = simple_lambda_module(lam3)
+    with pytest.raises(ModuleError, match="certify"):
+        iso_test(m, direct_sum(s, s)[0], indec=res)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_iso_test_independent_of_earlier_certification(field):
+    def pairs():
+        lam = lambda_algebra(field)
+        s, reg = simple_lambda_module(lam), regular_module(lam)
+        yield s, simple_lambda_module(lam)
+        yield reg, random_basis(regular_module(lam), 1)
+        yield direct_sum(s, s)[0], reg
+        yield direct_sum(s, reg)[0], random_basis(direct_sum(reg, s)[0], 2)
+        yield reg, direct_sum(s, s)[0]
+
+    fresh = [iso_test(a, b) for a, b in pairs()]
+    for (a, b), before in zip(pairs(), fresh):
+        res = indecomposability(a, seed=0)
+        after, passed = iso_test(a, b), iso_test(a, b, indec=res)
+        for w in (after, passed):
+            assert (w is None) == (before is None)
+            assert w is None or w.matrix == before.matrix
+    assert [w is None for w in fresh] == [False, False, True, False, True]
 
 
 # -- radicals ----------------------------------------------------------
