@@ -166,8 +166,8 @@ def eval_formula(phi: PpFormula, m: FDModule) -> Subspace:
     d = m.dim
     big = _formula_matrix(phi, m)
     ker = big.kernel_basis()
-    sol = Subspace.from_vectors(m.field, (phi.n + phi.c) * d, ker)
-    return sol.project_columns(range(phi.n * d))
+    # the span of the projected rows is the projection of the span
+    return Subspace.from_vectors(m.field, phi.n * d, ker.take_columns(range(phi.n * d)))
 
 
 def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=()):

@@ -6,6 +6,14 @@ matrix is one read-only numpy array: int64 reduced mod p over a prime
 field, dtype=object holding only Fraction over the rationals.  No
 floating point anywhere.  A prime field needs (p-1)^2 < 2^63, so that
 the product of two reduced entries fits in int64.
+
+Mat.rref picks one of three Gauss-Jordan kernels from the field and the
+number of entries.  Every QQ matrix, and every GF(p) matrix of at most
+_LIST_RREF_THRESHOLD entries, goes to _list_rref, which works on Python
+lists and touches only nonzero entries.  Larger GF(2) matrices of at least
+_GF2_PACK_THRESHOLD entries go to the bitpacked _gf2_rref, and the other
+GF(p) matrices to _rref, which updates whole int64 blocks per pivot.  The
+rref is unique, so the choice changes only the cost.
 """
 
 from __future__ import annotations
@@ -228,6 +236,55 @@ def _rref(a: np.ndarray, field: FieldSpec):
     return a, pivots
 
 
+# The measured crossover: over the GF(p) rref inputs of one pass of each
+# benchmark workload, total elimination time is least with the switch
+# near here.  The list routine's cost grows with the nonzero entries it
+# touches, so it loses 5x on dense systems of 50-100k entries.
+_LIST_RREF_THRESHOLD = 4096
+
+
+def _list_rref(a: np.ndarray, field: FieldSpec):
+    """Gauss-Jordan on Python lists of a canonical array's entries.
+
+    Each pivot touches only the rows with a nonzero in its column, and in
+    those rows only the columns where the pivot row is nonzero.
+    """
+    rows = a.tolist()
+    nrows, ncols = a.shape
+    p = field.characteristic
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i], rows[r] = rows[r], prow
+        lead = prow[c]
+        if lead != 1:
+            inv = field.inv(lead)
+            prow[c:] = [x * inv % p for x in prow[c:]] if p else [x * inv for x in prow[c:]]
+        # rows r.. are zero left of column c, so the pivot row is too
+        support = [(j, x) for j, x in enumerate(prow[c:], c) if x]
+        for row in rows:
+            f = row[c]
+            if not f or row is prow:
+                continue
+            if p:
+                for j, x in support:
+                    row[j] = (row[j] - f * x) % p
+            else:
+                for j, x in support:
+                    row[j] -= f * x
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return np.array(rows, dtype=field.dtype), pivots
+
+
 class Mat:
     """An immutable exact matrix; rows x cols over a FieldSpec."""
 
@@ -411,7 +468,10 @@ class Mat:
         """Reduced row echelon form; returns (Mat, pivot column list)."""
         if self.rows == 0 or self.cols == 0:
             return self, []
-        if self.field.p == 2 and self._a.size >= _GF2_PACK_THRESHOLD:
+        size, p = self._a.size, self.field.p
+        if p == 0 or size <= _LIST_RREF_THRESHOLD:
+            a, piv = _list_rref(self._a, self.field)
+        elif p == 2 and size >= _GF2_PACK_THRESHOLD:
             a, piv = _gf2_rref(self._a)
         else:
             a, piv = _rref(self._a, self.field)
@@ -570,10 +630,6 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient)
         first = ker.take_columns(range(self.dim))
         return Subspace.from_vectors(self.field, self.ambient, first @ self.basis)
-
-    def project_columns(self, idx) -> "Subspace":
-        idx = list(idx)
-        return Subspace.from_vectors(self.field, len(idx), self.basis.take_columns(idx))
 
     def nonpivot_columns(self):
         pivset = set(self.pivots)

@@ -29,7 +29,6 @@ from ppcalc.linalg import GF, Mat
 from ppcalc.modules import (
     hom_space,
     identity_map,
-    indecomposability,
     is_direct_summand,
     iso_test,
     regular_module,
@@ -81,14 +80,12 @@ def test_hom_data_axioms_closed(homdata, bim2, fs1, s2_kron):
 def test_apply_to_bimodule_gives_regular(homdata, bim2, lam2, reg2):
     img = apply_interp(homdata, bim2.right_module())
     assert img.module.dim == 2
-    indecomposability(img.module, seed=0)
     assert iso_test(img.module, reg2)
 
 
 def test_apply_to_small_rep_gives_simple(homdata, fs1, s1_2):
     img = apply_interp(homdata, fs1)
     assert img.module.dim == 1
-    indecomposability(img.module, seed=0)
     assert iso_test(img.module, s1_2)
 
 
@@ -182,8 +179,6 @@ def test_identity_interpretation(lam2, reg2, s1_2):
     for m in (reg2, s1_2):
         img = apply_interp(data, m)
         assert img.module.dim == m.dim
-        indecomposability(img.module, seed=0)
-        indecomposability(m, seed=0)
         assert iso_test(img.module, m)
 
 
@@ -191,7 +186,6 @@ def test_identity_interpretation(lam2, reg2, s1_2):
 
 
 def test_isolating_pair_simple(lam2, s1_2, reg2):
-    indecomposability(s1_2, seed=0)
     iso = isolating_pair(s1_2, s1_2.element([1]), [s1_2, reg2])
     assert equivalent(iso.pair.top, ann_formula(lam2))
     assert equivalent(iso.pair.bottom, div_formula(lam2))
@@ -204,8 +198,6 @@ def test_isolating_pair_regular_over_f3():
     lam = lambda_algebra(GF(3))
     s1 = simple_lambda_module(lam)
     reg = regular_module(lam)
-    indecomposability(reg, seed=0)
-    indecomposability(s1, seed=0)
     iso = isolating_pair(reg, reg.element([1, 0]), [s1, reg])
     assert iso.open_on(reg)
     assert not iso.open_on(s1)
@@ -218,14 +210,12 @@ def test_isolating_pair_regular_over_f3():
 
 
 def test_isolating_pair_open_on_subject(lam2, s1_2, reg2):
-    indecomposability(s1_2, seed=0)
     for vec in ([1],):
         iso = isolating_pair(s1_2, s1_2.element(vec), [s1_2, reg2])
         assert iso.open_on(s1_2)
 
 
 def test_isolating_pair_rejects_zero_element(lam2, s1_2, reg2):
-    indecomposability(s1_2, seed=0)
     with pytest.raises(InterpError, match="nonzero"):
         isolating_pair(s1_2, s1_2.zero_vector(), [s1_2, reg2])
 
@@ -249,7 +239,6 @@ def test_bounds_degenerate_and_monotone():
 
 
 def test_pullback_pair_matches_summand_oracle(homdata, lam2, s1_2, reg2, bim2, fs1, s2_kron, kron2):
-    indecomposability(s1_2, seed=0)
     iso = isolating_pair(s1_2, s1_2.element([1]), [s1_2, reg2])
     sigma_tau, report = pullback_pair(homdata, iso.pair, d=1)
     assert report.c_sigma <= report.n_d
@@ -293,8 +282,6 @@ def test_identity_bimodule_hom_data_is_identity_functor(lam2, reg2, s1_2):
     data = hom_interp_data(idbim)
     for m in (reg2, s1_2):
         img = apply_interp(data, m)
-        indecomposability(img.module, seed=0)
-        indecomposability(m, seed=0)
         assert iso_test(img.module, m)
 
 

@@ -133,9 +133,7 @@ def files(tmp_path, lam2, kron2, bim2, s1_2, reg2):
     put("hom.interp", interp_to_json(data, r_ref="kron.alg", s_ref="lam.alg"))
     put("bmod.mod", module_to_json(bim2.right_module(), algebra_ref="kron.alg"))
     from ppcalc.interp import isolating_pair
-    from ppcalc.modules import indecomposability
 
-    indecomposability(s1_2, seed=0)
     iso = isolating_pair(s1_2, s1_2.element([1]), [s1_2, reg2])
     put("iso.pair", pair_to_json(iso.pair, algebra_ref="lam.alg"))
     put("zero.mod", module_to_json(__import__("ppcalc.modules", fromlist=["zero_module"]).zero_module(lam2), algebra_ref="lam.alg"))

@@ -8,7 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcalc.io import ParseError, field_from_str
-from ppcalc.linalg import GF, QQ, DimensionMismatch, FieldSpec, Mat, Subspace, quotient_basis
+from ppcalc import linalg
+from ppcalc.linalg import (
+    _GF2_PACK_THRESHOLD,
+    _LIST_RREF_THRESHOLD,
+    GF,
+    QQ,
+    DimensionMismatch,
+    FieldSpec,
+    Mat,
+    Subspace,
+    _list_rref,
+    _rref,
+    quotient_basis,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -180,14 +193,18 @@ def test_gf2_packed_rref_matches_generic():
 
 # -- property tests over every representation --------------------------------
 
-# name -> (field, rows range, cols range).  GF(2) appears twice: matrices
-# of at least 8192 entries take the bitpacked elimination, smaller ones
-# the generic one.
+# name -> (field, rows range, cols range).  Mat.rref picks the kernel by
+# size: QQ matrices and GF(p) matrices of at most _LIST_RREF_THRESHOLD
+# (4096) entries take the list routine, GF(2) matrices of at least 8192
+# entries the bitpacked one, and the other GF(p) matrices the int64 one.
+# The "-large" and "-packed" cases keep the last two under every property.
 CASES = {
     "gf2": (F2, (1, 6), (1, 6)),
     "gf2-packed": (F2, (64, 80), (128, 150)),
     "gf3": (F3, (1, 6), (1, 6)),
+    "gf3-large": (F3, (65, 80), (65, 80)),
     "gf1048573": (GF(1048573), (1, 6), (1, 6)),
+    "gf1048573-large": (GF(1048573), (65, 80), (65, 80)),
     "qq": (QQ, (1, 6), (1, 6)),
 }
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -205,7 +222,7 @@ def matrices(draw, case, rows=None, cols=None):
     field, (rlo, rhi), (clo, chi) = CASES[case]
     rows = draw(st.integers(rlo, rhi)) if rows is None else rows
     cols = draw(st.integers(clo, chi)) if cols is None else cols
-    if rows * cols >= 8192:
+    if rows * cols >= _LIST_RREF_THRESHOLD:
         # too many entries to draw one by one: draw a seed and a rank
         gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         rank = draw(st.integers(0, rows))
@@ -447,3 +464,85 @@ def test_rref_skips_inverse_of_unit_pivots(monkeypatch):
     monkeypatch.setattr(FieldSpec, "inv", no_inverse)
     for (field, rows), want in zip(cases, expected):
         assert Mat.from_rows(field, rows).rref() == want
+
+
+# -- the list routine against the int64 one, and the kernel dispatch ----------
+
+KERNEL_FIELDS = {
+    "gf2": F2,
+    "gf3": F3,
+    "gf1048573": GF(1048573),
+    "gf3037000493": GF(3037000493),
+    "qq": QQ,
+}
+
+
+@st.composite
+def kernel_inputs(draw, field):
+    """A writable canonical array on either side of _LIST_RREF_THRESHOLD.
+
+    It is a product of two sparse random factors whose inner dimension (the
+    drawn rank) may be 0, giving the zero matrix, or below the smaller side,
+    giving a rank-deficient one.  Over QQ the rank is at most 4, which keeps
+    the oracle's Fraction elimination cheap.
+    """
+    n = _LIST_RREF_THRESHOLD
+    rows = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        cols = draw(st.integers(n // rows + 1, n // rows + 8))
+    else:
+        cols = draw(st.integers(1, max(1, n // rows)))
+    if draw(st.booleans()):
+        rows, cols = cols, rows
+    top_rank = min(rows, cols) + 2 if field.p else 4
+    rank = top_rank - draw(st.integers(0, top_rank))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([1.0, 0.5, 0.2]))
+    top = field.p or 4
+
+    def factor(shape):
+        sparse = gen.integers(0, top, shape) * (gen.random(shape) < density)
+        return Mat.of_array(field, sparse)
+
+    a = (factor((rows, rank)) @ factor((rank, cols))).array().copy()
+    a.setflags(write=True)
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_property_list_rref_matches_int64_rref(name, data):
+    field = KERNEL_FIELDS[name]
+    a = data.draw(kernel_inputs(field))
+    before = a.copy()
+    red, piv = _list_rref(a, field)
+    assert np.array_equal(a, before)
+    ref, ref_piv = _rref(a, field)
+    assert piv == ref_piv
+    assert red.shape == a.shape and np.array_equal(red, ref)
+    assert_canonical(Mat._of(field, red))
+
+
+def _raise(*args):
+    raise AssertionError("this kernel should not run")
+
+
+@pytest.mark.parametrize(
+    "field, cols, kernel",
+    [
+        (QQ, _LIST_RREF_THRESHOLD + 1, "_list_rref"),
+        (F3, _LIST_RREF_THRESHOLD, "_list_rref"),
+        (F3, _LIST_RREF_THRESHOLD + 1, "_rref"),
+        (F2, _GF2_PACK_THRESHOLD - 1, "_rref"),
+        (F2, _GF2_PACK_THRESHOLD, "_gf2_rref"),
+    ],
+)
+def test_rref_dispatch_by_field_and_size(monkeypatch, field, cols, kernel):
+    m = Mat.of_array(field, (np.arange(cols) % 5 + 1).reshape(1, cols))
+    want = m.rref()
+    for other in ("_list_rref", "_rref", "_gf2_rref"):
+        if other != kernel:
+            monkeypatch.setattr(linalg, other, _raise)
+    assert m.rref() == want
+    assert want[1] == [0] and want[0].entry(0, 1) == field.coerce(2)
