@@ -129,7 +129,11 @@ def cmd_isolate(args):
     vec = mod.element(json.loads(args.element))
     res = indecomposability(mod, args.seed, args.budget)
     if res.status != "indecomposable":
-        print(f"module is not certified indecomposable: {res.status}", file=sys.stderr)
+        print(
+            f"module is not certified indecomposable: {res.status}"
+            f" ({res.tried} Fitting candidates tried, {res.enumerated} End elements enumerated)",
+            file=sys.stderr,
+        )
         return 1
     inv = enumerate_indecomposables(mod.algebra, args.cap, args.budget, args.seed)
     iso = isolating_pair(mod, vec, inv.members, args.seed, res)

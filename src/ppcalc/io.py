@@ -92,13 +92,14 @@ def _scalar_out(field, x):
 
 
 def _scalar_in(field, v):
-    if isinstance(v, str):
-        try:
+    """A JSON scalar as a canonical field element; "a/b" strings are fractions."""
+    try:
+        if isinstance(v, str):
             num, den = v.split("/")
-            return Fraction(int(num), int(den))
-        except ValueError as exc:
-            raise ParseError(f"bad scalar {v!r}: {exc}")
-    return v
+            return field.coerce(Fraction(int(num), int(den)))
+        return field.coerce(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad scalar {v!r}: {exc}")
 
 
 def _vec_out(field, m: Mat):

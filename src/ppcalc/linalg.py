@@ -83,7 +83,9 @@ class FieldSpec:
         if self.kind == "prime":
             if isinstance(x, Fraction):
                 num, den = x.numerator, x.denominator
-                return (num * pow(den % self.p, self.p - 2, self.p)) % self.p
+                if den % self.p == 0:
+                    raise ZeroDivisionError(f"{x} has no value mod {self.p}")
+                return (num * pow(den, self.p - 2, self.p)) % self.p
             return int(x) % self.p
         if isinstance(x, Fraction):
             return x
@@ -146,7 +148,7 @@ def _zeros(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
 
 
 def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the field, for canonical arrays."""
+    """a @ b over the field, for canonical arrays (over GF(p), also stacks of them)."""
     if field.dtype is object:
         # Fraction arithmetic dominates: add outer products over the
         # nonzero entries only (a plain object @ multiplies every zero).
@@ -161,11 +163,11 @@ def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # cannot overflow int64.
     p = field.p
     step = (_INT64_BOUND - 1) // (p - 1) ** 2
-    if a.shape[1] <= step:
+    if a.shape[-1] <= step:
         return a @ b % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], step):
-        out = (out + a[:, s : s + step] @ b[s : s + step] % p) % p
+    out = 0
+    for s in range(0, a.shape[-1], step):
+        out = (out + a[..., s : s + step] @ b[..., s : s + step, :] % p) % p
     return out
 
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, ValidationReport
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, _product
 
 __all__ = [
     "FDModule",
@@ -579,14 +579,22 @@ def is_direct_summand(n: FDModule, m: FDModule, require_witness=True):
 
 
 class IndecResult:
-    """Outcome of the indecomposability search."""
+    """Outcome of the indecomposability search, with what the search spent.
 
-    def __init__(self, status: str, witness=None, certificate: str = ""):
+    tried counts the Fitting candidates tried, enumerated the End elements
+    the exhaustive idempotent enumeration tested.
+    """
+
+    def __init__(
+        self, status: str, witness=None, certificate: str = "", tried: int = 0, enumerated: int = 0
+    ):
         if status not in ("decomposed", "indecomposable", "probably-indecomposable"):
             raise ValueError(status)
         self.status = status
         self.witness = witness  # idempotent ModuleMap when decomposed
         self.certificate = certificate
+        self.tried = tried
+        self.enumerated = enumerated
 
     def __repr__(self):
         return f"IndecResult({self.status}{': ' + self.certificate if self.certificate else ''})"
@@ -613,11 +621,161 @@ def _fitting_split(m: FDModule, f_mat: Mat):
     return ModuleMap(m, m, e)  # projection onto the image along the kernel
 
 
+# Polynomials over GF(p) are lists of coefficients, lowest degree first,
+# with no trailing zero; the zero polynomial is [].
+
+
+def _poly_trim(a, p):
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, m, p):
+    """Quotient and remainder of a by the monic m."""
+    r, dm = _poly_trim(a, p), len(m) - 1
+    q = [0] * max(len(r) - dm, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + dm]
+        if c:
+            q[i] = c
+            for j, mj in enumerate(m):
+                r[i + j] = (r[i + j] - c * mj) % p
+    return _poly_trim(q, p), _poly_trim(r[:dm], p)
+
+
+def _poly_monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [x * inv % p for x in a]
+
+
+def _poly_gcd(a, b, p):
+    """The monic gcd of a and b, not both zero."""
+    a, b = _poly_trim(a, p), _poly_trim(b, p)
+    while b:
+        b = _poly_monic(b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return _poly_monic(a, p)
+
+
+def _poly_sub(a, b, p):
+    return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p)
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out, p)
+
+
+def _poly_powmod(a, k, m, p):
+    """a^k modulo the monic m."""
+    out, a = [1], _poly_divmod(a, m, p)[1]
+    while k:
+        if k & 1:
+            out = _poly_divmod(_poly_mul(out, a, p), m, p)[1]
+        a = _poly_divmod(_poly_mul(a, a, p), m, p)[1]
+        k >>= 1
+    return out
+
+
+def _roots_mod_p(poly, p):
+    """The distinct roots in GF(p) of a nonzero polynomial, in ascending order.
+
+    The gcd with x^p - x keeps one linear factor per root, and Cantor and
+    Zassenhaus's equal-degree split (Math. Comp. 36, 1981) separates them.
+    """
+    poly = _poly_monic(_poly_trim(poly, p), p)
+    if p < len(poly):  # p <= degree: trying every point is cheaper, and p = 2 cannot split
+        return [a for a in range(p) if sum(c * pow(a, i, p) for i, c in enumerate(poly)) % p == 0]
+    g = _poly_gcd(poly, _poly_sub(_poly_powmod([0, 1], p, poly, p), [0, 1], p), p)
+    pending, roots = ([g] if len(g) > 1 else []), []
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+            continue
+        # 2 <= deg g < p, so p is odd; two roots r != s are separated by
+        # some shift a with (r + a)^((p-1)/2) != (s + a)^((p-1)/2), so the
+        # search ends before a = p
+        for a in itertools.count():
+            h = _poly_gcd(g, _poly_sub(_poly_powmod([a, 1], (p - 1) // 2, g, p), [1], p), p)
+            if 1 < len(h) < len(g):
+                pending += [h, _poly_divmod(g, h, p)[0]]
+                break
+    return sorted(roots)
+
+
+def _krylov_minpoly(f: Mat, v: Mat):
+    """The monic minimal polynomial of the row vector v under f, lowest degree first.
+
+    The first d vectors v, vf, vf^2, ... are independent, where d is the
+    rank of all dim + 1 of them, and vf^d is their combination.
+    """
+    field = f.field
+    if v.is_zero():
+        return [field.one()]
+    krylov = [v]
+    for _ in range(f.rows):
+        krylov.append(krylov[-1] @ f)
+    krylov = Mat.vstack(krylov)
+    d = krylov.rank()
+    c = krylov.take_rows(range(d)).solve_left(krylov.row(d))
+    return [field.neg(x) for x in c.to_rows()[0]] + [field.one()]
+
+
+# Test blocks of End elements of about this many entries per product.
+_ENUM_BLOCK_ENTRIES = 1 << 16
+
+
+def _enumerate_idempotent(m: FDModule, flat: Mat):
+    """The first nontrivial idempotent sum c_i f_i, and how many elements were tested.
+
+    flat holds the End basis f_i as rows of dim^2 entries.  The
+    coefficient vectors c run in counter order, c_0 fastest; each block is
+    one product with flat and one batched square.  Returns (Mat or None,
+    count); with no idempotent the count is p^dim End.
+    """
+    field, n, e = m.field, m.dim, flat.rows
+    p, total = field.p, field.p**e
+    ident = np.eye(n, dtype=np.int64)
+    weights = np.array([p**i for i in range(e)], dtype=np.int64)
+    step = max(1, _ENUM_BLOCK_ENTRIES // (n * n))
+    for start in range(0, total, step):
+        digits = np.arange(start, min(start + step, total), dtype=np.int64)[:, None] // weights % p
+        x = (Mat.of_array(field, digits) @ flat).array().reshape(-1, n, n)
+        hits = (
+            (_product(field, x, x) == x).all(axis=(1, 2))
+            & x.any(axis=(1, 2))
+            & (x != ident).any(axis=(1, 2))
+        ).nonzero()[0]
+        if hits.size:
+            return Mat.of_array(field, x[hits[0]]), start + int(hits[0]) + 1
+    return None, total
+
+
 def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecResult:
     """Fitting search plus exact certification where affordable.
 
-    Certifies indecomposability when dim End = 1, or over a finite field
-    by exhaustive idempotent enumeration when |End| fits the budget.
+    The search runs in this order, after the method of Lux and Szőke
+    (Exp. Math. 16, 2007):
+
+    1. dim End = 1: certified indecomposable.
+    2. Each End basis element as a Fitting candidate.
+    3. Over GF(p) with p^dim End within the budget: the exhaustive
+       idempotent enumeration decides, decomposed or certified.
+    4. Otherwise 40 seeded random End elements as Fitting candidates.
+       Over GF(p) each one f that does not split is followed by f - l for
+       every nonzero root l in GF(p) of the minimal polynomial of a seeded
+       random vector under f: an eigenvalue, so f - l is singular and
+       splits unless f - l is nilpotent.
+    5. probably-indecomposable.
+
+    "decomposed" always carries an idempotent; "indecomposable" is
+    claimed only by steps 1 and 3.
     """
     if m.dim == 0:
         raise ModuleError("indecomposability of the zero module")
@@ -625,50 +783,47 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
     e = len(end)
     if e == 1:
         return IndecResult("indecomposable", certificate="dim End = 1")
+    field, n = m.field, m.dim
+    tried = 0
+    for f in end:
+        tried += 1
+        split = _fitting_split(m, f.matrix)
+        if split is not None:
+            return IndecResult("decomposed", witness=split, tried=tried)
+    flat = Mat.vstack([f.matrix.reshape(1, n * n) for f in end])
+    if field.is_prime_field and field.p**e <= budget:
+        idem, count = _enumerate_idempotent(m, flat)
+        if idem is not None:
+            witness = ModuleMap(m, m, idem)
+            return IndecResult("decomposed", witness=witness, tried=tried, enumerated=count)
+        return IndecResult(
+            "indecomposable",
+            certificate=f"no nontrivial idempotent among {field.p}^{e} End elements",
+            tried=tried,
+            enumerated=count,
+        )
 
-    def combine(coeffs):
-        mat = Mat.zeros(m.field, m.dim, m.dim)
-        for c, f in zip(coeffs, end):
-            if c:
-                mat = mat + f.matrix.scale(c)
-        return mat
-
-    # deterministic spanning set, then seeded random combinations
     rng = random.Random(seed)
-    if m.field.is_prime_field:
-        draw = partial(rng.randrange, m.field.p)
-    else:
-        draw = partial(rng.randint, -3, 3)
-    # built lazily: the search usually stops long before the last one
-    candidates = itertools.chain(
-        (f.matrix for f in end),
-        (combine([draw() for _ in range(e)]) for _ in range(40)),
-    )
-    for mat in candidates:
+    draw = partial(rng.randrange, field.p) if field.is_prime_field else partial(rng.randint, -3, 3)
+    vectors = random.Random(f"eigenvalue shifts {seed}")
+    ident = Mat.identity(field, n)
+
+    def random_candidates():  # built lazily: the search usually stops at the first
+        for _ in range(40):
+            f = (Mat.of_array(field, [[draw() for _ in range(e)]]) @ flat).reshape(n, n)
+            yield f
+            if field.is_prime_field:
+                v = Mat.of_array(field, [[vectors.randrange(field.p) for _ in range(n)]])
+                for lam in _roots_mod_p(_krylov_minpoly(f, v), field.p):
+                    if lam:
+                        yield f - ident.scale(lam)
+
+    for mat in random_candidates():
+        tried += 1
         split = _fitting_split(m, mat)
         if split is not None:
-            return IndecResult("decomposed", witness=split)
-    if m.field.is_prime_field:
-        p = m.field.p
-        if p**e <= budget:
-            ident = Mat.identity(m.field, m.dim)
-            coeffs = [0] * e
-            while True:
-                mat = combine(coeffs)
-                if mat @ mat == mat and not mat.is_zero() and mat != ident:
-                    return IndecResult("decomposed", witness=ModuleMap(m, m, mat))
-                i = 0
-                while i < e and coeffs[i] == p - 1:
-                    coeffs[i] = 0
-                    i += 1
-                if i == e:
-                    break
-                coeffs[i] += 1
-            return IndecResult(
-                "indecomposable",
-                certificate=f"no nontrivial idempotent among {p}^{e} End elements",
-            )
-    return IndecResult("probably-indecomposable")
+            return IndecResult("decomposed", witness=split, tried=tried)
+    return IndecResult("probably-indecomposable", tried=tried)
 
 
 def _split(m: FDModule, seed: int, budget: int = 1 << 17):

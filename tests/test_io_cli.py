@@ -29,9 +29,10 @@ from ppcalc.io import (
     pair_to_json,
 )
 from ppcalc.linalg import GF, QQ
-from ppcalc.modules import regular_module
+from ppcalc.modules import direct_sum, regular_module
 
 from test_formulas import ann_formula, div_formula, ref_implies
+from test_modules import random_basis, regular_kronecker
 
 
 # -- round trips -------------------------------------------------------
@@ -278,6 +279,39 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pp"
     bad.write_text("{not json")
     assert main(["freereal", "--formula", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("entry", ["1/3", "1/0"])
+def test_cli_scalar_with_no_value_mod_p_exit_code(tmp_path, capsys, entry):
+    # over GF(3), 1/3 has no value; read as 0 it made x act as 0, which is
+    # still a module, so pptype answered for S + S instead of Lambda
+    lam3 = lambda_algebra(GF(3))
+    payload = module_to_json(regular_module(lam3), algebra_ref="lam.alg")
+    x = payload["action"]["x"]
+    (i, j), = [(i, j) for i, row in enumerate(x) for j, v in enumerate(row) if v]
+    x[i][j] = entry
+    (tmp_path / "lam.alg").write_text(dumps(algebra_to_json(lam3)))
+    (tmp_path / "reg.mod").write_text(dumps(payload))
+    assert main(["pptype", "--module", str(tmp_path / "reg.mod"), "--tuple", "[[1, 0]]"]) == 2
+    assert f"bad scalar '{entry}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_cli_isolate_refuses_a_decomposed_module(tmp_path, capsys, seed):
+    # R_0(2) + R_1(2) over GF(1048573), in random bases where no End basis
+    # element splits it and random End elements did not either: an
+    # eigenvalue shift of a random element does
+    field = GF(1048573)
+    kron = kronecker_algebra(field)
+    summands = [regular_kronecker(field, a, 2) for a in (0, 1)]
+    m = random_basis(direct_sum(*summands)[0], seed)
+    (tmp_path / "kron.alg").write_text(dumps(algebra_to_json(kron)))
+    (tmp_path / "m.mod").write_text(dumps(module_to_json(m, algebra_ref="kron.alg")))
+    args = ["isolate", "--module", str(tmp_path / "m.mod"), "--element", json.dumps([1] + [0] * 7)]
+    assert main(["--seed", str(seed), *args]) == 1
+    err = capsys.readouterr().err
+    assert "not certified indecomposable: decomposed" in err
+    assert "Fitting candidates tried, 0 End elements enumerated" in err
 
 
 def test_cli_field_too_large_exit_code(files, tmp_path, capsys):

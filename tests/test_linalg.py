@@ -389,6 +389,27 @@ def test_products_near_the_bound_are_exact(p):
     assert am @ am.inverse() == Mat.identity(field, n)
 
 
+@pytest.mark.parametrize("p", [3, 3037000493])
+def test_stacked_products_match_one_product_per_matrix(p):
+    # at 3037000493 every term is reduced, so the chunks cross the stack too
+    field = GF(p)
+    rng = random.Random(p)
+    stack = [rand_mat(field, 5, 5, rng) for _ in range(4)]
+    a = np.stack([m.array() for m in stack])
+    out = linalg._product(field, a, a)
+    assert out.shape == (4, 5, 5)
+    for m, sq in zip(stack, out):
+        assert Mat.of_array(field, sq) == m @ m
+
+
+def test_coerce_rejects_a_denominator_divisible_by_p():
+    assert GF(3).coerce(Fraction(1, 2)) == 2 and GF(3).coerce(Fraction(-4, 7)) == 2
+    for x in (Fraction(1, 3), Fraction(2, 9)):
+        with pytest.raises(ZeroDivisionError, match="no value mod 3"):
+            GF(3).coerce(x)
+    assert GF(5).coerce(Fraction(1, 3)) == 2
+
+
 # -- Kronecker products and one-elimination kernels ---------------------------
 
 SMALL_CASES = ["gf2", "gf3", "gf1048573", "qq"]

@@ -2,9 +2,11 @@ import functools
 import itertools
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from ppcalc.examples import (
     lambda_algebra,
     simple_lambda_module,
 )
+from ppcalc import modules
 from ppcalc.algebra import Algebra
 from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
@@ -47,7 +50,10 @@ from ppcalc.modules import (
     zero_map,
     zero_module,
     ModuleMap,
+    _enumerate_idempotent,
     _fitting_split,
+    _krylov_minpoly,
+    _roots_mod_p,
 )
 
 F2 = GF(2)
@@ -733,51 +739,68 @@ def test_invariance_witness_is_lowest_row_then_lowest_label(kron2):
 # -- the lazy Fitting candidates against the eager list ------------------
 
 
+def combine(m, end, coeffs):
+    """sum c_i f_i over the End basis, one Mat addition per nonzero c_i."""
+    mat = Mat.zeros(m.field, m.dim, m.dim)
+    for c, f in zip(coeffs, end):
+        if c:
+            mat = mat + f.matrix.scale(c)
+    return mat
+
+
+def ref_enumerate_idempotent(m, end):
+    """The first nontrivial idempotent in counter order (c_0 fastest), one element at a time."""
+    p, e = m.field.p, len(end)
+    ident = Mat.identity(m.field, m.dim)
+    coeffs = [0] * e
+    while True:
+        mat = combine(m, end, coeffs)
+        if mat @ mat == mat and not mat.is_zero() and mat != ident:
+            return mat
+        i = 0
+        while i < e and coeffs[i] == p - 1:
+            coeffs[i] = 0
+            i += 1
+        if i == e:
+            return None
+        coeffs[i] += 1
+
+
 def eager_indecomposability(m, seed, budget=1 << 17):
-    """indecomposability with all 40 random candidates built before the search."""
+    """indecomposability with each stage's candidates all built before it is searched."""
     end = hom_space(m, m)
     e = len(end)
     if e == 1:
         return IndecResult("indecomposable", certificate="dim End = 1")
-
-    def combine(coeffs):
-        mat = Mat.zeros(m.field, m.dim, m.dim)
-        for c, f in zip(coeffs, end):
-            if c:
-                mat = mat + f.matrix.scale(c)
-        return mat
-
+    field = m.field
+    for mat in [f.matrix for f in end]:
+        split = _fitting_split(m, mat)
+        if split is not None:
+            return IndecResult("decomposed", witness=split)
+    if field.is_prime_field and field.p**e <= budget:
+        idem = ref_enumerate_idempotent(m, end)
+        if idem is not None:
+            return IndecResult("decomposed", witness=ModuleMap(m, m, idem))
+        return IndecResult(
+            "indecomposable",
+            certificate=f"no nontrivial idempotent among {field.p}^{e} End elements",
+        )
     rng = random.Random(seed)
-    if m.field.is_prime_field:
-        draw = functools.partial(rng.randrange, m.field.p)
+    if field.is_prime_field:
+        p, ident = field.p, Mat.identity(field, m.dim)
+        draws = [combine(m, end, [rng.randrange(p) for _ in range(e)]) for _ in range(40)]
+        vectors = random.Random(f"eigenvalue shifts {seed}")
+        shifts = [Mat.from_rows(field, [[vectors.randrange(p) for _ in range(m.dim)]]) for _ in draws]
+        candidates = []
+        for f, v in zip(draws, shifts):
+            roots = _roots_mod_p(_krylov_minpoly(f, v), p)
+            candidates += [f] + [f - ident.scale(lam) for lam in roots if lam]
     else:
-        draw = functools.partial(rng.randint, -3, 3)
-    candidates = [f.matrix for f in end]
-    candidates += [combine([draw() for _ in range(e)]) for _ in range(40)]
+        candidates = [combine(m, end, [rng.randint(-3, 3) for _ in range(e)]) for _ in range(40)]
     for mat in candidates:
         split = _fitting_split(m, mat)
         if split is not None:
             return IndecResult("decomposed", witness=split)
-    if m.field.is_prime_field:
-        p = m.field.p
-        if p**e <= budget:
-            ident = Mat.identity(m.field, m.dim)
-            coeffs = [0] * e
-            while True:
-                mat = combine(coeffs)
-                if mat @ mat == mat and not mat.is_zero() and mat != ident:
-                    return IndecResult("decomposed", witness=ModuleMap(m, m, mat))
-                i = 0
-                while i < e and coeffs[i] == p - 1:
-                    coeffs[i] = 0
-                    i += 1
-                if i == e:
-                    break
-                coeffs[i] += 1
-            return IndecResult(
-                "indecomposable",
-                certificate=f"no nontrivial idempotent among {p}^{e} End elements",
-            )
     return IndecResult("probably-indecomposable")
 
 
@@ -808,7 +831,8 @@ def indec_cases(field):
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
 def test_lazy_candidates_give_the_eager_answer(field):
     cases = indec_cases(field)
-    # no End basis element splits the first case, so the random candidates are reached
+    # no End basis element splits the first case, so over GF(2) and GF(3) it
+    # reaches the enumeration, and over QQ the random candidates
     first = cases[0]
     assert not any(_fitting_split(first, f.matrix) for f in hom_space(first, first))
     for m in cases:
@@ -819,6 +843,141 @@ def test_lazy_candidates_give_the_eager_answer(field):
                 assert lazy.witness is None
             else:
                 assert lazy.witness.matrix == eager.witness.matrix
+
+
+# -- eigenvalue shifts and the batched enumeration -------------------------
+
+
+def poly_from_roots(roots, p, times=(1,)):
+    """prod (x - r) * times over GF(p), lowest degree first."""
+    poly = list(times)
+    for r in roots:
+        poly = [(a - r * b) % p for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def brute_roots(poly, p):
+    return [a for a in range(p) if sum(c * pow(a, i, p) for i, c in enumerate(poly)) % p == 0]
+
+
+IRREDUCIBLE_QUADRATIC = {2: [1, 1, 1], 3: [1, 0, 1], 7: [1, 0, 1]}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_roots_mod_p_match_brute_force(p):
+    # every polynomial of degree 1-3 with leading coefficient 1 or 2 (mod p)
+    for deg in range(1, 4):
+        for low in itertools.product(range(p), repeat=deg):
+            for lead in {1, 2 % p} - {0}:
+                poly = list(low) + [lead]
+                assert _roots_mod_p(poly, p) == brute_roots(poly, p), poly
+    # distinct linear factors, alone and times an irreducible quadratic
+    for k in range(1, min(p, 5) + 1):
+        for roots in itertools.combinations(range(p), k):
+            for times in ([1], IRREDUCIBLE_QUADRATIC[p]):
+                poly = poly_from_roots(roots, p, times)
+                assert _roots_mod_p(poly, p) == list(roots)
+
+
+def test_roots_mod_p_over_a_large_prime():
+    p = 1048573
+    rng = random.Random(7)
+    # -n is a non-square, so x^2 + n has no root
+    n = next(a for a in range(2, p) if pow(p - a, (p - 1) // 2, p) == p - 1)
+    for _ in range(20):
+        roots = sorted(set(rng.randrange(p) for _ in range(rng.randint(1, 8))))
+        for times in ([1], [n, 0, 1], [rng.randrange(1, p)]):
+            assert _roots_mod_p(poly_from_roots(roots, p, times), p) == roots
+        # a repeated root is listed once
+        assert _roots_mod_p(poly_from_roots(roots + roots[:1], p), p) == roots
+    assert _roots_mod_p([n, 0, 1], p) == []
+    assert _roots_mod_p([5], p) == []
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(1048573), QQ], ids=repr)
+def test_krylov_minpoly(field):
+    one, zero = field.one(), field.zero()
+    neg_one = field.neg(one)
+    v = Mat.from_rows(field, [[1, 2, 0]])
+    assert _krylov_minpoly(Mat.identity(field, 3), Mat.zeros(field, 1, 3)) == [one]
+    assert _krylov_minpoly(Mat.zeros(field, 3, 3), v) == [zero, one]
+    assert _krylov_minpoly(Mat.identity(field, 3), v) == [neg_one, one]
+    # a nilpotent Jordan block: v = e_0 needs all three powers
+    shift = Mat.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    e0 = Mat.from_rows(field, [[1, 0, 0]])
+    assert _krylov_minpoly(shift, e0) == [zero, zero, zero, one]
+    # the polynomial annihilates v and has the Krylov dimension as degree
+    rng = random.Random(3)
+    for _ in range(10):
+        f = Mat.from_rows(field, [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
+        w = Mat.from_rows(field, [[rng.randint(-2, 2) for _ in range(4)]])
+        poly = _krylov_minpoly(f, w)
+        total, power = Mat.zeros(field, 1, 4), w
+        for c in poly:
+            total, power = total + power.scale(c), power @ f
+        assert total.is_zero()
+        if not w.is_zero():
+            krylov = Mat.vstack([w @ f.power(i) for i in range(5)])
+            assert len(poly) - 1 == krylov.rank()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@ORACLE
+@given(data=st.data())
+def test_batched_enumeration_matches_the_element_loop(field, data):
+    m = data.draw(st.sampled_from([lambda_modules(field), kronecker_modules(field)]).flatmap(summed))
+    end = hom_space(m, m)
+    hypothesis.assume(m.dim and field.p ** len(end) <= 729)
+    flat = Mat.vstack([f.matrix.reshape(1, m.dim * m.dim) for f in end])
+    ref = ref_enumerate_idempotent(m, end)
+    # one block, and blocks of three elements, so a block boundary is crossed
+    idem, count = _enumerate_idempotent(m, flat)
+    with mock.patch.object(modules, "_ENUM_BLOCK_ENTRIES", 3 * m.dim * m.dim):
+        assert _enumerate_idempotent(m, flat) == (idem, count)
+    assert idem == ref
+    if ref is None:
+        assert count == field.p ** len(end)
+
+
+def regular_kronecker(field, a, n):
+    """R_a(n): the identity and the Jordan block of eigenvalue a, n x n."""
+    kron = oracle_algebras(field)[1]
+    jordan = [[a if j == i else int(j == i + 1) for j in range(n)] for i in range(n)]
+    return kronecker_rep(kron, Mat.identity(field, n), Mat.from_rows(field, jordan))
+
+
+def test_eigenvalue_shifts_split_regular_sums_over_a_large_prime():
+    field = GF(1048573)
+    for (a, n), (b, k) in [((0, 2), (1, 2)), ((0, 1), (5, 3)), ((7, 3), (1048572, 1))]:
+        for seed in range(10):
+            m = random_basis(direct_sum(regular_kronecker(field, a, n), regular_kronecker(field, b, k))[0], seed)
+            res = indecomposability(m, seed)
+            assert res.status == "decomposed" and res.enumerated == 0
+            e = res.witness.matrix
+            assert e @ e == e and not e.is_zero() and e != Mat.identity(field, m.dim)
+            assert res.witness.intertwines()
+            eager = eager_indecomposability(m, seed)
+            assert eager.status == "decomposed" and eager.witness.matrix == e
+    for a, n in [(0, 2), (1, 3), (5, 4)]:
+        for seed in range(10):
+            m = random_basis(regular_kronecker(field, a, n), seed)
+            assert indecomposability(m, seed).status == "probably-indecomposable"
+
+
+def test_indecomposability_reports_budget_use(s1_2, reg2, lam3):
+    # two End basis elements fail, then all 2^2 elements are enumerated
+    res = indecomposability(reg2, seed=0)
+    assert (res.status, res.tried, res.enumerated) == ("indecomposable", 2, 4)
+    res = indecomposability(direct_sum(s1_2, s1_2)[0], seed=0)
+    assert res.status == "decomposed" and res.enumerated == 0 and 1 <= res.tried <= 4
+    res = indecomposability(regular_module(lam3), seed=0, budget=1)
+    assert (res.status, res.enumerated) == ("probably-indecomposable", 0)
+    # End = k[x]/(x^2): the two basis elements, the 40 draws, and one
+    # nilpotent shift after each draw with a nonzero eigenvalue
+    assert 2 + 40 < res.tried <= 2 + 80
+    small = kronecker_rep(oracle_algebras(F2)[1], Mat.identity(F2, 1), Mat.zeros(F2, 1, 1))
+    res = indecomposability(small, seed=0)
+    assert (res.tried, res.enumerated) == (0, 0)
 
 
 # -- hom_space by spinning against the Kronecker system --------------------
