@@ -96,7 +96,13 @@ def cmd_verify_lattice(args):
     bim = pio.load_bimodule(args.bimodule, _base(args.bimodule))
     bmap = BetaMap(bim)
     if args.sample:
-        sample = [pio.load_formula(p, _base(p), algebra=bim.S) for p in args.sample]
+        # formulas read from files carry no realisation: build each one once
+        # here, so the order table and the checks do not rebuild them per pair
+        sample = []
+        for path in args.sample:
+            phi = pio.load_formula(path, _base(path), algebra=bim.S)
+            fr = free_realisation(phi)
+            sample.append(phi.with_realisation(fr.module, fr.tuple))
     else:
         inv = enumerate_indecomposables(bim.S, args.cap, args.budget, args.seed)
         sample = standard_sample(bim.S, inv.members)

@@ -12,7 +12,16 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement
 from .linalg import Mat, Subspace
-from .modules import FDModule, _hom_system, fp_module
+from .modules import (
+    FDModule,
+    ModuleMap,
+    _hom_system,
+    direct_sum,
+    fp_module,
+    free_module,
+    pushout,
+    zero_module,
+)
 
 __all__ = [
     "PpFormula",
@@ -41,10 +50,13 @@ class PpFormula:
     """exists y (x y) A = 0; entries stored sparsely by (row, column).
 
     c and e are the complexity statistics: the number of bound variables
-    and the number of equations.
+    and the number of equations.  realisation, when given, is a pair
+    (module, tuple) fixed as the formula's free realisation; it is set
+    here and never changed.
     """
 
-    def __init__(self, algebra: Algebra, n: int, c: int, e: int, coeffs):
+    def __init__(self, algebra: Algebra, n: int, c: int, e: int, coeffs,
+                 realisation=None):
         self.algebra = algebra
         self.n = n
         self.c = c
@@ -67,7 +79,9 @@ class PpFormula:
         remap = {j: k for k, j in enumerate(live)}
         self.e = len(live)
         self.coeffs = {(i, remap[j]): elt for (i, j), elt in cleaned.items()}
-        self._realisation = None
+        self._realisation = (
+            None if realisation is None else FreeRealisation(*realisation, self)
+        )
 
     def entry(self, i: int, j: int) -> AlgebraElement:
         return self.coeffs.get((i, j), self.algebra.zero_element())
@@ -100,13 +114,13 @@ class PpFormula:
         return f"PpFormula(n={self.n}, c={self.c}, e={self.e})"
 
     def with_realisation(self, module, tup) -> "PpFormula":
-        """Attach (module, tup) as this formula's free realisation.
+        """The same formula with (module, tup) as its free realisation.
 
-        Nothing checks that the formula generates the pp-type of tup in
-        module: implies and beta trust it (see FreeRealisation).
+        Returns a new formula; self is unchanged.  Nothing checks that the
+        formula generates the pp-type of tup in module: implies and beta
+        trust it (see FreeRealisation).
         """
-        self._realisation = FreeRealisation(module, tup, self)
-        return self
+        return PpFormula(self.algebra, self.n, self.c, self.e, self.coeffs, (module, tup))
 
 
 class FreeRealisation:
@@ -134,14 +148,17 @@ class FreeRealisation:
 
 
 def top_formula(algebra: Algebra, n: int) -> PpFormula:
-    """x = x: no equations."""
-    return PpFormula(algebra, n, 0, 0, {})
+    """x = x: no equations, realised by the free generators of A^n."""
+    return PpFormula(algebra, n, 0, 0, {}, free_module(algebra, n))
 
 
 def zero_formula(algebra: Algebra, n: int) -> PpFormula:
-    """x = 0: one equation per free variable."""
+    """x = 0: one equation per free variable, realised in the zero module."""
     one = algebra.one_element()
-    return PpFormula(algebra, n, 0, n, {(i, i): one for i in range(n)})
+    z = zero_module(algebra)
+    return PpFormula(
+        algebra, n, 0, n, {(i, i): one for i in range(n)}, (z, [z.zero_vector()] * n)
+    )
 
 
 def _formula_matrix(phi: PpFormula, m: FDModule) -> Mat:
@@ -170,7 +187,8 @@ def eval_formula(phi: PpFormula, m: FDModule) -> Subspace:
     return Subspace.from_vectors(m.field, phi.n * d, ker.take_columns(range(phi.n * d)))
 
 
-def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=()):
+def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=(),
+             realisation=None):
     """Build  exists aux, (inner bounds) : /\\ inst_i(slots @ C_i) /\\ raw = 0.
 
     Slots are n_free + n_aux scalar variables (free ones first).  Each
@@ -178,6 +196,7 @@ def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=()):
     matrix substituting slot combinations for the instance's free
     variables; the instance's own bound variables are appended fresh.
     raw_cols are extra equation columns over the slots alone.
+    realisation is passed on to the PpFormula constructor.
     """
     n_slots = n_free + n_aux
     field = algebra.field
@@ -216,13 +235,11 @@ def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=()):
             if not elt.is_zero():
                 coeffs[(s, col_off)] = elt
         col_off += 1
-    return PpFormula(algebra, n_free, total_c, total_e, coeffs)
+    return PpFormula(algebra, n_free, total_c, total_e, coeffs, realisation)
 
 
 def realisation_map_from_free(fr: FreeRealisation):
     """The map A^n -> C sending the free generators to the tuple."""
-    from .modules import ModuleMap, free_module
-
     c_mod = fr.module
     a = c_mod.algebra
     n = fr.formula.n
@@ -235,17 +252,14 @@ def realisation_map_from_free(fr: FreeRealisation):
     return ModuleMap(free, c_mod, mat)
 
 
-def meet_realisation(phi: PpFormula, psi: PpFormula, out: PpFormula) -> FreeRealisation:
-    """Free realisation of the meet: pushout of the two tuple maps."""
-    from .modules import pushout
-
+def meet_realisation(phi: PpFormula, psi: PpFormula):
+    """Free realisation (module, tuple) of the meet: pushout of the two tuple maps."""
     fr_phi = free_realisation(phi)
     fr_psi = free_realisation(psi)
     f = realisation_map_from_free(fr_phi)
     g = realisation_map_from_free(fr_psi)
     p, hf, _ = pushout(f, g)
-    tup = [hf(fr_phi.tuple[i]) for i in range(phi.n)]
-    return FreeRealisation(p, tup, out)
+    return p, [hf(t) for t in fr_phi.tuple]
 
 
 def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -259,10 +273,10 @@ def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
     if phi.algebra != psi.algebra:
         raise FormulaError("conj needs a common algebra")
     ident = Mat.identity(phi.algebra.field, phi.n)
-    out = assemble(phi.algebra, phi.n, 0, [(phi, ident), (psi, ident)])
+    real = None
     if phi._realisation is not None and psi._realisation is not None:
-        out._realisation = meet_realisation(phi, psi, out)
-    return out
+        real = meet_realisation(phi, psi)
+    return assemble(phi.algebra, phi.n, 0, [(phi, ident), (psi, ident)], realisation=real)
 
 
 def sum_formula(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -277,25 +291,23 @@ def sum_formula(phi: PpFormula, psi: PpFormula) -> PpFormula:
     zero = Mat.zeros(field, n, n)
     c_phi = Mat.vstack([zero, ident])        # phi sees x1 (the aux block)
     c_psi = Mat.vstack([ident, -ident])      # psi sees x - x1
-    out = assemble(phi.algebra, n, n, [(phi, c_phi), (psi, c_psi)])
     fr_phi, fr_psi = phi._realisation, psi._realisation
+    real = None
     if fr_phi is not None and fr_psi is not None:
-        from .modules import direct_sum
-
         total, i1, i2, _, _ = direct_sum(fr_phi.module, fr_psi.module)
-        tup = [
-            i1(fr_phi.tuple[i]) + i2(fr_psi.tuple[i]) for i in range(n)
-        ]
-        out.with_realisation(total, tup)
-    return out
+        real = (total, [i1(a) + i2(b) for a, b in zip(fr_phi.tuple, fr_psi.tuple)])
+    return assemble(phi.algebra, n, n, [(phi, c_phi), (psi, c_psi)], realisation=real)
 
 
 def free_realisation(phi: PpFormula, via: str = "auto") -> FreeRealisation:
     """A free realisation of phi.
 
-    via="auto" reuses a realisation attached by the constructing
-    operation; via="fp" always builds the canonical finitely presented
-    module on n + c generators with the formula's columns as relations.
+    via="auto" returns the realisation fixed when phi was constructed,
+    if it has one; otherwise, and always for via="fp", this builds the
+    canonical finitely presented module on n + c generators with the
+    formula's columns as relations.  phi is not changed: a formula used
+    many times without a realisation should be rebuilt once with
+    phi.with_realisation.
     """
     if via == "auto" and phi._realisation is not None:
         return phi._realisation
@@ -304,8 +316,6 @@ def free_realisation(phi: PpFormula, via: str = "auto") -> FreeRealisation:
     sol = eval_formula(phi, q)
     if not sol.contains_vector(fr.tuple_flat()):
         raise FormulaError("internal: realisation tuple fails its own formula")
-    if via == "auto":
-        phi._realisation = fr
     return fr
 
 
@@ -342,9 +352,7 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
     for k in np.flatnonzero((blocks.array() != 0).any(axis=1)):
         j, i = divmod(int(k), d)
         coeffs[(n + i, n + j)] = a.element(blocks.row(k))
-    out = PpFormula(a, n, d, n + ker.rows, coeffs)
-    out.with_realisation(m, tup)
-    return out
+    return PpFormula(a, n, d, n + ker.rows, coeffs, (m, tup))
 
 
 def implies(psi: PpFormula, phi: PpFormula) -> bool:

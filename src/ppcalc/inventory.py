@@ -87,9 +87,10 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _digits(count: int, base: int, width: int) -> np.ndarray:
-    out = np.zeros((count, width), dtype=np.int64)
-    idx = np.arange(count, dtype=np.int64)
+def _digits(start: int, stop: int, base: int, width: int) -> np.ndarray:
+    """The base-`base` digits of start..stop-1, one row each, digit 0 first."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=np.int64)
     for k in range(width):
         out[:, k] = idx % base
         idx //= base
@@ -97,11 +98,17 @@ def _digits(count: int, base: int, width: int) -> np.ndarray:
 
 
 def _quiver_candidates(algebra: Algebra, d: int):
-    """All modules of dimension d, via arrow-matrix assignments."""
+    """All modules of dimension d, via arrow-matrix assignments.
+
+    Assignments are numbered in base p with digit 0 fastest and tested
+    against the relations in blocks of _BATCH_LIMIT, so memory does not
+    grow with their number.
+    """
     q = algebra.quiver
     p = algebra.field.p
     nv = q.n_vertices
     arrows = q.arrows
+    by_label = {arrows[i][2]: i for i in range(len(arrows))}
     for comp in _compositions(d, nv):
         offs = [0]
         for c in comp:
@@ -117,21 +124,7 @@ def _quiver_candidates(algebra: Algebra, d: int):
             full[offs[s - 1] : offs[s - 1] + r, offs[t - 1] : offs[t - 1] + c] = small
             return full
 
-        def relations_hold(full_mats) -> bool:
-            by_label = {arrows[i][2]: full_mats[i] for i in range(len(arrows))}
-            for rel in q.relations:
-                acc = np.zeros((d, d), dtype=np.int64)
-                for coeff, word in rel:
-                    prod = np.eye(d, dtype=np.int64)
-                    for lab in word:
-                        prod = (prod @ by_label[lab]) % p
-                    acc = (acc + int(coeff) * prod) % p
-                if acc.any():
-                    return False
-            return True
-
         def build(full_mats) -> FDModule:
-            by_label = {arrows[i][2]: full_mats[i] for i in range(len(arrows))}
             action = []
             for src, word in algebra.paths:
                 mat = np.zeros((d, d), dtype=np.int64)
@@ -140,51 +133,29 @@ def _quiver_candidates(algebra: Algebra, d: int):
                     comp[src - 1], dtype=np.int64
                 )
                 for lab in word:
-                    mat = (mat @ by_label[lab]) % p
+                    mat = (mat @ full_mats[by_label[lab]]) % p
                 action.append(Mat.of_array(algebra.field, mat))
             return FDModule(algebra, d, action)
 
-        if count <= _BATCH_LIMIT or not q.relations:
-            for combo in itertools.product(range(p), repeat=k_total):
-                pos = 0
-                fulls = []
-                for i, (r, c) in enumerate(shapes):
-                    small = np.array(combo[pos : pos + r * c], dtype=np.int64).reshape(r, c)
-                    pos += r * c
-                    fulls.append(embed(i, small))
-                if relations_hold(fulls):
-                    yield build(fulls)
-        else:
-            digits = _digits(count, p, k_total)
+        for start in range(0, count, _BATCH_LIMIT):
+            digits = _digits(start, min(count, start + _BATCH_LIMIT), p, k_total)
+            n = len(digits)
             smalls = []
             pos = 0
             for r, c in shapes:
-                smalls.append(digits[:, pos : pos + r * c].reshape(count, r, c))
+                smalls.append(digits[:, pos : pos + r * c].reshape(n, r, c))
                 pos += r * c
-            by_label = {arrows[i][2]: i for i in range(len(arrows))}
-            mask = np.ones(count, dtype=bool)
+            mask = np.ones(n, dtype=bool)
             for rel in q.relations:
-                acc = np.zeros((count, comp[0], comp[0]), dtype=np.int64)
-                first = True
+                acc = 0
                 for coeff, word in rel:
-                    src = q._by_label[word[0]][0]
-                    prod = np.broadcast_to(
-                        np.eye(comp[src - 1], dtype=np.int64),
-                        (count, comp[src - 1], comp[src - 1]),
-                    )
-                    for lab in word:
-                        prod = np.einsum(
-                            "nij,njk->nik", prod, smalls[by_label[lab]]
-                        ) % p
-                    if first:
-                        acc = (int(coeff) * prod) % p
-                        first = False
-                    else:
-                        acc = (acc + int(coeff) * prod) % p
-                mask &= ~acc.reshape(count, -1).any(axis=1)
-            for idx in np.nonzero(mask)[0]:
-                fulls = [embed(i, smalls[i][idx]) for i in range(len(arrows))]
-                yield build(fulls)
+                    prod = smalls[by_label[word[0]]]
+                    for lab in word[1:]:
+                        prod = np.einsum("nij,njk->nik", prod, smalls[by_label[lab]]) % p
+                    acc = (acc + int(coeff) * prod) % p
+                mask &= ~acc.reshape(n, -1).any(axis=1)
+            for idx in np.flatnonzero(mask):
+                yield build([embed(i, smalls[i][idx]) for i in range(len(arrows))])
 
 
 def _generating_data(algebra: Algebra):

@@ -92,7 +92,15 @@ def _scalar_out(field, x):
 
 
 def _scalar_in(field, v):
-    """A JSON scalar as a canonical field element; "a/b" strings are fractions."""
+    """A JSON scalar as a canonical field element; "a/b" strings are fractions.
+
+    A float is accepted only when it is an integer: 1.5 has no meaning
+    over GF(p), and 0.1 over QQ is not the rational the user wrote.
+    """
+    if isinstance(v, float):
+        if not v.is_integer():
+            raise ParseError(f'bad scalar {v!r}: not an integer; write a fraction as "a/b"')
+        v = int(v)
     try:
         if isinstance(v, str):
             num, den = v.split("/")

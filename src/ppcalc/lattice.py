@@ -106,7 +106,10 @@ def meet_via_pushout(phi: PpFormula, psi: PpFormula, seed: int = 0) -> FreeReali
         raise FormulaError("meet needs equal arities")
     if phi.algebra != psi.algebra:
         raise FormulaError("meet needs a common algebra")
-    return minimize_realisation(meet_realisation(phi, psi, conj(phi, psi)), seed)
+    meet = conj(phi, psi)
+    if meet._realisation is None:  # conj attaches the pushout only for realised inputs
+        meet = meet.with_realisation(*meet_realisation(phi, psi))
+    return minimize_realisation(meet._realisation, seed)
 
 
 def standard_sample(algebra, modules, close: bool = True):

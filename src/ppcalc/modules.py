@@ -553,7 +553,7 @@ def pushout(f: ModuleMap, g: ModuleMap):
 # ---------------------------------------------------------------------------
 
 
-def is_direct_summand(n: FDModule, m: FDModule, require_witness=True):
+def is_direct_summand(n: FDModule, m: FDModule):
     """Trace-ideal summand test for indecomposable n.
 
     True iff id_n lies in the span of {g o f}; on success returns split

@@ -461,6 +461,34 @@ def test_implies_phi_realised_in_dimension_zero(field):
         assert not implies(top_formula(lam, 1), phi)
 
 
+def test_with_realisation_leaves_the_original_unrealised(lam2, reg2, phis):
+    div, _ = phis
+    x = reg2.element([0, 1])
+    realised = div.with_realisation(reg2, [x])
+    assert div._realisation is None
+    assert realised == div and realised is not div
+    assert realised._realisation.module is reg2 and realised._realisation.tuple == [x]
+
+
+def test_free_realisation_writes_nothing(lam2, phis):
+    div, _ = phis
+    for via in ("auto", "fp"):
+        fr = free_realisation(div, via=via)
+        assert fr.formula is div and div._realisation is None
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+def test_zero_and_top_realisations_agree_with_fp(field):
+    lam = oracle_algebras(field)[0]
+    for n in (0, 1, 2):
+        for phi in (zero_formula(lam, n), top_formula(lam, n)):
+            attached, fp = phi._realisation, free_realisation(phi, via="fp")
+            assert attached is not None
+            assert attached.module.dim == fp.module.dim
+            # implies reads the attached realisation of phi, the fp one of the copy
+            assert implies(phi, unrealised(phi)) and implies(unrealised(phi), phi)
+
+
 def test_implies_does_not_call_hom_space(lam2, reg2, s1_2, phis, monkeypatch):
     # the benchmark times hom_space by its outermost calls, so implies
     # builds its own system instead of calling it

@@ -1,8 +1,13 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from ppcalc.examples import kronecker_algebra, lambda_algebra
 from ppcalc.inventory import (
+    _BATCH_LIMIT,
     BudgetExceeded,
+    _quiver_candidates,
     direct_sums_up_to,
     enumerate_indecomposables,
     verify_completeness,
@@ -53,6 +58,64 @@ def test_kronecker_f3_cap3():
 def test_cap_zero_empty(lam2):
     inv = enumerate_indecomposables(lam2, 0, seed=0)
     assert len(inv) == 0
+
+
+def reference_candidates(algebra, d):
+    """The arrow matrices of every d-dimensional module, one assignment at a
+    time: dimension vectors in lexicographic order, and within each the
+    assignments counted in base p with digit 0 (the first entry of the
+    first arrow's block, row by row) fastest."""
+    q, p = algebra.quiver, algebra.field.p
+    out = []
+    for comp in itertools.product(range(d + 1), repeat=q.n_vertices):
+        if sum(comp) != d:
+            continue
+        offs = np.cumsum((0,) + comp)
+        shapes = [(comp[s - 1], comp[t - 1]) for s, t, _ in q.arrows]
+        k = sum(r * c for r, c in shapes)
+        for combo in itertools.product(range(p), repeat=k):
+            digits = combo[::-1]
+            mats, pos = {}, 0
+            for (s, t, lab), (r, c) in zip(q.arrows, shapes):
+                full = np.zeros((d, d), dtype=np.int64)
+                block = np.array(digits[pos : pos + r * c], dtype=np.int64).reshape(r, c)
+                full[offs[s - 1] : offs[s - 1] + r, offs[t - 1] : offs[t - 1] + c] = block
+                mats[lab] = full
+                pos += r * c
+            holds = True
+            for rel in q.relations:
+                acc = np.zeros((d, d), dtype=np.int64)
+                for coeff, word in rel:
+                    prod = np.eye(d, dtype=np.int64)
+                    for lab in word:
+                        prod = prod @ mats[lab] % p
+                    acc = (acc + coeff * prod) % p
+                holds = holds and not acc.any()
+            if holds:
+                out.append([mats[lab].tolist() for _, _, lab in q.arrows])
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, p, d, assignments",
+    [
+        (lambda_algebra, 2, 3, [512]),  # one partial block
+        (lambda_algebra, 2, 4, [65536]),  # sixteen full blocks
+        (lambda_algebra, 3, 3, [19683]),  # five blocks, the last partial
+        (kronecker_algebra, 2, 5, [1, 256, 4096, 4096, 256, 1]),  # exactly one block
+        (kronecker_algebra, 3, 4, [1, 729, 6561, 729, 1]),  # two blocks
+    ],
+)
+def test_quiver_candidates_match_brute_force(make, p, d, assignments):
+    assert _BATCH_LIMIT == 4096  # the cases are sized around one block
+    algebra = make(GF(p))
+    q = algebra.quiver
+    arrows = [algebra.labels.index(lab) for _, _, lab in q.arrows]
+    got = [[m.action[i].to_rows() for i in arrows] for m in _quiver_candidates(algebra, d)]
+    want = reference_candidates(algebra, d)
+    if not q.relations:
+        assert len(want) == sum(assignments)
+    assert got == want
 
 
 def test_budget_guard(kron2):

@@ -220,6 +220,17 @@ def test_cli_beta_and_verify(files, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_verify_lattice_realises_each_sample_formula_once(files, capsys, monkeypatch):
+    import ppcalc.formulas
+
+    built = []
+    fp_module = ppcalc.formulas.fp_module
+    monkeypatch.setattr(ppcalc.formulas, "fp_module", lambda *a: built.append(a) or fp_module(*a))
+    sample = [files["div.pp"], files["ann.pp"], files["div.pp"]]
+    assert main(["verify-lattice", "--bimodule", files["bim.bim"], "--sample", *sample]) == 0
+    assert len(built) == len(sample)
+
+
 def test_cli_interp_apply(files, capsys):
     assert main(["interp-apply", "--data", files["hom.interp"], "--module", files["bmod.mod"]]) == 0
     assert "dimension 2" in capsys.readouterr().out
@@ -294,6 +305,27 @@ def test_cli_scalar_with_no_value_mod_p_exit_code(tmp_path, capsys, entry):
     (tmp_path / "reg.mod").write_text(dumps(payload))
     assert main(["pptype", "--module", str(tmp_path / "reg.mod"), "--tuple", "[[1, 0]]"]) == 2
     assert f"bad scalar '{entry}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, entry", [(GF(3), 1.5), (QQ, 0.1)], ids=["fp3", "q"])
+def test_cli_non_integer_float_scalar_exit_code(tmp_path, capsys, field, entry):
+    # 1.5 was read as 1 over GF(3); 0.1 over QQ kept the binary float's fraction
+    lam = lambda_algebra(field)
+    payload = module_to_json(regular_module(lam), algebra_ref="lam.alg")
+    x = payload["action"]["x"]
+    (i, j), = [(i, j) for i, row in enumerate(x) for j, v in enumerate(row) if v]
+    x[i][j] = entry
+    (tmp_path / "lam.alg").write_text(dumps(algebra_to_json(lam)))
+    (tmp_path / "reg.mod").write_text(json.dumps(payload))
+    assert main(["pptype", "--module", str(tmp_path / "reg.mod"), "--tuple", "[[1, 0]]"]) == 2
+    err = capsys.readouterr().err
+    assert f"bad scalar {entry!r}" in err and '"a/b"' in err
+
+
+def test_integer_valued_float_scalar_is_read_as_the_integer(lam2):
+    obj = module_to_json(regular_module(lam2))
+    obj["action"]["x"] = [[float(v) for v in row] for row in obj["action"]["x"]]
+    assert load_module(obj) == regular_module(lam2)
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3])

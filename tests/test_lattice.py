@@ -16,6 +16,7 @@ from ppcalc.lattice import (
     BetaMap,
     beta,
     meet_via_pushout,
+    order_table,
     standard_sample,
     verify_embedding,
     verify_lattice_hom,
@@ -128,8 +129,29 @@ def test_beta_independent_of_padding(lam2, s1_2, bmap2):
     fr = free_realisation(div)
     padded_mod, i1, _, _, _ = direct_sum(fr.module, s1_2)
     fresh = PpFormula(lam2, div.n, div.c, div.e, div.dense())
-    fresh.with_realisation(padded_mod, [i1(fr.tuple[0])])
+    fresh = fresh.with_realisation(padded_mod, [i1(fr.tuple[0])])
     assert equivalent(beta(bmap2, fresh), beta(bmap2, div))
+
+
+def test_sample_path_keeps_its_realisations(lam2, bmap2, monkeypatch):
+    # every formula standard_sample, beta, conj and sum_formula build carries
+    # a realisation, so the order table and the lattice checks never fall
+    # back to a finitely presented build per call
+    import ppcalc.formulas
+    from ppcalc.inventory import enumerate_indecomposables
+
+    def refuse(*args):
+        raise AssertionError("a formula on the sample path lost its realisation")
+
+    monkeypatch.setattr(ppcalc.formulas, "fp_module", refuse)
+    sample = standard_sample(lam2, enumerate_indecomposables(lam2, 2).members)
+    order = order_table(sample)
+    assert all(order[i][i] for i in range(len(sample)))
+    betas = [beta(bmap2, f) for f in sample]
+    for i, bi in enumerate(betas):
+        for bj in betas[i:]:
+            for made in (conj(bi, bj), sum_formula(bi, bj)):
+                assert implies(made, made)
 
 
 def test_standard_sample_shape(lam2, s1_2, reg2):
