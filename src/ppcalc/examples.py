@@ -9,6 +9,8 @@ unit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import Algebra, QuiverSpec, algebra_from_quiver
 from .linalg import FieldSpec, Mat
 from .modules import Bimodule, FDModule
@@ -51,26 +53,14 @@ def kronecker_rep(kron: Algebra, a_mat: Mat, b_mat: Mat) -> FDModule:
     if b_mat.shape != (d1, d2):
         raise ValueError("arrow matrices must share their shape")
     d = d1 + d2
-    z11 = Mat.zeros(f, d1, d1)
-    z12 = Mat.zeros(f, d1, d2)
-    z21 = Mat.zeros(f, d2, d1)
-    z22 = Mat.zeros(f, d2, d2)
-
-    def block(tl, tr, bl, br):
-        top = Mat.hstack([tl, tr]) if d1 else None
-        bot = Mat.hstack([bl, br]) if d2 else None
-        parts = [x for x in (top, bot) if x is not None]
-        return Mat.vstack(parts) if parts else Mat.zeros(f, 0, 0)
-
-    e1 = block(Mat.identity(f, d1), z12, z21, z22)
-    e2 = block(z11, z12, z21, Mat.identity(f, d2))
-    a = block(z11, a_mat, z21, z22)
-    b = block(z11, b_mat, z21, z22)
-    action = []
-    for label in kron.labels:
-        action.append({"e1": e1, "e2": e2, "a": a, "b": b}[label])
-    m = FDModule(kron, d, action)
-    return m
+    blocks = np.full((4, d, d), f.zero(), dtype=f.dtype)
+    e1, e2, a, b = blocks
+    e1[range(d1), range(d1)] = f.one()
+    e2[range(d1, d), range(d1, d)] = f.one()
+    a[:d1, d1:] = a_mat.array()
+    b[:d1, d1:] = b_mat.array()
+    named = {"e1": e1, "e2": e2, "a": a, "b": b}
+    return FDModule(kron, d, [Mat.of_array(f, named[label]) for label in kron.labels])
 
 
 def functor_image(kron: Algebra, m: FDModule) -> FDModule:

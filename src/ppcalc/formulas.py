@@ -14,12 +14,12 @@ from .algebra import Algebra, AlgebraElement
 from .linalg import Mat, Subspace
 from .modules import (
     FDModule,
-    ModuleMap,
     _hom_system,
     direct_sum,
     fp_module,
     free_module,
-    pushout,
+    quotient_module,
+    submodule_generated,
     zero_module,
 )
 
@@ -82,6 +82,11 @@ class PpFormula:
         self._realisation = (
             None if realisation is None else FreeRealisation(*realisation, self)
         )
+
+    @property
+    def realisation(self):
+        """The FreeRealisation fixed at construction, or None."""
+        return self._realisation
 
     def entry(self, i: int, j: int) -> AlgebraElement:
         return self.coeffs.get((i, j), self.algebra.zero_element())
@@ -238,28 +243,19 @@ def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=(),
     return PpFormula(algebra, n_free, total_c, total_e, coeffs, realisation)
 
 
-def realisation_map_from_free(fr: FreeRealisation):
-    """The map A^n -> C sending the free generators to the tuple."""
-    c_mod = fr.module
-    a = c_mod.algebra
-    n = fr.formula.n
-    free, _ = free_module(a, n)
-    rows = []
-    for i in range(n):
-        for l in range(a.dim):
-            rows.append((fr.tuple[i] @ c_mod.action[l]).to_rows()[0])
-    mat = Mat.from_rows(c_mod.field, rows) if rows else Mat.zeros(c_mod.field, 0, c_mod.dim)
-    return ModuleMap(free, c_mod, mat)
-
-
 def meet_realisation(phi: PpFormula, psi: PpFormula):
-    """Free realisation (module, tuple) of the meet: pushout of the two tuple maps."""
-    fr_phi = free_realisation(phi)
-    fr_psi = free_realisation(psi)
-    f = realisation_map_from_free(fr_phi)
-    g = realisation_map_from_free(fr_psi)
-    p, hf, _ = pushout(f, g)
-    return p, [hf(t) for t in fr_phi.tuple]
+    """Free realisation (module, tuple) of the meet.
+
+    This is the pushout of the maps A^n -> C_phi and A^n -> C_psi that
+    send the free generators to the tuples: C_phi + C_psi modulo the
+    submodule generated by the differences c_phi,i - c_psi,i, with the
+    images of c_phi as the tuple.
+    """
+    fr_phi, fr_psi = free_realisation(phi), free_realisation(psi)
+    total, i1, i2, _, _ = direct_sum(fr_phi.module, fr_psi.module)
+    diffs = [i1(a) - i2(b) for a, b in zip(fr_phi.tuple, fr_psi.tuple)]
+    q, proj = quotient_module(total, submodule_generated(total, diffs))
+    return q, [proj(i1(a)) for a in fr_phi.tuple]
 
 
 def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -274,7 +270,7 @@ def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
         raise FormulaError("conj needs a common algebra")
     ident = Mat.identity(phi.algebra.field, phi.n)
     real = None
-    if phi._realisation is not None and psi._realisation is not None:
+    if phi.realisation is not None and psi.realisation is not None:
         real = meet_realisation(phi, psi)
     return assemble(phi.algebra, phi.n, 0, [(phi, ident), (psi, ident)], realisation=real)
 
@@ -291,7 +287,7 @@ def sum_formula(phi: PpFormula, psi: PpFormula) -> PpFormula:
     zero = Mat.zeros(field, n, n)
     c_phi = Mat.vstack([zero, ident])        # phi sees x1 (the aux block)
     c_psi = Mat.vstack([ident, -ident])      # psi sees x - x1
-    fr_phi, fr_psi = phi._realisation, psi._realisation
+    fr_phi, fr_psi = phi.realisation, psi.realisation
     real = None
     if fr_phi is not None and fr_psi is not None:
         total, i1, i2, _, _ = direct_sum(fr_phi.module, fr_psi.module)
@@ -309,8 +305,8 @@ def free_realisation(phi: PpFormula, via: str = "auto") -> FreeRealisation:
     many times without a realisation should be rebuilt once with
     phi.with_realisation.
     """
-    if via == "auto" and phi._realisation is not None:
-        return phi._realisation
+    if via == "auto" and phi.realisation is not None:
+        return phi.realisation
     q, gens, _ = fp_module(phi.algebra, phi.dense())
     fr = FreeRealisation(q, gens[: phi.n], phi)
     sol = eval_formula(phi, q)

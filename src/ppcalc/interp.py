@@ -265,19 +265,19 @@ def _solve_action(data: InterpData, module: FDModule, rho_space: Subspace,
 def apply_interp(data: InterpData, module: FDModule, check: bool = True) -> InterpImage:
     """Evaluate the functor on a module: phi(M)/psi(M) with the rho-actions.
 
-    With check=True (the default) the well-definedness conditions and
-    axiom-pair closures are verified first and a failure raises.
+    With check=True (the default) every axiom pair is evaluated once
+    first, and a failure raises: an open well-definedness pair names its
+    generators, any other open pair its own name.
     """
     if module.algebra != data.R:
         raise InterpError("module must live over the source algebra")
     if check:
-        wd = check_welldefined(data, module)
-        if not wd["ok"]:
-            bad = [g["generator"] for g in wd["generators"] if not (g["cond1"] and g["cond2"])]
-            raise InterpError(f"data not well-defined on module: generators {bad}")
         cl = closure_report(axiom_pairs(data), module)
-        if not cl["ok"]:
-            bad = [e["pair"] for e in cl["pairs"] if not e["closed"]]
+        bad = [e["pair"] for e in cl["pairs"] if not e["closed"]]
+        ill = [g for g in data.S.labels if f"welldef1[{g}]" in bad or f"welldef2[{g}]" in bad]
+        if ill:
+            raise InterpError(f"data not well-defined on module: generators {ill}")
+        if bad:
             raise InterpError(f"axiom pairs open on module: {bad}")
     phi_space = eval_formula(data.phi, module)
     psi_space = eval_formula(data.psi, module)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import partial
 
 from .algebra import Algebra, QuiverSpec, algebra_from_quiver, validate_algebra
-from .controlled import EmbeddingData
 from .formulas import PpFormula, PpPair
 from .interp import InterpData
 from .linalg import GF, QQ, FieldSpec, Mat
@@ -37,7 +36,6 @@ __all__ = [
     "load_pair",
     "interp_to_json",
     "load_interp",
-    "load_embedding",
     "read_json",
     "dumps",
 ]
@@ -298,7 +296,7 @@ def load_pair(ref, base_dir: str = ".", algebra: Algebra = None) -> PpPair:
     return PpPair(top, bottom)
 
 
-# -- interpretation and embedding data --------------------------------------
+# -- interpretation data ----------------------------------------------------
 
 
 def interp_to_json(data: InterpData, r_ref=None, s_ref=None):
@@ -329,15 +327,3 @@ def load_interp(ref, base_dir: str = ".") -> InterpData:
             raise
         raise ParseError(f"bad interpretation data: {exc}")
     return InterpData(r, s, m, PpPair(phi, psi), rhos)
-
-
-def load_embedding(ref, base_dir: str = ".") -> EmbeddingData:
-    obj, base_dir = _resolve(ref, base_dir)
-    try:
-        bim = load_bimodule(obj["bimodule"], base_dir)
-        control = None
-        if obj.get("control") is not None:
-            control = load_module(obj["control"], base_dir, algebra=bim.R)
-    except KeyError as exc:
-        raise ParseError(f"bad embedding data: missing {exc}")
-    return EmbeddingData(bim, control)

@@ -107,9 +107,9 @@ def meet_via_pushout(phi: PpFormula, psi: PpFormula, seed: int = 0) -> FreeReali
     if phi.algebra != psi.algebra:
         raise FormulaError("meet needs a common algebra")
     meet = conj(phi, psi)
-    if meet._realisation is None:  # conj attaches the pushout only for realised inputs
+    if meet.realisation is None:  # conj attaches the pushout only for realised inputs
         meet = meet.with_realisation(*meet_realisation(phi, psi))
-    return minimize_realisation(meet._realisation, seed)
+    return minimize_realisation(meet.realisation, seed)
 
 
 def standard_sample(algebra, modules, close: bool = True):

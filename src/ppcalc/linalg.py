@@ -609,11 +609,6 @@ class Subspace:
             raise DimensionMismatch("ambient mismatch")
         return self.contains_vector(other.basis)
 
-    def coordinates_of(self, v: Mat):
-        """Express v over the basis rows; returns 1 x dim Mat or None."""
-        cand = v.take_columns(self.pivots)
-        return cand if cand @ self.basis == v else None
-
     def sum_with(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient or other.field != self.field:
             raise DimensionMismatch("subspace sum mismatch")

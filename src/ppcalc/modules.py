@@ -290,51 +290,52 @@ def maps_subspace(maps, source: FDModule, target: FDModule) -> Subspace:
 
 
 def direct_sum(m: FDModule, n: FDModule):
-    """Block sum with inclusion and projection maps."""
-    if m.algebra != n.algebra:
-        raise ModuleError("direct sum over different algebras")
-    field = m.field
-    d = m.dim + n.dim
-    action = []
-    for l in range(m.algebra.dim):
-        top = Mat.hstack([m.action[l], Mat.zeros(field, m.dim, n.dim)]) if m.dim else None
-        bot = Mat.hstack([Mat.zeros(field, n.dim, m.dim), n.action[l]]) if n.dim else None
-        parts = [x for x in (top, bot) if x is not None]
-        action.append(Mat.vstack(parts) if parts else Mat.zeros(field, 0, 0))
-    p = FDModule(m.algebra, d, action)
-    i1 = ModuleMap(m, p, Mat.hstack([Mat.identity(field, m.dim), Mat.zeros(field, m.dim, n.dim)]) if m.dim else Mat.zeros(field, 0, d), check=False)
-    i2 = ModuleMap(n, p, Mat.hstack([Mat.zeros(field, n.dim, m.dim), Mat.identity(field, n.dim)]) if n.dim else Mat.zeros(field, 0, d), check=False)
-    p1 = ModuleMap(p, m, i1.matrix.transpose(), check=False)
-    p2 = ModuleMap(p, n, i2.matrix.transpose(), check=False)
-    return p, i1, i2, p1, p2
+    """Block sum with inclusion and projection maps: (sum, i1, i2, p1, p2)."""
+    total, (i1, i2), (p1, p2) = direct_sum_many([m, n])
+    return total, i1, i2, p1, p2
 
 
 def direct_sum_many(mods, algebra=None):
-    """Iterated direct sum; returns (module, inclusions, projections)."""
-    if not mods:
-        if algebra is None:
+    """Block-diagonal direct sum; returns (module, inclusions, projections).
+
+    One (dim A, d, d) array holds every action, with summand k on the
+    coordinates lo_k..hi_k; its inclusion is those rows of the identity
+    and its projection those columns.
+    """
+    if algebra is None:
+        if not mods:
             raise ModuleError("empty direct sum needs the algebra")
-        return zero_module(algebra), [], []
-    total = mods[0]
-    incls = [identity_map(mods[0])]
-    projs = [identity_map(mods[0])]
-    for m in mods[1:]:
-        total2, i1, i2, p1, p2 = direct_sum(total, m)
-        incls = [i.then(i1) for i in incls] + [i2]
-        projs = [p1.then(p) for p in projs] + [p2]
-        total = total2
+        algebra = mods[0].algebra
+    if any(m.algebra is not algebra and m.algebra != algebra for m in mods):
+        raise ModuleError("direct sum over different algebras")
+    field = algebra.field
+    bounds = list(itertools.accumulate([m.dim for m in mods], initial=0))
+    spans = [range(lo, hi) for lo, hi in itertools.pairwise(bounds)]
+    d = bounds[-1]
+    blocks = np.full((algebra.dim, d, d), field.zero(), dtype=field.dtype)
+    for m, r in zip(mods, spans):
+        for block, act in zip(blocks, m.action):
+            block[r.start : r.stop, r.start : r.stop] = act.array()
+    total = FDModule(algebra, d, [Mat.of_array(field, block) for block in blocks])
+    ident = Mat.identity(field, d)
+    incls = [ModuleMap(m, total, ident.take_rows(r), check=False) for m, r in zip(mods, spans)]
+    projs = [ModuleMap(total, m, ident.take_columns(r), check=False) for m, r in zip(mods, spans)]
     return total, incls, projs
 
 
 def submodule_generated(m: FDModule, vectors) -> Subspace:
-    """Closure of the span of the given vectors under all actions."""
-    span = Subspace.from_vectors(m.field, m.dim, [v.to_rows()[0] if isinstance(v, Mat) else list(v) for v in vectors])
-    while True:
-        images = Mat.vstack([span.basis] + [span.basis @ act for act in m.action])
-        bigger = Subspace.from_vectors(m.field, m.dim, images)
-        if bigger.dim == span.dim:
-            return span
-        span = bigger
+    """The submodule vA generated by the vectors v: the row space of [V a_0; ...].
+
+    V stacks the vectors and a_0, ..., a_{dim A - 1} is the algebra's
+    basis.  The span of the v a_l contains v = v 1 and is closed, as
+    (v a) b = v (ab), so one elimination gives it.  m must be a module
+    (see validate_module).
+    """
+    rows = [m.element(v) for v in vectors]
+    if not rows:
+        return Subspace.zero(m.field, m.dim)
+    spun = Mat.vstack(rows) @ Mat.hstack(m.action)
+    return Subspace.from_vectors(m.field, m.dim, spun.reshape(len(rows) * m.algebra.dim, m.dim))
 
 
 def _invariance_witness(m: FDModule, u: Subspace):
@@ -397,12 +398,8 @@ def fp_module(a: Algebra, h):
     d = len(h)
     e = len(h[0]) if d else 0
     free, gens = free_module(a, d)
-    rel_rows = []
-    for j in range(e):
-        vec = Mat.hstack([h[i][j].coeffs for i in range(d)])
-        rel_rows.append(vec.to_rows()[0])
-    u = submodule_generated(free, rel_rows) if rel_rows else Subspace.zero(a.field, free.dim)
-    q, proj = quotient_module(free, u)
+    rels = [Mat.hstack([h[i][j].coeffs for i in range(d)]) for j in range(e)]
+    q, proj = quotient_module(free, submodule_generated(free, rels))
     return q, [proj(g) for g in gens], proj
 
 
@@ -911,7 +908,7 @@ def iso_test(m: FDModule, n: FDModule, seed: int = 0, indec: IndecResult = None)
     return ModuleMap(m, n, witness, check=False)
 
 
-def rad_end(x: FDModule, seed: int = 0):
+def rad_end(x: FDModule):
     """Basis of rad End(x) via the trace form, with a nilpotency check.
 
     Requires characteristic 0 or p > dim End(x); the computed kernel is
@@ -977,7 +974,7 @@ def rad_hom(m: FDModule, n: FDModule, seed: int = 0, decomp_m=None, decomp_n=Non
                 summand, witness = is_direct_summand(x, y)
             if summand:
                 theta = witness[0]
-                block = [r.matrix @ theta.matrix for r in rad_end(x, seed)]
+                block = [r.matrix @ theta.matrix for r in rad_end(x)]
             else:
                 block = [f.matrix for f in hom_space(x, y)]
             for bmat in block:
