@@ -42,7 +42,6 @@ from .interp import (
     apply_map,
     axiom_pairs,
     bounds,
-    check_welldefined,
     hom_interp_data,
     isolating_pair,
     pullback_pair,

@@ -243,9 +243,14 @@ def _criterion_7(cfg: RunConfig, ctx: PassContext):
         1, data.m, data.S.dim, data.phi.c, data.psi.c, [r.c for r in data.rhos], kron.dim
     )
     kron_inv = enumerate_indecomposables(kron, 4, cfg.budget, cfg.seed)
+    pairs = axiom_pairs(data)
     mismatches = []
     for idx, m in enumerate(kron_inv.members):
-        img = apply_interp(data, m)
+        # an open axiom pair puts m outside the functor's domain
+        if not closure_report(pairs, m)["ok"]:
+            mismatches.append(idx)
+            continue
+        img = apply_interp(data, m, check=False)
         expected = is_direct_summand(simple, img.module)[0]
         if pair_open(sigma_tau, m) != expected:
             mismatches.append(idx)

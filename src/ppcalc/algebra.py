@@ -112,13 +112,7 @@ class Algebra:
 
     def right_mult_matrix(self, y: Mat) -> Mat:
         """Matrix of v -> v*y in the basis (y a coefficient row)."""
-        out = None
-        for j in range(self.dim):
-            c = y.entry(0, j)
-            if c != 0:
-                term = self._rmul[j].scale(c)
-                out = term if out is None else out + term
-        return out if out is not None else Mat.zeros(self.field, self.dim, self.dim)
+        return (y @ Mat.flat_stack(self._rmul)).reshape(self.dim, self.dim)
 
     def left_mult_matrix(self, x: Mat) -> Mat:
         """Matrix of v -> x*v in the basis (row convention: v @ L)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, _zeros
 from .modules import (
     FDModule,
     _hom_system,
@@ -168,17 +168,15 @@ def zero_formula(algebra: Algebra, n: int) -> PpFormula:
 
 def _formula_matrix(phi: PpFormula, m: FDModule) -> Mat:
     """The k-linear system encoding (x y) A = 0 inside m."""
-    d = m.dim
-    rows, cols = (phi.n + phi.c) * d, phi.e * d
-    field = m.field
-    cache = {}
-    big = Mat.zeros(field, rows, cols).array().copy()
-    for (i, j), elt in phi.coeffs.items():
-        k = elt.key()
-        if k not in cache:
-            cache[k] = m.act(elt).array()
-        big[i * d : (i + 1) * d, j * d : (j + 1) * d] = cache[k]
-    return Mat.of_array(field, big)
+    d, field = m.dim, m.field
+    big = _zeros(field, (phi.n + phi.c) * d, phi.e * d)
+    if phi.coeffs:
+        coeffs = Mat.vstack([elt.coeffs for elt in phi.coeffs.values()])
+        blocks = (coeffs @ Mat.flat_stack(m.action)).array().reshape(len(phi.coeffs), d, d)
+        i, j = zip(*phi.coeffs)
+        # block (i, j) of big is entry [i, :, j, :] of this view
+        big.reshape(phi.n + phi.c, d, phi.e, d)[i, :, j, :] = blocks
+    return Mat._of(field, big)
 
 
 def eval_formula(phi: PpFormula, m: FDModule) -> Subspace:

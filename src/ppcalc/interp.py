@@ -41,7 +41,6 @@ __all__ = [
     "IsolatingPair",
     "BoundReport",
     "InterpError",
-    "check_welldefined",
     "axiom_pairs",
     "closure_report",
     "apply_interp",
@@ -127,33 +126,6 @@ def welldef_condition_pairs(data: InterpData, k: int):
     return pair1, pair2
 
 
-def check_welldefined(data: InterpData, module: FDModule):
-    """Evaluate both well-definedness implications on a module.
-
-    Returns a report with pass/fail and a witness vector per failing
-    condition.
-    """
-    entries = []
-    ok = True
-    for k, label in enumerate(data.S.labels):
-        pair1, pair2 = welldef_condition_pairs(data, k)
-        row = {"generator": label}
-        for name, pair in (("cond1", pair1), ("cond2", pair2)):
-            top = eval_formula(pair.top, module)
-            bot = eval_formula(pair.bottom, module)
-            closed = top.dim == bot.dim
-            row[name] = closed
-            if not closed:
-                ok = False
-                for i in range(top.dim):
-                    v = top.basis.row(i)
-                    if not bot.contains_vector(v):
-                        row[name + "_witness"] = v.to_rows()[0]
-                        break
-        entries.append(row)
-    return {"check": "well-definedness", "ok": ok, "generators": entries}
-
-
 def axiom_pairs(data: InterpData):
     """The p^2 + 2p pp-pairs axiomatising the functor's domain.
 
@@ -221,45 +193,41 @@ class InterpImage:
         self.phi_space = phi_space
         self.psi_space = psi_space
         self.reps = reps  # coset representatives, rows in source^m flattened
-        self._stack = (
-            Mat.vstack([psi_space.basis] + [r for r in reps])
-            if (psi_space.dim or reps)
-            else Mat.zeros(source.field, 0, phi_space.ambient)
-        )
+        self._stack = Mat.vstack([psi_space.basis] + list(reps))
+
+    def rep_rows(self) -> Mat:
+        """The coset representatives as the rows of one matrix."""
+        return self._stack.take_rows(range(self.psi_space.dim, self._stack.rows))
 
     def to_class(self, v: Mat) -> Mat:
-        """Quotient coordinates of a vector of phi(M)."""
-        if not self.reps:
-            return Mat.zeros(self.source.field, 1, 0)
-        x = self._stack.solve_left(v)
-        if x is None:
-            raise InterpError("vector is not in the sort's solution set")
-        return x.take_columns(range(self.psi_space.dim, self._stack.rows))
+        """Quotient coordinates of the rows of v, vectors of phi(M)."""
+        return _to_class(self._stack, self.psi_space.dim, v)
 
 
-def _solve_action(data: InterpData, module: FDModule, rho_space: Subspace,
-                  phi_space: Subspace, rep: Mat) -> Mat:
-    """One b with (rep, b) in rho(M) and b in phi(M)."""
+def _to_class(stack: Mat, psi_dim: int, v: Mat) -> Mat:
+    """Coordinates of the rows of v over the rows of stack past psi_dim."""
+    x = stack.solve_left(v)
+    if x is None:
+        raise InterpError("vector is not in the sort's solution set")
+    return x.take_columns(range(psi_dim, stack.rows))
+
+
+def _action_values(rho_space: Subspace, phi_space: Subspace, reps: Mat) -> Mat:
+    """Rows b with (rep, b) in rho(M) and b in phi(M), one per row rep of reps."""
     amb = phi_space.ambient
-    field = module.field
-    b1 = rho_space.basis.take_columns(range(amb))
-    b2 = rho_space.basis.take_columns(range(amb, 2 * amb))
-    top = Mat.hstack([b1, b2]) if rho_space.dim else Mat.zeros(field, 0, 2 * amb)
-    bot = (
-        Mat.hstack([Mat.zeros(field, phi_space.dim, amb), phi_space.basis])
-        if phi_space.dim
-        else Mat.zeros(field, 0, 2 * amb)
+    field = phi_space.field
+    # x [rho; 0 -phi] = [reps 0]: the rho part of x gives (rep, b), b in phi(M)
+    system = Mat.vstack(
+        [rho_space.basis, Mat.hstack([Mat.zeros(field, phi_space.dim, amb), -phi_space.basis])]
     )
-    system = Mat.vstack([top, -bot])
-    rhs = Mat.hstack([rep, Mat.zeros(field, 1, amb)])
-    x = system.solve_left(rhs)
+    x = system.solve_left(Mat.hstack([reps, Mat.zeros(field, reps.rows, amb)]))
     if x is None:
         raise InterpError(
             "inconsistent data: no action value inside the sort "
             "(well-definedness condition (1) fails)"
         )
-    c = x.take_columns(range(rho_space.dim))
-    return c @ b2 if rho_space.dim else Mat.zeros(field, 1, amb)
+    b2 = rho_space.basis.take_columns(range(amb, 2 * amb))
+    return x.take_columns(range(rho_space.dim)) @ b2
 
 
 def apply_interp(data: InterpData, module: FDModule, check: bool = True) -> InterpImage:
@@ -267,7 +235,9 @@ def apply_interp(data: InterpData, module: FDModule, check: bool = True) -> Inte
 
     With check=True (the default) every axiom pair is evaluated once
     first, and a failure raises: an open well-definedness pair names its
-    generators, any other open pair its own name.
+    generators, any other open pair its own name.  Each rho-action takes
+    one solve for the values of all coset representatives and one for
+    their classes.
     """
     if module.algebra != data.R:
         raise InterpError("module must live over the source algebra")
@@ -284,26 +254,17 @@ def apply_interp(data: InterpData, module: FDModule, check: bool = True) -> Inte
     if not phi_space.contains(psi_space):
         raise InterpError("psi solutions not inside phi solutions")
     reps = quotient_basis(psi_space, phi_space)
-    q = len(reps)
-    image = InterpImage(data, module, None, phi_space, psi_space, reps)
-    mats = []
-    for k in range(data.S.dim):
-        rho_space = eval_formula(data.rhos[k], module)
-        coord_rows = []
-        for rep in reps:
-            b = _solve_action(data, module, rho_space, phi_space, rep)
-            coord_rows.append(image.to_class(b).to_rows()[0])
-        mats.append(
-            Mat.from_rows(module.field, coord_rows)
-            if q
-            else Mat.zeros(module.field, 0, 0)
-        )
-    result = FDModule(data.S, q, mats)
+    stack = Mat.vstack([psi_space.basis] + reps)
+    rep_rows = stack.take_rows(range(psi_space.dim, stack.rows))
+    mats = [
+        _to_class(stack, psi_space.dim, _action_values(eval_formula(rho, module), phi_space, rep_rows))
+        for rho in data.rhos
+    ]
+    result = FDModule(data.S, len(reps), mats)
     rep_result = validate_module(result)
     if not rep_result.ok:
         raise InterpError(f"constructed value is not an S-module: {rep_result.problems[0]}")
-    image.module = result
-    return image
+    return InterpImage(data, module, result, phi_space, psi_space, reps)
 
 
 def apply_map(data: InterpData, f: ModuleMap, img_src: InterpImage = None,
@@ -314,13 +275,7 @@ def apply_map(data: InterpData, f: ModuleMap, img_src: InterpImage = None,
     if img_tgt is None:
         img_tgt = apply_interp(data, f.target, check=check)
     big = Mat.identity(f.source.field, data.m).kron(f.matrix)
-    rows = [img_tgt.to_class(rep @ big).to_rows()[0] for rep in img_src.reps]
-    mat = (
-        Mat.from_rows(f.source.field, rows)
-        if rows and img_tgt.module.dim
-        else Mat.zeros(f.source.field, img_src.module.dim, img_tgt.module.dim)
-    )
-    return ModuleMap(img_src.module, img_tgt.module, mat)
+    return ModuleMap(img_src.module, img_tgt.module, img_tgt.to_class(img_src.rep_rows() @ big))
 
 
 def hom_interp_data(b: Bimodule) -> InterpData:
@@ -336,24 +291,22 @@ def hom_interp_data(b: Bimodule) -> InterpData:
     n = len(b.generators)
     phi = pp_type_generator(r_mod, b.generators)
     psi = zero_formula(b.R, n)
-    # express s_k * t_i as sum_j t_j r_ji with r_ji in R
-    rows = []
-    for j in range(n):
-        for l in range(b.R.dim):
-            rows.append((b.generators[j] @ b.right_action[l]).to_rows()[0])
-    gen_mat = Mat.from_rows(b.field, rows)
+    # express s_k * t_i as sum_j t_j r_ji with r_ji in R: row j * dim R + l
+    # of gen_mat is t_j times basis_l(R)
+    gens = Mat.vstack([Mat.zeros(b.field, 0, b.dim)] + b.generators)
+    gen_mat = Mat.hstack([gens @ r for r in b.right_action]).reshape(n * b.R.dim, b.dim)
     rhos = []
     one = b.R.one_element()
-    for k in range(b.S.dim):
-        lmat = b.left_action[k]
+    for lmat in b.left_action:
+        sol = gen_mat.solve_left(gens @ lmat)
+        if sol is None:
+            raise InterpError("left action escapes the generated module")
+        # row i * n + j holds r_ji
+        r = sol.reshape(n * n, b.R.dim)
         coeffs = {}
         for i in range(n):
-            target = b.generators[i] @ lmat
-            sol = gen_mat.solve_left(target)
-            if sol is None:
-                raise InterpError("left action escapes the generated module")
             for j in range(n):
-                r_ji = sol.take_columns(range(j * b.R.dim, (j + 1) * b.R.dim))
+                r_ji = r.row(i * n + j)
                 if not r_ji.is_zero():
                     coeffs[(j, i)] = b.R.element(r_ji)
             coeffs[(n + i, i)] = -one

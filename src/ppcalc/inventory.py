@@ -162,8 +162,8 @@ def _generating_data(algebra: Algebra):
     """Greedy generating subset of the basis, with evaluation recipes.
 
     Returns (generator basis indices, recipes, coords) where recipes[i]
-    rebuilds the i-th spanning element from generator images and coords
-    expresses every basis element over the spanning elements.
+    rebuilds the i-th spanning element from generator images and row b of
+    the matrix coords expresses basis element b over the spanning elements.
     """
     field = algebra.field
     dim = algebra.dim
@@ -197,11 +197,7 @@ def _generating_data(algebra: Algebra):
             recipes.append(("gen", len(gens) - 1))
             span = span.sum_with(Subspace.from_vectors(field, dim, bv))
             saturate()
-    stack = Mat.vstack(vecs)
-    coords = []
-    for b in range(dim):
-        sol = stack.solve_left(algebra.basis_element(b).coeffs)
-        coords.append(sol)
+    coords = Mat.vstack(vecs).solve_left(Mat.identity(field, dim))
     return gens, recipes, coords
 
 
@@ -226,15 +222,8 @@ def _naive_candidates(algebra: Algebra, d: int, gen_data):
                 mats.append(gmats[recipe[1]])
             else:
                 mats.append(mats[recipe[1]] @ mats[recipe[2]])
-        action = []
-        for b in range(algebra.dim):
-            acc = Mat.zeros(field, d, d)
-            for v in range(len(mats)):
-                c = coords[b].entry(0, v)
-                if c != 0:
-                    acc = acc + mats[v].scale(c)
-            action.append(acc)
-        cand = FDModule(algebra, d, action)
+        flat = coords @ Mat.flat_stack(mats)
+        cand = FDModule(algebra, d, [flat.row(b).reshape(d, d) for b in range(algebra.dim)])
         if validate_module(cand).ok:
             yield cand
 

@@ -108,6 +108,14 @@ def _scalar_in(field, v):
         raise ParseError(f"bad scalar {v!r}: {exc}")
 
 
+def _count(obj, key: str) -> int:
+    """obj[key], which must be a non-negative int (not a bool)."""
+    v = obj[key]
+    if type(v) is not int or v < 0:
+        raise ParseError(f"{key} must be a non-negative integer, got {v!r}")
+    return v
+
+
 def _vec_out(field, m: Mat):
     return [_scalar_out(field, x) for x in m.to_rows()[0]]
 
@@ -201,13 +209,12 @@ def load_module(ref, base_dir: str = ".", algebra: Algebra = None) -> FDModule:
     obj, base_dir = _resolve(ref, base_dir)
     try:
         a = algebra if algebra is not None else load_algebra(obj["algebra"], base_dir)
-        dim = obj["dim"]
         action = [_mat_in(a.field, obj["action"][lab]) for lab in a.labels]
+        m = FDModule(a, _count(obj, "dim"), action)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad module: {exc}")
-    m = FDModule(a, dim, action)
     report = validate_module(m)
     if not report.ok:
         raise ParseError(f"module fails validation: {report.problems[0]}")
@@ -234,15 +241,14 @@ def load_bimodule(ref, base_dir: str = ".") -> Bimodule:
     try:
         s = load_algebra(obj["left_algebra"], base_dir)
         r = load_algebra(obj["algebra"], base_dir)
-        dim = obj["dim"]
         left = [_mat_in(s.field, obj["left_action"][lab]) for lab in s.labels]
         right = [_mat_in(r.field, obj["action"][lab]) for lab in r.labels]
         gens = [_mat_in(r.field, [g]) for g in obj["generators"]]
+        return Bimodule(s, r, _count(obj, "dim"), left, right, gens)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad bimodule: {exc}")
-    return Bimodule(s, r, dim, left, right, gens)
 
 
 # -- formulas ---------------------------------------------------------------
@@ -291,9 +297,11 @@ def load_pair(ref, base_dir: str = ".", algebra: Algebra = None) -> PpPair:
     try:
         top = load_formula(obj["top"], base_dir, algebra)
         bottom = load_formula(obj["bottom"], base_dir, algebra or top.algebra)
-    except KeyError as exc:
-        raise ParseError(f"bad pair: missing {exc}")
-    return PpPair(top, bottom)
+        return PpPair(top, bottom)
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ParseError):
+            raise
+        raise ParseError(f"bad pair: {exc}")
 
 
 # -- interpretation data ----------------------------------------------------
@@ -318,12 +326,11 @@ def load_interp(ref, base_dir: str = ".") -> InterpData:
     try:
         r = load_algebra(obj["R"], base_dir)
         s = load_algebra(obj["S"], base_dir)
-        m = obj["m"]
         phi = load_formula(obj["phi"], base_dir, r)
         psi = load_formula(obj["psi"], base_dir, r)
         rhos = [load_formula(obj["rho"][lab], base_dir, r) for lab in s.labels]
+        return InterpData(r, s, _count(obj, "m"), PpPair(phi, psi), rhos)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad interpretation data: {exc}")
-    return InterpData(r, s, m, PpPair(phi, psi), rhos)

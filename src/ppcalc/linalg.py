@@ -447,6 +447,17 @@ class Mat:
         return Mat._of(field, np.vstack([m._a for m in mats]))
 
     @staticmethod
+    def flat_stack(mats) -> "Mat":
+        """Same-shape matrices as the rows of one matrix, each flattened row-major.
+
+        A coefficient row c times the result is sum_l c_l mats[l], flattened.
+        """
+        mats = list(mats)
+        if any(m.shape != mats[0].shape for m in mats):
+            raise DimensionMismatch("flat_stack shape mismatch")
+        return Mat.vstack(mats).reshape(len(mats), mats[0].rows * mats[0].cols)
+
+    @staticmethod
     def hstack(mats) -> "Mat":
         mats = list(mats)
         if not mats:
@@ -636,17 +647,13 @@ class Subspace:
 def quotient_basis(inner: Subspace, outer: Subspace):
     """Rows of outer's basis completing a basis of inner to one of outer.
 
+    The greedy choice: a row is kept when it is independent of inner and
+    the rows before it, read off one elimination of [inner; outer]^T.
     Requires inner <= outer; raises DimensionMismatch otherwise.
     """
     if inner.ambient != outer.ambient:
         raise DimensionMismatch("ambient mismatch")
-    if not outer.contains(inner):
+    _, piv = Mat.vstack([inner.basis, outer.basis]).transpose().rref()
+    if len(piv) != outer.dim:
         raise DimensionMismatch("quotient_basis requires inner <= outer")
-    current = inner
-    reps = []
-    for i in range(outer.dim):
-        v = outer.basis.row(i)
-        if not current.contains_vector(v):
-            reps.append(v)
-            current = current.sum_with(Subspace.from_vectors(current.field, current.ambient, v))
-    return reps
+    return [outer.basis.row(i - inner.dim) for i in piv[inner.dim :]]

@@ -77,13 +77,7 @@ class FDModule:
     def act(self, elt) -> Mat:
         """Action matrix of an algebra element (AlgebraElement or coeff row)."""
         coeffs = elt.coeffs if isinstance(elt, AlgebraElement) else elt
-        out = None
-        for l in range(self.algebra.dim):
-            c = coeffs.entry(0, l)
-            if c != 0:
-                term = self.action[l].scale(c)
-                out = term if out is None else out + term
-        return out if out is not None else Mat.zeros(self.field, self.dim, self.dim)
+        return (coeffs @ Mat.flat_stack(self.action)).reshape(self.dim, self.dim)
 
     def element(self, coords) -> Mat:
         if isinstance(coords, Mat):
@@ -275,8 +269,8 @@ def _hom_system(m: FDModule, n: FDModule, at: Mat | None = None):
 
 def _flat_span(field, amb: int, mats) -> Subspace:
     """Span of matrices with amb entries each, flattened row-major into k^amb."""
-    rows = [mat.reshape(1, amb) for mat in mats]
-    return Subspace.from_vectors(field, amb, Mat.vstack(rows) if rows else [])
+    mats = list(mats)
+    return Subspace.from_vectors(field, amb, Mat.flat_stack(mats) if mats else [])
 
 
 def maps_subspace(maps, source: FDModule, target: FDModule) -> Subspace:
@@ -437,12 +431,7 @@ class Bimodule:
     def left_mult(self, s) -> Mat:
         """Matrix of left multiplication by an S-element."""
         coeffs = s.coeffs if isinstance(s, AlgebraElement) else s
-        out = Mat.zeros(self.field, self.dim, self.dim)
-        for i in range(self.S.dim):
-            c = coeffs.entry(0, i)
-            if c != 0:
-                out = out + self.left_action[i].scale(c)
-        return out
+        return (coeffs @ Mat.flat_stack(self.left_action)).reshape(self.dim, self.dim)
 
     def _validate(self):
         if self.S.field != self.R.field:
@@ -609,12 +598,9 @@ def _fitting_split(m: FDModule, f_mat: Mat):
     img = Subspace.from_vectors(m.field, m.dim, power)
     if ker.dim + img.dim != m.dim or ker.intersect(img).dim != 0:
         return None
-    t = Mat.vstack([ker.basis, img.basis])
-    tinv = t.inverse()
-    block = Mat.zeros(m.field, m.dim, m.dim).to_rows()
-    for i in range(ker.dim, m.dim):
-        block[i][i] = 1
-    e = tinv @ Mat.from_rows(m.field, block) @ t
+    # in the basis [ker; img] the projection keeps the img coordinates
+    tinv = Mat.vstack([ker.basis, img.basis]).inverse()
+    e = tinv.take_columns(range(ker.dim, m.dim)) @ img.basis
     return ModuleMap(m, m, e)  # projection onto the image along the kernel
 
 
@@ -787,7 +773,7 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
         split = _fitting_split(m, f.matrix)
         if split is not None:
             return IndecResult("decomposed", witness=split, tried=tried)
-    flat = Mat.vstack([f.matrix.reshape(1, n * n) for f in end])
+    flat = Mat.flat_stack(f.matrix for f in end)
     if field.is_prime_field and field.p**e <= budget:
         idem, count = _enumerate_idempotent(m, flat)
         if idem is not None:
@@ -924,24 +910,19 @@ def rad_end(x: FDModule):
             f"trace-form radical needs char 0 or p > dim End = {e}, "
             f"got p = {field.p}"
         )
-    gram = Mat.from_rows(
-        field,
-        [[(end[i].matrix @ end[j].matrix).trace() for j in range(e)] for i in range(e)],
-    )
-    coeffs = gram.kernel()
-    rad = []
-    for r in range(coeffs.rows):
-        mat = Mat.zeros(field, x.dim, x.dim)
-        for i in range(e):
-            c = coeffs.entry(r, i)
-            if c != 0:
-                mat = mat + end[i].matrix.scale(c)
-        rad.append(ModuleMap(x, x, mat, check=False))
+    # tr(f_i f_j) = vec(f_i) . vec(f_j^T)
+    flat = Mat.flat_stack(f.matrix for f in end)
+    gram = flat @ Mat.flat_stack(f.matrix.transpose() for f in end).transpose()
+    rad_flat = gram.kernel() @ flat
+    rad = [
+        ModuleMap(x, x, rad_flat.row(r).reshape(x.dim, x.dim), check=False)
+        for r in range(rad_flat.rows)
+    ]
     # verify nilpotency: the trace-form kernel is a two-sided ideal, and a
     # nilpotent ideal is contained in the radical, forcing equality
     amb = x.dim * x.dim
     base = [f.matrix for f in rad]
-    power = _flat_span(field, amb, base)
+    power = Subspace.from_vectors(field, amb, rad_flat)
     for _ in range(e + 1):
         if power.dim == 0:
             return rad

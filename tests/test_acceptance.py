@@ -5,9 +5,15 @@ and prints its pass/fail line.  Determinism and the 10-minute budget are
 part of criterion 10 (which reruns the other nine internally).
 """
 
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
-from ppcalc.acceptance import CRITERIA_NAMES, RunConfig, render_text, run_acceptance
+from ppcalc.acceptance import CRITERIA_NAMES, RunConfig, render_json, render_text, run_acceptance
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +89,11 @@ def test_suite_passes_and_renders(report):
     assert report["passed"]
     text = render_text(report)
     assert text.count("PASS") == 11  # ten criteria plus the suite line
+
+
+def test_core_body_is_byte_identical(report):
+    # the benchmark hashes criteria 1-9 of a core pass, which carry no name
+    pinned = re.search(r'^CORE_BODY_SHA256 = "([0-9a-f]{64})"$', WORKLOADS.read_text(), re.M)
+    core = [{k: v for k, v in c.items() if k != "name"} for c in report["criteria"] if c["id"] <= 9]
+    body = render_json({"criteria": core})
+    assert hashlib.sha256(body.encode()).hexdigest() == pinned.group(1)

@@ -1,31 +1,51 @@
-"""Block-built sums, one-elimination spans and pushout-free meets.
+"""Block-built sums, one-elimination spans, pushout-free meets, and
+linear combinations and solves done once per family.
 
 direct_sum_many fills one block-diagonal array, submodule_generated
 spins its vectors once, and meet_realisation reads the meet off
-C_phi + C_psi without building A^n.  The references below are the
-constructions they replaced: the pairwise fold of zero-padded block sums,
-the span grown to a fixpoint, and the pushout of the two maps out of the
-free module.  The results must be equal, not only isomorphic.
+C_phi + C_psi without building A^n.  Linear combinations of basis
+matrices (act, left_mult, right_mult_matrix, _formula_matrix, rad_end)
+are one product with the flattened matrices, and quotient_basis,
+apply_interp, apply_map and hom_interp_data make one elimination per
+family of right-hand sides.  The references below are the constructions
+they replaced: the pairwise fold of zero-padded block sums, the span
+grown to a fixpoint, the pushout of the two maps out of the free module,
+sums of scaled matrices, and one solve per vector.  The results must be
+equal, not only isomorphic.
 """
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ppcalc import formulas, modules
-from ppcalc.formulas import FreeRealisation, conj, free_realisation, meet_realisation, pp_type_generator
-from ppcalc.linalg import Mat, Subspace
+from ppcalc.formulas import (
+    FreeRealisation,
+    PpFormula,
+    conj,
+    eval_formula,
+    free_realisation,
+    meet_realisation,
+    pp_type_generator,
+)
+from ppcalc.interp import apply_interp, apply_map, hom_interp_data
+from ppcalc.linalg import DimensionMismatch, Mat, Subspace, quotient_basis
 from ppcalc.modules import (
+    Bimodule,
     FDModule,
     ModuleError,
     ModuleMap,
+    UnsupportedCharacteristicError,
     direct_sum,
     direct_sum_many,
     free_module,
+    hom_space,
     identity_map,
     pushout,
+    rad_end,
     submodule_generated,
     zero_module,
 )
@@ -34,8 +54,10 @@ from test_modules import (
     ORACLE_FIELDS,
     kronecker_modules,
     lambda_modules,
+    module_maps,
     oracle_algebras,
     oracle_mats,
+    summed,
 )
 
 
@@ -184,3 +206,309 @@ def test_conj_builds_no_free_module_and_no_pushout(reg2, s1_2):
     boom.assert_not_called()
     assert meet.realisation.module.action == ref_q.action
     assert meet.realisation.tuple == ref_tup
+
+
+# -- linear combinations of basis matrices ------------------------------
+
+
+def same(a, b):
+    """Equal bit for bit: shape, dtype and every entry."""
+    return a.shape == b.shape and a.array().dtype == b.array().dtype and a.key() == b.key()
+
+
+def ref_combination(mats, coeffs, rows, cols):
+    """sum_l coeffs[l] mats[l], one scaled matrix at a time."""
+    out = Mat.zeros(coeffs.field, rows, cols)
+    for l, mat in enumerate(mats):
+        c = coeffs.entry(0, l)
+        if c != 0:
+            out = out + mat.scale(c)
+    return out
+
+
+def right_mults(a):
+    """The matrices of v -> v * basis_j, from the structure constants."""
+    return [Mat.vstack([a.mul[i][j] for i in range(a.dim)]) for j in range(a.dim)]
+
+
+@st.composite
+def bimodules(draw, field):
+    """The embedding or the regular Kronecker bimodule in a random basis,
+    with up to two redundant generators appended."""
+    b = draw(st.sampled_from(oracle_algebras(field)[2:]))
+    a = draw(oracle_mats(field, b.dim, b.dim)).array()
+    ident = Mat.identity(field, b.dim)
+    p = (Mat.of_array(field, np.tril(a, -1)) + ident) @ (Mat.of_array(field, np.triu(a, 1)) + ident)
+    pinv = p.inverse()
+    extra = draw(oracle_mats(field, draw(st.integers(0, 2)), b.dim))
+    return Bimodule(
+        b.S, b.R, b.dim,
+        [p @ x @ pinv for x in b.left_action],
+        [p @ x @ pinv for x in b.right_action],
+        [g @ pinv for g in b.generators] + [extra.row(i) for i in range(extra.rows)],
+    )
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_action_matrices_match_scaled_sums(case, data):
+    field = ORACLE_FIELDS[case]
+    for algebra, mods in module_kinds(field):
+        m = data.draw(mods)
+        y = data.draw(oracle_mats(field, 1, algebra.dim))
+        assert same(m.act(y), ref_combination(m.action, y, m.dim, m.dim))
+        assert same(m.act(algebra.element(y)), m.act(y))
+        expected = ref_combination(right_mults(algebra), y, algebra.dim, algebra.dim)
+        assert same(algebra.right_mult_matrix(y), expected)
+    b = data.draw(bimodules(field))
+    s = data.draw(oracle_mats(field, 1, b.S.dim))
+    assert same(b.left_mult(s), ref_combination(b.left_action, s, b.dim, b.dim))
+
+
+def ref_formula_matrix(phi, m):
+    """The system of phi in m, one d x d block per coefficient."""
+    d = m.dim
+    big = Mat.zeros(m.field, (phi.n + phi.c) * d, phi.e * d).array().copy()
+    for (i, j), elt in phi.coeffs.items():
+        block = ref_combination(m.action, elt.coeffs, d, d)
+        big[i * d : (i + 1) * d, j * d : (j + 1) * d] = block.array()
+    return Mat.of_array(m.field, big)
+
+
+@st.composite
+def formulas_over(draw, algebra):
+    """A formula with 0-2 free and bound variables and up to 3 equations."""
+    n, c, e = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    cells = st.tuples(st.integers(0, max(n + c - 1, 0)), st.integers(0, max(e - 1, 0)))
+    picked = draw(st.lists(cells, max_size=5)) if n + c and e else []
+    field = algebra.field
+    coeffs = {cell: algebra.element(draw(oracle_mats(field, 1, algebra.dim))) for cell in picked}
+    return PpFormula(algebra, n, c, e, coeffs)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_formula_matrix_matches_block_loop(case, data):
+    for algebra, mods in module_kinds(ORACLE_FIELDS[case]):
+        m, phi = data.draw(mods), data.draw(formulas_over(algebra))
+        assert same(formulas._formula_matrix(phi, m), ref_formula_matrix(phi, m))
+
+
+def test_formula_matrix_edge_cases(lam2, reg2):
+    one, x = lam2.one_element(), lam2.basis_element("x")
+    cases = [
+        PpFormula(lam2, 0, 1, 1, {(0, 0): x}),  # arity 0
+        PpFormula(lam2, 2, 0, 2, {(0, 0): one, (1, 0): x, (1, 1): one}),  # c = 0
+        PpFormula(lam2, 1, 1, 0, {}),  # no equations
+    ]
+    for phi in cases:
+        for m in (reg2, zero_module(lam2)):
+            assert same(formulas._formula_matrix(phi, m), ref_formula_matrix(phi, m))
+
+
+def ref_rad_end(x):
+    """rad End(x): Gram entries tr(f_i f_j) one product at a time, and the
+    kernel's combinations as sums of scaled maps."""
+    end = hom_space(x, x)
+    e = len(end)
+    if e <= 1:
+        return []
+    field = x.field
+    if field.is_prime_field and field.p <= e:
+        raise UnsupportedCharacteristicError("p <= dim End")
+    gram = Mat.from_rows(
+        field, [[(end[i].matrix @ end[j].matrix).trace() for j in range(e)] for i in range(e)]
+    )
+    coeffs = gram.kernel()
+    return [
+        ref_combination([f.matrix for f in end], coeffs.row(r), x.dim, x.dim)
+        for r in range(coeffs.rows)
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_rad_end_matches_trace_loop(case, data):
+    field = ORACLE_FIELDS[case]
+    _, mods = data.draw(st.sampled_from(module_kinds(field)))
+    m = data.draw(summed(mods))
+    try:
+        expected = ref_rad_end(m)
+    except UnsupportedCharacteristicError:
+        with pytest.raises(UnsupportedCharacteristicError):
+            rad_end(m)
+        return
+    try:
+        got = rad_end(m)
+    except UnsupportedCharacteristicError as exc:  # the unchanged nilpotency check
+        assert "not nilpotent" in str(exc)
+        return
+    assert len(got) == len(expected)
+    assert all(same(f.matrix, g) for f, g in zip(got, expected))
+
+
+def ref_fitting_split(m, f_mat):
+    """The projection as T^-1 diag(0, 1) T, T = [ker; img]."""
+    k = 1
+    while (1 << k) < max(m.dim, 1):
+        k += 1
+    power = f_mat.power(1 << k)
+    ker = Subspace.from_vectors(m.field, m.dim, power.kernel_basis())
+    if ker.dim == 0 or ker.dim == m.dim:
+        return None
+    img = Subspace.from_vectors(m.field, m.dim, power)
+    if ker.dim + img.dim != m.dim or ker.intersect(img).dim != 0:
+        return None
+    t = Mat.vstack([ker.basis, img.basis])
+    block = Mat.zeros(m.field, m.dim, m.dim).to_rows()
+    for i in range(ker.dim, m.dim):
+        block[i][i] = 1
+    return t.inverse() @ Mat.from_rows(m.field, block) @ t
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_fitting_split_matches_block_projection(case, data):
+    field = ORACLE_FIELDS[case]
+    _, mods = data.draw(st.sampled_from(module_kinds(field)))
+    m = data.draw(summed(mods))
+    for f in hom_space(m, m) + [data.draw(module_maps(m, m))]:
+        split, expected = modules._fitting_split(m, f.matrix), ref_fitting_split(m, f.matrix)
+        assert (split is None) == (expected is None)
+        if split is not None:
+            assert same(split.matrix, expected)
+
+
+def test_fitting_split_projects_onto_the_image(s1_2):
+    # on S + S the idempotent diag(1, 0) is its own projection
+    m = direct_sum(s1_2, s1_2)[0]
+    f = Mat.from_rows(m.field, [[1, 0], [0, 0]])
+    split = modules._fitting_split(m, f)
+    assert same(split.matrix, ref_fitting_split(m, f)) and split.matrix == f
+
+
+# -- one elimination per family of right-hand sides ---------------------
+
+
+def ref_quotient_basis(inner, outer):
+    """Outer's basis rows kept greedily, one membership test per row."""
+    if inner.ambient != outer.ambient:
+        raise DimensionMismatch("ambient mismatch")
+    if not outer.contains(inner):
+        raise DimensionMismatch("quotient_basis requires inner <= outer")
+    current, reps = inner, []
+    for i in range(outer.dim):
+        v = outer.basis.row(i)
+        if not current.contains_vector(v):
+            reps.append(v)
+            current = current.sum_with(Subspace.from_vectors(current.field, current.ambient, v))
+    return reps
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_quotient_basis_matches_greedy_loop(case, data):
+    field = ORACLE_FIELDS[case]
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    vectors = data.draw(oracle_mats(field, k, n))
+    outer = Subspace.from_vectors(field, n, vectors)
+    inside = data.draw(oracle_mats(field, data.draw(st.integers(0, 3)), k)) @ vectors
+    anywhere = data.draw(oracle_mats(field, data.draw(st.integers(0, 2)), n))
+    for inner in (Subspace.from_vectors(field, n, inside), Subspace.from_vectors(field, n, anywhere)):
+        if outer.contains(inner):
+            got, expected = quotient_basis(inner, outer), ref_quotient_basis(inner, outer)
+            assert len(got) == len(expected) and all(map(same, got, expected))
+        else:
+            with pytest.raises(DimensionMismatch, match="inner <= outer"):
+                quotient_basis(inner, outer)
+
+
+def ref_class(psi_space, reps, v):
+    """Quotient coordinates of one vector of phi(M), by its own solve."""
+    stack = Mat.vstack([psi_space.basis] + reps)
+    return stack.solve_left(v).take_columns(range(psi_space.dim, stack.rows)).to_rows()[0]
+
+
+def ref_apply_interp(data, module):
+    """(coset representatives, action matrices), two solves per representative."""
+    field = module.field
+    phi_space, psi_space = eval_formula(data.phi, module), eval_formula(data.psi, module)
+    reps = ref_quotient_basis(psi_space, phi_space)
+    amb = phi_space.ambient
+    mats = []
+    for rho in data.rhos:
+        rho_space = eval_formula(rho, module)
+        pad = Mat.hstack([Mat.zeros(field, phi_space.dim, amb), phi_space.basis])
+        system = Mat.vstack([rho_space.basis, -pad])
+        b2 = rho_space.basis.take_columns(range(amb, 2 * amb))
+        rows = []
+        for rep in reps:
+            x = system.solve_left(Mat.hstack([rep, Mat.zeros(field, 1, amb)]))
+            rows.append(ref_class(psi_space, reps, x.take_columns(range(rho_space.dim)) @ b2))
+        mats.append(Mat.from_rows(field, rows) if reps else Mat.zeros(field, 0, 0))
+    return reps, mats
+
+
+def ref_apply_map(data, f, img_src, img_tgt):
+    """The induced map, one class solve per source representative."""
+    field = f.source.field
+    big = Mat.identity(field, data.m).kron(f.matrix)
+    rows = [ref_class(img_tgt.psi_space, img_tgt.reps, rep @ big) for rep in img_src.reps]
+    if rows and img_tgt.module.dim:
+        return Mat.from_rows(field, rows)
+    return Mat.zeros(field, img_src.module.dim, img_tgt.module.dim)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_apply_interp_and_map_match_per_representative_solves(case, data):
+    field = ORACLE_FIELDS[case]
+    homdata = hom_interp_data(oracle_algebras(field)[2])
+    mods = summed(kronecker_modules(field, max_side=1))
+    m, n = data.draw(mods), data.draw(mods)
+    img_m, img_n = apply_interp(homdata, m), apply_interp(homdata, n, check=False)
+    for module, img in ((m, img_m), (n, img_n)):
+        reps, mats = ref_apply_interp(homdata, module)
+        assert img.module is not None and img.source is module
+        assert len(img.reps) == len(reps) and all(map(same, img.reps, reps))
+        assert all(map(same, img.module.action, mats))
+    f = data.draw(module_maps(m, n))
+    got = apply_map(homdata, f, img_m, img_n)
+    assert got.source is img_m.module and got.target is img_n.module
+    assert same(got.matrix, ref_apply_map(homdata, f, img_m, img_n))
+
+
+def ref_hom_rhos(b):
+    """The rho formulas of hom_interp_data, one solve per generator."""
+    n = len(b.generators)
+    rows = [(g @ r).to_rows()[0] for g in b.generators for r in b.right_action]
+    gen_mat = Mat.from_rows(b.field, rows)
+    one = b.R.one_element()
+    rhos = []
+    for lmat in b.left_action:
+        coeffs = {}
+        for i in range(n):
+            sol = gen_mat.solve_left(b.generators[i] @ lmat)
+            for j in range(n):
+                r_ji = sol.take_columns(range(j * b.R.dim, (j + 1) * b.R.dim))
+                if not r_ji.is_zero():
+                    coeffs[(j, i)] = b.R.element(r_ji)
+            coeffs[(n + i, i)] = -one
+        rhos.append(PpFormula(b.R, 2 * n, 0, n, coeffs))
+    return rhos
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_hom_interp_data_matches_per_generator_solves(case, data):
+    b = data.draw(bimodules(ORACLE_FIELDS[case]))
+    rhos, expected = hom_interp_data(b).rhos, ref_hom_rhos(b)
+    assert [r.key() for r in rhos] == [r.key() for r in expected]
+    assert [list(r.coeffs) for r in rhos] == [list(r.coeffs) for r in expected]

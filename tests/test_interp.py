@@ -19,7 +19,6 @@ from ppcalc.interp import (
     apply_map,
     axiom_pairs,
     bounds,
-    check_welldefined,
     closure_report,
     hom_interp_data,
     isolating_pair,
@@ -39,6 +38,12 @@ from ppcalc.modules import (
 from test_formulas import ann_formula, div_formula
 
 F2 = GF(2)
+
+
+def welldef_closed(data, module):
+    """Closed status of each well-definedness pair among the axiom pairs."""
+    report = closure_report(axiom_pairs(data), module)
+    return {e["pair"]: e["closed"] for e in report["pairs"] if e["pair"].startswith("welldef")}
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +72,7 @@ def test_hom_data_shape(homdata, kron2, lam2):
 
 def test_hom_data_welldefined_everywhere(homdata, bim2, fs1, s2_kron, kron2):
     for m in (bim2.right_module(), fs1, s2_kron, regular_module(kron2)):
-        assert check_welldefined(homdata, m)["ok"]
+        assert all(welldef_closed(homdata, m).values())
 
 
 def test_hom_data_axioms_closed(homdata, bim2, fs1, s2_kron):
@@ -144,11 +149,9 @@ def test_welldefined_failure_is_reported(lam2, reg2):
     free_pair = PpPair(top, zero_formula(lam2, 1))
     loose = top_formula(lam2, 2)  # relates everything to everything
     data = InterpData(lam2, lam2, 1, free_pair, [loose, loose])
-    report = check_welldefined(data, reg2)
-    assert not report["ok"]
-    gen = report["generators"][0]
-    assert gen["cond1"] and not gen["cond2"]
-    assert "cond2_witness" in gen
+    closed = welldef_closed(data, reg2)
+    gen = lam2.labels[0]
+    assert closed[f"welldef1[{gen}]"] and not closed[f"welldef2[{gen}]"]
     with pytest.raises(InterpError, match="not well-defined"):
         apply_interp(data, reg2)
 
@@ -159,7 +162,7 @@ def test_axiom_pairs_catch_wrong_composition(lam2, reg2):
     graph = PpFormula(lam2, 2, 0, 1, {(0, 0): one, (1, 0): -one})  # y = x
     pair = PpPair(top_formula(lam2, 1), zero_formula(lam2, 1))
     data = InterpData(lam2, lam2, 1, pair, [graph, graph])
-    assert check_welldefined(data, reg2)["ok"]
+    assert all(welldef_closed(data, reg2).values())
     report = closure_report(axiom_pairs(data), reg2)
     assert not report["ok"]
     open_names = [e["pair"] for e in report["pairs"] if not e["closed"]]
@@ -263,7 +266,7 @@ def test_zero_action_rho_is_welldefined(lam2, reg2):
     pair = PpPair(top_formula(lam2, 1), zero_formula(lam2, 1))
     rho_one = PpFormula(lam2, 2, 0, 1, {(0, 0): one, (1, 0): -one})
     data = InterpData(lam2, lam2, 1, pair, [rho_one, y_zero])
-    assert check_welldefined(data, reg2)["ok"]
+    assert all(welldef_closed(data, reg2).values())
     img = apply_interp(data, reg2)
     x_idx = lam2.labels.index("x")
     assert img.module.action[x_idx].is_zero()

@@ -292,6 +292,43 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["freereal", "--formula", str(bad)]) == 2
 
 
+def _edit(path, **changes):
+    payload = json.loads(open(path).read())
+    payload.update(changes)
+    with open(path, "w") as fh:
+        fh.write(dumps(payload))
+
+
+@pytest.mark.parametrize("dim", [3, "2", -2, True], ids=["disagrees", "string", "negative", "bool"])
+def test_cli_malformed_module_exit_code(files, capsys, dim):
+    # the actions of reg.mod are 2 x 2
+    _edit(files["reg.mod"], dim=dim)
+    assert main(["eval", "--formula", files["ann.pp"], "--module", files["reg.mod"]]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_malformed_bimodule_exit_code(files, capsys):
+    # the actions of bim.bim are 4 x 4
+    _edit(files["bim.bim"], dim=5)
+    assert main(["beta", "--bimodule", files["bim.bim"], "--formula", files["div.pp"]]) == 2
+    assert "bad bimodule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [3, "2"], ids=["disagrees", "string"])
+def test_cli_malformed_interp_exit_code(files, capsys, m):
+    # the sort of hom.interp has arity 2
+    _edit(files["hom.interp"], m=m)
+    assert main(["interp-apply", "--data", files["hom.interp"], "--module", files["bmod.mod"]]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_malformed_pair_exit_code(files, capsys, lam2):
+    # a bottom of arity 2 under a top of arity 1
+    _edit(files["iso.pair"], bottom=formula_to_json(top_formula(lam2, 2), algebra_ref="lam.alg"))
+    assert main(["pullback", "--data", files["hom.interp"], "--pair", files["iso.pair"], "--d", "1"]) == 2
+    assert "bad pair" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", ["1/3", "1/0"])
 def test_cli_scalar_with_no_value_mod_p_exit_code(tmp_path, capsys, entry):
     # over GF(3), 1/3 has no value; read as 0 it made x act as 0, which is
