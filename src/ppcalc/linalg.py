@@ -8,17 +8,21 @@ floating point anywhere.  A prime field needs (p-1)^2 < 2^63, so that
 the product of two reduced entries fits in int64.
 
 Mat.rref picks one of three Gauss-Jordan kernels from the field and the
-number of entries.  Every QQ matrix, and every GF(p) matrix of at most
-_LIST_RREF_THRESHOLD entries, goes to _list_rref, which works on Python
-lists and touches only nonzero entries.  Larger GF(2) matrices of at least
-_GF2_PACK_THRESHOLD entries go to the bitpacked _gf2_rref, and the other
-GF(p) matrices to _rref, which updates whole int64 blocks per pivot.  The
-rref is unique, so the choice changes only the cost.
+number of entries.  _list_rref works on Python lists and touches only
+nonzero entries; it takes every QQ matrix, every GF(2) and GF(3) matrix of
+at most _SLICED_RREF_THRESHOLD (128) entries, and every other GF(p) matrix
+of at most _LIST_RREF_THRESHOLD (1024) entries.  _sliced_rref takes the
+larger GF(2) and GF(3) matrices: each row is Python ints with one bit per
+column, so a row operation is a few bitwise operations on whole rows.
+_rref takes the larger GF(p) matrices for p > 3 and updates whole int64
+blocks per pivot.  The two cuts are measured crossovers, not options, and
+the rref is unique, so the choice changes only the cost.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -171,40 +175,127 @@ def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-_GF2_PACK_THRESHOLD = 8192
+def _pack(a: np.ndarray, p: int) -> list:
+    """The rows of a canonical array over F_2 or F_3 as ints, bit j for column j.
+
+    Over F_2 each row gives one int, with the bits of its entries equal to
+    1.  Over F_3 the rows give ints u, with the bits of the nonzero
+    entries, followed by ints s, with the bits of the entries equal to 2.
+    """
+    nrows, ncols = a.shape
+    width = (ncols + 63) // 64 * 8  # bytes per row, in whole 64-bit words
+    bits = np.zeros(((p - 1) * nrows, width * 8), dtype=bool)
+    if p == 2:
+        np.equal(a, 1, out=bits[:, :ncols])
+    else:
+        np.not_equal(a, 0, out=bits[:nrows, :ncols])
+        np.equal(a, 2, out=bits[nrows:, :ncols])
+    packed = np.packbits(bits, bitorder="little")
+    if width == 8:
+        return packed.view("<u8").tolist()
+    return list(map(int.from_bytes, packed.view(f"V{width}").tolist(), repeat("little")))
 
 
-def _gf2_rref(a: np.ndarray):
-    """Bitpacked Gauss-Jordan over F_2 (uint64 words, little-endian bits)."""
-    rows, ncols = a.shape
-    words = (ncols + 63) // 64
-    packed = np.zeros((rows, words * 8), dtype=np.uint8)
-    pb = np.packbits((a & 1).astype(np.uint8), axis=1, bitorder="little")
-    packed[:, : pb.shape[1]] = pb
-    p = packed.view(np.uint64)
-    pivots = []
-    r = 0
-    one = np.uint64(1)
-    for c in range(ncols):
-        w, b = divmod(c, 64)
-        b = np.uint64(b)
-        col = (p[r:, w] >> b) & one
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            p[[r, i]] = p[[i, r]]
-        mask = ((p[:, w] >> b) & one).astype(bool)
-        mask[r] = False
-        if mask.any():
-            p[mask] ^= p[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    bits = np.unpackbits(p.view(np.uint8), axis=1, bitorder="little")[:, :ncols]
-    return bits.astype(np.int64), pivots
+def _unpack(ints: list, ncols: int) -> np.ndarray:
+    """The inverse of _pack's bits: a len(ints) x ncols array of 0 and 1 (uint8)."""
+    width = (ncols + 63) // 64 * 8
+    if width == 8:
+        packed = np.array(ints, dtype="<u8").view(np.uint8)
+    else:
+        buf = b"".join(map(int.to_bytes, ints, repeat(width), repeat("little")))
+        packed = np.frombuffer(buf, dtype=np.uint8)
+    bits = np.unpackbits(packed, bitorder="little")
+    return bits.reshape(len(ints), width * 8)[:, :ncols]
+
+
+# The measured crossover between the list routine and the sliced one over
+# GF(2) and GF(3).  Below it the sliced kernel's fixed cost of packing and
+# unpacking outweighs its gain.  Replayed alone, the rref inputs of one
+# acceptance core pass cost least with the cut anywhere from 48 to 128
+# entries; timed inside whole core passes, where other work runs between
+# eliminations, 128 beat 64 and 256, and hom_space's systems of 65 to 128
+# entries were no faster sliced.
+_SLICED_RREF_THRESHOLD = 128
+
+
+def _add3(u: int, s: int, pu: int, ps: int):
+    """(u, s) + (pu, ps) over F_3, sliced: equal nonzero entries double, 1 + 2 = 0."""
+    t = s ^ ps
+    both = u & pu
+    same = both & ~t
+    return (u ^ pu) | same, (t & ~both) | (same & ~s)
+
+
+def _sliced_rref(a: np.ndarray, p: int):
+    """Bit-sliced Gauss-Jordan over F_2 or F_3 (Boothby and Bradshaw's slicing).
+
+    Bit j of a row's ints stands for column j.  Over F_2 a row is one int
+    and a row operation one XOR.  Over F_3 a row is a pair (u, s): u marks
+    the nonzero entries and s the entries equal to 2, so s <= u, and
+    negation is s ^= u.  Rows are taken one at a time: the lowest pivot bit
+    of the row is cleared by the pivot row with that lead (whose bits are
+    all at or above it) until none is left, and a row left nonzero is
+    stored, normalised to lead 1, under its lowest bit.  Then each stored
+    row, from the highest lead down, is cleared at the pivots above its
+    lead; the rows there are already fully reduced, so each clearing sets
+    no other pivot bit.
+    """
+    nrows, ncols = a.shape
+    piv = {}  # lead bit -> row with lead 1
+    mask = 0  # the lead bits
+    if p == 2:
+        for r in _pack(a, 2):
+            hits = r & mask
+            while hits:
+                r ^= piv[hits & -hits]
+                hits = r & mask
+            if r:
+                low = r & -r
+                piv[low] = r
+                mask |= low
+        leads = sorted(piv)
+        for lead in reversed(leads):
+            r = piv[lead]
+            hits = (r & mask) ^ lead
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                r ^= piv[low]
+            piv[lead] = r
+        out = np.zeros((nrows, ncols), dtype=np.int64)
+        out[: len(leads)] = _unpack([piv[k] for k in leads], ncols)
+        return out, [k.bit_length() - 1 for k in leads]
+    rows = _pack(a, 3)
+    for u, s in zip(rows[:nrows], rows[nrows:]):
+        hits = u & mask
+        while hits:
+            low = hits & -hits
+            pu, ps = piv[low]
+            # clear the entry: add the pivot row if its sign differs from
+            # the pivot's (2 + 1 = 0), else the negated pivot row
+            u, s = _add3(u, s, pu, ps if (s ^ ps) & low else ps ^ pu)
+            hits = u & mask
+        if u:
+            low = u & -u
+            if s & low:
+                s ^= u
+            piv[low] = (u, s)
+            mask |= low
+    leads = sorted(piv)
+    for lead in reversed(leads):
+        u, s = piv[lead]
+        hits = (u & mask) ^ lead
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            pu, ps = piv[low]
+            u, s = _add3(u, s, pu, ps if (s ^ ps) & low else ps ^ pu)
+        piv[lead] = (u, s)
+    rank = len(leads)
+    bits = _unpack([piv[k][0] for k in leads] + [piv[k][1] for k in leads], ncols)
+    out = np.zeros((nrows, ncols), dtype=np.int64)
+    np.add(bits[:rank], bits[rank:], out=out[:rank], dtype=np.int64)
+    return out, [k.bit_length() - 1 for k in leads]
 
 
 def _rref(a: np.ndarray, field: FieldSpec):
@@ -238,11 +329,12 @@ def _rref(a: np.ndarray, field: FieldSpec):
     return a, pivots
 
 
-# The measured crossover: over the GF(p) rref inputs of one pass of each
-# benchmark workload, total elimination time is least with the switch
-# near here.  The list routine's cost grows with the nonzero entries it
-# touches, so it loses 5x on dense systems of 50-100k entries.
-_LIST_RREF_THRESHOLD = 4096
+# The measured crossover between the list routine and the int64 one over
+# GF(p), p > 3: over the GF(1048573) rref inputs of one ladder_fp pass,
+# total elimination time is least with the switch between 768 and 1536
+# entries.  The list routine's cost grows with the nonzero entries it
+# touches, which fill in over a large p.
+_LIST_RREF_THRESHOLD = 1024
 
 
 def _list_rref(a: np.ndarray, field: FieldSpec):
@@ -482,10 +574,10 @@ class Mat:
         if self.rows == 0 or self.cols == 0:
             return self, []
         size, p = self._a.size, self.field.p
-        if p == 0 or size <= _LIST_RREF_THRESHOLD:
+        if p == 0 or size <= (_SLICED_RREF_THRESHOLD if p <= 3 else _LIST_RREF_THRESHOLD):
             a, piv = _list_rref(self._a, self.field)
-        elif p == 2 and size >= _GF2_PACK_THRESHOLD:
-            a, piv = _gf2_rref(self._a)
+        elif p <= 3:
+            a, piv = _sliced_rref(self._a, p)
         else:
             a, piv = _rref(self._a, self.field)
         return Mat._of(self.field, a), piv
@@ -543,6 +635,8 @@ class Mat:
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
             raise DimensionMismatch("power of non-square matrix")
+        if k < 0:
+            raise ValueError(f"power of a matrix to a negative exponent {k}")
         result = Mat.identity(self.field, self.rows)
         base = self
         while k:

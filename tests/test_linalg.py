@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ppcalc.io import ParseError, field_from_str
 from ppcalc import linalg
 from ppcalc.linalg import (
-    _GF2_PACK_THRESHOLD,
     _LIST_RREF_THRESHOLD,
+    _SLICED_RREF_THRESHOLD,
     GF,
     QQ,
     DimensionMismatch,
@@ -19,7 +19,10 @@ from ppcalc.linalg import (
     Mat,
     Subspace,
     _list_rref,
+    _pack,
     _rref,
+    _sliced_rref,
+    _unpack,
     quotient_basis,
 )
 
@@ -174,10 +177,13 @@ def test_power_and_trace():
     assert Mat.from_rows(QQ, [[2, 5], [0, 3]]).trace() == 5
 
 
-def test_gf2_packed_rref_matches_generic():
-    from ppcalc.linalg import _gf2_rref, _rref
-    import numpy as np
+@pytest.mark.parametrize("k", [-1, -2, -7])
+def test_power_negative_exponent_raises(k):
+    with pytest.raises(ValueError):
+        Mat.identity(F2, 2).power(k)
 
+
+def test_gf2_packed_rref_matches_generic():
     rng = random.Random(99)
     for trial in range(10):
         r = rng.randrange(1, 90)
@@ -185,7 +191,7 @@ def test_gf2_packed_rref_matches_generic():
         a = np.array(
             [[rng.randrange(2) for _ in range(c)] for _ in range(r)], dtype=np.int64
         )
-        fast, piv_fast = _gf2_rref(a)
+        fast, piv_fast = _sliced_rref(a, 2)
         slow, piv_slow = _rref(a, F2)
         assert piv_fast == piv_slow
         assert (fast == slow).all()
@@ -194,15 +200,18 @@ def test_gf2_packed_rref_matches_generic():
 # -- property tests over every representation --------------------------------
 
 # name -> (field, rows range, cols range).  Mat.rref picks the kernel by
-# size: QQ matrices and GF(p) matrices of at most _LIST_RREF_THRESHOLD
-# (4096) entries take the list routine, GF(2) matrices of at least 8192
-# entries the bitpacked one, and the other GF(p) matrices the int64 one.
-# The "-large" and "-packed" cases keep the last two under every property.
+# field and size: QQ matrices, GF(2) and GF(3) matrices of at most
+# _SLICED_RREF_THRESHOLD (128) entries and other GF(p) matrices of at most
+# _LIST_RREF_THRESHOLD (1024) entries take the list routine, the larger
+# GF(2) and GF(3) matrices the bit-packed (sliced) one, and the other GF(p)
+# matrices the int64 one.  The "-large", "-packed" and "-wide" cases keep
+# the last two under every property, rows of several 64-bit words included.
 CASES = {
     "gf2": (F2, (1, 6), (1, 6)),
     "gf2-packed": (F2, (64, 80), (128, 150)),
     "gf3": (F3, (1, 6), (1, 6)),
     "gf3-large": (F3, (65, 80), (65, 80)),
+    "gf3-wide": (F3, (64, 80), (128, 150)),
     "gf1048573": (GF(1048573), (1, 6), (1, 6)),
     "gf1048573-large": (GF(1048573), (65, 80), (65, 80)),
     "qq": (QQ, (1, 6), (1, 6)),
@@ -552,18 +561,118 @@ def _raise(*args):
 @pytest.mark.parametrize(
     "field, cols, kernel",
     [
-        (QQ, _LIST_RREF_THRESHOLD + 1, "_list_rref"),
-        (F3, _LIST_RREF_THRESHOLD, "_list_rref"),
-        (F3, _LIST_RREF_THRESHOLD + 1, "_rref"),
-        (F2, _GF2_PACK_THRESHOLD - 1, "_rref"),
-        (F2, _GF2_PACK_THRESHOLD, "_gf2_rref"),
+        (QQ, 4097, "_list_rref"),
+        (F3, _SLICED_RREF_THRESHOLD, "_list_rref"),
+        (F3, _SLICED_RREF_THRESHOLD + 1, "_sliced_rref"),
+        (F2, _SLICED_RREF_THRESHOLD, "_list_rref"),
+        (F2, _SLICED_RREF_THRESHOLD + 1, "_sliced_rref"),
+        (GF(1048573), _LIST_RREF_THRESHOLD, "_list_rref"),
+        (GF(1048573), _LIST_RREF_THRESHOLD + 1, "_rref"),
     ],
 )
 def test_rref_dispatch_by_field_and_size(monkeypatch, field, cols, kernel):
     m = Mat.of_array(field, (np.arange(cols) % 5 + 1).reshape(1, cols))
     want = m.rref()
-    for other in ("_list_rref", "_rref", "_gf2_rref"):
+    for other in ("_list_rref", "_rref", "_sliced_rref"):
         if other != kernel:
             monkeypatch.setattr(linalg, other, _raise)
     assert m.rref() == want
     assert want[1] == [0] and want[0].entry(0, 1) == field.coerce(2)
+
+
+# -- the sliced kernel against the int64 one ----------------------------------
+
+
+@st.composite
+def sliced_inputs(draw, field):
+    """A writable canonical array over GF(2) or GF(3) for the sliced kernel.
+
+    The shape is near the list cut, a width at or across a 64-bit word
+    boundary, or tall and sparse like criterion 4's systems (about 350 x
+    150 at under 1% nonzero).  The entries are zero, all p - 1, a product
+    of sparse factors through a drawn rank (so often rank-deficient), or
+    sparse and independent.
+    """
+    shape = draw(st.sampled_from(["cut", "word", "tall"]))
+    if shape == "cut":
+        rows = draw(st.integers(1, 16))
+        lo = max(1, (_SLICED_RREF_THRESHOLD - 8) // rows)
+        cols = draw(st.integers(lo, lo + 16 // rows + 2))
+    elif shape == "word":
+        rows = draw(st.integers(1, 40))
+        cols = draw(st.sampled_from([63, 64, 65, 127, 128, 129, 150, 200]))
+    else:
+        rows = draw(st.integers(200, 360))
+        cols = draw(st.integers(90, 150))
+    if shape != "tall" and draw(st.booleans()):
+        rows, cols = cols, rows
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from(["zero", "top", "product", "sparse"]))
+    density = draw(st.sampled_from([1.0, 0.3, 0.05, 0.006]))
+
+    def sparse(shape):
+        return gen.integers(0, field.p, shape) * (gen.random(shape) < density)
+
+    if fill == "zero":
+        a = np.zeros((rows, cols), dtype=np.int64)
+    elif fill == "top":
+        a = np.full((rows, cols), field.p - 1, dtype=np.int64)
+    elif fill == "product":
+        rank = draw(st.integers(0, min(rows, cols) + 2))
+        b, c = Mat.of_array(field, sparse((rows, rank))), Mat.of_array(field, sparse((rank, cols)))
+        a = (b @ c).array().copy()
+    else:
+        a = field.canonical(sparse((rows, cols)))
+    a.setflags(write=True)
+    return a
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_sliced_rref_matches_int64_rref(name, data):
+    field = KERNEL_FIELDS[name]
+    a = data.draw(sliced_inputs(field))
+    before = a.copy()
+    red, piv = _sliced_rref(a, field.p)
+    assert np.array_equal(a, before)
+    ref, ref_piv = _rref(a, field)
+    assert piv == ref_piv
+    assert red.shape == a.shape and np.array_equal(red, ref)
+    assert_canonical(Mat._of(field, red))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200])
+def test_pack_one_bit_per_column(p, cols):
+    rng = np.random.default_rng(cols)
+    a = rng.integers(0, p, (6, cols))
+    a[0] = 0
+    a[1] = p - 1
+    for arr in (a, np.asfortranarray(a)):
+        ints = _pack(arr, p)
+        planes = [a == 1] if p == 2 else [a != 0, a == 2]
+        want = [sum(1 << j for j in np.flatnonzero(row).tolist()) for bits in planes for row in bits]
+        assert ints == want
+        assert np.array_equal(_unpack(ints, cols), np.vstack(planes))
+
+
+def test_sliced_rref_fixed_cases():
+    # every entry 2 over GF(3): one pivot, the row normalised to all 1
+    red, piv = _sliced_rref(np.full((3, 70), 2, dtype=np.int64), 3)
+    assert piv == [0]
+    assert (red[0] == 1).all() and not red[1:].any()
+    # lead 2 with a 1 after it: normalised to lead 1 and a 2
+    red, piv = _sliced_rref(np.array([[0, 2, 1] + [0] * 67], dtype=np.int64), 3)
+    assert piv == [1] and red[0, :3].tolist() == [0, 1, 2]
+    # 1 + 1 = 2 and 2 + 2 = 1: the sum of two rows in the rref of three
+    a = np.zeros((3, 70), dtype=np.int64)
+    a[0, [0, 2, 3]] = [1, 1, 2]
+    a[1, [1, 2, 3]] = [1, 1, 2]
+    a[2] = (a[0] + a[1]) % 3
+    red, piv = _sliced_rref(a, 3)
+    assert piv == [0, 1] and np.array_equal(red, _rref(a, F3)[0])
+    # the zero matrix, square and wide
+    for shape in [(66, 66), (2, 200)]:
+        red, piv = _sliced_rref(np.zeros(shape, dtype=np.int64), 3)
+        assert piv == [] and red.shape == shape and not red.any()
