@@ -118,14 +118,15 @@ def check_controlled(emb: EmbeddingData, pairs, seed: int = 0):
     for m, n in pairs:
         tm, tn = tensor_over(m, b), tensor_over(n, b)
         fm, fn = tm.module, tn.module
-        image_maps = [tensor_hom(f, b, tm, tn) for f in hom_space(m, n)]
+        homs = hom_space(m, n)
+        image_maps = [tensor_hom(f, b, tm, tn) for f in homs]
         image_span = maps_subspace(image_maps, fm, fn)
         control_maps = hom_through_C(fm, fn, c)
         control_span = maps_subspace(control_maps, fm, fn)
         total = len(hom_space(fm, fn))
         meet = image_span.intersect(control_span).dim
         sums_ok = image_span.dim + control_span.dim == total and meet == 0
-        faithful = image_span.dim == len(hom_space(m, n))
+        faithful = image_span.dim == len(homs)
         if control_span.dim == 0:
             radical_ok = True
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -119,6 +119,16 @@ class FDModule:
     def __hash__(self):
         return hash((self.dim, tuple(m.key() for m in self.action)))
 
+    @cached_property
+    def presentation(self):
+        """(W, nrel) from _spin_presentation, computed on first use.
+
+        It is kept with this object and with nothing else: an equal module
+        built separately computes its own, and a ModuleError is raised
+        again on every use, as failures are not kept.
+        """
+        return _spin_presentation(self)
+
     def __repr__(self):
         return f"FDModule(dim {self.dim} over {self.algebra!r})"
 
@@ -207,7 +217,9 @@ def hom_space(m: FDModule, n: FDModule):
     and those images may be chosen freely subject to the relations among
     the spun vectors g_i a_l (a_l the algebra's basis, M_l and N_l its
     action matrices on m and n).  m and n must be modules (see
-    validate_module).  Four eliminations:
+    validate_module).  Four eliminations, of which steps 1 and 2 depend
+    on m alone and are made once per module object (m.presentation, see
+    _spin_presentation), so later calls out of the same m make two:
 
     1. Greedy generators: the basis vector e_j is one iff its row is
        independent of the rows before it in the stack of the rows
@@ -240,12 +252,13 @@ def hom_space(m: FDModule, n: FDModule):
     return [ModuleMap(m, n, basis.row(i).reshape(s, t), check=False) for i in range(basis.rows)]
 
 
-def _hom_system(m: FDModule, n: FDModule, at: Mat | None = None):
-    """Steps 1 to 3 of hom_space: the system [Phi | L] and nrel.
+def _spin_presentation(m: FDModule):
+    """Steps 1 and 2 of hom_space, which depend on m alone: (W, nrel).
 
-    With at, whose rows v_1..v_k are vectors of m, L is replaced by E:
-    column (j, u) of y E is coordinate u of v_j f, so y E = (v_1 f, ...,
-    v_k f).  The zero module m gives a system with no rows.
+    W = [K; X] is (nrel + s) x (r * dim A), the nrel relations K over the
+    s = dim m rows of the left inverse X.  Read it through m.presentation,
+    which keeps it with m.  Raises ModuleError when the spun generators
+    do not span m, which a module's always do.
     """
     s, field, na = m.dim, m.field, m.algebra.dim
     # 1. rows (j, l) of the stack: e_j for l = 0, then e_j M_0, ...
@@ -259,12 +272,25 @@ def _hom_system(m: FDModule, n: FDModule, at: Mat | None = None):
         raise ModuleError("hom_space: the spun generators do not span the source; is it a module?")
     nrel = na * r - s
     w = red.take_rows(list(range(s, na * r)) + list(range(s))).take_columns(range(s, s + na * r))
+    return w, nrel
+
+
+def _hom_system(m: FDModule, n: FDModule, at: Mat | None = None):
+    """Step 3 of hom_space on m's presentation: the system [Phi | L] and nrel.
+
+    Steps 1 and 2 are read from m.presentation, made once per module
+    object; only the product against n's actions is made per call.  With
+    at, whose rows v_1..v_k are vectors of m, L is replaced by E: column
+    (j, u) of y E is coordinate u of v_j f, so y E = (v_1 f, ..., v_k f).
+    The zero module m gives a system with no rows.
+    """
+    w, nrel = m.presentation
     if at is not None:
         # v_j f = v_j X Y, so the rows at X stand in for X
-        w = Mat.vstack([w.take_rows(range(nrel)), at @ w.take_rows(range(nrel, nrel + s))])
+        w = Mat.vstack([w.take_rows(range(nrel)), at @ w.take_rows(range(nrel, nrel + m.dim))])
     # 3. W^T stacks the blocks W_l^T, and W_l^T kron N_l has rows (i, c) and
     # columns (k, u): entry W[k, (l, i)] N_l[c, u]
-    return w.transpose().kron_sum(Mat.vstack(n.action), na), nrel
+    return w.transpose().kron_sum(Mat.vstack(n.action), m.algebra.dim), nrel
 
 
 def _flat_span(field, amb: int, mats) -> Subspace:
@@ -549,16 +575,18 @@ def is_direct_summand(n: FDModule, m: FDModule):
         return True, (zero_map(n, m), zero_map(m, n))
     fs = hom_space(n, m)
     gs = hom_space(m, n)
+    comps = []
     for f in fs:
         for g in gs:
             comp = f.matrix @ g.matrix
             if comp.is_invertible():
                 corrected = ModuleMap(m, n, g.matrix @ comp.inverse(), check=False)
                 return True, (f, corrected)
+            comps.append(comp)
     # no unit composite: for indecomposable n the identity cannot be in the
     # span either (End n is local); verify to catch precondition violations
     amb = n.dim * n.dim
-    span = _flat_span(n.field, amb, [f.matrix @ g.matrix for f in fs for g in gs])
+    span = _flat_span(n.field, amb, comps)
     if span.contains_vector(Mat.identity(n.field, n.dim).reshape(1, amb)):
         raise ModuleError("is_direct_summand: first argument is not indecomposable")
     return False, None

@@ -19,6 +19,7 @@ from ppcalc.examples import (
     simple_lambda_module,
 )
 from ppcalc import modules
+from ppcalc.formulas import free_realisation, implies, pp_type_generator
 from ppcalc.algebra import Algebra
 from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
@@ -1053,3 +1054,131 @@ def test_hom_space_rejects_a_non_module(lam2):
     for m in (bad, shift):
         with pytest.raises(ModuleError, match="is it a module"):
             hom_space(m, m)
+
+
+# -- the source module's presentation, spun once per module object --------
+
+
+def ref_hom_system(m, n, at=None):
+    """Steps 1 to 3 of hom_space, all made on every call."""
+    s, field, na = m.dim, m.field, m.algebra.dim
+    stack = Mat.hstack([Mat.identity(field, s)] + m.action).reshape(s * (na + 1), s)
+    gens = [c // (na + 1) for c in stack.transpose().rref()[1] if c % (na + 1) == 0]
+    r = len(gens)
+    g = Mat.vstack([act.take_rows(gens) for act in m.action])
+    red, piv = Mat.hstack([g, Mat.identity(field, na * r)]).rref()
+    if piv[:s] != list(range(s)):
+        raise ModuleError("hom_space: the spun generators do not span the source; is it a module?")
+    nrel = na * r - s
+    w = red.take_rows(list(range(s, na * r)) + list(range(s))).take_columns(range(s, s + na * r))
+    if at is not None:
+        w = Mat.vstack([w.take_rows(range(nrel)), at @ w.take_rows(range(nrel, nrel + s))])
+    return w.transpose().kron_sum(Mat.vstack(n.action), na), nrel
+
+
+def ref_implies_by_system(psi, phi):
+    """implies, with the system made by ref_hom_system."""
+    fr_psi, fr_phi = free_realisation(psi), free_realisation(phi)
+    target = fr_psi.module
+    c_phi = fr_phi.tuple_flat().reshape(phi.n, fr_phi.module.dim)
+    system, nrel = ref_hom_system(fr_phi.module, target, at=c_phi)
+    rhs = Mat.hstack([Mat.zeros(target.field, 1, nrel * target.dim), fr_psi.tuple_flat()])
+    return system.solve_left(rhs) is not None
+
+
+def assert_same_system(got, want):
+    (mat, nrel), (ref, ref_nrel) = got, want
+    assert nrel == ref_nrel
+    assert mat.shape == ref.shape
+    assert mat.array().dtype == ref.array().dtype
+    assert np.array_equal(mat.array(), ref.array())
+
+
+def presentation_kinds(field):
+    """Lambda- and Kronecker modules in random bases, or the zero module."""
+    lam, kron = oracle_algebras(field)[:2]
+    return [
+        st.one_of(lambda_modules(field), st.just(zero_module(lam))),
+        st.one_of(kronecker_modules(field), st.just(zero_module(kron))),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_hom_system_matches_inline_reference(case, data):
+    field = ORACLE_FIELDS[case]
+    kind = data.draw(st.sampled_from(presentation_kinds(field)))
+    m, n = data.draw(kind), data.draw(kind)
+    at = data.draw(oracle_mats(field, data.draw(st.integers(0, 2)), m.dim))
+    # the first call spins m; the later ones read the kept presentation
+    for _ in range(2):
+        assert_same_system(modules._hom_system(m, n), ref_hom_system(m, n))
+        assert_same_system(modules._hom_system(m, n, at=at), ref_hom_system(m, n, at=at))
+        assert_same_system(modules._hom_system(m, m), ref_hom_system(m, m))
+        assert [f.matrix for f in hom_space(m, n)] == ref_hom_space(m, n)
+    if m.dim and n.dim:
+        tup = data.draw(oracle_mats(field, 1, m.dim))
+        phi = pp_type_generator(m, [tup])
+        psi = pp_type_generator(n, [data.draw(oracle_mats(field, 1, n.dim))])
+        for _ in range(2):
+            assert implies(psi, phi) == ref_implies_by_system(psi, phi)
+            assert implies(phi, psi) == ref_implies_by_system(phi, psi)
+
+
+@pytest.fixture
+def spins(monkeypatch):
+    """The modules _spin_presentation is called on, in call order."""
+    calls = []
+    spin = modules._spin_presentation
+
+    def counted(m):
+        calls.append(m)
+        return spin(m)
+
+    monkeypatch.setattr(modules, "_spin_presentation", counted)
+    return calls
+
+
+def test_presentation_is_spun_once_per_source(spins):
+    lam = lambda_algebra(F2)
+    m = random_basis(direct_sum(regular_module(lam), simple_lambda_module(lam))[0], 1)
+    n, other = regular_module(lam), simple_lambda_module(lam)
+    phi = pp_type_generator(m, [m.element([1, 0, 1])])
+    psi = pp_type_generator(n, [n.element([0, 1])])
+    for _ in range(3):
+        hom_space(m, n)
+        hom_space(m, other)
+        hom_space(m, m)
+        implies(psi, phi)
+    assert [x is m for x in spins] == [True]
+    # n and other were only targets
+    implies(phi, psi)
+    implies(phi, psi)
+    assert [x is m for x in spins] == [True, False]
+    assert spins[1] is n
+
+
+def test_presentation_failure_is_not_kept(spins, lam2):
+    bad = FDModule(lam2, 2, [Mat.zeros(F2, 2, 2)] * 2)
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ModuleError, match="is it a module") as err:
+            hom_space(bad, regular_module(lam2))
+        errors.append(str(err.value))
+    assert len(set(errors)) == 1
+    assert len(spins) == 3 and all(x is bad for x in spins)
+    assert "presentation" not in vars(bad)
+
+
+def test_presentation_is_not_shared_by_value(spins):
+    lam = lambda_algebra(GF(3))
+    first, second = regular_module(lam), regular_module(lam)
+    assert first == second and first is not second
+    target = simple_lambda_module(lam)
+    assert len(hom_space(first, target)) == len(hom_space(second, target)) == 1
+    hom_space(first, target)
+    hom_space(second, target)
+    assert len(spins) == 2 and spins[0] is first and spins[1] is second
+    assert first.presentation is not second.presentation
+    assert_same_system(first.presentation, second.presentation)
