@@ -64,6 +64,8 @@ CRITERIA_NAMES = {
     10: "inventory exactness, determinism, total runtime",
 }
 
+SUITE_BUDGET_S = 600.0  # criterion 10's bound on the whole suite's wall clock
+
 
 class RunConfig:
     """Seeded, budgeted configuration of one acceptance run."""
@@ -355,9 +357,9 @@ def _run_core(cfg: RunConfig):
     return criteria
 
 
-def _criterion_10(cfg: RunConfig, first_pass, total_budget_s: float = 600.0):
+def _criterion_10(cfg: RunConfig, first_pass):
+    """Inventory exactness and a deterministic rerun; run_acceptance adds the runtime."""
     lam = lambda_algebra(GF(2))
-    start = time.monotonic()
     inv = enumerate_indecomposables(lam, 2, cfg.budget, cfg.seed)
     dims = [m.dim for m in inv.members]
     x_matrix = inv.members[1].action[lam.labels.index("x")] if dims == [1, 2] else None
@@ -372,15 +374,13 @@ def _criterion_10(cfg: RunConfig, first_pass, total_budget_s: float = 600.0):
     deterministic = render_json({"criteria": first_pass}) == render_json(
         {"criteria": second_pass}
     )
-    elapsed = time.monotonic() - start
     return {
         "id": 10,
-        "passed": inv_ok and deterministic and elapsed < total_budget_s,
+        "passed": inv_ok and deterministic,
         "details": {
             "inventory_dims": dims,
             "completeness_ok": inv_ok,
             "deterministic_reruns": deterministic,
-            "runtime_under_10min": elapsed < total_budget_s,
         },
     }
 
@@ -390,14 +390,11 @@ def run_acceptance(cfg: RunConfig = None):
     cfg = cfg or RunConfig()
     start = time.monotonic()
     criteria = _run_core(cfg)
-    criteria.append(_criterion_10(cfg, criteria))
-    total = time.monotonic() - start
-    # fold the total wall clock into criterion 10's runtime bound
-    c10 = criteria[-1]
-    c10["details"]["runtime_under_10min"] = (
-        c10["details"]["runtime_under_10min"] and total < 600.0
-    )
-    c10["passed"] = c10["passed"] and total < 600.0
+    c10 = _criterion_10(cfg, criteria)
+    in_time = time.monotonic() - start < SUITE_BUDGET_S
+    c10["details"]["runtime_under_10min"] = in_time
+    c10["passed"] = c10["passed"] and in_time
+    criteria.append(c10)
     for c in criteria:
         c["name"] = CRITERIA_NAMES[c["id"]]
     return {

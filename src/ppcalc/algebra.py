@@ -116,7 +116,7 @@ class Algebra:
 
     def left_mult_matrix(self, x: Mat) -> Mat:
         """Matrix of v -> x*v in the basis (row convention: v @ L)."""
-        return Mat.vstack([x @ self._rmul[j] for j in range(self.dim)])
+        return (x @ Mat.hstack(self._rmul)).reshape(self.dim, self.dim)
 
     def multiply(self, x: Mat, y: Mat) -> Mat:
         return x @ self.right_mult_matrix(y)
@@ -290,7 +290,13 @@ def algebra_from_quiver(q: QuiverSpec, field: FieldSpec) -> Algebra:
 
     The ideal is spanned by u*r*w for relation generators r and paths
     u, w keeping every monomial within the cap; the cap must be
-    admissible (every path of full cap length reduces to zero).
+    admissible (every path of full cap length reduces to zero).  Three
+    whole eliminations over the path basis follow: the full-length paths
+    reduced modulo the ideal (the first survivor is named), one rref of
+    [ideal; I]^T whose pivots past the ideal are the residue basis (the
+    greedy choice in path order), and one solve of every concatenation
+    within the cap over [ideal; basis paths] for the multiplication
+    table; a longer concatenation is 0, which admissibility makes exact.
     """
     paths = _enumerate_paths(q)
     index = {p: i for i, p in enumerate(paths)}
@@ -320,70 +326,37 @@ def algebra_from_quiver(q: QuiverSpec, field: FieldSpec) -> Algebra:
                     row[index[p]] = row[index[p]] + field.coerce(coeff)
                 gen_rows.append(row)
     ideal = Subspace.from_vectors(field, npaths, gen_rows)
+    units = Mat.identity(field, npaths)
 
-    # admissibility at the cap
-    for p in paths:
-        if len(p[1]) == q.cap:
-            vec = [0] * npaths
-            vec[index[p]] = 1
-            if not ideal.contains_vector(Mat.from_rows(field, [vec])):
-                raise AlgebraError(
-                    f"ideal not admissible at cap {q.cap}: path "
-                    f"{_path_label(*p)} does not reduce to 0; raise the cap "
-                    "or fix the relations"
-                )
+    full = [i for i, p in enumerate(paths) if len(p[1]) == q.cap]
+    residues = ideal.reduce(units.take_rows(full)).to_rows()
+    bad = [paths[i] for i, row in zip(full, residues) if any(row)]
+    if bad:
+        raise AlgebraError(
+            f"ideal not admissible at cap {q.cap}: path "
+            f"{_path_label(*bad[0])} does not reduce to 0; raise the cap "
+            "or fix the relations"
+        )
 
-    # greedy residue basis
-    span = ideal
-    picked = []
-    for p in paths:
-        vec = [0] * npaths
-        vec[index[p]] = 1
-        v = Mat.from_rows(field, [vec])
-        if not span.contains_vector(v):
-            picked.append(p)
-            span = span.sum_with(Subspace.from_vectors(field, npaths, v))
+    _, piv = Mat.vstack([ideal.basis, units]).transpose().rref()
+    basis = [i - ideal.dim for i in piv[ideal.dim :]]
+    picked = [paths[i] for i in basis]
     dim = len(picked)
 
-    unit_rows = [
-        Mat.from_rows(field, [[1 if i == index[p] else 0 for i in range(npaths)]])
-        for p in picked
+    pairs = [
+        (i, j, index[(p[0], p[1] + r[1])])
+        for i, p in enumerate(picked)
+        for j, r in enumerate(picked)
+        if r[0] == path_end(p) and len(p[1]) + len(r[1]) <= q.cap
     ]
-    reducer = Mat.vstack(([ideal.basis] if ideal.dim else []) + unit_rows)
+    reducer = Mat.vstack([ideal.basis, units.take_rows(basis)])
+    coords = reducer.solve_left(units.take_rows(c for *_, c in pairs))
+    coords = coords.take_columns(range(ideal.dim, ideal.dim + dim))
+    zero = Mat.zeros(field, 1, dim)
+    mul = [[zero] * dim for _ in range(dim)]
+    for k, (i, j, _) in enumerate(pairs):
+        mul[i][j] = coords.row(k)
 
-    def reduce_vec(v: Mat) -> Mat:
-        x = reducer.solve_left(v)
-        if x is None:
-            raise AlgebraError("internal: path vector outside ideal + basis span")
-        return x.take_columns(range(x.cols - dim, x.cols))
-
-    # multiplication table on residue classes
-    mul = []
-    for p in picked:
-        row = []
-        endp = path_end(p)
-        for r in picked:
-            if r[0] != endp or len(p[1]) + len(r[1]) > q.cap:
-                row.append(Mat.zeros(field, 1, dim))
-                continue
-            concat = (p[0], p[1] + r[1])
-            vec = [0] * npaths
-            vec[index[concat]] = 1
-            row.append(reduce_vec(Mat.from_rows(field, [vec])))
-        mul.append(row)
-    # the product of a path ending where another starts but overflowing the
-    # cap is 0 above; admissibility makes that exact.
-
-    one_coeffs = [0] * dim
-    for i, p in enumerate(picked):
-        if not p[1]:
-            one_coeffs[i] = 1
+    one = Mat.from_rows(field, [[0 if p[1] else 1 for p in picked]])
     labels = [_path_label(*p) for p in picked]
-    return Algebra(
-        field,
-        labels,
-        Mat.from_rows(field, [one_coeffs]),
-        mul,
-        quiver=q,
-        paths=list(picked),
-    )
+    return Algebra(field, labels, one, mul, quiver=q, paths=picked)

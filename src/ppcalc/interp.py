@@ -186,14 +186,15 @@ class InterpImage:
     """The value of an interpretation functor on one module."""
 
     def __init__(self, data: InterpData, source: FDModule, module: FDModule,
-                 phi_space: Subspace, psi_space: Subspace, reps):
+                 phi_space: Subspace, psi_space: Subspace, stack: Mat):
         self.data = data
         self.source = source
         self.module = module
         self.phi_space = phi_space
         self.psi_space = psi_space
-        self.reps = reps  # coset representatives, rows in source^m flattened
-        self._stack = Mat.vstack([psi_space.basis] + list(reps))
+        # psi(M)'s basis, then the coset representatives; rows in source^m flattened
+        self._stack = stack
+        self.reps = [stack.row(i) for i in range(psi_space.dim, stack.rows)]
 
     def rep_rows(self) -> Mat:
         """The coset representatives as the rows of one matrix."""
@@ -253,18 +254,17 @@ def apply_interp(data: InterpData, module: FDModule, check: bool = True) -> Inte
     psi_space = eval_formula(data.psi, module)
     if not phi_space.contains(psi_space):
         raise InterpError("psi solutions not inside phi solutions")
-    reps = quotient_basis(psi_space, phi_space)
-    stack = Mat.vstack([psi_space.basis] + reps)
+    stack = Mat.vstack([psi_space.basis] + quotient_basis(psi_space, phi_space))
     rep_rows = stack.take_rows(range(psi_space.dim, stack.rows))
     mats = [
         _to_class(stack, psi_space.dim, _action_values(eval_formula(rho, module), phi_space, rep_rows))
         for rho in data.rhos
     ]
-    result = FDModule(data.S, len(reps), mats)
+    result = FDModule(data.S, rep_rows.rows, mats)
     rep_result = validate_module(result)
     if not rep_result.ok:
         raise InterpError(f"constructed value is not an S-module: {rep_result.problems[0]}")
-    return InterpImage(data, module, result, phi_space, psi_space, reps)
+    return InterpImage(data, module, result, phi_space, psi_space, stack)
 
 
 def apply_map(data: InterpData, f: ModuleMap, img_src: InterpImage = None,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
@@ -108,6 +109,17 @@ def _scalar_in(field, v):
         raise ParseError(f"bad scalar {v!r}: {exc}")
 
 
+@contextmanager
+def _parsing(noun: str):
+    """Re-raise a KeyError, TypeError or ValueError as ParseError("bad <noun>: ...")."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {noun}: {exc}")
+
+
 def _count(obj, key: str) -> int:
     """obj[key], which must be a non-negative int (not a bool)."""
     v = obj[key]
@@ -132,7 +144,7 @@ def _mat_in(field, rows) -> Mat:
 
 
 def quiver_from_json(obj) -> QuiverSpec:
-    try:
+    with _parsing("quiver"):
         return QuiverSpec(
             obj["vertices"],
             [tuple(a) for a in obj["arrows"]],
@@ -142,8 +154,6 @@ def quiver_from_json(obj) -> QuiverSpec:
             ],
             cap=obj.get("cap", 2),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad quiver: {exc}")
 
 
 def algebra_to_json(a: Algebra):
@@ -172,7 +182,7 @@ def load_algebra(ref, base_dir: str = ".", field: FieldSpec = None) -> Algebra:
         if field is None:
             raise ParseError("a quiver file needs an explicit --field")
         return algebra_from_quiver(quiver_from_json(obj), field)
-    try:
+    with _parsing("algebra"):
         f = field_from_str(obj["field"])
         labels = list(obj["basis"])
         one = _mat_in(f, [obj["one"]])
@@ -183,10 +193,6 @@ def load_algebra(ref, base_dir: str = ".", field: FieldSpec = None) -> Algebra:
                 raise ParseError("algebra data disagrees with its quiver presentation")
             return built
         a = Algebra(f, labels, one, mul)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad algebra: {exc}")
     report = validate_algebra(a)
     if not report.ok:
         raise ParseError(f"algebra fails validation: {report.problems[0]}")
@@ -207,14 +213,10 @@ def module_to_json(m: FDModule, algebra_ref=None):
 
 def load_module(ref, base_dir: str = ".", algebra: Algebra = None) -> FDModule:
     obj, base_dir = _resolve(ref, base_dir)
-    try:
+    with _parsing("module"):
         a = algebra if algebra is not None else load_algebra(obj["algebra"], base_dir)
         action = [_mat_in(a.field, obj["action"][lab]) for lab in a.labels]
         m = FDModule(a, _count(obj, "dim"), action)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad module: {exc}")
     report = validate_module(m)
     if not report.ok:
         raise ParseError(f"module fails validation: {report.problems[0]}")
@@ -238,17 +240,13 @@ def bimodule_to_json(b: Bimodule, left_ref=None, right_ref=None):
 
 def load_bimodule(ref, base_dir: str = ".") -> Bimodule:
     obj, base_dir = _resolve(ref, base_dir)
-    try:
+    with _parsing("bimodule"):
         s = load_algebra(obj["left_algebra"], base_dir)
         r = load_algebra(obj["algebra"], base_dir)
         left = [_mat_in(s.field, obj["left_action"][lab]) for lab in s.labels]
         right = [_mat_in(r.field, obj["action"][lab]) for lab in r.labels]
         gens = [_mat_in(r.field, [g]) for g in obj["generators"]]
         return Bimodule(s, r, _count(obj, "dim"), left, right, gens)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad bimodule: {exc}")
 
 
 # -- formulas ---------------------------------------------------------------
@@ -269,9 +267,9 @@ def formula_to_json(phi: PpFormula, algebra_ref=None):
 
 def load_formula(ref, base_dir: str = ".", algebra: Algebra = None) -> PpFormula:
     obj, base_dir = _resolve(ref, base_dir)
-    try:
+    with _parsing("formula"):
         a = algebra if algebra is not None else load_algebra(obj["algebra"], base_dir)
-        n, c = obj["free"], obj["bound"]
+        n, c = _count(obj, "free"), _count(obj, "bound")
         matrix = obj["matrix"]
         e = len(matrix[0]) if matrix else 0
         entries = {}
@@ -279,10 +277,6 @@ def load_formula(ref, base_dir: str = ".", algebra: Algebra = None) -> PpFormula
             for j, coeffs in enumerate(row):
                 entries[(i, j)] = a.element([_scalar_in(a.field, x) for x in coeffs])
         return PpFormula(a, n, c, e, entries)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad formula: {exc}")
 
 
 def pair_to_json(pair: PpPair, algebra_ref=None):
@@ -294,14 +288,10 @@ def pair_to_json(pair: PpPair, algebra_ref=None):
 
 def load_pair(ref, base_dir: str = ".", algebra: Algebra = None) -> PpPair:
     obj, base_dir = _resolve(ref, base_dir)
-    try:
+    with _parsing("pair"):
         top = load_formula(obj["top"], base_dir, algebra)
         bottom = load_formula(obj["bottom"], base_dir, algebra or top.algebra)
         return PpPair(top, bottom)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad pair: {exc}")
 
 
 # -- interpretation data ----------------------------------------------------
@@ -323,14 +313,10 @@ def interp_to_json(data: InterpData, r_ref=None, s_ref=None):
 
 def load_interp(ref, base_dir: str = ".") -> InterpData:
     obj, base_dir = _resolve(ref, base_dir)
-    try:
+    with _parsing("interpretation data"):
         r = load_algebra(obj["R"], base_dir)
         s = load_algebra(obj["S"], base_dir)
         phi = load_formula(obj["phi"], base_dir, r)
         psi = load_formula(obj["psi"], base_dir, r)
         rhos = [load_formula(obj["rho"][lab], base_dir, r) for lab in s.labels]
         return InterpData(r, s, _count(obj, "m"), PpPair(phi, psi), rhos)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad interpretation data: {exc}")

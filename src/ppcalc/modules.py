@@ -437,15 +437,14 @@ class Bimodule:
     """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra, dim: int,
-                 left_action, right_action, generators, check=True):
+                 left_action, right_action, generators):
         self.S = left_algebra
         self.R = right_algebra
         self.dim = dim
         self.left_action = list(left_action)
         self.right_action = list(right_action)
         self.generators = [g if isinstance(g, Mat) else Mat.from_rows(self.field, [list(g)]) for g in generators]
-        if check:
-            self._validate()
+        self._validate()
 
     @property
     def field(self):
@@ -837,13 +836,13 @@ def indecomposability(m: FDModule, seed: int, budget: int = 1 << 17) -> IndecRes
     return IndecResult("probably-indecomposable", tried=tried)
 
 
-def _split(m: FDModule, seed: int, budget: int = 1 << 17):
+def _split(m: FDModule, seed: int):
     """Split m by the indecomposability search until no piece splits.
 
     Returns a list of (summand, inclusion, projection, IndecResult), each
     result certified or probably indecomposable.
     """
-    res = indecomposability(m, seed, budget)
+    res = indecomposability(m, seed)
     if res.status != "decomposed":
         return [(m, identity_map(m), identity_map(m), res)]
     e = res.witness.matrix
@@ -855,18 +854,18 @@ def _split(m: FDModule, seed: int, budget: int = 1 << 17):
     for offset, space in ((0, ker), (ker.dim, img)):
         sub, incl = submodule_module(m, space)
         proj = ModuleMap(m, sub, tinv.take_columns(range(offset, offset + space.dim)), check=False)
-        for piece, pi, pp, r in _split(sub, seed, budget):
+        for piece, pi, pp, r in _split(sub, seed):
             out.append((piece, pi.then(incl), proj.then(pp), r))
     return out
 
 
-def decompose(m: FDModule, seed: int, budget: int = 1 << 17):
+def decompose(m: FDModule, seed: int):
     """Full decomposition into certified indecomposables.
 
     Returns a list of (summand, inclusion, projection); raises when a
-    piece cannot be certified within the budget.
+    piece cannot be certified within indecomposability's default budget.
     """
-    pieces = _split(m, seed, budget) if m.dim else []
+    pieces = _split(m, seed) if m.dim else []
     if any(res.status != "indecomposable" for *_, res in pieces):
         raise ModuleError("cannot certify a summand as indecomposable within budget")
     return [piece[:3] for piece in pieces]

@@ -129,3 +129,182 @@ def test_bad_relations_rejected():
             [(1, 2, "a"), (1, 1, "c")],
             relations=[[(1, ["c", "c"]), (1, ["c", "a"])]],
         )
+
+
+# ---------------------------------------------------------------------------
+# algebra_from_quiver against the per-path reduction it replaced.
+# ---------------------------------------------------------------------------
+
+
+def ref_algebra_from_quiver(q, field):
+    """The per-path reduction: one membership test per full-length path,
+    a greedy residue basis grown one path at a time, and one solve per
+    pair of basis paths."""
+    from ppcalc.algebra import Algebra, _enumerate_paths, _path_label
+    from ppcalc.linalg import Subspace
+
+    paths = _enumerate_paths(q)
+    index = {p: i for i, p in enumerate(paths)}
+    npaths = len(paths)
+
+    def path_end(p):
+        src, word = p
+        return q._path_endpoints(word)[1] if word else src
+
+    def unit(i):
+        return Mat.from_rows(field, [[1 if k == i else 0 for k in range(npaths)]])
+
+    gen_rows = []
+    for rel in q.relations:
+        ends = q._path_endpoints(rel[0][1])
+        max_len = max(len(word) for _, word in rel)
+        for u in paths:
+            if path_end(u) != ends[0]:
+                continue
+            for w in paths:
+                if w[0] != ends[1] or len(u[1]) + max_len + len(w[1]) > q.cap:
+                    continue
+                row = [field.zero()] * npaths
+                for coeff, word in rel:
+                    p = (u[0], u[1] + tuple(word) + w[1])
+                    row[index[p]] = row[index[p]] + field.coerce(coeff)
+                gen_rows.append(row)
+    ideal = Subspace.from_vectors(field, npaths, gen_rows)
+
+    for p in paths:
+        if len(p[1]) == q.cap and not ideal.contains_vector(unit(index[p])):
+            raise AlgebraError(
+                f"ideal not admissible at cap {q.cap}: path "
+                f"{_path_label(*p)} does not reduce to 0; raise the cap "
+                "or fix the relations"
+            )
+
+    span, picked = ideal, []
+    for p in paths:
+        v = unit(index[p])
+        if not span.contains_vector(v):
+            picked.append(p)
+            span = span.sum_with(Subspace.from_vectors(field, npaths, v))
+    dim = len(picked)
+
+    reducer = Mat.vstack(([ideal.basis] if ideal.dim else []) + [unit(index[p]) for p in picked])
+    mul = []
+    for p in picked:
+        row = []
+        for r in picked:
+            if r[0] != path_end(p) or len(p[1]) + len(r[1]) > q.cap:
+                row.append(Mat.zeros(field, 1, dim))
+                continue
+            x = reducer.solve_left(unit(index[(p[0], p[1] + r[1])]))
+            row.append(x.take_columns(range(x.cols - dim, x.cols)))
+        mul.append(row)
+    one = Mat.from_rows(field, [[0 if p[1] else 1 for p in picked]])
+    return Algebra(field, [_path_label(*p) for p in picked], one, mul, quiver=q, paths=list(picked))
+
+
+def _words(letters, n):
+    words = [[]]
+    for _ in range(n):
+        words = [w + [c] for w in words for c in letters]
+    return words
+
+
+QUIVERS = {
+    "lambda": QuiverSpec(1, [(1, 1, "x")], relations=[[(1, ["x", "x"])]]),
+    "kronecker": QuiverSpec(2, [(1, 2, "a"), (1, 2, "b")]),
+    "k3": QuiverSpec(2, [(1, 2, "a"), (1, 2, "b"), (1, 2, "c")]),
+    "free2_sq": QuiverSpec(
+        1, [(1, 1, "x"), (1, 1, "y")], relations=[[(1, w)] for w in _words("xy", 2)]
+    ),
+    "free2_cube": QuiverSpec(
+        1, [(1, 1, "x"), (1, 1, "y")], relations=[[(1, w)] for w in _words("xy", 3)], cap=3
+    ),
+    "comm_xy_cap3": QuiverSpec(
+        1,
+        [(1, 1, "x"), (1, 1, "y")],
+        relations=[[(1, ["x", "x"])], [(1, ["y", "y"])], [(1, ["x", "y"]), (-1, ["y", "x"])]],
+        cap=3,
+    ),
+    "quantum_xy_cap3": QuiverSpec(
+        1,
+        [(1, 1, "x"), (1, 1, "y")],
+        relations=[[(1, ["x", "x"])], [(1, ["y", "y"])], [(1, ["x", "y"]), (-2, ["y", "x"])]],
+        cap=3,
+    ),
+    "lambda_cap3": QuiverSpec(1, [(1, 1, "x")], relations=[[(1, ["x", "x"])]], cap=3),
+    "a3_ab_zero": QuiverSpec(3, [(1, 2, "a"), (2, 3, "b")], relations=[[(1, ["a", "b"])]]),
+}
+
+# each names the first full-length path, in path order, that survives
+NOT_ADMISSIBLE = {
+    "comm_square_cap2": (
+        QuiverSpec(
+            4,
+            [(1, 2, "a"), (2, 4, "b"), (1, 3, "c"), (3, 4, "d")],
+            relations=[[(1, ["a", "b"]), (-1, ["c", "d"])]],
+        ),
+        "a*b",
+    ),
+    "a3_cap2": (QuiverSpec(3, [(1, 2, "a"), (2, 3, "b")]), "a*b"),
+    "cube_zero_cap2": (
+        QuiverSpec(1, [(1, 1, "x")], relations=[[(1, ["x", "x", "x"])]]),
+        "x*x",
+    ),
+}
+
+FIELDS = [GF(2), GF(3), GF(1048573), QQ]
+
+
+def same(a, b):
+    """Equal bit for bit: shape, dtype, entry types and every entry."""
+    return (
+        a.shape == b.shape
+        and a.array().dtype == b.array().dtype
+        and [type(v) for v in a.array().flat] == [type(v) for v in b.array().flat]
+        and a.key() == b.key()
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(QUIVERS))
+def test_algebra_from_quiver_matches_per_path_reduction(name, field):
+    q = QUIVERS[name]
+    got, want = algebra_from_quiver(q, field), ref_algebra_from_quiver(q, field)
+    assert got.labels == want.labels and got.paths == want.paths
+    assert same(got.one, want.one)
+    assert all(same(g, w) for gr, wr in zip(got.mul, want.mul) for g, w in zip(gr, wr))
+    assert got == want and validate_algebra(got).ok
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(NOT_ADMISSIBLE))
+def test_algebra_from_quiver_names_first_surviving_path(name, field):
+    q, path = NOT_ADMISSIBLE[name]
+    with pytest.raises(AlgebraError) as got:
+        algebra_from_quiver(q, field)
+    with pytest.raises(AlgebraError) as want:
+        ref_algebra_from_quiver(q, field)
+    assert str(got.value) == str(want.value)
+    assert f"path {path} does not" in str(got.value)
+
+
+def test_reference_quiver_dimensions():
+    dims = {name: algebra_from_quiver(q, QQ).dim for name, q in QUIVERS.items()}
+    assert dims == {
+        "lambda": 2, "kronecker": 4, "k3": 5, "free2_sq": 3, "free2_cube": 7,
+        "comm_xy_cap3": 4, "quantum_xy_cap3": 4, "lambda_cap3": 2, "a3_ab_zero": 5,
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_left_mult_matrix_is_one_product(field):
+    algebras = [nilpotent_lambda(field)] + [algebra_from_quiver(q, field) for q in QUIVERS.values()]
+    for a in algebras:
+        elements = [a.basis_element(i).coeffs for i in range(a.dim)]
+        elements.append(Mat.from_rows(field, [[i + 1 for i in range(a.dim)]]))
+        for x in elements:
+            got = a.left_mult_matrix(x)
+            assert same(got, Mat.vstack([x @ a._rmul[j] for j in range(a.dim)]))
+            # row j of L is x * basis_j
+            for j in range(a.dim):
+                assert got.row(j) == a.multiply(x, a.basis_element(j).coeffs)

@@ -307,6 +307,23 @@ def test_cli_malformed_module_exit_code(files, capsys, dim):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("free", 1.5), ("free", True), ("free", -1), ("bound", 2.0), ("bound", "0")],
+    ids=["free-float", "free-bool", "free-negative", "bound-float", "bound-string"],
+)
+@pytest.mark.parametrize("command", ["eval", "freereal"])
+def test_cli_malformed_formula_arity_exit_code(files, capsys, key, value, command):
+    # ann.pp has free 1 and bound 0; True was read as 1 and floats raised TypeError
+    _edit(files["ann.pp"], **{key: value})
+    args = ["--formula", files["ann.pp"]]
+    if command == "eval":
+        args += ["--module", files["reg.mod"]]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and f"{key} must be a non-negative integer" in err
+
+
 def test_cli_malformed_bimodule_exit_code(files, capsys):
     # the actions of bim.bim are 4 x 4
     _edit(files["bim.bim"], dim=5)
