@@ -8,6 +8,8 @@ orthogonal primitive idempotents.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .linalg import FieldSpec, Mat, Subspace
 
 __all__ = [
@@ -65,6 +67,8 @@ class Algebra:
             Mat.vstack([self.mul[i][j] for i in range(self.dim)])
             for j in range(self.dim)
         ]
+        # row j: R_j flattened, so y @ _rstack is sum_j y_j R_j
+        self._rstack = Mat.flat_stack(self._rmul) if self.dim else Mat.zeros(field, 0, 0)
         self.quiver = quiver
         self.paths = paths  # aligned with basis when quiver-built
 
@@ -112,7 +116,7 @@ class Algebra:
 
     def right_mult_matrix(self, y: Mat) -> Mat:
         """Matrix of v -> v*y in the basis (y a coefficient row)."""
-        return (y @ Mat.flat_stack(self._rmul)).reshape(self.dim, self.dim)
+        return (y @ self._rstack).reshape(self.dim, self.dim)
 
     def left_mult_matrix(self, x: Mat) -> Mat:
         """Matrix of v -> x*v in the basis (row convention: v @ L)."""
@@ -189,19 +193,17 @@ def validate_algebra(a: Algebra) -> ValidationReport:
         problems.append("unit fails on the left")
     if problems:
         return ValidationReport(False, problems)
-    for i in range(a.dim):
-        bi = a.basis_element(i).coeffs
-        for j in range(a.dim):
-            bij = a.mul[i][j]
-            for l in range(a.dim):
-                bl = a.basis_element(l).coeffs
-                left = a.multiply(bij, bl)
-                right = a.multiply(bi, a.mul[j][l])
-                if left != right:
-                    witness = (a.labels[i], a.labels[j], a.labels[l])
-                    return ValidationReport(
-                        False, [f"associativity fails on triple {witness}"]
-                    )
+    # row (i, j) of t is b_i b_j = sum_k t_ijk b_k, and _rstack holds t_ikm in
+    # row k, column (i, m); with entries (i, j, l, m), (b_i b_j) b_l is
+    # sum_k t_ijk t_klm and b_i (b_j b_l) is sum_k t_jlk t_ikm
+    d = a.dim
+    t = Mat.vstack([Mat.zeros(a.field, 0, d)] + [a.mul[i][j] for i in range(d) for j in range(d)])
+    left = (t @ t.reshape(d, d * d)).array().reshape(d, d, d, d)
+    right = (t @ a._rstack).array().reshape(d, d, d, d).transpose(2, 0, 1, 3)
+    bad = np.argwhere((left != right).any(axis=3))
+    if bad.size:
+        witness = tuple(a.labels[x] for x in bad[0])
+        return ValidationReport(False, [f"associativity fails on triple {witness}"])
     return ValidationReport(True)
 
 

@@ -8,10 +8,12 @@ implication, decided exactly through free realisations.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement
-from .linalg import Mat, Subspace, _zeros
+from .linalg import Mat, Subspace, _product, _zeros
 from .modules import (
     FDModule,
     _hom_system,
@@ -47,7 +49,13 @@ class FormulaError(ValueError):
 
 
 class PpFormula:
-    """exists y (x y) A = 0; entries stored sparsely by (row, column).
+    """exists y (x y) A = 0, with A stored as one coefficient matrix.
+
+    matrix is a read-only (n+c) x (e * dim A) Mat whose block j of row i
+    is the coefficient row of entry (i, j) of A.  coeffs may be such a
+    Mat, a dict {(i, j): AlgebraElement} or a dense list of rows.  Columns
+    of A that are identically zero (trivial equations) are dropped, the
+    rest kept in order.  coeffs, entry and dense are built on demand.
 
     c and e are the complexity statistics: the number of bound variables
     and the number of equations.  realisation, when given, is a pair
@@ -60,50 +68,65 @@ class PpFormula:
         self.algebra = algebra
         self.n = n
         self.c = c
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:  # dense list of rows
-            items = (
-                ((i, j), coeffs[i][j])
-                for i in range(len(coeffs))
-                for j in range(len(coeffs[i]))
-            )
-        cleaned = {}
-        for (i, j), elt in items:
-            if not (0 <= i < n + c and 0 <= j < e):
-                raise FormulaError(f"entry index {(i, j)} out of range")
-            if not elt.is_zero():
-                cleaned[(i, j)] = elt
-        # drop columns that are identically zero (trivial equations)
-        live = sorted({j for (_, j) in cleaned})
-        remap = {j: k for k, j in enumerate(live)}
-        self.e = len(live)
-        self.coeffs = {(i, remap[j]): elt for (i, j), elt in cleaned.items()}
-        self._realisation = (
-            None if realisation is None else FreeRealisation(*realisation, self)
-        )
+        field, dim, rows = algebra.field, algebra.dim, n + c
+        if not isinstance(coeffs, Mat):
+            if not hasattr(coeffs, "items"):  # dense list of rows
+                coeffs = {(i, j): x for i, row in enumerate(coeffs) for j, x in enumerate(row)}
+            a = _zeros(field, rows, e * dim)
+            for (i, j), elt in coeffs.items():
+                if not (0 <= i < rows and 0 <= j < e):
+                    raise FormulaError(f"entry index {(i, j)} out of range")
+                a[i, j * dim : (j + 1) * dim] = elt.coeffs.array()[0]
+            coeffs = Mat._of(field, a)
+        elif coeffs.shape != (rows, e * dim):
+            raise FormulaError(f"coefficient matrix shape {coeffs.shape}, expected {(rows, e * dim)}")
+        # drop columns that are identically zero (trivial equations); copy only then
+        blocks = coeffs.array().reshape(rows, e, dim)
+        live = (blocks != 0).any(axis=(0, 2))
+        self.e = int(live.sum())
+        if self.e < e:
+            coeffs = Mat._of(field, blocks[:, live].reshape(rows, self.e * dim))
+        self.matrix = coeffs
+        if realisation is not None and len(realisation[1]) != n:
+            raise FormulaError("realisation tuple arity mismatch")
+        self._pair = None if realisation is None else (realisation[0], list(realisation[1]))
 
     @property
     def realisation(self):
-        """The FreeRealisation fixed at construction, or None."""
-        return self._realisation
+        """The free realisation fixed at construction, or None.
+
+        A new FreeRealisation on each access: the formula keeps only the
+        pair (module, tuple), so it and its realisation form no cycle.
+        """
+        return None if self._pair is None else FreeRealisation(*self._pair, self)
+
+    _realisation = realisation  # the name perfbench/ reads
+
+    def blocks(self):
+        """The matrix as an (n+c) x e x dim A array of coefficient rows."""
+        return self.matrix.array().reshape(self.n + self.c, self.e, self.algebra.dim)
 
     def entry(self, i: int, j: int) -> AlgebraElement:
-        return self.coeffs.get((i, j), self.algebra.zero_element())
+        if not (0 <= i < self.n + self.c and 0 <= j < self.e):
+            raise FormulaError(f"entry index {(i, j)} out of range")
+        block = self.blocks()[i, j : j + 1]
+        return AlgebraElement(self.algebra, Mat._of(self.algebra.field, block))
 
     def dense(self):
         """Matrix as a dense list of rows of AlgebraElements."""
-        return [
-            [self.entry(i, j) for j in range(self.e)] for i in range(self.n + self.c)
-        ]
+        return [[self.entry(i, j) for j in range(self.e)] for i in range(self.n + self.c)]
+
+    @property
+    def coeffs(self):
+        """A read-only {(i, j): AlgebraElement} view of the nonzero entries.
+
+        Built from the matrix on each access, in row-major order.
+        """
+        cells = zip(*np.nonzero((self.blocks() != 0).any(axis=2)))
+        return MappingProxyType({(int(i), int(j)): self.entry(i, j) for i, j in cells})
 
     def key(self):
-        return (
-            self.n,
-            self.c,
-            self.e,
-            tuple(sorted(((i, j), elt.key()) for (i, j), elt in self.coeffs.items())),
-        )
+        return (self.n, self.c, self.e, self.matrix.key())
 
     def __eq__(self, other):
         return (
@@ -125,7 +148,7 @@ class PpFormula:
         formula generates the pp-type of tup in module: implies and beta
         trust it (see FreeRealisation).
         """
-        return PpFormula(self.algebra, self.n, self.c, self.e, self.coeffs, (module, tup))
+        return PpFormula(self.algebra, self.n, self.c, self.e, self.matrix, (module, tup))
 
 
 class FreeRealisation:
@@ -154,28 +177,27 @@ class FreeRealisation:
 
 def top_formula(algebra: Algebra, n: int) -> PpFormula:
     """x = x: no equations, realised by the free generators of A^n."""
-    return PpFormula(algebra, n, 0, 0, {}, free_module(algebra, n))
+    return PpFormula(algebra, n, 0, 0, Mat.zeros(algebra.field, n, 0), free_module(algebra, n))
 
 
 def zero_formula(algebra: Algebra, n: int) -> PpFormula:
     """x = 0: one equation per free variable, realised in the zero module."""
-    one = algebra.one_element()
     z = zero_module(algebra)
-    return PpFormula(
-        algebra, n, 0, n, {(i, i): one for i in range(n)}, (z, [z.zero_vector()] * n)
-    )
+    ident = Mat.identity(algebra.field, n).kron(algebra.one)
+    return PpFormula(algebra, n, 0, n, ident, (z, [z.zero_vector()] * n))
 
 
 def _formula_matrix(phi: PpFormula, m: FDModule) -> Mat:
     """The k-linear system encoding (x y) A = 0 inside m."""
     d, field = m.dim, m.field
     big = _zeros(field, (phi.n + phi.c) * d, phi.e * d)
-    if phi.coeffs:
-        coeffs = Mat.vstack([elt.coeffs for elt in phi.coeffs.values()])
-        blocks = (coeffs @ Mat.flat_stack(m.action)).array().reshape(len(phi.coeffs), d, d)
-        i, j = zip(*phi.coeffs)
+    blocks = phi.blocks()
+    i, j = np.nonzero((blocks != 0).any(axis=2))
+    if i.size:
+        coeffs = Mat._of(field, blocks[i, j])
+        prods = (coeffs @ Mat.flat_stack(m.action)).array().reshape(i.size, d, d)
         # block (i, j) of big is entry [i, :, j, :] of this view
-        big.reshape(phi.n + phi.c, d, phi.e, d)[i, :, j, :] = blocks
+        big.reshape(phi.n + phi.c, d, phi.e, d)[i, :, j, :] = prods
     return Mat._of(field, big)
 
 
@@ -190,7 +212,7 @@ def eval_formula(phi: PpFormula, m: FDModule) -> Subspace:
     return Subspace.from_vectors(m.field, phi.n * d, ker.take_columns(range(phi.n * d)))
 
 
-def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=(),
+def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw=None,
              realisation=None):
     """Build  exists aux, (inner bounds) : /\\ inst_i(slots @ C_i) /\\ raw = 0.
 
@@ -198,16 +220,14 @@ def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=(),
     instance is (formula, C) where C is a scalar (n_free+n_aux) x inst.n
     matrix substituting slot combinations for the instance's free
     variables; the instance's own bound variables are appended fresh.
-    raw_cols are extra equation columns over the slots alone.
+    The matrix is filled whole: an instance's slot rows are the product
+    C @ (its free rows), and its bound rows are copied in.  raw, when
+    given, is an (n_free+n_aux) x (r * dim A) Mat of r extra equation
+    columns over the slots alone, laid out as PpFormula.matrix.
     realisation is passed on to the PpFormula constructor.
     """
     n_slots = n_free + n_aux
-    field = algebra.field
-    total_c = n_aux + sum(f.c for f, _ in instances)
-    total_e = sum(f.e for f, _ in instances) + len(raw_cols)
-    coeffs = {}
-    col_off = 0
-    bound_off = n_slots
+    field, dim = algebra.field, algebra.dim
     for f, cmat in instances:
         if f.algebra != algebra:
             raise FormulaError("assemble: instance over a different algebra")
@@ -216,29 +236,22 @@ def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw_cols=(),
                 f"assemble: substitution matrix shape {cmat.shape},"
                 f" expected {(n_slots, f.n)}"
             )
-        for (i, j), elt in f.coeffs.items():
-            if i < f.n:
-                for s in range(n_slots):
-                    cs = cmat.entry(s, i)
-                    if cs != 0:
-                        key = (s, col_off + j)
-                        term = elt * cs
-                        if key in coeffs:
-                            coeffs[key] = coeffs[key] + term
-                        else:
-                            coeffs[key] = term
-            else:
-                coeffs[(bound_off + (i - f.n), col_off + j)] = elt
-        col_off += f.e
-        bound_off += f.c
-    for col in raw_cols:
-        if len(col) != n_slots:
-            raise FormulaError("assemble: raw column has wrong length")
-        for s, elt in enumerate(col):
-            if not elt.is_zero():
-                coeffs[(s, col_off)] = elt
-        col_off += 1
-    return PpFormula(algebra, n_free, total_c, total_e, coeffs, realisation)
+    if raw is None:
+        raw = Mat.zeros(field, n_slots, 0)
+    if raw.rows != n_slots or raw.cols % dim:
+        raise FormulaError(f"assemble: raw columns of shape {raw.shape} over {n_slots} slots")
+    inner_c = sum(f.c for f, _ in instances)
+    total_e = sum(f.e for f, _ in instances) + raw.cols // dim
+    out = _zeros(field, n_slots + inner_c, total_e * dim)
+    col, bound = 0, n_slots
+    for f, cmat in instances:
+        a, width = f.matrix.array(), f.e * dim
+        out[:n_slots, col : col + width] = _product(field, cmat.array(), a[: f.n])
+        out[bound : bound + f.c, col : col + width] = a[f.n :]
+        col += width
+        bound += f.c
+    out[:n_slots, col:] = raw.array()
+    return PpFormula(algebra, n_free, n_aux + inner_c, total_e, Mat._of(field, out), realisation)
 
 
 def meet_realisation(phi: PpFormula, psi: PpFormula):
@@ -303,7 +316,7 @@ def free_realisation(phi: PpFormula, via: str = "auto") -> FreeRealisation:
     many times without a realisation should be rebuilt once with
     phi.with_realisation.
     """
-    if via == "auto" and phi.realisation is not None:
+    if via == "auto" and phi._pair is not None:
         return phi.realisation
     q, gens, _ = fp_module(phi.algebra, phi.dense())
     fr = FreeRealisation(q, gens[: phi.n], phi)
@@ -321,32 +334,22 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
     of H are a k-basis of the linear relation space of the basis tuple.
     For n = 1 this gives c = dim m and d(phi) <= dim m * dim A + 1.
     """
-    a = m.algebra
-    field = m.field
-    d = m.dim
+    a, field, d = m.algebra, m.field, m.dim
     tup = [m.element(t) for t in tup]
     n = len(tup)
     # relation space of the spanning tuple (the standard basis of m):
     # rows indexed by (basis index, algebra basis index)
-    if d:
-        rel = Mat.hstack(m.action).reshape(d * a.dim, d)
-        ker = rel.kernel()
-    else:
-        ker = Mat.zeros(field, 0, 0)
-    coeffs = {}
-    one = a.one_element()
-    for t in range(n):
-        coeffs[(t, t)] = one
-        for i in range(d):
-            g = tup[t].entry(0, i)
-            if g != 0:
-                coeffs[(n + i, t)] = a.scalar_element(field.neg(g))
-    # row j * d + i of blocks: the coefficients of y_i in relation j
-    blocks = ker.reshape(ker.rows * d, a.dim)
-    for k in np.flatnonzero((blocks.array() != 0).any(axis=1)):
-        j, i = divmod(int(k), d)
-        coeffs[(n + i, n + j)] = a.element(blocks.row(k))
-    return PpFormula(a, n, d, n + ker.rows, coeffs, (m, tup))
+    ker = Mat.hstack(m.action).reshape(d * a.dim, d).kernel()
+    # row t: x_t in column t; row n + i: -g_ti y_i in column t, where
+    # x_t = sum_i g_ti y_i, and in column n + j the coefficients of y_i
+    # in relation j
+    g = Mat.vstack([Mat.zeros(field, 0, d)] + tup)
+    rels = ker.array().reshape(ker.rows, d, a.dim).transpose(1, 0, 2)
+    matrix = Mat.vstack([
+        Mat.hstack([Mat.identity(field, n).kron(a.one), Mat.zeros(field, n, ker.rows * a.dim)]),
+        Mat.hstack([(-g).transpose().kron(a.one), Mat._of(field, rels.reshape(d, ker.rows * a.dim))]),
+    ])
+    return PpFormula(a, n, d, n + ker.rows, matrix, (m, tup))
 
 
 def implies(psi: PpFormula, phi: PpFormula) -> bool:

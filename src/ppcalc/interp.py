@@ -296,21 +296,14 @@ def hom_interp_data(b: Bimodule) -> InterpData:
     gens = Mat.vstack([Mat.zeros(b.field, 0, b.dim)] + b.generators)
     gen_mat = Mat.hstack([gens @ r for r in b.right_action]).reshape(n * b.R.dim, b.dim)
     rhos = []
-    one = b.R.one_element()
+    minus_one = -Mat.identity(b.field, n).kron(b.R.one)
     for lmat in b.left_action:
         sol = gen_mat.solve_left(gens @ lmat)
         if sol is None:
             raise InterpError("left action escapes the generated module")
-        # row i * n + j holds r_ji
-        r = sol.reshape(n * n, b.R.dim)
-        coeffs = {}
-        for i in range(n):
-            for j in range(n):
-                r_ji = r.row(i * n + j)
-                if not r_ji.is_zero():
-                    coeffs[(j, i)] = b.R.element(r_ji)
-            coeffs[(n + i, i)] = -one
-        rhos.append(PpFormula(b.R, 2 * n, 0, n, coeffs))
+        # row i of sol holds r_ji in block j; rho's row j holds it in block i
+        r = sol.array().reshape(n, n, b.R.dim).transpose(1, 0, 2).reshape(n, n * b.R.dim)
+        rhos.append(PpFormula(b.R, 2 * n, 0, n, Mat.vstack([Mat._of(b.field, r), minus_one])))
     pair = PpPair(phi, psi)
     return InterpData(b.R, b.S, n, pair, rhos)
 
@@ -417,25 +410,18 @@ def pullback_formula(data: InterpData, gamma: PpFormula) -> PpFormula:
             )
     for i in range(e):
         instances.append((data.psi, _block_subst(field, n_slots, m, [([(w_off + i * m, 1)], m)])))
-    raw_cols = []
-    zero = data.R.zero_element()
-    one = data.R.one_element()
-    for i in range(e):
-        b_i = gamma.entry(0, i).coeffs
-        alphas = [gamma.entry(1 + j, i).coeffs for j in range(d)]
-        for t in range(m):
-            col = [zero] * n_slots
-            for k in range(p):
-                beta = b_i.entry(0, k)
-                if beta != 0:
-                    col[z_off + k * m + t] = one * beta
-                for j in range(d):
-                    alpha = alphas[j].entry(0, k)
-                    if alpha != 0:
-                        col[u_block(j, k) + t] = one * alpha
-            col[w_off + i * m + t] = -one
-            raw_cols.append(col)
-    return assemble(data.R, m, n_slots - m, instances, raw_cols)
+    # raw column i * m + t: sum_k b_ik Z_k + sum_jk a_jik U_jk - W_i = 0 at
+    # coordinate t, where gamma's entries are b_i (row 0) and a_ji (row 1 + j);
+    # as scalars it is blocks kron I_m, one slot block per row of blocks
+    g = gamma.blocks()
+    blocks = Mat.vstack([
+        Mat.zeros(field, 1 + d, e),  # X, Y_j
+        Mat._of(field, g[0].T),  # Z_k
+        -Mat.identity(field, e),  # W_i
+        Mat._of(field, g[1:].transpose(0, 2, 1).reshape(d * p, e)),  # U_jk
+    ])
+    raw = blocks.kron(Mat.identity(field, m)).kron(data.R.one)
+    return assemble(data.R, m, n_slots - m, instances, raw)
 
 
 class BoundReport:

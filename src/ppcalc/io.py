@@ -254,14 +254,12 @@ def load_bimodule(ref, base_dir: str = ".") -> Bimodule:
 
 def formula_to_json(phi: PpFormula, algebra_ref=None):
     a = phi.algebra
+    blocks = phi.blocks().tolist()
     return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(a),
         "free": phi.n,
         "bound": phi.c,
-        "matrix": [
-            [_vec_out(a.field, phi.entry(i, j).coeffs) for j in range(phi.e)]
-            for i in range(phi.n + phi.c)
-        ],
+        "matrix": [[[_scalar_out(a.field, x) for x in coeffs] for coeffs in row] for row in blocks],
     }
 
 

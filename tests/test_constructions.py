@@ -22,6 +22,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ppcalc import formulas, modules
+from ppcalc.algebra import Algebra, QuiverSpec, ValidationReport, algebra_from_quiver, validate_algebra
+from ppcalc.examples import simple_lambda_module
 from ppcalc.formulas import (
     FreeRealisation,
     PpFormula,
@@ -31,8 +33,15 @@ from ppcalc.formulas import (
     meet_realisation,
     pp_type_generator,
 )
-from ppcalc.interp import apply_interp, apply_map, hom_interp_data
-from ppcalc.linalg import DimensionMismatch, Mat, Subspace, quotient_basis
+from ppcalc.interp import (
+    _block_subst,
+    apply_interp,
+    apply_map,
+    hom_interp_data,
+    isolating_pair,
+    pullback_formula,
+)
+from ppcalc.linalg import GF, DimensionMismatch, Mat, Subspace, quotient_basis
 from ppcalc.modules import (
     Bimodule,
     FDModule,
@@ -46,9 +55,11 @@ from ppcalc.modules import (
     identity_map,
     pushout,
     rad_end,
+    regular_module,
     submodule_generated,
     zero_module,
 )
+from test_formulas import as_dict, assert_matches, dict_assemble, dict_formulas
 from test_modules import (
     ORACLE,
     ORACLE_FIELDS,
@@ -57,7 +68,9 @@ from test_modules import (
     module_maps,
     oracle_algebras,
     oracle_mats,
+    oracle_scalars,
     summed,
+    truncated_algebra,
 )
 
 
@@ -512,3 +525,134 @@ def test_hom_interp_data_matches_per_generator_solves(case, data):
     rhos, expected = hom_interp_data(b).rhos, ref_hom_rhos(b)
     assert [r.key() for r in rhos] == [r.key() for r in expected]
     assert [list(r.coeffs) for r in rhos] == [list(r.coeffs) for r in expected]
+
+
+def dict_pullback_formula(data, gamma):
+    """pullback_formula on DictFormulas: the raw columns built slot by slot
+    from gamma's entries, then the entrywise assemble."""
+    m, p = data.m, data.S.dim
+    field = data.R.field
+    d, e = gamma.c, gamma.e
+    y_off = m
+    z_off = y_off + d * m
+    w_off = z_off + p * m
+    u_off = w_off + e * m
+    n_slots = u_off + d * p * m
+
+    def u_block(j, k):
+        return u_off + (j * p + k) * m
+
+    def subst(arity, blocks):
+        return _block_subst(field, n_slots, arity, blocks)
+
+    phi, psi, rhos = as_dict(data.phi), as_dict(data.psi), [as_dict(r) for r in data.rhos]
+    instances = [(phi, subst(m, [([(0, 1)], m)]))]
+    instances += [(phi, subst(m, [([(z_off + k * m, 1)], m)])) for k in range(p)]
+    instances += [(phi, subst(m, [([(y_off + j * m, 1)], m)])) for j in range(d)]
+    instances += [(phi, subst(m, [([(u_block(j, k), 1)], m)])) for j in range(d) for k in range(p)]
+    instances += [(rhos[k], subst(2 * m, [([(0, 1)], m), ([(z_off + k * m, 1)], m)])) for k in range(p)]
+    instances += [
+        (rhos[k], subst(2 * m, [([(y_off + j * m, 1)], m), ([(u_block(j, k), 1)], m)]))
+        for j in range(d)
+        for k in range(p)
+    ]
+    instances += [(psi, subst(m, [([(w_off + i * m, 1)], m)])) for i in range(e)]
+    zero, one = data.R.zero_element(), data.R.one_element()
+    s_zero = data.S.zero_element()
+    raw_cols = []
+    for i in range(e):
+        b_i = gamma.coeffs.get((0, i), s_zero).coeffs
+        alphas = [gamma.coeffs.get((1 + j, i), s_zero).coeffs for j in range(d)]
+        for t in range(m):
+            col = [zero] * n_slots
+            for k in range(p):
+                beta = b_i.entry(0, k)
+                if beta != 0:
+                    col[z_off + k * m + t] = one * beta
+                for j in range(d):
+                    alpha = alphas[j].entry(0, k)
+                    if alpha != 0:
+                        col[u_block(j, k) + t] = one * alpha
+            col[w_off + i * m + t] = -one
+            raw_cols.append(col)
+    return dict_assemble(data.R, m, n_slots - m, instances, raw_cols)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_pullback_formula_matches_raw_column_loop(case, data):
+    homdata = hom_interp_data(data.draw(bimodules(ORACLE_FIELDS[case])))
+    gamma, ref = data.draw(dict_formulas(homdata.S, 1))
+    assert_matches(pullback_formula(homdata, gamma), dict_pullback_formula(homdata, ref))
+
+
+def test_pullback_formula_matches_raw_column_loop_on_presentations():
+    # the isolating pair of criterion 7: gamma and delta of the simple module
+    field = GF(2)
+    lam, kron, emb, _ = oracle_algebras(field)
+    homdata = hom_interp_data(emb)
+    s = simple_lambda_module(lam)
+    pair = isolating_pair(s, s.basis_vector(0), [s, regular_module(lam)]).pair
+    for gamma in (pair.top, pair.bottom):
+        assert_matches(pullback_formula(homdata, gamma), dict_pullback_formula(homdata, as_dict(gamma)))
+
+
+def ref_validate_algebra(a):
+    """validate_algebra's associativity check as the triple loop of 2 dim^3 multiplications."""
+    problems = []
+    ident = Mat.identity(a.field, a.dim)
+    if a.right_mult_matrix(a.one) != ident:
+        problems.append("unit fails on the right")
+    if a.left_mult_matrix(a.one) != ident:
+        problems.append("unit fails on the left")
+    if problems:
+        return ValidationReport(False, problems)
+    for i in range(a.dim):
+        bi = a.basis_element(i).coeffs
+        for j in range(a.dim):
+            for l in range(a.dim):
+                bl = a.basis_element(l).coeffs
+                if a.multiply(a.mul[i][j], bl) != a.multiply(bi, a.mul[j][l]):
+                    witness = (a.labels[i], a.labels[j], a.labels[l])
+                    return ValidationReport(False, [f"associativity fails on triple {witness}"])
+    return ValidationReport(True)
+
+
+def square_zero_algebra(field):
+    """k<x, y>/(x, y)^2 from its quiver: dim 3, every product of arrows 0."""
+    words = [["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"]]
+    q = QuiverSpec(1, [(1, 1, "x"), (1, 1, "y")], [[(1, w)] for w in words], cap=2)
+    return algebra_from_quiver(q, field)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_validate_algebra_matches_triple_loop(case, data):
+    field = ORACLE_FIELDS[case]
+    lam, kron = oracle_algebras(field)[:2]
+    base = data.draw(st.sampled_from([lam, kron, truncated_algebra(field), square_zero_algebra(field)]))
+    assert validate_algebra(base).ok and ref_validate_algebra(base).ok
+    # corrupt the coefficient of b_k in b_i b_j, for one or two random triples
+    mul = [list(row) for row in base.mul]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j, k = (data.draw(st.integers(0, base.dim - 1)) for _ in range(3))
+        unit_k = Mat.identity(field, base.dim).row(k)
+        mul[i][j] = mul[i][j] + unit_k.scale(data.draw(oracle_scalars(field)))
+    a = Algebra(field, base.labels, base.one, mul)
+    got, want = validate_algebra(a), ref_validate_algebra(a)
+    assert (got.ok, got.problems) == (want.ok, want.problems)
+
+
+def test_validate_algebra_names_the_first_failing_triple():
+    # x y = x breaks (x y) y = x y = x against x (y y) = 0 first at (x, y, y)
+    field = GF(3)
+    base = square_zero_algebra(field)
+    x, y = base.labels.index("x"), base.labels.index("y")
+    mul = [list(row) for row in base.mul]
+    mul[x][y] = base.basis_element(x).coeffs
+    report = validate_algebra(Algebra(field, base.labels, base.one, mul))
+    assert not report.ok
+    assert report.problems == ["associativity fails on triple ('x', 'y', 'y')"]
+    assert report.problems == ref_validate_algebra(Algebra(field, base.labels, base.one, mul)).problems

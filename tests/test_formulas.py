@@ -1,3 +1,7 @@
+import gc
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +11,7 @@ from ppcalc.formulas import (
     PpFormula,
     PpPair,
     _formula_matrix,
+    assemble,
     conj,
     equivalent,
     eval_formula,
@@ -22,12 +27,15 @@ from ppcalc.lattice import BetaMap, minimize_realisation
 from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
     direct_sum,
+    fp_module,
     hom_space,
     iso_test,
     regular_module,
+    tensor_over,
     zero_module,
 )
 
+from test_linalg import assert_canonical
 from test_modules import (
     ORACLE,
     ORACLE_FIELDS,
@@ -36,6 +44,8 @@ from test_modules import (
     module_maps,
     oracle_algebras,
     oracle_mats,
+    truncated_algebra,
+    truncated_modules,
 )
 
 F2 = GF(2)
@@ -503,3 +513,332 @@ def test_implies_does_not_call_hom_space(lam2, reg2, s1_2, phis, monkeypatch):
     div, ann = phis
     gen = pp_type_generator(reg2, [reg2.element([0, 1])])
     assert implies(div, ann) and implies(gen, div) and not implies(ann, gen)
+
+
+# -- one coefficient matrix against the dict of entries -------------------
+#
+# PpFormula stores its (n+c) x e matrix over A as one (n+c) x (e * dim A)
+# Mat.  DictFormula and the dict_* functions are the storage it replaced:
+# one AlgebraElement per nonzero entry, substituted entry by entry.  Both
+# must give the same formulas, entry for entry, with the same columns
+# dropped in the same order.
+
+
+class DictFormula:
+    """A formula as a dict {(i, j): AlgebraElement}; zero entries and
+    identically zero columns dropped, the remaining columns renumbered in
+    order."""
+
+    def __init__(self, algebra, n, c, e, coeffs, realisation=None):
+        self.algebra, self.n, self.c = algebra, n, c
+        cleaned = {}
+        for (i, j), elt in coeffs.items():
+            if not (0 <= i < n + c and 0 <= j < e):
+                raise FormulaError(f"entry index {(i, j)} out of range")
+            if not elt.is_zero():
+                cleaned[(i, j)] = elt
+        live = sorted({j for (_, j) in cleaned})
+        remap = {j: k for k, j in enumerate(live)}
+        self.e = len(live)
+        self.coeffs = {(i, remap[j]): elt for (i, j), elt in cleaned.items()}
+        self.realisation = realisation
+
+    def dense(self):
+        zero = self.algebra.zero_element()
+        return [[self.coeffs.get((i, j), zero) for j in range(self.e)] for i in range(self.n + self.c)]
+
+    def key(self):
+        return (
+            self.n,
+            self.c,
+            self.e,
+            tuple(sorted(((i, j), elt.key()) for (i, j), elt in self.coeffs.items())),
+        )
+
+
+def dict_assemble(algebra, n_free, n_aux, instances, raw_cols=()):
+    """assemble, substituting entry by entry with AlgebraElement arithmetic."""
+    n_slots = n_free + n_aux
+    total_c = n_aux + sum(f.c for f, _ in instances)
+    total_e = sum(f.e for f, _ in instances) + len(raw_cols)
+    coeffs = {}
+    col_off = 0
+    bound_off = n_slots
+    for f, cmat in instances:
+        for (i, j), elt in f.coeffs.items():
+            if i < f.n:
+                for s in range(n_slots):
+                    cs = cmat.entry(s, i)
+                    if cs != 0:
+                        key = (s, col_off + j)
+                        term = elt * cs
+                        coeffs[key] = coeffs[key] + term if key in coeffs else term
+            else:
+                coeffs[(bound_off + (i - f.n), col_off + j)] = elt
+        col_off += f.e
+        bound_off += f.c
+    for col in raw_cols:
+        for s, elt in enumerate(col):
+            if not elt.is_zero():
+                coeffs[(s, col_off)] = elt
+        col_off += 1
+    return DictFormula(algebra, n_free, total_c, total_e, coeffs)
+
+
+def dict_conj(phi, psi):
+    ident = Mat.identity(phi.algebra.field, phi.n)
+    return dict_assemble(phi.algebra, phi.n, 0, [(phi, ident), (psi, ident)])
+
+
+def dict_sum(phi, psi):
+    field, n = phi.algebra.field, phi.n
+    ident, zero = Mat.identity(field, n), Mat.zeros(field, n, n)
+    c_phi, c_psi = Mat.vstack([zero, ident]), Mat.vstack([ident, -ident])
+    return dict_assemble(phi.algebra, n, n, [(phi, c_phi), (psi, c_psi)])
+
+
+def dict_formula_matrix(phi, m):
+    """_formula_matrix read from the dict: one product for all entries."""
+    d, field = m.dim, m.field
+    big = Mat.zeros(field, (phi.n + phi.c) * d, phi.e * d).array().copy()
+    if phi.coeffs:
+        coeffs = Mat.vstack([elt.coeffs for elt in phi.coeffs.values()])
+        blocks = (coeffs @ Mat.flat_stack(m.action)).array().reshape(len(phi.coeffs), d, d)
+        i, j = zip(*phi.coeffs)
+        big.reshape(phi.n + phi.c, d, phi.e, d)[i, :, j, :] = blocks
+    return Mat.of_array(field, big)
+
+
+def dict_pp_type_generator(m, tup):
+    """pp_type_generator filling the dict entry by entry."""
+    a, field, d = m.algebra, m.field, m.dim
+    tup = [m.element(t) for t in tup]
+    n = len(tup)
+    if d:
+        ker = Mat.hstack(m.action).reshape(d * a.dim, d).kernel()
+    else:
+        ker = Mat.zeros(field, 0, 0)
+    coeffs = {}
+    one = a.one_element()
+    for t in range(n):
+        coeffs[(t, t)] = one
+        for i in range(d):
+            g = tup[t].entry(0, i)
+            if g != 0:
+                coeffs[(n + i, t)] = a.scalar_element(field.neg(g))
+    blocks = ker.reshape(ker.rows * d, a.dim)
+    for k in np.flatnonzero((blocks.array() != 0).any(axis=1)):
+        j, i = divmod(int(k), d)
+        coeffs[(n + i, n + j)] = a.element(blocks.row(k))
+    return DictFormula(a, n, d, n + ker.rows, coeffs, (m, tup))
+
+
+def dict_beta(bmap, phi):
+    """beta: a free realisation (the attached one, else the fp module of
+    the dict's dense matrix), tensored, and its dict pp-type generator."""
+    if phi.realisation is not None:
+        module, tup = phi.realisation
+    else:
+        q, gens, _ = fp_module(phi.algebra, phi.dense())
+        module, tup = q, gens[: phi.n]
+    t = tensor_over(module, bmap.bimodule)
+    return dict_pp_type_generator(t.module, [t.pure_tensor(tup[0], g) for g in bmap.bimodule.generators])
+
+
+def as_dict(phi):
+    """The DictFormula of a PpFormula's entries (its realisation kept)."""
+    real = None if phi.realisation is None else (phi.realisation.module, phi.realisation.tuple)
+    return DictFormula(phi.algebra, phi.n, phi.c, phi.e, dict(phi.coeffs), real)
+
+
+def dense_key(ref):
+    """The key of ref's entries laid out as one (n+c) x (e * dim A) matrix."""
+    a = ref.algebra
+    zero = [0] * a.dim
+    rows = [
+        [x for j in range(ref.e) for x in (ref.coeffs[(i, j)].coeffs.to_rows()[0] if (i, j) in ref.coeffs else zero)]
+        for i in range(ref.n + ref.c)
+    ]
+    return Mat.from_rows(a.field, rows).key()
+
+
+def assert_matches(phi, ref):
+    """phi holds exactly ref's entries, in the matrix layout and as a view."""
+    assert (phi.n, phi.c, phi.e) == (ref.n, ref.c, ref.e)
+    assert phi.matrix.shape == (phi.n + phi.c, phi.e * phi.algebra.dim)
+    assert phi.key() == (ref.n, ref.c, ref.e, dense_key(ref))
+    got = {cell: elt.key() for cell, elt in phi.coeffs.items()}
+    assert got == {cell: elt.key() for cell, elt in ref.coeffs.items()}
+    assert list(phi.coeffs) == sorted(ref.coeffs)  # row-major order
+    for (i, j), elt in ref.coeffs.items():
+        assert phi.entry(i, j) == elt
+    assert_canonical(phi.matrix)
+
+
+@st.composite
+def dict_formulas(draw, algebra, n=None):
+    """(PpFormula, DictFormula) from one random dict of entries, some of
+    them zero: 0-2 free (unless n is given) and bound variables and up to
+    3 equations.  The PpFormula takes the dict or the dense list of rows."""
+    n = draw(st.integers(0, 2)) if n is None else n
+    c, e = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    cells = st.tuples(st.integers(0, max(n + c - 1, 0)), st.integers(0, max(e - 1, 0)))
+    picked = draw(st.lists(cells, max_size=6)) if n + c and e else []
+    field = algebra.field
+    coeffs = {cell: algebra.element(draw(oracle_mats(field, 1, algebra.dim))) for cell in picked}
+    ref = DictFormula(algebra, n, c, e, coeffs)
+    if draw(st.booleans()):
+        zero = algebra.zero_element()
+        coeffs = [[coeffs.get((i, j), zero) for j in range(e)] for i in range(n + c)]
+    return PpFormula(algebra, n, c, e, coeffs), ref
+
+
+def storage_kinds(field):
+    """(algebra, module strategy): Lambda, Kronecker and k[x]/(x^3)."""
+    lam, kron = oracle_algebras(field)[:2]
+    return [
+        (lam, lambda_modules(field, max_dim=3)),
+        (kron, kronecker_modules(field, max_side=1)),
+        (truncated_algebra(field), truncated_modules(field)),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_formula_matrix_matches_dict_of_entries(case, data):
+    field = ORACLE_FIELDS[case]
+    for algebra, mods in storage_kinds(field):
+        (phi, ref), (psi, ref2) = data.draw(dict_formulas(algebra)), data.draw(dict_formulas(algebra))
+        assert_matches(phi, ref)
+        assert (phi == psi) == (ref.key() == ref2.key())
+        if phi == psi:
+            assert hash(phi) == hash(psi)
+        m = data.draw(mods)
+        got, want = _formula_matrix(phi, m), dict_formula_matrix(ref, m)
+        assert got.shape == want.shape and got.array().dtype == want.array().dtype
+        assert got.key() == want.key()
+        # a copy through the matrix, the dict view and the dense rows
+        for coeffs in (phi.matrix, phi.coeffs, phi.dense()):
+            assert PpFormula(algebra, phi.n, phi.c, phi.e, coeffs) == phi
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_assemble_matches_entrywise_substitution(case, data):
+    field = ORACLE_FIELDS[case]
+    algebra, _ = data.draw(st.sampled_from(storage_kinds(field)))
+    n_free, n_aux = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    n_slots = n_free + n_aux
+    pairs = data.draw(st.lists(dict_formulas(algebra), max_size=3))
+    cmats = [data.draw(oracle_mats(field, n_slots, f.n)) for f, _ in pairs]
+    raw_cols = [
+        [algebra.element(data.draw(oracle_mats(field, 1, algebra.dim))) for _ in range(n_slots)]
+        for _ in range(data.draw(st.integers(0, 2)))
+    ]
+    raw = Mat.zeros(field, n_slots, len(raw_cols) * algebra.dim).array().copy()
+    for j, col in enumerate(raw_cols):
+        for s, elt in enumerate(col):
+            raw[s, j * algebra.dim : (j + 1) * algebra.dim] = elt.coeffs.array()[0]
+    got = assemble(algebra, n_free, n_aux, [(f, c) for (f, _), c in zip(pairs, cmats)],
+                   Mat.of_array(field, raw))
+    want = dict_assemble(algebra, n_free, n_aux, [(r, c) for (_, r), c in zip(pairs, cmats)], raw_cols)
+    assert_matches(got, want)
+    if not raw_cols:
+        assert assemble(algebra, n_free, n_aux, [(f, c) for (f, _), c in zip(pairs, cmats)]) == got
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_conj_and_sum_match_entrywise_substitution(case, data):
+    field = ORACLE_FIELDS[case]
+    algebra, mods = data.draw(st.sampled_from(storage_kinds(field)))
+    n = data.draw(st.integers(0, 2))
+    (phi, rphi), (psi, rpsi) = data.draw(dict_formulas(algebra, n)), data.draw(dict_formulas(algebra, n))
+    assert_matches(conj(phi, psi), dict_conj(rphi, rpsi))
+    assert_matches(sum_formula(phi, psi), dict_sum(rphi, rpsi))
+    # realised inputs: pp-type generators, whose realisations conj and sum combine
+    m, m2 = data.draw(mods), data.draw(mods)
+    tup, tup2 = data.draw(module_tuples(m, n)), data.draw(module_tuples(m2, n))
+    gen, gen2 = pp_type_generator(m, tup), pp_type_generator(m2, tup2)
+    rgen, rgen2 = dict_pp_type_generator(m, tup), dict_pp_type_generator(m2, tup2)
+    assert_matches(gen, rgen)
+    assert_matches(conj(gen, gen2), dict_conj(rgen, rgen2))
+    assert_matches(sum_formula(gen, gen2), dict_sum(rgen, rgen2))
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_beta_matches_dict_pp_type_generator(case, data):
+    field = ORACLE_FIELDS[case]
+    lam, _, emb, _ = oracle_algebras(field)
+    bmap = BetaMap(emb)
+    route = data.draw(st.sampled_from(["gen", "conj", "fp"]))
+    if route == "fp":
+        phi = data.draw(dict_formulas(lam, 1))[0]
+    else:
+        phi = data.draw(generators(lambda_modules(field, max_dim=3), 1))
+        if route == "conj":
+            phi = conj(phi, data.draw(generators(lambda_modules(field, max_dim=3), 1)))
+    assert_matches(bmap(phi), dict_beta(bmap, as_dict(phi)))
+
+
+def test_storage_edge_cases(lam2):
+    one, x = lam2.one_element(), lam2.basis_element("x")
+    z = lam2.zero_element()
+    # every column zero: e drops to 0, and the matrix to (n+c) x 0
+    phi = PpFormula(lam2, 1, 1, 2, {(0, 0): z, (1, 1): z})
+    assert phi.e == 0 and phi.matrix.shape == (2, 0) and phi == PpFormula(lam2, 1, 1, 0, {})
+    # a middle column dropped, the others kept in order
+    psi = PpFormula(lam2, 1, 0, 3, {(0, 0): x, (0, 2): one})
+    assert psi.e == 2 and psi.entry(0, 0) == x and psi.entry(0, 1) == one
+    assert psi.matrix.to_rows() == [[0, 1, 1, 0]]
+    # arity 0 and no rows at all
+    assert PpFormula(lam2, 0, 0, 2, {}).matrix.shape == (0, 0)
+    for bad in ({(2, 0): one}, {(0, 3): one}, {(-1, 0): one}):
+        with pytest.raises(FormulaError, match="out of range"):
+            PpFormula(lam2, 1, 1, 3, bad)
+    with pytest.raises(FormulaError, match="shape"):
+        PpFormula(lam2, 1, 0, 1, Mat.zeros(lam2.field, 1, 3))
+    with pytest.raises(FormulaError, match="out of range"):
+        psi.entry(0, 2)
+    with pytest.raises(TypeError):
+        psi.coeffs[(0, 0)] = one
+    with pytest.raises(ValueError):
+        psi.matrix.array()[0, 0] = 1
+
+
+def test_negated_unit_is_canonical_at_a_large_prime():
+    # -1 must be stored as p - 1, or equal formulas get different keys
+    field = GF(1048573)
+    lam = oracle_algebras(field)[0]
+    reg = regular_module(lam)
+    gen = pp_type_generator(reg, [reg.element([1, 0])])
+    assert_canonical(gen.matrix)
+    assert gen == PpFormula(lam, gen.n, gen.c, gen.e, dict(gen.coeffs))
+    assert zero_formula(lam, 2) == PpFormula(lam, 2, 0, 2, {(0, 0): lam.one_element(), (1, 1): lam.one_element()})
+
+
+def test_realised_formula_is_freed_without_the_cycle_collector(lam2):
+    # the formula keeps (module, tuple) only, so refcounting alone frees it
+    gc.disable()
+    try:
+        m = regular_module(lam2)
+        phi = pp_type_generator(m, [m.element([0, 1])])
+        assert phi.realisation.module is m and phi._realisation.formula is phi
+        module_ref, formula_ref = weakref.ref(m), weakref.ref(phi)
+        del m, phi
+        assert module_ref() is None and formula_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_realisation_arity_is_checked_at_construction(lam2, reg2):
+    phi = ann_formula(lam2)
+    with pytest.raises(FormulaError, match="arity"):
+        phi.with_realisation(reg2, [])
+    with pytest.raises(FormulaError, match="arity"):
+        PpFormula(lam2, 2, 0, 0, {}, (reg2, [reg2.zero_vector()]))
