@@ -47,7 +47,7 @@ from .interp import (
     pullback_pair,
 )
 from .inventory import Inventory, enumerate_indecomposables, verify_completeness
-from .lattice import BetaMap, beta, meet_via_pushout, standard_sample, verify_embedding, verify_lattice_hom
+from .lattice import BetaMap, beta, standard_sample, verify_embedding, verify_lattice_hom
 from .linalg import GF, QQ, FieldSpec, Mat, Subspace
 from .modules import (
     Bimodule,
@@ -61,7 +61,6 @@ from .modules import (
     indecomposability,
     is_direct_summand,
     iso_test,
-    pushout,
     quotient_module,
     rad_hom,
     regular_module,

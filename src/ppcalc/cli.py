@@ -8,7 +8,6 @@ human-readable text or machine-readable JSON (--out json).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -76,7 +75,7 @@ def cmd_freereal(args):
 
 def cmd_pptype(args):
     mod = pio.load_module(args.module, _base(args.module))
-    tup = [mod.element(v) for v in json.loads(args.tuple)]
+    tup = pio.tuple_from_json(mod, args.tuple)
     gen = pp_type_generator(mod, tup)
     payload = pio.formula_to_json(gen)
     _emit(args, payload, f"generator with {gen.c} bound variables, {gen.e} equations")
@@ -132,7 +131,7 @@ def cmd_interp_apply(args):
 
 def cmd_isolate(args):
     mod = pio.load_module(args.module, _base(args.module))
-    vec = mod.element(json.loads(args.element))
+    vec = pio.vector_from_json(mod, args.element)
     res = indecomposability(mod, args.seed, args.budget)
     if res.status != "indecomposable":
         print(

@@ -21,9 +21,9 @@ from .modules import (
     direct_sum_many,
     decompose,
     indecomposability,
-    is_direct_summand,
     iso_test,
     validate_module,
+    _first_iso,
 )
 
 __all__ = [
@@ -328,11 +328,9 @@ def verify_completeness(inv: Inventory, max_dim: int, seed: int = 0):
             pieces = decompose(cand, seed)
             signature = []
             for piece, _, _ in pieces:
-                match = None
-                for i, m in enumerate(inv.members):
-                    if piece.dim == m.dim and is_direct_summand(piece, m)[0]:
-                        match = i
-                        break
+                match = next(
+                    (i for i, m in enumerate(inv.members) if _first_iso(piece, m) is not None), None
+                )
                 if match is None:
                     ok = False
                     break

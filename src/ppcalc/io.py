@@ -37,6 +37,8 @@ __all__ = [
     "load_pair",
     "interp_to_json",
     "load_interp",
+    "vector_from_json",
+    "tuple_from_json",
     "read_json",
     "dumps",
 ]
@@ -94,8 +96,11 @@ def _scalar_in(field, v):
     """A JSON scalar as a canonical field element; "a/b" strings are fractions.
 
     A float is accepted only when it is an integer: 1.5 has no meaning
-    over GF(p), and 0.1 over QQ is not the rational the user wrote.
+    over GF(p), and 0.1 over QQ is not the rational the user wrote.  A
+    boolean is not a scalar, though Python counts true as 1.
     """
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ParseError(f'bad scalar {v!r}: expected a number or an "a/b" string')
     if isinstance(v, float):
         if not v.is_integer():
             raise ParseError(f'bad scalar {v!r}: not an integer; write a fraction as "a/b"')
@@ -138,6 +143,24 @@ def _mat_out(field, m: Mat):
 
 def _mat_in(field, rows) -> Mat:
     return Mat.from_rows(field, [[_scalar_in(field, x) for x in row] for row in rows])
+
+
+def _vector_in(m: FDModule, coords) -> Mat:
+    if not isinstance(coords, list) or len(coords) != m.dim:
+        raise ParseError(f"bad vector {coords!r}: expected a list of {m.dim} coordinates")
+    return Mat.from_rows(m.field, [[_scalar_in(m.field, x) for x in coords]])
+
+
+def vector_from_json(m: FDModule, text: str) -> Mat:
+    """An element of m from a JSON list of dim m coordinates."""
+    with _parsing("vector"):
+        return _vector_in(m, json.loads(text))
+
+
+def tuple_from_json(m: FDModule, text: str) -> list:
+    """A tuple of elements of m from a JSON list of coordinate lists."""
+    with _parsing("tuple"):
+        return [_vector_in(m, coords) for coords in json.loads(text)]
 
 
 # -- algebras ---------------------------------------------------------------

@@ -13,56 +13,25 @@ from __future__ import annotations
 
 from .formulas import (
     FormulaError,
-    FreeRealisation,
     PpFormula,
     conj,
     equivalent,
     free_realisation,
     implies,
-    meet_realisation,
     pp_type_generator,
     sum_formula,
     zero_formula,
 )
-from .modules import Bimodule, ModuleError, decompose, direct_sum_many, tensor_over
+from .modules import Bimodule, tensor_over
 
 __all__ = [
     "BetaMap",
     "beta",
-    "meet_via_pushout",
-    "minimize_realisation",
     "order_table",
     "standard_sample",
     "verify_lattice_hom",
     "verify_embedding",
 ]
-
-
-def minimize_realisation(fr: FreeRealisation, seed: int = 0) -> FreeRealisation:
-    """Drop direct summands on which the tuple vanishes.
-
-    The pp-type of a tuple ignores summands with zero component, so this
-    keeps the realisation property while shrinking the module.  Returns
-    the input unchanged when the decomposition cannot be certified.
-    """
-    try:
-        pieces = decompose(fr.module, seed)
-    except ModuleError:
-        return fr
-    keep = []
-    for piece, incl, proj in pieces:
-        if any(not (t @ proj.matrix).is_zero() for t in fr.tuple):
-            keep.append((piece, incl, proj))
-    if len(keep) == len(pieces):
-        return fr
-    total, incls, _ = direct_sum_many([p for p, _, _ in keep], algebra=fr.module.algebra)
-    tup = []
-    for t in fr.tuple:
-        v = total.zero_vector()
-        for (piece, _, proj), inc in zip(keep, incls):
-            v = v + inc(t @ proj.matrix)
-        tup.append(v)
-    return FreeRealisation(total, tup, fr.formula)
 
 
 class BetaMap:
@@ -93,23 +62,6 @@ def beta(bmap: BetaMap, phi: PpFormula) -> PpFormula:
     t = tensor_over(fr.module, bmap.bimodule)
     tup = [t.pure_tensor(fr.tuple[0], g) for g in bmap.bimodule.generators]
     return pp_type_generator(t.module, tup)
-
-
-def meet_via_pushout(phi: PpFormula, psi: PpFormula, seed: int = 0) -> FreeRealisation:
-    """Free realisation of the meet via the pushout of the tuple maps.
-
-    The returned tuple is the common image of the two realisation tuples;
-    its pp-type generator is equivalent to conj(phi, psi).  Summands on
-    which the tuple vanishes are stripped.
-    """
-    if phi.n != psi.n:
-        raise FormulaError("meet needs equal arities")
-    if phi.algebra != psi.algebra:
-        raise FormulaError("meet needs a common algebra")
-    meet = conj(phi, psi)
-    if meet.realisation is None:  # conj attaches the pushout only for realised inputs
-        meet = meet.with_realisation(*meet_realisation(phi, psi))
-    return minimize_realisation(meet.realisation, seed)
 
 
 def standard_sample(algebra, modules, close: bool = True):

@@ -3,7 +3,7 @@
 Modules are given by one action matrix per algebra basis element, acting
 on row vectors from the right.  This module also provides homomorphism
 spaces, the categorical constructions consumed upstream (direct sums,
-quotients, finitely presented modules, tensor with a bimodule, pushouts),
+quotients, finitely presented modules, tensor with a bimodule),
 direct-summand and indecomposability tests, and the radical of hom
 spaces via the trace form.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "TensorResult",
     "tensor_over",
     "tensor_hom",
-    "pushout",
     "is_direct_summand",
     "indecomposability",
     "IndecResult",
@@ -133,20 +132,31 @@ class FDModule:
         return f"FDModule(dim {self.dim} over {self.algebra!r})"
 
 
+def _first_unequal_product(left, right, expected: np.ndarray):
+    """The first (i, j), in row-major order, with left[i] @ right[j] != expected[i, j], or None.
+
+    The products are the blocks of vstack(left) @ hstack(right); expected is
+    indexed [i, j, row, column].
+    """
+    rows, cols = left[0].rows, right[0].cols
+    prod = (Mat.vstack(left) @ Mat.hstack(right)).array().reshape(len(left), rows, len(right), cols)
+    bad = np.argwhere((prod.transpose(0, 2, 1, 3) != expected).any(axis=(2, 3)))
+    return tuple(bad[0]) if bad.size else None
+
+
 def validate_module(m: FDModule) -> ValidationReport:
     """Check rho(1) = id and multiplicativity on all basis pairs."""
     a = m.algebra
     if m.act(a.one) != Mat.identity(m.field, m.dim):
         return ValidationReport(False, ["unit does not act as identity"])
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = m.action[i] @ m.action[j]
-            rhs = m.act(a.mul[i][j])
-            if lhs != rhs:
-                return ValidationReport(
-                    False,
-                    [f"action not multiplicative on ({a.labels[i]}, {a.labels[j]})"],
-                )
+    t = Mat.vstack([a.mul[i][j] for i in range(a.dim) for j in range(a.dim)])  # row (i, j): b_i b_j
+    combined = (t @ Mat.flat_stack(m.action)).array().reshape(a.dim, a.dim, m.dim, m.dim)
+    bad = _first_unequal_product(m.action, m.action, combined)
+    if bad is not None:
+        i, j = bad
+        return ValidationReport(
+            False, [f"action not multiplicative on ({a.labels[i]}, {a.labels[j]})"]
+        )
     return ValidationReport(True)
 
 
@@ -174,10 +184,11 @@ class ModuleMap:
             raise ModuleError("matrix does not intertwine the actions")
 
     def intertwines(self) -> bool:
-        for l in range(self.source.algebra.dim):
-            if self.source.action[l] @ self.matrix != self.matrix @ self.target.action[l]:
-                return False
-        return True
+        s, t, n = self.source.dim, self.target.dim, self.source.algebra.dim
+        # entry [l, 0] is f T_l, to compare with S_l f
+        after = (self.matrix @ Mat.hstack(self.target.action)).array().reshape(s, n, 1, t)
+        after = after.transpose(1, 2, 0, 3)
+        return _first_unequal_product(self.source.action, [self.matrix], after) is None
 
     def __call__(self, v: Mat) -> Mat:
         return v @ self.matrix
@@ -464,25 +475,24 @@ class Bimodule:
         rep = validate_module(self.right_module())
         if not rep.ok:
             raise ModuleError(f"right action invalid: {rep.problems[0]}")
-        ident = Mat.identity(self.field, self.dim)
-        if self.left_mult(self.S.one) != ident:
+        if self.left_mult(self.S.one) != Mat.identity(self.field, self.dim):
             raise ModuleError("left action: unit does not act as identity")
-        for i in range(self.S.dim):
-            for j in range(self.S.dim):
-                lhs = self.left_action[j] @ self.left_action[i]
-                rhs = self.left_mult(self.S.mul[i][j])
-                if lhs != rhs:
-                    raise ModuleError(
-                        f"left action not multiplicative on "
-                        f"({self.S.labels[i]}, {self.S.labels[j]})"
-                    )
-        for i in range(self.S.dim):
-            for j in range(self.R.dim):
-                if self.left_action[i] @ self.right_action[j] != self.right_action[j] @ self.left_action[i]:
-                    raise ModuleError(
-                        f"actions do not commute on "
-                        f"({self.S.labels[i]}, {self.R.labels[j]})"
-                    )
+        # b_i (b_j v) = (b_i b_j) v reads L_j L_i = L_ij: the transposes are a right action
+        transposed = FDModule(self.S, self.dim, [act.transpose() for act in self.left_action])
+        rep = validate_module(transposed)
+        if not rep.ok:
+            raise ModuleError(f"left {rep.problems[0]}")
+        d, ns, nr = self.dim, self.S.dim, self.R.dim
+        # entry [i, j] is R_j L_i, to compare with L_i R_j
+        rl = (Mat.vstack(self.right_action) @ Mat.hstack(self.left_action)).array()
+        bad = _first_unequal_product(
+            self.left_action, self.right_action, rl.reshape(nr, d, ns, d).transpose(2, 0, 1, 3)
+        )
+        if bad is not None:
+            i, j = bad
+            raise ModuleError(
+                f"actions do not commute on ({self.S.labels[i]}, {self.R.labels[j]})"
+            )
         closure = submodule_generated(self.right_module(), self.generators)
         if closure.dim != self.dim:
             raise ModuleError("generating tuple does not generate the right module")
@@ -543,20 +553,6 @@ def tensor_hom(f: ModuleMap, b: Bimodule, t_source: TensorResult, t_target: Tens
     big = f.matrix.kron(Mat.identity(b.field, b.dim))
     mat = t_target._proj(big.take_rows(t_source.relations.nonpivot_columns()))
     return ModuleMap(t_source.module, t_target.module, mat)
-
-
-def pushout(f: ModuleMap, g: ModuleMap):
-    """Pushout of two maps with a shared source.
-
-    Returns (P, from target(f), from target(g)) with the square commuting.
-    """
-    if f.source != g.source:
-        raise ModuleError("pushout needs a shared source")
-    d, i1, i2, _, _ = direct_sum(f.target, g.target)
-    u = Subspace.from_vectors(d.field, d.dim, f.matrix @ i1.matrix - g.matrix @ i2.matrix)
-    # the span of these rows is the image of a module map, hence invariant
-    p, proj = quotient_module(d, u)
-    return p, i1.then(proj), i2.then(proj)
 
 
 # ---------------------------------------------------------------------------
@@ -871,15 +867,27 @@ def decompose(m: FDModule, seed: int):
     return [piece[:3] for piece in pieces]
 
 
+def _first_iso(m: FDModule, n: FDModule, maps=None):
+    """The first invertible map of maps = hom_space(m, n), or None.
+
+    For m or n indecomposable this decides m = n: the maps that are not
+    invertible then form a proper subspace, rad End(m) theta for any
+    isomorphism theta.
+    """
+    if m.dim != n.dim:
+        return None
+    maps = hom_space(m, n) if maps is None else maps
+    return next((f for f in maps if f.matrix.is_invertible()), None)
+
+
 def iso_test(m: FDModule, n: FDModule, seed: int = 0, indec: IndecResult = None):
     """An isomorphism m -> n as a ModuleMap, or None when there is none.
 
-    indec is m's IndecResult when the caller already has it.  For m
-    certified indecomposable the witness is the split injection of
-    is_direct_summand(m, n); for m only probably indecomposable, n is
-    certified and the witness is the split surjection of
-    is_direct_summand(n, m); for m decomposed, the summands of both sides
-    are matched pairwise and the witness is the sum of the matches.
+    indec is m's IndecResult when the caller already has it.  When m or n
+    is certified indecomposable (m is tried first) the witness is the
+    first invertible map of hom_space(m, n); for m decomposed, the
+    summands of both sides are matched pairwise in the same way and the
+    witness is the sum of the matches.
     """
     if m.dim != n.dim:
         return None
@@ -887,26 +895,22 @@ def iso_test(m: FDModule, n: FDModule, seed: int = 0, indec: IndecResult = None)
         return zero_map(m, n)
     if indec is None:
         indec = indecomposability(m, seed)
-    if indec.status == "indecomposable":
-        ok, maps = is_direct_summand(m, n)
-        return maps[0] if ok else None
-    if indec.status == "probably-indecomposable":
-        if indecomposability(n, seed).status != "indecomposable":
+    if indec.status != "decomposed":
+        certified = indec.status == "indecomposable"
+        if not certified and indecomposability(n, seed).status != "indecomposable":
             raise ModuleError(
                 "iso_test: could not certify either module indecomposable within the budget"
             )
-        ok, maps = is_direct_summand(n, m)
-        return maps[1] if ok else None
+        return _first_iso(m, n)
     rest = _split(n, seed)
     witness = Mat.zeros(m.field, m.dim, n.dim)
     for piece, _, proj, res in _split(m, seed):
         for k, (q, incl, _, _) in enumerate(rest):
-            if q.dim == piece.dim:
-                ok, maps = is_direct_summand(piece, q)
-                if ok:
-                    witness = witness + proj.matrix @ maps[0].matrix @ incl.matrix
-                    del rest[k]
-                    break
+            theta = _first_iso(piece, q)
+            if theta is not None:
+                witness = witness + proj.matrix @ theta.matrix @ incl.matrix
+                del rest[k]
+                break
         else:
             # matched summands cancel (Krull-Schmidt), so an indecomposable
             # piece of m must be a summand of a piece of n still in rest
@@ -977,14 +981,12 @@ def rad_hom(m: FDModule, n: FDModule, seed: int = 0, decomp_m=None, decomp_n=Non
     collected = []
     for x, _, px in dm:
         for y, iy, _ in dn:
-            summand, witness = (False, None)
-            if x.dim == y.dim:
-                summand, witness = is_direct_summand(x, y)
-            if summand:
-                theta = witness[0]
+            hom = hom_space(x, y)
+            theta = _first_iso(x, y, hom)
+            if theta is not None:
                 block = [r.matrix @ theta.matrix for r in rad_end(x)]
             else:
-                block = [f.matrix for f in hom_space(x, y)]
+                block = [f.matrix for f in hom]
             for bmat in block:
                 collected.append(px.matrix @ bmat @ iy.matrix)
     span = _flat_span(field, m.dim * n.dim, collected)

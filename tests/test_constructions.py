@@ -14,6 +14,7 @@ sums of scaled matrices, and one solve per vector.  The results must be
 equal, not only isomorphic.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -53,10 +54,11 @@ from ppcalc.modules import (
     free_module,
     hom_space,
     identity_map,
-    pushout,
+    quotient_module,
     rad_end,
     regular_module,
     submodule_generated,
+    validate_module,
     zero_module,
 )
 from test_formulas import as_dict, assert_matches, dict_assemble, dict_formulas
@@ -71,6 +73,7 @@ from test_modules import (
     oracle_scalars,
     summed,
     truncated_algebra,
+    truncated_modules,
 )
 
 
@@ -130,6 +133,20 @@ def ref_map_from_free(fr: FreeRealisation):
     rows = [(t @ act).to_rows()[0] for t in fr.tuple for act in c_mod.action]
     mat = Mat.from_rows(c_mod.field, rows) if rows else Mat.zeros(c_mod.field, 0, c_mod.dim)
     return ModuleMap(free, c_mod, mat)
+
+
+def pushout(f: ModuleMap, g: ModuleMap):
+    """Pushout of two maps with a shared source.
+
+    Returns (P, from target(f), from target(g)) with the square commuting.
+    """
+    if f.source != g.source:
+        raise ModuleError("pushout needs a shared source")
+    d, i1, i2, _, _ = direct_sum(f.target, g.target)
+    u = Subspace.from_vectors(d.field, d.dim, f.matrix @ i1.matrix - g.matrix @ i2.matrix)
+    # the span of these rows is the image of a module map, hence invariant
+    p, proj = quotient_module(d, u)
+    return p, i1.then(proj), i2.then(proj)
 
 
 def ref_meet_realisation(phi, psi):
@@ -214,7 +231,7 @@ def test_conj_builds_no_free_module_and_no_pushout(reg2, s1_2):
     phi, psi = pp_type_generator(reg2, [x]), pp_type_generator(s1_2, [y])
     ref_q, ref_tup = ref_meet_realisation(phi, psi)
     boom = mock.Mock(side_effect=AssertionError("the meet must not build this"))
-    with mock.patch.object(formulas, "free_module", boom), mock.patch.object(modules, "pushout", boom):
+    with mock.patch.object(formulas, "free_module", boom):
         meet = conj(phi, psi)
     boom.assert_not_called()
     assert meet.realisation.module.action == ref_q.action
@@ -656,3 +673,145 @@ def test_validate_algebra_names_the_first_failing_triple():
     assert not report.ok
     assert report.problems == ["associativity fails on triple ('x', 'y', 'y')"]
     assert report.problems == ref_validate_algebra(Algebra(field, base.labels, base.one, mul)).problems
+
+
+# -- module axioms as stacked products -------------------------------------
+
+
+def ref_validate_module(m):
+    """validate_module as the loop over the dim A^2 basis pairs."""
+    a = m.algebra
+    if m.act(a.one) != Mat.identity(m.field, m.dim):
+        return ValidationReport(False, ["unit does not act as identity"])
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if m.action[i] @ m.action[j] != m.act(a.mul[i][j]):
+                return ValidationReport(False, [f"action not multiplicative on ({a.labels[i]}, {a.labels[j]})"])
+    return ValidationReport(True)
+
+
+def ref_bimodule_error(s, r, dim, left, right, gens):
+    """The first message of Bimodule's checks, made by pair loops, or None."""
+    rep = ref_validate_module(FDModule(r, dim, right))
+    if not rep.ok:
+        return f"right action invalid: {rep.problems[0]}"
+
+    def left_mult(coeffs):
+        return (coeffs @ Mat.flat_stack(left)).reshape(dim, dim)
+
+    if left_mult(s.one) != Mat.identity(s.field, dim):
+        return "left action: unit does not act as identity"
+    for i in range(s.dim):
+        for j in range(s.dim):
+            if left[j] @ left[i] != left_mult(s.mul[i][j]):
+                return f"left action not multiplicative on ({s.labels[i]}, {s.labels[j]})"
+    for i in range(s.dim):
+        for j in range(r.dim):
+            if left[i] @ right[j] != right[j] @ left[i]:
+                return f"actions do not commute on ({s.labels[i]}, {r.labels[j]})"
+    if submodule_generated(FDModule(r, dim, right), gens).dim != dim:
+        return "generating tuple does not generate the right module"
+    return None
+
+
+def ref_intertwines(f):
+    """ModuleMap.intertwines as the loop over the algebra's basis."""
+    return all(
+        f.source.action[l] @ f.matrix == f.matrix @ f.target.action[l]
+        for l in range(f.source.algebra.dim)
+    )
+
+
+def corrupted(draw, mats):
+    """mats with one or two random entries shifted by random scalars."""
+    mats = list(mats)
+    field = mats[0].field
+    for _ in range(draw(st.integers(1, 2))):
+        l = draw(st.integers(0, len(mats) - 1))
+        rows, cols = mats[l].shape
+        if rows and cols:
+            delta = np.full((rows, cols), field.zero(), dtype=field.dtype)
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            delta[i, j] = field.coerce(draw(oracle_scalars(field)))
+            mats[l] = mats[l] + Mat.of_array(field, delta)
+    return mats
+
+
+def axiom_modules(field):
+    """Module strategies over Lambda, Kronecker, k[x]/(x^3) and k<x,y>/(x,y)^2."""
+    square_zero = regular_module(square_zero_algebra(field))
+    return [
+        summed(lambda_modules(field)),
+        summed(kronecker_modules(field)),
+        truncated_modules(field),
+        st.just(square_zero),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_validate_module_matches_pair_loop(case, data):
+    m = data.draw(data.draw(st.sampled_from(axiom_modules(ORACLE_FIELDS[case]))))
+    assert validate_module(m).ok and ref_validate_module(m).ok
+    bad = FDModule(m.algebra, m.dim, corrupted(data.draw, m.action))
+    got, want = validate_module(bad), ref_validate_module(bad)
+    assert (got.ok, got.problems) == (want.ok, want.problems)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_bimodule_checks_match_pair_loops(case, data):
+    b = data.draw(bimodules(ORACLE_FIELDS[case]))
+    left, right = b.left_action, b.right_action
+    side = data.draw(st.sampled_from(["left", "right", "both", "rebased"]))
+    if side == "rebased":
+        # still a left module, in another basis than the right action's
+        p = data.draw(oracle_mats(b.field, b.dim, b.dim))
+        if p.is_invertible():
+            left = [p @ x @ p.inverse() for x in left]
+    else:
+        if side != "right":
+            left = corrupted(data.draw, left)
+        if side != "left":
+            right = corrupted(data.draw, right)
+    want = ref_bimodule_error(b.S, b.R, b.dim, left, right, b.generators)
+    try:
+        Bimodule(b.S, b.R, b.dim, left, right, b.generators)
+        got = None
+    except ModuleError as exc:
+        got = str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_intertwines_matches_basis_loop(case, data):
+    modules = data.draw(st.sampled_from(axiom_modules(ORACLE_FIELDS[case])))
+    m, n = data.draw(modules), data.draw(modules)
+    f = data.draw(module_maps(m, n))
+    assert f.intertwines() and ref_intertwines(f)
+    if m.dim and n.dim:
+        g = ModuleMap(m, n, corrupted(data.draw, [f.matrix])[0], check=False)
+        assert g.intertwines() == ref_intertwines(g)
+
+
+def test_module_and_bimodule_checks_name_the_first_failing_pair(lam2, kron2, bim2):
+    one = Mat.identity(GF(2), 1)
+    # x acting as the identity fails only x x = 0
+    report = validate_module(FDModule(lam2, 1, [one, one]))
+    assert report.problems == ["action not multiplicative on (x, x)"]
+    # x acting on the left as the identity commutes with every arrow, and
+    # fails only x x = 0
+    left = [bim2.left_action[0], Mat.identity(GF(2), 4)]
+    with pytest.raises(ModuleError, match=re.escape("left action not multiplicative on (x, x)")):
+        Bimodule(lam2, kron2, 4, left, bim2.right_action, bim2.generators)
+    # the arrow a as the left action of x squares to 0, but does not commute
+    # with e1, the first pair that fails
+    left = [bim2.left_action[0], bim2.right_action[kron2.labels.index("a")]]
+    want = "actions do not commute on (x, e1)"
+    assert ref_bimodule_error(lam2, kron2, 4, left, bim2.right_action, bim2.generators) == want
+    with pytest.raises(ModuleError, match=re.escape(want)):
+        Bimodule(lam2, kron2, 4, left, bim2.right_action, bim2.generators)

@@ -23,7 +23,7 @@ from ppcalc.formulas import (
     top_formula,
     zero_formula,
 )
-from ppcalc.lattice import BetaMap, minimize_realisation
+from ppcalc.lattice import BetaMap
 from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
     direct_sum,
@@ -347,7 +347,7 @@ def realised_formulas(draw, field, kind, n):
     of the routes that attach a realisation, or with none attached."""
     lam, kron, emb, _ = oracle_algebras(field)
     modules = lambda_modules(field, max_dim=3) if kind == "lam" else kronecker_modules(field)
-    routes = ["gen", "conj", "sum", "minimized", "fp", "top", "zero"]
+    routes = ["gen", "conj", "sum", "fp", "top", "zero"]
     if kind == "kron" and n == len(emb.generators):
         routes.append("beta")
     route = draw(st.sampled_from(routes))
@@ -356,12 +356,6 @@ def realised_formulas(draw, field, kind, n):
     if route in ("conj", "sum"):
         both = (draw(generators(modules, n)), draw(generators(modules, n)))
         return conj(*both) if route == "conj" else sum_formula(*both)
-    if route == "minimized":
-        # the second summand's tuple is zero, so minimize_realisation drops it
-        m = draw(modules)
-        phi = sum_formula(draw(generators(modules, n)), pp_type_generator(m, [m.zero_vector()] * n))
-        fr = minimize_realisation(free_realisation(phi))
-        return unrealised(phi).with_realisation(fr.module, fr.tuple)
     if route == "fp":
         return unrealised(draw(generators(modules, n)))
     if route == "beta":

@@ -423,3 +423,52 @@ def test_cli_verify_lattice_payload_matches_unshared_reports(files, capsys):
     emb = verify_embedding(bmap, sample)
     expected = {"homomorphism": hom, "embedding": emb, "ok": hom["ok"] and emb["ok"]}
     assert payload == json.loads(dumps(expected))
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("pptype", "[[0, 1.5]]"),
+        ("pptype", "[[0, true]]"),
+        ("pptype", "[0, 1]"),
+        ("pptype", "[[0, 1, 0]]"),
+        ("pptype", "[[0, 1"),
+        ("isolate", "[1.5]"),
+        ("isolate", "[true]"),
+        ("isolate", "[[1]]"),
+        ("isolate", "[1, 0]"),
+        ("isolate", "[1"),
+    ],
+    ids=[f"{c}-{k}" for c in ("tuple", "element") for k in ("float", "bool", "nesting", "length", "json")],
+)
+def test_cli_malformed_vector_exit_code(files, capsys, command, text):
+    # 1.5 and true were read as 1, a vector nested one level wrong raised
+    # TypeError, and a wrong length or malformed JSON exited 1
+    if command == "pptype":
+        args = ["pptype", "--module", files["reg.mod"], "--tuple", text]
+    else:
+        args = ["isolate", "--module", files["s1.mod"], "--element", text, "--cap", "2"]
+    assert main(args) == 2
+    assert "parse error: bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["algebra", "module", "formula"])
+def test_cli_boolean_scalar_exit_code(files, capsys, lam2, reg2, target):
+    # true was read as 1: the unit of lam.alg, the x action of reg.mod, the
+    # coefficient of x in ann.pp
+    if target == "algebra":
+        payload = algebra_to_json(lam2)
+        payload["one"] = [True, 0]
+        path = files["lam.alg"]
+    elif target == "module":
+        payload = module_to_json(reg2, algebra_ref="lam.alg")
+        payload["action"]["x"] = [[0, True], [0, 0]]
+        path = files["reg.mod"]
+    else:
+        payload = formula_to_json(ann_formula(lam2), algebra_ref="lam.alg")
+        payload["matrix"] = [[[0, True]]]
+        path = files["ann.pp"]
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload))
+    assert main(["eval", "--formula", files["ann.pp"], "--module", files["reg.mod"]]) == 2
+    assert "parse error: bad scalar True" in capsys.readouterr().err

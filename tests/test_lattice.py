@@ -15,14 +15,13 @@ from ppcalc.formulas import (
 from ppcalc.lattice import (
     BetaMap,
     beta,
-    meet_via_pushout,
     order_table,
     standard_sample,
     verify_embedding,
     verify_lattice_hom,
 )
 from ppcalc.linalg import GF, Mat
-from ppcalc.modules import Bimodule, direct_sum, iso_test, regular_module
+from ppcalc.modules import Bimodule, direct_sum, regular_module
 
 from test_formulas import ann_formula, div_formula
 
@@ -92,26 +91,6 @@ def test_beta_monotone(lam2, bmap2):
         for j, fj in enumerate(sample):
             if implies(fi, fj):
                 assert implies(betas[i], betas[j])
-
-
-def test_meet_via_pushout_idempotent(lam2):
-    div = div_formula(lam2)
-    fr = meet_via_pushout(div, div)
-    base = free_realisation(div, via="fp")
-    assert iso_test(fr.module, base.module)
-    assert equivalent(pp_type_generator(fr.module, fr.tuple), div)
-
-
-def test_meet_via_pushout_vs_conj(lam2):
-    div, ann = div_formula(lam2), ann_formula(lam2)
-    fr = meet_via_pushout(div, ann)
-    assert equivalent(pp_type_generator(fr.module, fr.tuple), conj(div, ann))
-
-
-def test_meet_with_top_is_neutral(lam2):
-    div = div_formula(lam2)
-    fr = meet_via_pushout(div, top_formula(lam2, 1))
-    assert equivalent(pp_type_generator(fr.module, fr.tuple), div)
 
 
 def test_beta_independent_of_realisation_route(lam2, bmap2):

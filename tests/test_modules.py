@@ -38,7 +38,6 @@ from ppcalc.modules import (
     is_direct_summand,
     iso_test,
     maps_subspace,
-    pushout,
     quotient_module,
     rad_end,
     rad_hom,
@@ -48,7 +47,6 @@ from ppcalc.modules import (
     tensor_hom,
     tensor_over,
     validate_module,
-    zero_map,
     zero_module,
     ModuleMap,
     _enumerate_idempotent,
@@ -219,62 +217,6 @@ def test_tensor_hom_functorial(lam2, bim2, s1_2, reg2):
     for j in range(4):
         b_vec = Mat.identity(F2, 4).row(j)
         assert tr.pure_tensor(f(m_vec), b_vec) == tf(ts.pure_tensor(m_vec, b_vec))
-
-
-# -- pushout -----------------------------------------------------------
-
-
-def test_pushout_identity(reg2):
-    p, h1, h2 = pushout(identity_map(reg2), identity_map(reg2))
-    assert p.dim == reg2.dim
-    assert iso_test(p, reg2)
-
-
-def test_pushout_socle_inclusion_twice(s1_2, reg2):
-    f = hom_space(s1_2, reg2)[0]  # 1 -> x
-    p, h1, h2 = pushout(f, f)
-    assert p.dim == 3  # 2 + 2 - 1
-
-
-def test_pushout_of_zero_maps(s1_2, reg2, lam2):
-    z = zero_module(lam2)
-    p, _, _ = pushout(zero_map(z, s1_2), zero_map(z, reg2))
-    d, _, _, _, _ = direct_sum(s1_2, reg2)
-    assert p.dim == d.dim
-
-
-def test_pushout_universal_property(s1_2, reg2):
-    # any commuting cone factors uniquely through the pushout
-    f = hom_space(s1_2, reg2)[0]
-    p, h1, h2 = pushout(f, f)
-    assert h1.matrix == h2.matrix or (f.then(h1).matrix == f.then(h2).matrix)
-    # cone: the codiagonal through reg2 itself
-    cone1, cone2 = identity_map(reg2), identity_map(reg2)
-    assert f.then(cone1).matrix == f.then(cone2).matrix
-    # solve for the mediating map as a linear system over hom space
-    basis = hom_space(p, reg2)
-    amb = p.dim * reg2.dim
-    rows = []
-    for h in basis:
-        c1 = h1.then(h).matrix
-        c2 = h2.then(h).matrix
-        rows.append(
-            [c1.entry(u, v) for u in range(reg2.dim) for v in range(reg2.dim)]
-            + [c2.entry(u, v) for u in range(reg2.dim) for v in range(reg2.dim)]
-        )
-    target = Mat.from_rows(
-        F2,
-        [
-            [cone1.matrix.entry(u, v) for u in range(reg2.dim) for v in range(reg2.dim)]
-            + [cone2.matrix.entry(u, v) for u in range(reg2.dim) for v in range(reg2.dim)]
-        ],
-    )
-    sols = Mat.from_rows(F2, rows)
-    x = sols.solve_left(target)
-    assert x is not None  # mediating map exists
-    # uniqueness: no nonzero map kills both legs
-    ker = sols.kernel()
-    assert ker.rows == 0
 
 
 # -- summands, indecomposability, iso ----------------------------------
@@ -504,7 +446,7 @@ def test_bimodule_validation_rejects_bad_data(lam2, kron2, bim2):
 
 # -- whole-block constructions against their per-row references ---------
 #
-# tensor_over, quotient_module, submodule_generated, pushout and tensor_hom
+# tensor_over, quotient_module, submodule_generated and tensor_hom
 # build their relations, actions and maps as whole matrices.  The per-row
 # loops below are the reference they must match exactly: every result is a
 # canonical echelon subspace or a matrix read off one.
@@ -558,17 +500,6 @@ def ref_submodule_generated(m, vectors):
         if bigger.dim == span.dim:
             return span
         span = bigger
-
-
-def ref_pushout(f, g):
-    """The pushout's actions and the matrices of its two legs."""
-    d, i1, i2, _, _ = direct_sum(f.target, g.target)
-    rows = []
-    for i in range(f.source.dim):
-        v = f.source.basis_vector(i)
-        rows.append((i1(f(v)) - i2(g(v))).to_rows()[0])
-    action, proj = ref_quotient(d, Subspace.from_vectors(d.field, d.dim, rows))
-    return action, i1.matrix @ proj, i2.matrix @ proj
 
 
 def ref_tensor_hom(f, b, t_source, t_target):
@@ -699,20 +630,6 @@ def test_submodule_and_quotient_match_per_row_reference(case, data):
         action, pmat = ref_quotient(m, u)
         assert q.action == action
         assert proj.matrix == pmat
-
-
-@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
-@ORACLE
-@given(data=st.data())
-def test_pushout_matches_per_row_reference(case, data):
-    field = ORACLE_FIELDS[case]
-    x = data.draw(kronecker_modules(field, max_side=1))
-    y, z = data.draw(kronecker_modules(field)), data.draw(kronecker_modules(field))
-    f, g = data.draw(module_maps(x, y)), data.draw(module_maps(x, z))
-    p, h1, h2 = pushout(f, g)
-    action, leg1, leg2 = ref_pushout(f, g)
-    assert p.action == action
-    assert h1.matrix == leg1 and h2.matrix == leg2
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
