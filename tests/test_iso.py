@@ -225,10 +225,20 @@ def test_first_iso_is_the_split_injection_of_the_summand_test(case, data):
     assert bits(_first_iso(m, n)) == bits(ref_first_iso(m, n))
 
 
+# the linear quiver 3 -> 2 -> 1: its two dim-2 members have a nonzero map
+# between them, so an inventory that took any basis map for an
+# isomorphism would lose one
+LINEAR_A3 = QuiverSpec(3, [(2, 1, "a"), (3, 2, "b")], cap=3)
+
+
 @pytest.mark.parametrize(
     "algebra, cap",
-    [(kronecker_algebra(GF(2)), 4), (three_kronecker(GF(2)), 3)],
-    ids=["kronecker-cap4", "k3-cap3"],
+    [
+        (kronecker_algebra(GF(2)), 4),
+        (three_kronecker(GF(2)), 3),
+        (algebra_from_quiver(LINEAR_A3, GF(2)), 3),
+    ],
+    ids=["kronecker-cap4", "k3-cap3", "a3-cap3"],
 )
 def test_inventory_matches_the_summand_test(algebra, cap, monkeypatch):
     inv = enumerate_indecomposables(algebra, cap)
