@@ -8,7 +8,6 @@ human-readable text or machine-readable JSON (--out json).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import io as pio
@@ -41,13 +40,9 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _base(path):
-    return os.path.dirname(os.path.abspath(path))
-
-
 def cmd_eval(args):
-    phi = pio.load_formula(args.formula, _base(args.formula))
-    mod = pio.load_module(args.module, _base(args.module), algebra=phi.algebra)
+    phi = pio.load_formula(args.formula)
+    mod = pio.load_module(args.module, algebra=phi.algebra)
     sol = eval_formula(phi, mod)
     payload = {"dimension": sol.dim, "basis": sol.basis.to_rows()}
     _emit(args, payload, f"solution space dimension {sol.dim}")
@@ -55,15 +50,15 @@ def cmd_eval(args):
 
 
 def cmd_implies(args):
-    psi = pio.load_formula(args.psi, _base(args.psi))
-    phi = pio.load_formula(args.phi, _base(args.phi), algebra=psi.algebra)
+    psi = pio.load_formula(args.psi)
+    phi = pio.load_formula(args.phi, algebra=psi.algebra)
     ans = implies(psi, phi)
     _emit(args, {"implies": ans}, "true" if ans else "false")
     return 0
 
 
 def cmd_freereal(args):
-    phi = pio.load_formula(args.formula, _base(args.formula))
+    phi = pio.load_formula(args.formula)
     fr = free_realisation(phi, via="fp")
     payload = {
         "module": pio.module_to_json(fr.module),
@@ -74,7 +69,7 @@ def cmd_freereal(args):
 
 
 def cmd_pptype(args):
-    mod = pio.load_module(args.module, _base(args.module))
+    mod = pio.load_module(args.module)
     tup = pio.tuple_from_json(mod, args.tuple)
     gen = pp_type_generator(mod, tup)
     payload = pio.formula_to_json(gen)
@@ -83,8 +78,8 @@ def cmd_pptype(args):
 
 
 def cmd_beta(args):
-    bim = pio.load_bimodule(args.bimodule, _base(args.bimodule))
-    phi = pio.load_formula(args.formula, _base(args.formula), algebra=bim.S)
+    bim = pio.load_bimodule(args.bimodule)
+    phi = pio.load_formula(args.formula, algebra=bim.S)
     image = BetaMap(bim)(phi)
     payload = pio.formula_to_json(image)
     _emit(args, payload, f"image formula: arity {image.n}, c = {image.c}, d = {image.e}")
@@ -92,14 +87,14 @@ def cmd_beta(args):
 
 
 def cmd_verify_lattice(args):
-    bim = pio.load_bimodule(args.bimodule, _base(args.bimodule))
+    bim = pio.load_bimodule(args.bimodule)
     bmap = BetaMap(bim)
     if args.sample:
         # formulas read from files carry no realisation: build each one once
         # here, so the order table and the checks do not rebuild them per pair
         sample = []
         for path in args.sample:
-            phi = pio.load_formula(path, _base(path), algebra=bim.S)
+            phi = pio.load_formula(path, algebra=bim.S)
             fr = free_realisation(phi)
             sample.append(phi.with_realisation(fr.module, fr.tuple))
     else:
@@ -121,8 +116,8 @@ def cmd_verify_lattice(args):
 
 
 def cmd_interp_apply(args):
-    data = pio.load_interp(args.data, _base(args.data))
-    mod = pio.load_module(args.module, _base(args.module), algebra=data.R)
+    data = pio.load_interp(args.data)
+    mod = pio.load_module(args.module, algebra=data.R)
     img = apply_interp(data, mod)
     payload = pio.module_to_json(img.module)
     _emit(args, payload, f"value has dimension {img.module.dim} over the target algebra")
@@ -130,7 +125,7 @@ def cmd_interp_apply(args):
 
 
 def cmd_isolate(args):
-    mod = pio.load_module(args.module, _base(args.module))
+    mod = pio.load_module(args.module)
     vec = pio.vector_from_json(mod, args.element)
     res = indecomposability(mod, args.seed, args.budget)
     if res.status != "indecomposable":
@@ -158,8 +153,8 @@ def cmd_isolate(args):
 
 
 def cmd_pullback(args):
-    data = pio.load_interp(args.data, _base(args.data))
-    pair = pio.load_pair(args.pair, _base(args.pair), algebra=data.S)
+    data = pio.load_interp(args.data)
+    pair = pio.load_pair(args.pair, algebra=data.S)
     sigma_tau, report = pullback_pair(data, pair, args.d)
     payload = {
         "pair": pio.pair_to_json(sigma_tau),
@@ -181,9 +176,9 @@ def cmd_bounds(args):
 
 
 def cmd_check_controlled(args):
-    bim = pio.load_bimodule(args.bimodule, _base(args.bimodule))
+    bim = pio.load_bimodule(args.bimodule)
     control = (
-        pio.load_module(args.control, _base(args.control), algebra=bim.R)
+        pio.load_module(args.control, algebra=bim.R)
         if args.control
         else None
     )
@@ -201,14 +196,14 @@ def cmd_check_controlled(args):
 
 
 def cmd_roundtrip(args):
-    bim = pio.load_bimodule(args.bimodule, _base(args.bimodule))
+    bim = pio.load_bimodule(args.bimodule)
     control = (
-        pio.load_module(args.control, _base(args.control), algebra=bim.R)
+        pio.load_module(args.control, algebra=bim.R)
         if args.control
         else None
     )
     emb = EmbeddingData(bim, control)
-    mod = pio.load_module(args.module, _base(args.module), algebra=bim.S)
+    mod = pio.load_module(args.module, algebra=bim.S)
     data = inverse_interp(emb)
     report = roundtrip_check(emb, mod, data, args.seed)
     _emit(
@@ -220,7 +215,7 @@ def cmd_roundtrip(args):
 
 
 def cmd_inventory(args):
-    algebra = pio.load_algebra(args.algebra, _base(args.algebra), field=args.field)
+    algebra = pio.load_algebra(args.algebra, field=args.field)
     inv = enumerate_indecomposables(algebra, args.cap, args.budget, args.seed)
     payload = {
         "count": len(inv.members),

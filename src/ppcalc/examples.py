@@ -3,7 +3,8 @@
 The running example: S = k[x]/(x^2) (as the one-loop quiver algebra with
 x^2 = 0), R = the Kronecker algebra, and the dim-4 (S, R)-bimodule whose
 tensor functor sends a module M to the Kronecker representation
-(M => M; 1, x).  Its generating tuple is (w, xw) for w the first copy's
+(M => M; 1, x).  It is that functor's value on the regular module
+Lambda_Lambda.  Its generating tuple is (w, xw) for w the first copy's
 unit.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .algebra import Algebra, QuiverSpec, algebra_from_quiver
 from .linalg import FieldSpec, Mat
-from .modules import Bimodule, FDModule
+from .modules import Bimodule, FDModule, regular_module
 
 __all__ = [
     "lambda_algebra",
@@ -71,27 +72,15 @@ def functor_image(kron: Algebra, m: FDModule) -> FDModule:
 
 
 def embedding_bimodule(lam: Algebra, kron: Algebra) -> Bimodule:
-    """The dim-4 bimodule for M |-> (M => M; 1, x), generators (w, xw).
+    """The dim-4 bimodule F(Lambda_Lambda) for F: M |-> (M => M; 1, x).
 
-    Basis order: w, xw, u, xu with w the vertex-1 unit and u = w*a the
-    vertex-2 unit.
+    The right action is F on the regular module.  A left multiplication
+    is an endomorphism of Lambda_Lambda, and F acts on it in both vertex
+    blocks.  Basis order: w, xw, u, xu with w the vertex-1 unit and
+    u = w*a the vertex-2 unit; the generators are (w, xw).
     """
-    f = lam.field
-
-    def rows(*vals):
-        return Mat.from_rows(f, [list(v) for v in vals])
-
-    left_e1 = Mat.identity(f, 4)
-    left_x = rows([0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0])
-    right = {
-        "e1": rows([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]),
-        "e2": rows([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]),
-        "a": rows([0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]),
-        "b": rows([0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]),
-    }
-    left_action = []
-    for label in lam.labels:
-        left_action.append({"e1": left_e1, "x": left_x}[label])
-    right_action = [right[label] for label in kron.labels]
-    gens = [rows([1, 0, 0, 0]), rows([0, 1, 0, 0])]
-    return Bimodule(lam, kron, 4, left_action, right_action, gens)
+    f, d = lam.field, lam.dim
+    right = functor_image(kron, regular_module(lam)).action
+    left = [Mat.identity(f, 2).kron(lam.left_mult_matrix(lam.basis_element(i).coeffs)) for i in range(d)]
+    gens = [Mat.identity(f, 2 * d).row(i) for i in range(2)]
+    return Bimodule(lam, kron, 2 * d, left, right, gens)

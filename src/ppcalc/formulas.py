@@ -8,6 +8,7 @@ implication, decided exactly through free realisations.
 
 from __future__ import annotations
 
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -254,6 +255,21 @@ def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw=None,
     return PpFormula(algebra, n_free, n_aux + inner_c, total_e, Mat._of(field, out), realisation)
 
 
+def _subst_blocks(field, n_blocks: int, m: int, *cols) -> Mat:
+    """B kron I_m: a substitution for assemble that counts slots in m-blocks.
+
+    Slot block i is slots i*m .. i*m + m - 1 and variable block j is the
+    instance's variables j*m .. j*m + m - 1.  B is the scalar n_blocks x
+    len(cols) matrix whose column j is cols[j]: a block index, selecting
+    that block, or a {block: coefficient} dict, a combination of blocks.
+    """
+    b = _zeros(field, n_blocks, len(cols))
+    for j, col in enumerate(cols):
+        for i, coeff in (col.items() if isinstance(col, dict) else [(col, 1)]):
+            b[i, j] = field.coerce(coeff)
+    return Mat._of(field, b).kron(Mat.identity(field, m))
+
+
 def meet_realisation(phi: PpFormula, psi: PpFormula):
     """Free realisation (module, tuple) of the meet.
 
@@ -292,18 +308,15 @@ def sum_formula(phi: PpFormula, psi: PpFormula) -> PpFormula:
         raise FormulaError("sum needs equal arities")
     if phi.algebra != psi.algebra:
         raise FormulaError("sum needs a common algebra")
-    n = phi.n
-    field = phi.algebra.field
-    ident = Mat.identity(field, n)
-    zero = Mat.zeros(field, n, n)
-    c_phi = Mat.vstack([zero, ident])        # phi sees x1 (the aux block)
-    c_psi = Mat.vstack([ident, -ident])      # psi sees x - x1
     fr_phi, fr_psi = phi.realisation, psi.realisation
     real = None
     if fr_phi is not None and fr_psi is not None:
         total, i1, i2, _, _ = direct_sum(fr_phi.module, fr_psi.module)
         real = (total, [i1(a) + i2(b) for a, b in zip(fr_phi.tuple, fr_psi.tuple)])
-    return assemble(phi.algebra, n, n, [(phi, c_phi), (psi, c_psi)], realisation=real)
+    # slot blocks x (free) and x1 (aux): phi sees x1, psi sees x - x1
+    sub = partial(_subst_blocks, phi.algebra.field, 2, phi.n)
+    instances = [(phi, sub(1)), (psi, sub({0: 1, 1: -1}))]
+    return assemble(phi.algebra, phi.n, phi.n, instances, realisation=real)
 
 
 def free_realisation(phi: PpFormula, via: str = "auto") -> FreeRealisation:

@@ -12,10 +12,13 @@ number of bound variables.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .algebra import Algebra
 from .formulas import (
     PpFormula,
     PpPair,
+    _subst_blocks,
     assemble,
     conj,
     eval_formula,
@@ -90,19 +93,6 @@ class InterpData:
         return f"InterpData(m={self.m}, Mod-{self.R!r} -> Mod-{self.S!r})"
 
 
-def _block_subst(field, n_slots: int, arity: int, blocks) -> Mat:
-    """Slots -> formula variables; blocks lists (slot_offset, coeff) per
-    m-block making up the formula's variables in order."""
-    rows = [[0] * arity for _ in range(n_slots)]
-    col = 0
-    for parts, width in blocks:
-        for off, coeff in parts:
-            for t in range(width):
-                rows[off + t][col + t] = coeff
-        col += width
-    return Mat.from_rows(field, rows)
-
-
 def welldef_condition_pairs(data: InterpData, k: int):
     """The two pp-pairs whose closure on M makes rho_k well-defined.
 
@@ -111,17 +101,13 @@ def welldef_condition_pairs(data: InterpData, k: int):
     Each implication a -> b is encoded as the pair a / (a and b).
     """
     m = data.m
-    field = data.R.field
     rho = data.rhos[k]
-    # (1): free x-block, aux y-block
-    c_phi_y = _block_subst(field, 2 * m, m, [([(m, 1)], m)])
-    c_rho_xy = _block_subst(field, 2 * m, 2 * m, [([(0, 1)], m), ([(m, 1)], m)])
-    exists_part = assemble(data.R, m, m, [(data.phi, c_phi_y), (rho, c_rho_xy)])
+    sub = partial(_subst_blocks, data.R.field, 2, m)
+    # (1): free x-block 0, aux y-block 1
+    exists_part = assemble(data.R, m, m, [(data.phi, sub(1)), (rho, sub(0, 1))])
     pair1 = PpPair(data.phi, conj(data.phi, exists_part), justification="conj-with-top")
-    # (2): free y-block, aux x-block
-    c_psi_x = _block_subst(field, 2 * m, m, [([(m, 1)], m)])
-    c_rho = _block_subst(field, 2 * m, 2 * m, [([(m, 1)], m), ([(0, 1)], m)])
-    reach = assemble(data.R, m, m, [(data.psi, c_psi_x), (rho, c_rho)])
+    # (2): free y-block 0, aux x-block 1
+    reach = assemble(data.R, m, m, [(data.psi, sub(1)), (rho, sub(1, 0))])
     pair2 = PpPair(reach, conj(reach, data.psi), justification="conj-with-top")
     return pair1, pair2
 
@@ -135,37 +121,22 @@ def axiom_pairs(data: InterpData):
     """
     m = data.m
     p = data.S.dim
-    field = data.R.field
     out = []
     for k, label in enumerate(data.S.labels):
         pair1, pair2 = welldef_condition_pairs(data, k)
         out.append((f"welldef1[{label}]", pair1))
         out.append((f"welldef2[{label}]", pair2))
-    # slots: x (free), u, v, w_1..w_p (aux)
-    n_slots = m * (3 + p)
-    x_off, u_off, v_off = 0, m, 2 * m
-
-    def w_off(l):
-        return (3 + l) * m
-
+    # slot blocks: x (free), u, v, w_1..w_p (aux)
+    sub = partial(_subst_blocks, data.R.field, 3 + p, m)
+    x_to_w = [(data.rhos[l], sub(0, 3 + l)) for l in range(p)]
     for i in range(p):
         for j in range(p):
-            alphas = data.S.mul[i][j]  # coeff row of s_i s_j over the S-basis
-            instances = [
-                (data.rhos[i], _block_subst(field, n_slots, 2 * m, [([(x_off, 1)], m), ([(u_off, 1)], m)])),
-                (data.rhos[j], _block_subst(field, n_slots, 2 * m, [([(u_off, 1)], m), ([(v_off, 1)], m)])),
-            ]
-            for l in range(p):
-                instances.append(
-                    (data.rhos[l], _block_subst(field, n_slots, 2 * m, [([(x_off, 1)], m), ([(w_off(l), 1)], m)]))
-                )
-            parts = [(v_off, 1)]
-            for l in range(p):
-                a = alphas.entry(0, l)
-                if a != 0:
-                    parts.append((w_off(l), field.neg(a)))
-            instances.append((data.psi, _block_subst(field, n_slots, m, [(parts, m)])))
-            comp = assemble(data.R, m, n_slots - m, instances)
+            # v - sum_l alpha_l w_l, for the coeff row alpha of s_i s_j over the S-basis
+            alphas = data.S.mul[i][j].to_rows()[0]
+            v_minus_w = {2: 1, **{3 + l: -a for l, a in enumerate(alphas)}}
+            instances = [(data.rhos[i], sub(0, 1)), (data.rhos[j], sub(1, 2))]
+            instances += x_to_w + [(data.psi, sub(v_minus_w))]
+            comp = assemble(data.R, m, (2 + p) * m, instances)
             pair = PpPair(data.phi, conj(data.phi, comp), justification="conj-with-top")
             out.append((f"compose[{data.S.labels[i]},{data.S.labels[j]}]", pair))
     return out
@@ -381,35 +352,17 @@ def pullback_formula(data: InterpData, gamma: PpFormula) -> PpFormula:
     field = data.R.field
     d = gamma.c
     e = gamma.e
-    # slots: X (free), Y_j, Z_k, W_i, U_jk
-    y_off = m
-    z_off = y_off + d * m
-    w_off = z_off + p * m
-    u_off = w_off + e * m
-    n_slots = u_off + d * p * m
-
-    def u_block(j, k):
-        return u_off + (j * p + k) * m
-
-    instances = [(data.phi, _block_subst(field, n_slots, m, [([(0, 1)], m)]))]
-    for k in range(p):
-        instances.append((data.phi, _block_subst(field, n_slots, m, [([(z_off + k * m, 1)], m)])))
-    for j in range(d):
-        instances.append((data.phi, _block_subst(field, n_slots, m, [([(y_off + j * m, 1)], m)])))
-    for j in range(d):
-        for k in range(p):
-            instances.append((data.phi, _block_subst(field, n_slots, m, [([(u_block(j, k), 1)], m)])))
-    for k in range(p):
-        instances.append(
-            (data.rhos[k], _block_subst(field, n_slots, 2 * m, [([(0, 1)], m), ([(z_off + k * m, 1)], m)]))
-        )
-    for j in range(d):
-        for k in range(p):
-            instances.append(
-                (data.rhos[k], _block_subst(field, n_slots, 2 * m, [([(y_off + j * m, 1)], m), ([(u_block(j, k), 1)], m)]))
-            )
-    for i in range(e):
-        instances.append((data.psi, _block_subst(field, n_slots, m, [([(w_off + i * m, 1)], m)])))
+    # slot blocks: X (free), Y_j, Z_k, W_i, U_jk
+    y, z, w, u = 1, 1 + d, 1 + d + p, 1 + d + p + e
+    n_blocks = u + d * p
+    sub = partial(_subst_blocks, field, n_blocks, m)
+    instances = [(data.phi, sub(0))]
+    instances += [(data.phi, sub(z + k)) for k in range(p)]
+    instances += [(data.phi, sub(y + j)) for j in range(d)]
+    instances += [(data.phi, sub(u + j * p + k)) for j in range(d) for k in range(p)]
+    instances += [(data.rhos[k], sub(0, z + k)) for k in range(p)]
+    instances += [(data.rhos[k], sub(y + j, u + j * p + k)) for j in range(d) for k in range(p)]
+    instances += [(data.psi, sub(w + i)) for i in range(e)]
     # raw column i * m + t: sum_k b_ik Z_k + sum_jk a_jik U_jk - W_i = 0 at
     # coordinate t, where gamma's entries are b_i (row 0) and a_ji (row 1 + j);
     # as scalars it is blocks kron I_m, one slot block per row of blocks
@@ -421,7 +374,7 @@ def pullback_formula(data: InterpData, gamma: PpFormula) -> PpFormula:
         Mat._of(field, g[1:].transpose(0, 2, 1).reshape(d * p, e)),  # U_jk
     ])
     raw = blocks.kron(Mat.identity(field, m)).kron(data.R.one)
-    return assemble(data.R, m, n_slots - m, instances, raw)
+    return assemble(data.R, m, (n_blocks - 1) * m, instances, raw)
 
 
 class BoundReport:

@@ -79,11 +79,11 @@ class FDModule:
         return (coeffs @ Mat.flat_stack(self.action)).reshape(self.dim, self.dim)
 
     def element(self, coords) -> Mat:
-        if isinstance(coords, Mat):
-            if coords.shape != (1, self.dim):
-                raise ModuleError("element vector has wrong length")
-            return coords
-        return Mat.from_rows(self.field, [list(coords)])
+        if not isinstance(coords, Mat):
+            coords = Mat.from_rows(self.field, [list(coords)])
+        if coords.shape != (1, self.dim):
+            raise ModuleError("element vector has wrong length")
+        return coords
 
     def zero_vector(self) -> Mat:
         return Mat.zeros(self.field, 1, self.dim)

@@ -35,7 +35,6 @@ from ppcalc.formulas import (
     pp_type_generator,
 )
 from ppcalc.interp import (
-    _block_subst,
     apply_interp,
     apply_map,
     hom_interp_data,
@@ -544,6 +543,19 @@ def test_hom_interp_data_matches_per_generator_solves(case, data):
     assert [list(r.coeffs) for r in rhos] == [list(r.coeffs) for r in expected]
 
 
+def ref_block_subst(field, n_slots: int, arity: int, blocks) -> Mat:
+    """Slots -> formula variables; blocks lists (slot_offset, coeff) per
+    m-block making up the formula's variables in order."""
+    rows = [[0] * arity for _ in range(n_slots)]
+    col = 0
+    for parts, width in blocks:
+        for off, coeff in parts:
+            for t in range(width):
+                rows[off + t][col + t] = coeff
+        col += width
+    return Mat.from_rows(field, rows)
+
+
 def dict_pullback_formula(data, gamma):
     """pullback_formula on DictFormulas: the raw columns built slot by slot
     from gamma's entries, then the entrywise assemble."""
@@ -560,7 +572,7 @@ def dict_pullback_formula(data, gamma):
         return u_off + (j * p + k) * m
 
     def subst(arity, blocks):
-        return _block_subst(field, n_slots, arity, blocks)
+        return ref_block_subst(field, n_slots, arity, blocks)
 
     phi, psi, rhos = as_dict(data.phi), as_dict(data.psi), [as_dict(r) for r in data.rhos]
     instances = [(phi, subst(m, [([(0, 1)], m)]))]

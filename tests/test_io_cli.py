@@ -472,3 +472,22 @@ def test_cli_boolean_scalar_exit_code(files, capsys, lam2, reg2, target):
         fh.write(json.dumps(payload))
     assert main(["eval", "--formula", files["ann.pp"], "--module", files["reg.mod"]]) == 2
     assert "parse error: bad scalar True" in capsys.readouterr().err
+
+
+def test_cli_paths_are_relative_to_the_working_directory(tmp_path, monkeypatch, capsys, lam2, reg2):
+    # path arguments with a directory part; each file names its algebra
+    # relative to itself
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "lam.alg").write_text(dumps(algebra_to_json(lam2)))
+    (sub / "m.json").write_text(dumps(module_to_json(reg2, algebra_ref="lam.alg")))
+    (sub / "ann.pp").write_text(dumps(formula_to_json(ann_formula(lam2), algebra_ref="lam.alg")))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", "json", "pptype", "--module", "sub/m.json", "--tuple", "[[1, 0]]"]) == 0
+    assert json.loads(capsys.readouterr().out)["free"] == 1
+    assert main(["--out", "json", "eval", "--formula", "sub/ann.pp", "--module", "sub/m.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 1
+    assert main(["eval", "--formula", str(sub / "ann.pp"), "--module", "./sub/m.json"]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(sub)
+    assert main(["eval", "--formula", "ann.pp", "--module", "../sub/m.json"]) == 0

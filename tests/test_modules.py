@@ -1099,3 +1099,13 @@ def test_presentation_is_not_shared_by_value(spins):
     assert len(spins) == 2 and spins[0] is first and spins[1] is second
     assert first.presentation is not second.presentation
     assert_same_system(first.presentation, second.presentation)
+
+
+def test_element_checks_the_length_of_lists_and_matrices(s1_2, reg2):
+    # a list of the wrong length was wrapped as a 1 x 3 vector of a dim-1 module
+    for coords in ([1, 0, 0], [], Mat.from_rows(GF(2), [[1, 0]])):
+        with pytest.raises(ModuleError, match="element vector has wrong length"):
+            s1_2.element(coords)
+    assert s1_2.element([1]) == Mat.from_rows(GF(2), [[1]])
+    with pytest.raises(ModuleError, match="element vector has wrong length"):
+        pp_type_generator(reg2, [[1]])
