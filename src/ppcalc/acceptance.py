@@ -67,19 +67,11 @@ CRITERIA_NAMES = {
 SUITE_BUDGET_S = 600.0  # criterion 10's bound on the whole suite's wall clock
 
 
-class RunConfig:
+class RunConfig(NamedTuple):
     """Seeded, budgeted configuration of one acceptance run."""
 
-    def __init__(self, seed: int = 0, budget: int = 10**7):
-        self.seed = seed
-        self.budget = budget
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RunConfig)
-            and self.seed == other.seed
-            and self.budget == other.budget
-        )
+    seed: int = 0
+    budget: int = 10**7
 
 
 class PassContext(NamedTuple):

@@ -75,12 +75,13 @@ class Algebra:
     # -- structural equality (used by serialisation round trips) -------
 
     def __eq__(self, other):
-        return (
+        # _rstack holds every structure constant: one compare, not dim^2
+        return self is other or (
             isinstance(other, Algebra)
             and self.field == other.field
             and self.labels == other.labels
             and self.one == other.one
-            and self.mul == other.mul
+            and self._rstack == other._rstack
         )
 
     def __hash__(self):
@@ -157,7 +158,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def _check(self, other):
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
+        if other.algebra != self.algebra:
             raise AlgebraError("elements of different algebras")
 
     def is_zero(self) -> bool:

@@ -169,8 +169,9 @@ def cmd_pullback(args):
 
 
 def cmd_bounds(args):
-    c_rhos = [int(x) for x in args.c_rho.split(",")] if args.c_rho else [0] * args.p
-    rep = bounds(args.d, args.m, args.p, args.c_phi, args.c_psi, c_rhos, args.dim_r)
+    with pio._parsing("bounds"):
+        c_rhos = [int(x) for x in args.c_rho.split(",")] if args.c_rho else None
+        rep = bounds(args.d, args.m, args.p, args.c_phi, args.c_psi, c_rhos, args.dim_r)
     _emit(args, rep.as_dict(), f"n_{args.d} = {rep.n_d}, b_{args.d} = {rep.b_d}")
     return 0
 

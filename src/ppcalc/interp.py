@@ -211,10 +211,15 @@ def apply_interp(data: InterpData, module: FDModule, check: bool = True) -> Inte
     one solve for the values of all coset representatives and one for
     their classes.
     """
+    return _interp_image(data, module, axiom_pairs(data) if check else None)
+
+
+def _interp_image(data: InterpData, module: FDModule, pairs) -> InterpImage:
+    """apply_interp, checking the given axiom pairs first unless pairs is None."""
     if module.algebra != data.R:
         raise InterpError("module must live over the source algebra")
-    if check:
-        cl = closure_report(axiom_pairs(data), module)
+    if pairs is not None:
+        cl = closure_report(pairs, module)
         bad = [e["pair"] for e in cl["pairs"] if not e["closed"]]
         ill = [g for g in data.S.labels if f"welldef1[{g}]" in bad or f"welldef2[{g}]" in bad]
         if ill:
@@ -241,10 +246,11 @@ def apply_interp(data: InterpData, module: FDModule, check: bool = True) -> Inte
 def apply_map(data: InterpData, f: ModuleMap, img_src: InterpImage = None,
               img_tgt: InterpImage = None, check: bool = True) -> ModuleMap:
     """The induced map between functor values (componentwise image)."""
+    pairs = axiom_pairs(data) if check and (img_src is None or img_tgt is None) else None
     if img_src is None:
-        img_src = apply_interp(data, f.source, check=check)
+        img_src = _interp_image(data, f.source, pairs)
     if img_tgt is None:
-        img_tgt = apply_interp(data, f.target, check=check)
+        img_tgt = _interp_image(data, f.target, pairs)
     big = Mat.identity(f.source.field, data.m).kron(f.matrix)
     return ModuleMap(img_src.module, img_tgt.module, img_tgt.to_class(img_src.rep_rows() @ big))
 
@@ -424,6 +430,10 @@ def bounds(d: int, m: int, p: int, c_phi: int = 0, c_psi: int = 0,
         raise InterpError("bounds need d >= 1")
     if c_rhos is None:
         c_rhos = [0] * p
+    if len(c_rhos) != p:
+        raise InterpError(f"need one c_rho per generator: {len(c_rhos)} given, p = {p}")
+    if min([m, p, c_phi, c_psi, dim_r, *c_rhos]) < 0:
+        raise InterpError("bound statistics must be non-negative")
     return BoundReport(d, m, p, c_phi, c_psi, c_rhos, dim_r)
 
 

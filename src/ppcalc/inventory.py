@@ -10,11 +10,12 @@ non-isomorphic, in a deterministic order.
 from __future__ import annotations
 
 import itertools
+from functools import partial, reduce
 
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, _product
 from .modules import (
     FDModule,
     ModuleError,
@@ -23,6 +24,7 @@ from .modules import (
     indecomposability,
     iso_test,
     validate_module,
+    _digits,
     _first_iso,
 )
 
@@ -78,84 +80,57 @@ class Inventory:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of non-negative ints of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """All tuples of non-negative ints of the given length summing to total, lexicographically."""
+    return [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
 
 
-def _digits(start: int, stop: int, base: int, width: int) -> np.ndarray:
-    """The base-`base` digits of start..stop-1, one row each, digit 0 first."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=np.int64)
-    for k in range(width):
-        out[:, k] = idx % base
-        idx //= base
-    return out
+def _path_action(field, arrows, word):
+    """The product, along a nonempty path, of its arrows' stacked matrices."""
+    return reduce(partial(_product, field), [arrows[lab] for lab in word])
 
 
 def _quiver_candidates(algebra: Algebra, d: int):
     """All modules of dimension d, via arrow-matrix assignments.
 
-    Assignments are numbered in base p with digit 0 fastest and tested
-    against the relations in blocks of _BATCH_LIMIT, so memory does not
-    grow with their number.
+    Assignments are numbered in base p with digit 0 fastest and taken in
+    blocks of at most _BATCH_LIMIT, so memory does not grow with their
+    number.  In a block each arrow is one (n, d, d) array; a path acts
+    as the product of its arrows' arrays and a trivial path as its
+    vertex's identity block.  The relations are sums of such products,
+    and the actions are formed for the survivors only.
     """
-    q = algebra.quiver
-    p = algebra.field.p
-    nv = q.n_vertices
-    arrows = q.arrows
-    by_label = {arrows[i][2]: i for i in range(len(arrows))}
-    for comp in _compositions(d, nv):
-        offs = [0]
-        for c in comp:
-            offs.append(offs[-1] + c)
-        shapes = [(comp[s - 1], comp[t - 1]) for (s, t, _) in arrows]
-        k_total = sum(r * c for r, c in shapes)
+    q, field = algebra.quiver, algebra.field
+    p = field.p
+    for comp in _compositions(d, q.n_vertices):
+        offs = list(itertools.accumulate(comp, initial=0))
+        vertex_of = np.repeat(np.arange(1, q.n_vertices + 1), comp)
+        k_total = sum(comp[s - 1] * comp[t - 1] for s, t, _ in q.arrows)
         count = p**k_total
-
-        def embed(arrow_idx, small: np.ndarray) -> np.ndarray:
-            s, t, _ = arrows[arrow_idx]
-            full = np.zeros((d, d), dtype=np.int64)
-            r, c = shapes[arrow_idx]
-            full[offs[s - 1] : offs[s - 1] + r, offs[t - 1] : offs[t - 1] + c] = small
-            return full
-
-        def build(full_mats) -> FDModule:
-            action = []
-            for src, word in algebra.paths:
-                mat = np.zeros((d, d), dtype=np.int64)
-                mat[offs[src - 1] : offs[src - 1] + comp[src - 1],
-                    offs[src - 1] : offs[src - 1] + comp[src - 1]] = np.eye(
-                    comp[src - 1], dtype=np.int64
-                )
-                for lab in word:
-                    mat = (mat @ full_mats[by_label[lab]]) % p
-                action.append(Mat.of_array(algebra.field, mat))
-            return FDModule(algebra, d, action)
-
         for start in range(0, count, _BATCH_LIMIT):
             digits = _digits(start, min(count, start + _BATCH_LIMIT), p, k_total)
-            n = len(digits)
-            smalls = []
-            pos = 0
-            for r, c in shapes:
-                smalls.append(digits[:, pos : pos + r * c].reshape(n, r, c))
+            n, pos = len(digits), 0
+            arrows = {}
+            for s, t, lab in q.arrows:
+                r, c = comp[s - 1], comp[t - 1]
+                arrows[lab] = np.zeros((n, d, d), dtype=np.int64)
+                arrows[lab][:, offs[s - 1] : offs[s], offs[t - 1] : offs[t]] = (
+                    digits[:, pos : pos + r * c].reshape(n, r, c)
+                )
                 pos += r * c
-            mask = np.ones(n, dtype=bool)
+            keep = np.ones(n, dtype=bool)
             for rel in q.relations:
-                acc = 0
-                for coeff, word in rel:
-                    prod = smalls[by_label[word[0]]]
-                    for lab in word[1:]:
-                        prod = np.einsum("nij,njk->nik", prod, smalls[by_label[lab]]) % p
-                    acc = (acc + int(coeff) * prod) % p
-                mask &= ~acc.reshape(n, -1).any(axis=1)
-            for idx in np.flatnonzero(mask):
-                yield build([embed(i, smalls[i][idx]) for i in range(len(arrows))])
+                acc = sum(int(coeff) * _path_action(field, arrows, word) for coeff, word in rel)
+                keep &= ~(acc % p).reshape(n, -1).any(axis=1)
+            live = {lab: a[keep] for lab, a in arrows.items()}
+            survivors = int(keep.sum())
+            actions = [
+                _path_action(field, live, word)
+                if word
+                else np.broadcast_to(np.diag(vertex_of == src).astype(np.int64), (survivors, d, d))
+                for src, word in algebra.paths
+            ]
+            for i in range(survivors):
+                yield FDModule(algebra, d, [Mat.of_array(field, a[i]) for a in actions])
 
 
 def _generating_data(algebra: Algebra):
@@ -202,48 +177,53 @@ def _generating_data(algebra: Algebra):
 
 
 def _naive_candidates(algebra: Algebra, d: int, gen_data):
-    """All modules of dimension d from generator matrix assignments."""
+    """All modules of dimension d from generator matrix assignments.
+
+    The entries of the generator matrices run in counter order with the
+    last entry fastest.
+    """
     gens, recipes, coords = gen_data
     field = algebra.field
     p = field.p
     n_entries = len(gens) * d * d
-    for combo in itertools.product(range(p), repeat=n_entries):
-        gmats = []
-        for g in range(len(gens)):
-            block = combo[g * d * d : (g + 1) * d * d]
-            gmats.append(
-                Mat.from_rows(field, [list(block[i * d : (i + 1) * d]) for i in range(d)])
+    total = p**n_entries
+    for start in range(0, total, _BATCH_LIMIT):
+        for combo in _digits(start, min(total, start + _BATCH_LIMIT), p, n_entries)[:, ::-1]:
+            blocks = combo.reshape(len(gens), d, d)
+            gmats = [Mat.of_array(field, block) for block in blocks]
+            mats = []
+            for recipe in recipes:
+                if recipe[0] == "one":
+                    mats.append(Mat.identity(field, d))
+                elif recipe[0] == "gen":
+                    mats.append(gmats[recipe[1]])
+                else:
+                    mats.append(mats[recipe[1]] @ mats[recipe[2]])
+            flat = coords @ Mat.flat_stack(mats)
+            cand = FDModule(algebra, d, [flat.row(b).reshape(d, d) for b in range(algebra.dim)])
+            if validate_module(cand).ok:
+                yield cand
+
+
+def _candidates(algebra: Algebra):
+    """The candidate source: (modules, count).
+
+    modules(d) yields every module of dimension d, from arrow matrices
+    for a quiver-built algebra and from generator matrices otherwise;
+    count(d) is the number of assignments it tries.
+    """
+    p, q = algebra.field.p, algebra.quiver
+    if q is not None:
+        def count(d):
+            return sum(
+                p ** sum(comp[s - 1] * comp[t - 1] for s, t, _ in q.arrows)
+                for comp in _compositions(d, q.n_vertices)
             )
-        mats = []
-        for recipe in recipes:
-            if recipe[0] == "one":
-                mats.append(Mat.identity(field, d))
-            elif recipe[0] == "gen":
-                mats.append(gmats[recipe[1]])
-            else:
-                mats.append(mats[recipe[1]] @ mats[recipe[2]])
-        flat = coords @ Mat.flat_stack(mats)
-        cand = FDModule(algebra, d, [flat.row(b).reshape(d, d) for b in range(algebra.dim)])
-        if validate_module(cand).ok:
-            yield cand
 
-
-def _estimate(algebra: Algebra, cap: int) -> int:
-    p = algebra.field.p
-    total = 0
-    if algebra.quiver is not None:
-        q = algebra.quiver
-        for d in range(1, cap + 1):
-            for comp in _compositions(d, q.n_vertices):
-                k_total = sum(
-                    comp[s - 1] * comp[t - 1] for (s, t, _) in q.arrows
-                )
-                total += p**k_total
-    else:
-        n_gens = len(_generating_data(algebra)[0])
-        for d in range(1, cap + 1):
-            total += p ** (d * d * n_gens)
-    return total
+        return partial(_quiver_candidates, algebra), count
+    gen_data = _generating_data(algebra)
+    n_gens = len(gen_data[0])
+    return partial(_naive_candidates, algebra, gen_data=gen_data), lambda d: p ** (d * d * n_gens)
 
 
 def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
@@ -256,21 +236,16 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
     """
     if not algebra.field.is_prime_field:
         raise ModuleError("exhaustive enumeration needs a finite prime field")
-    estimate = _estimate(algebra, cap)
+    candidates, count = _candidates(algebra)
+    estimate = sum(count(d) for d in range(1, cap + 1))
     if estimate > budget:
         raise BudgetExceeded(
             f"enumeration needs about {estimate} candidates, budget is {budget};"
             " raise --budget or lower the cap"
         )
-    gen_data = None if algebra.quiver is not None else _generating_data(algebra)
     members = []
     for d in range(1, cap + 1):
-        source = (
-            _quiver_candidates(algebra, d)
-            if algebra.quiver is not None
-            else _naive_candidates(algebra, d, gen_data)
-        )
-        for cand in source:
+        for cand in candidates(d):
             res = indecomposability(cand, seed)
             if res.status == "probably-indecomposable":
                 raise BudgetExceeded(
@@ -306,8 +281,7 @@ def verify_completeness(inv: Inventory, max_dim: int, seed: int = 0):
     inventory members, and every multiset of members must occur; the
     report records the per-dimension counts.
     """
-    algebra = inv.algebra
-    gen_data = None if algebra.quiver is not None else _generating_data(algebra)
+    candidates = _candidates(inv.algebra)[0]
     report = {"check": "inventory-completeness", "dims": [], "ok": True}
     for d in range(1, max_dim + 1):
         expected = set()
@@ -318,13 +292,8 @@ def verify_completeness(inv: Inventory, max_dim: int, seed: int = 0):
                 if sum(inv.members[i].dim for i in combo) == d:
                     expected.add(combo)
         observed = set()
-        source = (
-            _quiver_candidates(algebra, d)
-            if algebra.quiver is not None
-            else _naive_candidates(algebra, d, gen_data)
-        )
         ok = True
-        for cand in source:
+        for cand in candidates(d):
             pieces = decompose(cand, seed)
             signature = []
             for piece, _, _ in pieces:

@@ -92,23 +92,17 @@ class FDModule:
         return Mat.identity(self.field, self.dim).row(i)
 
     def elements(self):
-        """All element vectors (prime fields only, for exhaustive oracles)."""
+        """All element vectors, coordinate 0 fastest (prime fields only, for exhaustive oracles)."""
         if not self.field.is_prime_field:
             raise ModuleError("cannot enumerate elements over the rationals")
-        p = self.field.p
-        vec = [0] * self.dim
-        while True:
-            yield Mat.from_rows(self.field, [list(vec)])
-            i = 0
-            while i < self.dim and vec[i] == p - 1:
-                vec[i] = 0
-                i += 1
-            if i == self.dim:
-                return
-            vec[i] += 1
+        p, total = self.field.p, self.field.p**self.dim
+        step = max(1, _ENUM_BLOCK_ENTRIES // max(1, self.dim))
+        for start in range(0, total, step):
+            for row in _digits(start, min(start + step, total), p, self.dim):
+                yield Mat.of_array(self.field, row[None])
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FDModule)
             and self.algebra == other.algebra
             and self.dim == other.dim
@@ -194,7 +188,7 @@ class ModuleMap:
         return v @ self.matrix
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
-        if other.source is not self.target and other.source != self.target:
+        if other.source != self.target:
             raise ModuleError("composition source/target mismatch")
         return ModuleMap(self.source, other.target, self.matrix @ other.matrix, check=False)
 
@@ -251,7 +245,7 @@ def hom_space(m: FDModule, n: FDModule):
     largest system is Phi, against the (s*t) x (s*t*dim A) system of
     the Kronecker formulation.
     """
-    if m.algebra is not n.algebra and m.algebra != n.algebra:
+    if m.algebra != n.algebra:
         raise ModuleError("hom_space needs modules over the same algebra")
     s, t = m.dim, n.dim
     if s == 0 or t == 0:
@@ -337,7 +331,7 @@ def direct_sum_many(mods, algebra=None):
         if not mods:
             raise ModuleError("empty direct sum needs the algebra")
         algebra = mods[0].algebra
-    if any(m.algebra is not algebra and m.algebra != algebra for m in mods):
+    if any(m.algebra != algebra for m in mods):
         raise ModuleError("direct sum over different algebras")
     field = algebra.field
     bounds = list(itertools.accumulate([m.dim for m in mods], initial=0))
@@ -733,8 +727,22 @@ def _krylov_minpoly(f: Mat, v: Mat):
     return [field.neg(x) for x in c.to_rows()[0]] + [field.one()]
 
 
-# Test blocks of End elements of about this many entries per product.
+# Enumerate GF(p)^k in blocks of about this many entries.
 _ENUM_BLOCK_ENTRIES = 1 << 16
+
+
+def _digits(start: int, stop: int, base: int, width: int) -> np.ndarray:
+    """The base-`base` digits of start..stop-1, one row each, digit 0 first.
+
+    Repeated division keeps every value below stop; a weights vector
+    base**i would overflow int64 once base**(width - 1) >= 2**63.
+    """
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=np.int64)
+    for k in range(width):
+        out[:, k] = idx % base
+        idx //= base
+    return out
 
 
 def _enumerate_idempotent(m: FDModule, flat: Mat):
@@ -748,10 +756,9 @@ def _enumerate_idempotent(m: FDModule, flat: Mat):
     field, n, e = m.field, m.dim, flat.rows
     p, total = field.p, field.p**e
     ident = np.eye(n, dtype=np.int64)
-    weights = np.array([p**i for i in range(e)], dtype=np.int64)
     step = max(1, _ENUM_BLOCK_ENTRIES // (n * n))
     for start in range(0, total, step):
-        digits = np.arange(start, min(start + step, total), dtype=np.int64)[:, None] // weights % p
+        digits = _digits(start, min(start + step, total), p, e)
         x = (Mat.of_array(field, digits) @ flat).array().reshape(-1, n, n)
         hits = (
             (_product(field, x, x) == x).all(axis=(1, 2))

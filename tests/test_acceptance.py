@@ -97,3 +97,11 @@ def test_core_body_is_byte_identical(report):
     core = [{k: v for k, v in c.items() if k != "name"} for c in report["criteria"] if c["id"] <= 9]
     body = render_json({"criteria": core})
     assert hashlib.sha256(body.encode()).hexdigest() == pinned.group(1)
+
+
+def test_run_config_is_an_immutable_value():
+    assert RunConfig() == RunConfig(0, 10**7) == RunConfig(seed=0)
+    assert RunConfig(3).seed == 3 and RunConfig(3).budget == 10**7
+    assert RunConfig(budget=5) == (0, 5)
+    with pytest.raises(AttributeError):
+        RunConfig().seed = 1

@@ -308,3 +308,34 @@ def test_left_mult_matrix_is_one_product(field):
             # row j of L is x * basis_j
             for j in range(a.dim):
                 assert got.row(j) == a.multiply(x, a.basis_element(j).coeffs)
+
+
+def ref_algebra_eq(a, b):
+    """Algebra equality by every structure constant, one nested entry at a time."""
+    return (
+        a.field == b.field
+        and a.labels == b.labels
+        and a.one == b.one
+        and all(a.mul[i][j] == b.mul[i][j] for i in range(a.dim) for j in range(a.dim))
+    )
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_algebra_equality_reads_every_structure_constant(field):
+    from ppcalc.algebra import Algebra
+    from ppcalc.examples import kronecker_algebra
+
+    base = kronecker_algebra(field)
+    d = base.dim
+    copy = Algebra(field, base.labels, base.one, base.mul)
+    assert base == base and base == copy and ref_algebra_eq(base, copy)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                mul = [row[:] for row in base.mul]
+                row = mul[i][j].to_rows()[0]
+                row[k] = row[k] + 1
+                mul[i][j] = Mat.from_rows(field, [row])
+                other = Algebra(field, base.labels, base.one, mul)
+                assert not ref_algebra_eq(base, other)
+                assert base != other and other != base

@@ -345,3 +345,51 @@ def test_pullback_pair_d2_regular_subject():
         hits += expected
         assert pair_open(sigma_tau, m) == expected
     assert hits >= 1
+
+
+def test_apply_map_builds_the_axiom_pairs_once(monkeypatch, homdata, bim2):
+    from ppcalc import interp
+
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return axiom_pairs(data)
+
+    monkeypatch.setattr(interp, "axiom_pairs", counted)
+    f = identity_map(bim2.right_module())  # the identity of F(Lambda_Lambda)
+    assert apply_map(homdata, f).matrix == Mat.identity(F2, 2)
+    assert len(calls) == 1
+
+
+def test_apply_map_reports_domain_failures_as_apply_interp(lam2, reg2, kron2):
+    one = lam2.one_element()
+    pair = PpPair(top_formula(lam2, 1), zero_formula(lam2, 1))
+    loose = top_formula(lam2, 2)
+    graph = PpFormula(lam2, 2, 0, 1, {(0, 0): one, (1, 0): -one})
+    for rhos, match in (([loose, loose], "not well-defined"), ([graph, graph], "axiom pairs open")):
+        data = InterpData(lam2, lam2, 1, pair, rhos)
+        with pytest.raises(InterpError, match=match) as direct:
+            apply_interp(data, reg2)
+        with pytest.raises(InterpError) as induced:
+            apply_map(data, identity_map(reg2))
+        assert str(induced.value) == str(direct.value)
+    with pytest.raises(InterpError, match="source algebra"):
+        apply_map(data, identity_map(regular_module(kron2)))
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((1, -2, 2, 0, 0, [0, 0], 4), "non-negative"),
+        ((1, 2, 2, -1, 0, [0, 0], 4), "non-negative"),
+        ((1, 2, 2, 0, -1, [0, 0], 4), "non-negative"),
+        ((1, 2, 2, 0, 0, [0, -1], 4), "non-negative"),
+        ((1, 2, 2, 0, 0, [0, 0], -4), "non-negative"),
+        ((1, 2, 2, 0, 0, [1], 4), "one c_rho per generator"),
+        ((1, 2, 2, 0, 0, [1, 1, 1], 4), "one c_rho per generator"),
+    ],
+)
+def test_bounds_reject_nonsense(args, match):
+    with pytest.raises(InterpError, match=match):
+        bounds(*args)

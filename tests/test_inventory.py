@@ -3,17 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
+from ppcalc.algebra import Algebra
 from ppcalc.examples import kronecker_algebra, lambda_algebra
 from ppcalc.inventory import (
     _BATCH_LIMIT,
     BudgetExceeded,
+    _digits,
+    _generating_data,
+    _naive_candidates,
     _quiver_candidates,
     direct_sums_up_to,
     enumerate_indecomposables,
     verify_completeness,
 )
 from ppcalc.linalg import GF, Mat
-from ppcalc.modules import is_direct_summand, iso_test, regular_module
+from ppcalc.modules import FDModule, is_direct_summand, iso_test, regular_module, validate_module
 
 
 def test_lambda_f2_cap2_is_simple_and_regular(lam2, s1_2, reg2):
@@ -189,3 +193,80 @@ def test_up_to_equals_fresh_enumeration(make, p, big, small):
 def test_up_to_refuses_a_larger_cap(lam2):
     with pytest.raises(ValueError, match="cap 3"):
         enumerate_indecomposables(lam2, 2, seed=0).up_to(3)
+
+
+def test_arrowless_quiver_candidates_and_inventory():
+    # two vertices and no arrows: one candidate per dimension vector, acting
+    # by the two vertex idempotents; the members are the two simples
+    from ppcalc.algebra import QuiverSpec, algebra_from_quiver
+
+    algebra = algebra_from_quiver(QuiverSpec(2, []), GF(2))
+    assert algebra.labels == ["e1", "e2"]
+    for d in range(1, 4):
+        got = [[a.to_rows() for a in m.action] for m in _quiver_candidates(algebra, d)]
+        want = [
+            [np.diag([1] * i + [0] * (d - i)).tolist(), np.diag([0] * i + [1] * (d - i)).tolist()]
+            for i in range(d + 1)
+        ]
+        assert got == want
+    inv = enumerate_indecomposables(algebra, 3, seed=0)
+    assert [[a.to_rows() for a in m.action] for m in inv.members] == [[[[0]], [[1]]], [[[1]], [[0]]]]
+
+
+def test_quiver_candidates_take_blocks_of_at_most_the_limit(monkeypatch):
+    from ppcalc import inventory
+
+    sizes = []
+
+    def counted(start, stop, base, width):
+        sizes.append(stop - start)
+        return _digits(start, stop, base, width)
+
+    monkeypatch.setattr(inventory, "_digits", counted)
+    for _ in _quiver_candidates(lambda_algebra(GF(3)), 3):
+        pass
+    # one 3 x 3 loop over GF(3): 3^9 assignments, five blocks
+    assert sum(sizes) == 3**9 and len(sizes) == 5
+    assert max(sizes) <= _BATCH_LIMIT
+
+
+def ref_naive_candidates(algebra, d, gen_data):
+    """_naive_candidates one itertools.product tuple at a time (last entry fastest)."""
+    gens, recipes, coords = gen_data
+    field = algebra.field
+    n_entries = len(gens) * d * d
+    for combo in itertools.product(range(field.p), repeat=n_entries):
+        gmats = []
+        for g in range(len(gens)):
+            block = combo[g * d * d : (g + 1) * d * d]
+            gmats.append(Mat.from_rows(field, [list(block[i * d : (i + 1) * d]) for i in range(d)]))
+        mats = []
+        for recipe in recipes:
+            if recipe[0] == "one":
+                mats.append(Mat.identity(field, d))
+            elif recipe[0] == "gen":
+                mats.append(gmats[recipe[1]])
+            else:
+                mats.append(mats[recipe[1]] @ mats[recipe[2]])
+        flat = coords @ Mat.flat_stack(mats)
+        cand = FDModule(algebra, d, [flat.row(b).reshape(d, d) for b in range(algebra.dim)])
+        if validate_module(cand).ok:
+            yield cand
+
+
+def structure_constant_copy(algebra):
+    return Algebra(algebra.field, algebra.labels, algebra.one, algebra.mul)
+
+
+@pytest.mark.parametrize(
+    "make, p, dims",
+    [(lambda_algebra, 2, (1, 2)), (lambda_algebra, 3, (1, 2)), (kronecker_algebra, 2, (1, 2))],
+)
+def test_naive_candidates_keep_product_order(make, p, dims):
+    algebra = structure_constant_copy(make(GF(p)))
+    gen_data = _generating_data(algebra)
+    assert algebra.quiver is None and len(gen_data[0]) >= 1
+    for d in dims:
+        got = [m.action for m in _naive_candidates(algebra, d, gen_data)]
+        want = [m.action for m in ref_naive_candidates(algebra, d, gen_data)]
+        assert got and got == want

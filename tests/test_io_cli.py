@@ -491,3 +491,14 @@ def test_cli_paths_are_relative_to_the_working_directory(tmp_path, monkeypatch, 
     capsys.readouterr()
     monkeypatch.chdir(sub)
     assert main(["eval", "--formula", "ann.pp", "--module", "../sub/m.json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--m", "-2"], ["--m", "2", "--c-rho", "1"], ["--m", "2", "--c-rho", "a,b"], ["--m", "2", "--c-phi", "-1"]],
+    ids=["negative-m", "c-rho-length", "c-rho-not-int", "negative-c-phi"],
+)
+def test_cli_bounds_rejects_nonsense(capsys, extra):
+    # each printed a number and exited 0, or exited 1 on the unparsable list
+    assert main(["bounds", "--d", "1", "--p", "2", *extra]) == 2
+    assert "parse error: bad bounds" in capsys.readouterr().err

@@ -30,6 +30,7 @@ from ppcalc.modules import (
     UnsupportedCharacteristicError,
     decompose,
     direct_sum,
+    direct_sum_many,
     fp_module,
     free_module,
     hom_space,
@@ -1109,3 +1110,21 @@ def test_element_checks_the_length_of_lists_and_matrices(s1_2, reg2):
     assert s1_2.element([1]) == Mat.from_rows(GF(2), [[1]])
     with pytest.raises(ModuleError, match="element vector has wrong length"):
         pp_type_generator(reg2, [[1]])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_elements_in_counter_order(p, dim):
+    # coordinate 0 fastest: itertools.product read with the last entry first
+    lam = lambda_algebra(GF(p))
+    m = direct_sum_many([simple_lambda_module(lam)] * dim, algebra=lam)[0]
+    got = [v.to_rows()[0] for v in m.elements()]
+    assert got == [list(c[::-1]) for c in itertools.product(range(p), repeat=dim)]
+
+
+def test_elements_past_int64_weights():
+    # 2^64 elements: a base**i weights vector would overflow int64 here
+    lam = lambda_algebra(F2)
+    m = direct_sum_many([simple_lambda_module(lam)] * 64, algebra=lam)[0]
+    first = [v.to_rows()[0] for v in itertools.islice(m.elements(), 4)]
+    assert first == [[0] * 64, [1] + [0] * 63, [0, 1] + [0] * 62, [1, 1] + [0] * 62]
