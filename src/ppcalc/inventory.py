@@ -23,7 +23,6 @@ from .modules import (
     decompose,
     indecomposability,
     iso_test,
-    validate_module,
     _digits,
     _first_iso,
 )
@@ -180,29 +179,40 @@ def _naive_candidates(algebra: Algebra, d: int, gen_data):
     """All modules of dimension d from generator matrix assignments.
 
     The entries of the generator matrices run in counter order with the
-    last entry fastest.
+    last entry fastest, in blocks of at most _BATCH_LIMIT.  In a block
+    each generator is one (n, d, d) array, each recipe a product of such
+    arrays, and each basis element's action one combination of them; the
+    unit and multiplicativity are tested on the whole block, and the
+    modules are formed for the survivors only.
     """
     gens, recipes, coords = gen_data
-    field = algebra.field
+    field, dim = algebra.field, algebra.dim
     p = field.p
     n_entries = len(gens) * d * d
     total = p**n_entries
+    ident = np.eye(d, dtype=np.int64)
+    table = Mat.vstack([algebra.mul[i][j] for i in range(dim) for j in range(dim)]).array()
     for start in range(0, total, _BATCH_LIMIT):
-        for combo in _digits(start, min(total, start + _BATCH_LIMIT), p, n_entries)[:, ::-1]:
-            blocks = combo.reshape(len(gens), d, d)
-            gmats = [Mat.of_array(field, block) for block in blocks]
-            mats = []
-            for recipe in recipes:
-                if recipe[0] == "one":
-                    mats.append(Mat.identity(field, d))
-                elif recipe[0] == "gen":
-                    mats.append(gmats[recipe[1]])
-                else:
-                    mats.append(mats[recipe[1]] @ mats[recipe[2]])
-            flat = coords @ Mat.flat_stack(mats)
-            cand = FDModule(algebra, d, [flat.row(b).reshape(d, d) for b in range(algebra.dim)])
-            if validate_module(cand).ok:
-                yield cand
+        digits = _digits(start, min(total, start + _BATCH_LIMIT), p, n_entries)[:, ::-1]
+        n = len(digits)
+        blocks = digits.reshape(n, len(gens), d, d)
+        mats = []
+        for recipe in recipes:
+            if recipe[0] == "one":
+                mats.append(np.broadcast_to(ident, (n, d, d)))
+            elif recipe[0] == "gen":
+                mats.append(blocks[:, recipe[1]])
+            else:
+                mats.append(_product(field, mats[recipe[1]], mats[recipe[2]]))
+        flat = _product(field, coords.array(), np.stack(mats, axis=1).reshape(n, len(mats), d * d))
+        action = flat.reshape(n, dim, d, d)
+        # rho(1) = id, and rho(b_i) rho(b_j) = rho(b_i b_j) for every pair
+        keep = (_product(field, algebra.one.array(), flat).reshape(n, d, d) == ident).all(axis=(1, 2))
+        combined = _product(field, table, flat).reshape(n, dim, dim, d, d)
+        prods = _product(field, action[:, :, None], action[:, None])
+        keep &= (prods == combined).reshape(n, -1).all(axis=1)
+        for acts in action[keep]:
+            yield FDModule(algebra, d, [Mat.of_array(field, a) for a in acts])
 
 
 def _candidates(algebra: Algebra):

@@ -93,7 +93,7 @@ def _scalar_out(field, x):
 
 
 def _scalar_in(field, v):
-    """A JSON scalar as a canonical field element; "a/b" strings are fractions.
+    """A JSON scalar as a canonical field element; strings are "a" or "a/b".
 
     A float is accepted only when it is an integer: 1.5 has no meaning
     over GF(p), and 0.1 over QQ is not the rational the user wrote.  A
@@ -105,11 +105,15 @@ def _scalar_in(field, v):
         if not v.is_integer():
             raise ParseError(f'bad scalar {v!r}: not an integer; write a fraction as "a/b"')
         v = int(v)
+    parts = (v, 1)
+    if isinstance(v, str):
+        num, slash, den = v.partition("/")
+        try:
+            parts = (int(num), int(den) if slash else 1)
+        except ValueError:
+            raise ParseError(f'bad scalar {v!r}: expected "a" or "a/b" with integers a and b') from None
     try:
-        if isinstance(v, str):
-            num, den = v.split("/")
-            return field.coerce(Fraction(int(num), int(den)))
-        return field.coerce(v)
+        return field.coerce(Fraction(*parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {v!r}: {exc}")
 

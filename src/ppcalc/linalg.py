@@ -7,22 +7,29 @@ field, dtype=object holding only Fraction over the rationals.  No
 floating point anywhere.  A prime field needs (p-1)^2 < 2^63, so that
 the product of two reduced entries fits in int64.
 
-Mat.rref picks one of three Gauss-Jordan kernels from the field and the
-number of entries.  _list_rref works on Python lists and touches only
-nonzero entries; it takes every QQ matrix, every GF(2) and GF(3) matrix of
-at most _SLICED_RREF_THRESHOLD (128) entries, and every other GF(p) matrix
+Mat.rref picks one of four Gauss-Jordan kernels from the field and the
+number of entries.  _qq_rref takes every QQ matrix: it eliminates
+fraction-free on primitive integer rows and forms Fractions only for the
+nonzero entries of the result.  _list_rref works on Python lists and
+touches only nonzero entries; it takes every GF(2) and GF(3) matrix of at
+most _SLICED_RREF_THRESHOLD (128) entries, and every other GF(p) matrix
 of at most _LIST_RREF_THRESHOLD (1024) entries.  _sliced_rref takes the
 larger GF(2) and GF(3) matrices: each row is Python ints with one bit per
 column, so a row operation is a few bitwise operations on whole rows.
 _rref takes the larger GF(p) matrices for p > 3 and updates whole int64
 blocks per pivot.  The two cuts are measured crossovers, not options, and
 the rref is unique, so the choice changes only the cost.
+
+Over QQ every Fraction operation costs far more than the numpy call
+around it, so the QQ arms of the private kernels (_product, _sum, _scale,
+_neg, _kron) compute only the entries where an operand is nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from math import gcd, lcm
 
 import numpy as np
 
@@ -172,6 +179,48 @@ def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = 0
     for s in range(0, a.shape[-1], step):
         out = (out + a[..., s : s + step] @ b[..., s : s + step, :] % p) % p
+    return out
+
+
+def _sum(field: FieldSpec, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
+    """a + b (sign 1) or a - b (sign -1) over the field, for canonical arrays of one shape."""
+    if field.dtype is not object:
+        return field.reduce(a + b if sign == 1 else a - b)
+    # copy a, and pay a Fraction sum only where both are nonzero
+    out = a.copy()
+    in_b = b.astype(bool)
+    both = in_b & a.astype(bool)
+    only_b = in_b & ~both
+    out[both] = a[both] + b[both] if sign == 1 else a[both] - b[both]
+    out[only_b] = b[only_b] if sign == 1 else -b[only_b]
+    return out
+
+
+def _scale(field: FieldSpec, a: np.ndarray, c) -> np.ndarray:
+    """c * a over the field, for a canonical array and a canonical scalar c."""
+    if field.dtype is not object:
+        return field.reduce(a * c)
+    out = a.copy()
+    nz = a.astype(bool)
+    out[nz] = a[nz] * c
+    return out
+
+
+def _neg(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """-a over the field, for a canonical array."""
+    return field.reduce(-a) if field.dtype is not object else _scale(field, a, Fraction(-1))
+
+
+def _kron(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of canonical arrays: entry ((i, k), (j, l)) is a[i, j] * b[k, l]."""
+    (p, q), (r, s) = a.shape, b.shape
+    if field.dtype is not object:
+        return field.reduce((a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s))
+    # one Fraction product per pair of nonzero entries
+    out = _zeros(field, p * r, q * s)
+    ia, ja = a.nonzero()
+    ib, jb = b.nonzero()
+    out.reshape(p, r, q, s)[ia[:, None], ib, ja[:, None], jb] = np.multiply.outer(a[ia, ja], b[ib, jb])
     return out
 
 
@@ -338,7 +387,7 @@ _LIST_RREF_THRESHOLD = 1024
 
 
 def _list_rref(a: np.ndarray, field: FieldSpec):
-    """Gauss-Jordan on Python lists of a canonical array's entries.
+    """Gauss-Jordan over GF(p) on Python lists of a canonical array's entries.
 
     Each pivot touches only the rows with a nonzero in its column, and in
     those rows only the columns where the pivot row is nonzero.
@@ -359,24 +408,80 @@ def _list_rref(a: np.ndarray, field: FieldSpec):
         lead = prow[c]
         if lead != 1:
             inv = field.inv(lead)
-            prow[c:] = [x * inv % p for x in prow[c:]] if p else [x * inv for x in prow[c:]]
+            prow[c:] = [x * inv % p for x in prow[c:]]
         # rows r.. are zero left of column c, so the pivot row is too
         support = [(j, x) for j, x in enumerate(prow[c:], c) if x]
         for row in rows:
             f = row[c]
             if not f or row is prow:
                 continue
-            if p:
-                for j, x in support:
-                    row[j] = (row[j] - f * x) % p
-            else:
-                for j, x in support:
-                    row[j] -= f * x
+            for j, x in support:
+                row[j] = (row[j] - f * x) % p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return np.array(rows, dtype=field.dtype), pivots
+
+
+def _primitive(row: list) -> list:
+    """row divided by its content, the gcd of its entries (an all-zero row stays)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _qq_rref(a: np.ndarray):
+    """Fraction-free Gauss-Jordan over QQ on primitive integer rows.
+
+    Each row is scaled by the lcm of its denominators into Python ints and
+    divided by its content.  A pivot step with pivot pv replaces each other
+    row whose entry f in the pivot column is nonzero by row*(pv/g) -
+    prow*(f/g), g = gcd(pv, f), subtracting over the pivot row's support
+    only, and divides the result by its content again.  Rows stay
+    primitive, so their entries stay short, and no entry update pays a
+    Fraction gcd.  Each pivot row becomes Fractions once, at the end,
+    divided by its lead.
+    """
+    nrows, ncols = a.shape
+    rows = []
+    for row in a.tolist():
+        pairs = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in pairs])
+        rows.append(_primitive([n * (den // d) for n, d in pairs]))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        hits = [i for i in range(r, nrows) if rows[i][c]]
+        if not hits:
+            continue
+        # the smallest pivot, made positive: a pivot of 1 needs no row scaled
+        i = min(hits, key=lambda i: abs(rows[i][c]))
+        prow = rows[i] if rows[i][c] > 0 else [-x for x in rows[i]]
+        rows[i], rows[r] = rows[r], prow
+        pv = prow[c]
+        # rows r.. are zero left of column c, so the pivot row is too
+        support = [(j, x) for j, x in enumerate(prow[c:], c) if x]
+        for k, row in enumerate(rows):
+            f = row[c]
+            if not f or row is prow:
+                continue
+            g = gcd(pv, f)
+            m, f = pv // g, f // g
+            if m != 1:
+                row = [x * m for x in row]
+            for j, x in support:
+                row[j] -= f * x
+            rows[k] = _primitive(row)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = _zeros(QQ, nrows, ncols)
+    zero = QQ.zero()
+    for i, c in enumerate(pivots):
+        lead = rows[i][c]
+        out[i] = [Fraction(x, lead) if x else zero for x in rows[i]]
+    return out, pivots
 
 
 class Mat:
@@ -479,19 +584,19 @@ class Mat:
         self._check_same(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        return Mat._of(self.field, self.field.reduce(self._a + other._a))
+        return Mat._of(self.field, _sum(self.field, self._a, other._a, 1))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_same(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"sub {self.shape} vs {other.shape}")
-        return Mat._of(self.field, self.field.reduce(self._a - other._a))
+        return Mat._of(self.field, _sum(self.field, self._a, other._a, -1))
 
     def __neg__(self) -> "Mat":
-        return Mat._of(self.field, self.field.reduce(-self._a))
+        return Mat._of(self.field, _neg(self.field, self._a))
 
     def scale(self, c) -> "Mat":
-        return Mat._of(self.field, self.field.reduce(self._a * self.field.coerce(c)))
+        return Mat._of(self.field, _scale(self.field, self._a, self.field.coerce(c)))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_same(other)
@@ -504,12 +609,7 @@ class Mat:
 
     def kron(self, other: "Mat") -> "Mat":
         self._check_same(other)
-        a, b = self._a, other._a
-        # one broadcast product, entry ((i, k), (j, l)) = a[i, j] * b[k, l]
-        out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
-            self.rows * other.rows, self.cols * other.cols
-        )
-        return Mat._of(self.field, self.field.reduce(out))
+        return Mat._of(self.field, _kron(self.field, self._a, other._a))
 
     def kron_sum(self, other: "Mat", n: int) -> "Mat":
         """The sum over l of A_l kron B_l, as one product over l.
@@ -574,7 +674,9 @@ class Mat:
         if self.rows == 0 or self.cols == 0:
             return self, []
         size, p = self._a.size, self.field.p
-        if p == 0 or size <= (_SLICED_RREF_THRESHOLD if p <= 3 else _LIST_RREF_THRESHOLD):
+        if p == 0:
+            a, piv = _qq_rref(self._a)
+        elif size <= (_SLICED_RREF_THRESHOLD if p <= 3 else _LIST_RREF_THRESHOLD):
             a, piv = _list_rref(self._a, self.field)
         elif p <= 3:
             a, piv = _sliced_rref(self._a, p)
@@ -601,7 +703,7 @@ class Mat:
         free = [j for j in range(n) if j not in pivset]
         out = _zeros(field, len(free), n)
         out[np.arange(len(free)), free] = field.one()
-        out[:, piv] = field.reduce(-red._a[: len(piv), free].T)
+        out[:, piv] = _neg(field, red._a[: len(piv), free].T)
         return Mat._of(field, out)
 
     def solve_left(self, b: "Mat"):

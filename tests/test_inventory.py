@@ -270,3 +270,14 @@ def test_naive_candidates_keep_product_order(make, p, dims):
         got = [m.action for m in _naive_candidates(algebra, d, gen_data)]
         want = [m.action for m in ref_naive_candidates(algebra, d, gen_data)]
         assert got and got == want
+
+
+def test_naive_candidates_across_blocks(monkeypatch):
+    from ppcalc import inventory
+
+    # Lambda over GF(3) at dim 2: 3^4 = 81 assignments, in twelve blocks of at most 7
+    algebra = structure_constant_copy(lambda_algebra(GF(3)))
+    gen_data = _generating_data(algebra)
+    want = [m.action for m in ref_naive_candidates(algebra, 2, gen_data)]
+    monkeypatch.setattr(inventory, "_BATCH_LIMIT", 7)
+    assert want and [m.action for m in _naive_candidates(algebra, 2, gen_data)] == want

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from ppcalc.formulas import PpPair, equivalent, pp_type_generator, top_formula, 
 from ppcalc.interp import hom_interp_data
 from ppcalc.io import (
     ParseError,
+    _scalar_in,
     algebra_to_json,
     bimodule_to_json,
     dumps,
@@ -380,6 +382,35 @@ def test_integer_valued_float_scalar_is_read_as_the_integer(lam2):
     obj = module_to_json(regular_module(lam2))
     obj["action"]["x"] = [[float(v) for v in row] for row in obj["action"]["x"]]
     assert load_module(obj) == regular_module(lam2)
+
+
+@pytest.mark.parametrize(
+    "field, text, want",
+    [(GF(3), "7", 1), (QQ, "7", Fraction(7)), (QQ, "-6/4", Fraction(-3, 2)), (GF(5), "3/2", 4)],
+)
+def test_string_scalar_forms(field, text, want):
+    # "7" was rejected with "not enough values to unpack (expected 2, got 1)"
+    assert _scalar_in(field, text) == want
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["fp3", "q"])
+def test_integer_string_scalars_load_as_integers(field):
+    reg = regular_module(lambda_algebra(field))
+    obj = module_to_json(reg)
+    obj["action"] = {k: [[str(v) for v in row] for row in rows] for k, rows in obj["action"].items()}
+    assert load_module(obj) == reg
+
+
+@pytest.mark.parametrize("entry", ["x", "", "7/", "/2", "1/2/3", "1.5", "1/2.0", "a/b"])
+def test_cli_malformed_string_scalar_exit_code(tmp_path, capsys, entry):
+    lam3 = lambda_algebra(GF(3))
+    payload = module_to_json(regular_module(lam3), algebra_ref="lam.alg")
+    payload["action"]["x"][0][0] = entry
+    (tmp_path / "lam.alg").write_text(dumps(algebra_to_json(lam3)))
+    (tmp_path / "reg.mod").write_text(dumps(payload))
+    assert main(["pptype", "--module", str(tmp_path / "reg.mod"), "--tuple", "[[1, 0]]"]) == 2
+    err = capsys.readouterr().err
+    assert f"bad scalar {entry!r}" in err and '"a"' in err and '"a/b"' in err
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3])

@@ -18,11 +18,18 @@ from ppcalc.linalg import (
     FieldSpec,
     Mat,
     Subspace,
+    _kron,
     _list_rref,
+    _neg,
     _pack,
+    _product,
+    _qq_rref,
     _rref,
+    _scale,
     _sliced_rref,
+    _sum,
     _unpack,
+    _zeros,
     quotient_basis,
 )
 
@@ -200,12 +207,13 @@ def test_gf2_packed_rref_matches_generic():
 # -- property tests over every representation --------------------------------
 
 # name -> (field, rows range, cols range).  Mat.rref picks the kernel by
-# field and size: QQ matrices, GF(2) and GF(3) matrices of at most
-# _SLICED_RREF_THRESHOLD (128) entries and other GF(p) matrices of at most
-# _LIST_RREF_THRESHOLD (1024) entries take the list routine, the larger
-# GF(2) and GF(3) matrices the bit-packed (sliced) one, and the other GF(p)
-# matrices the int64 one.  The "-large", "-packed" and "-wide" cases keep
-# the last two under every property, rows of several 64-bit words included.
+# field and size: QQ matrices take the fraction-free routine, GF(2) and
+# GF(3) matrices of at most _SLICED_RREF_THRESHOLD (128) entries and other
+# GF(p) matrices of at most _LIST_RREF_THRESHOLD (1024) entries the list
+# routine, the larger GF(2) and GF(3) matrices the bit-packed (sliced) one,
+# and the other GF(p) matrices the int64 one.  The "-large", "-packed" and
+# "-wide" cases keep the last two under every property, rows of several
+# 64-bit words included.
 CASES = {
     "gf2": (F2, (1, 6), (1, 6)),
     "gf2-packed": (F2, (64, 80), (128, 150)),
@@ -243,8 +251,12 @@ def matrices(draw, case, rows=None, cols=None):
 
 
 def assert_canonical(mat):
-    """Entries are reduced int64 (GF(p)) or Fraction objects (QQ), read out as Python scalars."""
+    """Entries are reduced int64 (GF(p)) or Fraction objects (QQ), read out as Python scalars.
+
+    The backing array is read-only.
+    """
     a = mat.array()
+    assert not a.flags.writeable
     if mat.field.is_prime_field:
         assert a.dtype == np.int64 and ((0 <= a) & (a < mat.field.p)).all()
         scalar = int
@@ -496,7 +508,7 @@ def test_rref_skips_inverse_of_unit_pivots(monkeypatch):
         assert Mat.from_rows(field, rows).rref() == want
 
 
-# -- the list routine against the int64 one, and the kernel dispatch ----------
+# -- the list and QQ routines against the int64 one, and the kernel dispatch --
 
 KERNEL_FIELDS = {
     "gf2": F2,
@@ -546,7 +558,7 @@ def test_property_list_rref_matches_int64_rref(name, data):
     field = KERNEL_FIELDS[name]
     a = data.draw(kernel_inputs(field))
     before = a.copy()
-    red, piv = _list_rref(a, field)
+    red, piv = _qq_rref(a) if field == QQ else _list_rref(a, field)
     assert np.array_equal(a, before)
     ref, ref_piv = _rref(a, field)
     assert piv == ref_piv
@@ -561,7 +573,7 @@ def _raise(*args):
 @pytest.mark.parametrize(
     "field, cols, kernel",
     [
-        (QQ, 4097, "_list_rref"),
+        (QQ, 4097, "_qq_rref"),
         (F3, _SLICED_RREF_THRESHOLD, "_list_rref"),
         (F3, _SLICED_RREF_THRESHOLD + 1, "_sliced_rref"),
         (F2, _SLICED_RREF_THRESHOLD, "_list_rref"),
@@ -573,11 +585,126 @@ def _raise(*args):
 def test_rref_dispatch_by_field_and_size(monkeypatch, field, cols, kernel):
     m = Mat.of_array(field, (np.arange(cols) % 5 + 1).reshape(1, cols))
     want = m.rref()
-    for other in ("_list_rref", "_rref", "_sliced_rref"):
+    for other in ("_qq_rref", "_list_rref", "_rref", "_sliced_rref"):
         if other != kernel:
             monkeypatch.setattr(linalg, other, _raise)
     assert m.rref() == want
     assert want[1] == [0] and want[0].entry(0, 1) == field.coerce(2)
+
+
+# -- the QQ kernels against the Fraction rref and the broadcast forms ---------
+
+# Numerators up to 10^12 and denominators up to 10^6, with zeros drawn often
+# so that the kernels' nonzero-only arms see sparse operands.
+QQ_SCALARS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
+@st.composite
+def qq_arrays(draw, rows=None, cols=None):
+    """A writable Fraction array of 0 to 6 rows and columns (empty shapes included)."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    entries = draw(st.lists(QQ_SCALARS, min_size=rows * cols, max_size=rows * cols))
+    return object_array(entries, rows, cols)
+
+
+def object_array(entries, rows, cols):
+    """A writable rows x cols object array of the entries, in row-major order."""
+    a = np.empty(rows * cols, dtype=object)
+    a[:] = entries
+    return a.reshape(rows, cols)
+
+
+@st.composite
+def qq_rref_inputs(draw):
+    """A writable Fraction array: any, all-zero, rank-deficient, with repeated rows, or Hilbert-like."""
+    kind = draw(st.sampled_from(["any", "zero", "deficient", "duplicate", "hilbert"]))
+    if kind == "any":
+        return draw(qq_arrays())
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if kind == "zero":
+        return _zeros(QQ, rows, cols)
+    if kind == "deficient":
+        rank = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        return _product(QQ, draw(qq_arrays(rows, rank)), draw(qq_arrays(rank, cols)))
+    if kind == "duplicate":
+        base = draw(qq_arrays(max(rows, 1), cols))
+        picks = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=rows + 1, max_size=rows + 4))
+        return base[picks]
+    # 1 / (i + j + shift), times drawn integer row factors: a Hilbert-like
+    # matrix whose rref runs through large numerators and denominators
+    n = draw(st.integers(1, 8))
+    shift = draw(st.integers(1, 4))
+    factors = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    return object_array([Fraction(factors[i], i + j + shift) for i in range(n) for j in range(n)], n, n)
+
+
+def test_qq_rref_hilbert_8():
+    a = object_array([Fraction(1, i + j + 1) for i in range(8) for j in range(8)], 8, 8)
+    red, piv = _qq_rref(a)
+    assert piv == list(range(8))
+    assert np.array_equal(red, _zeros(QQ, 8, 8) + np.eye(8, dtype=int))
+    assert np.array_equal(red, _rref(a, QQ)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(qq_rref_inputs())
+def test_property_qq_rref_matches_fraction_rref(a):
+    before = a.copy()
+    red, piv = _qq_rref(a)
+    assert np.array_equal(a, before)
+    ref, ref_piv = _rref(a, QQ)
+    assert piv == ref_piv
+    assert red.shape == a.shape and np.array_equal(red, ref)
+    assert_canonical(Mat._of(QQ, red))
+
+
+# The broadcast forms the QQ arms replace, kept as references: each touches
+# every entry, zeros included.
+QQ_REFERENCES = {
+    "kron": lambda a, b, c: (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    ),
+    "add": lambda a, b, c: a + b,
+    "sub": lambda a, b, c: a - b,
+    "neg": lambda a, b, c: -a,
+    "scale": lambda a, b, c: a * c,
+}
+QQ_KERNELS = {
+    "kron": lambda a, b, c: _kron(QQ, a, b),
+    "add": lambda a, b, c: _sum(QQ, a, b, 1),
+    "sub": lambda a, b, c: _sum(QQ, a, b, -1),
+    "neg": lambda a, b, c: _neg(QQ, a),
+    "scale": lambda a, b, c: _scale(QQ, a, c),
+}
+QQ_METHODS = {
+    "kron": lambda m, n, c: m.kron(n),
+    "add": lambda m, n, c: m + n,
+    "sub": lambda m, n, c: m - n,
+    "neg": lambda m, n, c: -m,
+    "scale": lambda m, n, c: m.scale(c),
+}
+
+
+@pytest.mark.parametrize("op", sorted(QQ_REFERENCES))
+@PROPERTY
+@given(data=st.data())
+def test_property_qq_entrywise_kernels_match_broadcast(op, data):
+    a = data.draw(qq_arrays())
+    b = data.draw(qq_arrays()) if op == "kron" else data.draw(qq_arrays(*a.shape))
+    c = data.draw(st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), QQ_SCALARS))
+    want = QQ_REFERENCES[op](a, b, c)
+    before = (a.copy(), b.copy())
+    got = QQ_KERNELS[op](a, b, c)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+    assert got.shape == want.shape and np.array_equal(got, want)
+    m = QQ_METHODS[op](Mat._of(QQ, a), Mat._of(QQ, b), c)
+    assert np.array_equal(m.array(), want)
+    assert_canonical(m)
 
 
 # -- the sliced kernel against the int64 one ----------------------------------
