@@ -7,17 +7,22 @@ field, dtype=object holding only Fraction over the rationals.  No
 floating point anywhere.  A prime field needs (p-1)^2 < 2^63, so that
 the product of two reduced entries fits in int64.
 
-Mat.rref picks one of four Gauss-Jordan kernels from the field and the
-number of entries.  _qq_rref takes every QQ matrix: it eliminates
-fraction-free on primitive integer rows and forms Fractions only for the
-nonzero entries of the result.  _list_rref works on Python lists and
-touches only nonzero entries; it takes every GF(2) and GF(3) matrix of at
-most _SLICED_RREF_THRESHOLD (128) entries, and every other GF(p) matrix
-of at most _LIST_RREF_THRESHOLD (1024) entries.  _sliced_rref takes the
-larger GF(2) and GF(3) matrices: each row is Python ints with one bit per
-column, so a row operation is a few bitwise operations on whole rows.
-_rref takes the larger GF(p) matrices for p > 3 and updates whole int64
-blocks per pivot.  The two cuts are measured crossovers, not options, and
+A Mat wraps its array once: the operations work on the arrays of their
+operands and wrap only their result, so a small operation costs one
+numpy call or a few, not a Mat per intermediate step.
+
+_echelon picks one of four Gauss-Jordan kernels from the field and the
+number of entries; Mat.rref, kernel_basis, solve_left and
+Subspace.from_vectors call it on arrays.  _qq_rref takes every QQ
+matrix: it eliminates fraction-free on primitive integer rows and forms
+Fractions only for the nonzero entries of the result.  _list_rref works
+on Python lists and touches only nonzero entries; it takes every GF(2)
+and GF(3) matrix of at most _SLICED_RREF_THRESHOLD (128) entries, and
+every other GF(p) matrix of at most _LIST_RREF_THRESHOLD (1024) entries.
+_sliced_rref takes the larger GF(2) and GF(3) matrices: each row is
+Python ints with one bit per column, so a row operation is a few bitwise
+operations on whole rows.  _rref takes the larger GF(p) matrices for
+p > 3 and updates whole int64 blocks per pivot.  The two cuts are measured crossovers, not options, and
 the rref is unique, so the choice changes only the cost.
 
 Over QQ every Fraction operation costs far more than the numpy call
@@ -155,7 +160,9 @@ def GF(p: int) -> FieldSpec:
 
 
 def _zeros(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
-    return np.full((rows, cols), field.zero(), dtype=field.dtype)
+    if field.dtype is object:
+        return np.full((rows, cols), Fraction(0), dtype=object)
+    return np.zeros((rows, cols), dtype=np.int64)
 
 
 def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -484,6 +491,35 @@ def _qq_rref(a: np.ndarray):
     return out, pivots
 
 
+def _echelon(field: FieldSpec, a: np.ndarray):
+    """The rref of a canonical array and its pivot columns, from the kernel its field and size pick.
+
+    An array without entries is its own rref and comes back as it is.
+    """
+    if a.size == 0:
+        return a, []
+    p = field.p
+    if p == 0:
+        return _qq_rref(a)
+    if a.size <= (_SLICED_RREF_THRESHOLD if p <= 3 else _LIST_RREF_THRESHOLD):
+        return _list_rref(a, field)
+    if p <= 3:
+        return _sliced_rref(a, p)
+    return _rref(a, field)
+
+
+def _positions(idx, n: int):
+    """idx as an index into an axis of length n.
+
+    A step-1 range inside the axis becomes a slice, which numpy takes as a
+    view without copying; anything else becomes a list for fancy indexing,
+    which raises past the end and counts negative positions from it.
+    """
+    if type(idx) is range and idx.step == 1 and 0 <= idx.start and idx.stop <= n:
+        return slice(idx.start, idx.stop)
+    return list(idx)
+
+
 class Mat:
     """An immutable exact matrix; rows x cols over a FieldSpec."""
 
@@ -501,7 +537,8 @@ class Mat:
     def _of(field: FieldSpec, a: np.ndarray) -> "Mat":
         """Wrap a canonical array that nothing else writes to."""
         a.setflags(write=False)
-        return Mat(field, a.shape[0], a.shape[1], _a=a)
+        rows, cols = a.shape
+        return Mat(field, rows, cols, a)
 
     @staticmethod
     def from_rows(field: FieldSpec, data) -> "Mat":
@@ -521,7 +558,7 @@ class Mat:
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Mat":
         a = _zeros(field, n, n)
-        np.fill_diagonal(a, field.one())
+        a.flat[:: n + 1] = field.one()
         return Mat._of(field, a)
 
     @staticmethod
@@ -555,7 +592,7 @@ class Mat:
         return Mat._of(self.field, self._a.reshape(rows, cols))
 
     def is_zero(self) -> bool:
-        return not self._a.any()
+        return not np.count_nonzero(self._a)
 
     def key(self):
         """Hashable canonical form (for dedup dictionaries)."""
@@ -564,7 +601,9 @@ class Mat:
         return (self.rows, self.cols, self._a.tobytes())
 
     def __eq__(self, other):
-        if not isinstance(other, Mat) or self.field != other.field:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        if self.field is not other.field and self.field != other.field:
             return NotImplemented
         return self.shape == other.shape and bool(np.array_equal(self._a, other._a))
 
@@ -577,7 +616,7 @@ class Mat:
     # -- arithmetic ---------------------------------------------------
 
     def _check_same(self, other: "Mat"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DimensionMismatch("field mismatch")
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -631,12 +670,11 @@ class Mat:
         mats = list(mats)
         if not mats:
             raise ValueError("vstack of nothing")
-        field = mats[0].field
-        cols = mats[0].cols
+        field, cols = mats[0].field, mats[0].cols
         for m in mats:
-            if m.field != field or m.cols != cols:
+            if (m.field is not field and m.field != field) or m.cols != cols:
                 raise DimensionMismatch("vstack shape mismatch")
-        return Mat._of(field, np.vstack([m._a for m in mats]))
+        return Mat._of(field, np.concatenate([m._a for m in mats]))
 
     @staticmethod
     def flat_stack(mats) -> "Mat":
@@ -654,18 +692,17 @@ class Mat:
         mats = list(mats)
         if not mats:
             raise ValueError("hstack of nothing")
-        field = mats[0].field
-        rows = mats[0].rows
+        field, rows = mats[0].field, mats[0].rows
         for m in mats:
-            if m.field != field or m.rows != rows:
+            if (m.field is not field and m.field != field) or m.rows != rows:
                 raise DimensionMismatch("hstack shape mismatch")
-        return Mat._of(field, np.hstack([m._a for m in mats]))
+        return Mat._of(field, np.concatenate([m._a for m in mats], axis=1))
 
     def take_rows(self, idx) -> "Mat":
-        return Mat._of(self.field, self._a[list(idx)])
+        return Mat._of(self.field, self._a[_positions(idx, self.rows)])
 
     def take_columns(self, idx) -> "Mat":
-        return Mat._of(self.field, self._a[:, list(idx)])
+        return Mat._of(self.field, self._a[:, _positions(idx, self.cols)])
 
     # -- elimination --------------------------------------------------
 
@@ -673,15 +710,7 @@ class Mat:
         """Reduced row echelon form; returns (Mat, pivot column list)."""
         if self.rows == 0 or self.cols == 0:
             return self, []
-        size, p = self._a.size, self.field.p
-        if p == 0:
-            a, piv = _qq_rref(self._a)
-        elif size <= (_SLICED_RREF_THRESHOLD if p <= 3 else _LIST_RREF_THRESHOLD):
-            a, piv = _list_rref(self._a, self.field)
-        elif p <= 3:
-            a, piv = _sliced_rref(self._a, p)
-        else:
-            a, piv = _rref(self._a, self.field)
+        a, piv = _echelon(self.field, self._a)
         return Mat._of(self.field, a), piv
 
     def rank(self) -> int:
@@ -698,12 +727,12 @@ class Mat:
         the other free coordinates.
         """
         field, n = self.field, self.rows
-        red, piv = self.transpose().rref()
+        red, piv = _echelon(field, self._a.T)
         pivset = set(piv)
         free = [j for j in range(n) if j not in pivset]
         out = _zeros(field, len(free), n)
         out[np.arange(len(free)), free] = field.one()
-        out[:, piv] = _neg(field, red._a[: len(piv), free].T)
+        out[:, piv] = _neg(field, red[: len(piv), free].T)
         return Mat._of(field, out)
 
     def solve_left(self, b: "Mat"):
@@ -711,11 +740,12 @@ class Mat:
         self._check_same(b)
         if b.cols != self.cols:
             raise DimensionMismatch("solve_left column mismatch")
-        red, piv = Mat.hstack([self.transpose(), b.transpose()]).rref()
+        # [self^T | b^T] is the transpose of self stacked on b
+        red, piv = _echelon(self.field, np.concatenate([self._a, b._a]).T)
         if piv and piv[-1] >= self.rows:
             return None
         xt = _zeros(self.field, self.rows, b.rows)
-        xt[piv] = red._a[: len(piv), self.rows :]
+        xt[piv] = red[: len(piv), self.rows :]
         return Mat._of(self.field, xt.T)
 
     def inverse(self) -> "Mat":
@@ -772,8 +802,10 @@ class Subspace:
                 m = Mat.from_rows(field, vectors)
         if m.cols != ambient:
             raise DimensionMismatch(f"ambient {ambient} vs vector length {m.cols}")
-        red, piv = m.rref()
-        return Subspace(field, ambient, Mat._of(field, red._a[: len(piv)]), piv)
+        if m.field is not field and m.field != field:
+            raise DimensionMismatch(f"vectors over {m.field} for a subspace over {field}")
+        red, piv = _echelon(field, m._a)
+        return Subspace(field, ambient, Mat._of(field, red[: len(piv)]), piv)
 
     @staticmethod
     def zero(field: FieldSpec, ambient: int) -> "Subspace":
@@ -805,8 +837,11 @@ class Subspace:
         """Canonical coset representatives of the rows of v modulo this subspace."""
         if v.cols != self.ambient:
             raise DimensionMismatch("vector length mismatch")
+        field, a = self.field, v._a
+        if v.field is not field and v.field != field:
+            raise DimensionMismatch("field mismatch")
         # the basis is in rref, so each row's pivot entries are its coordinates
-        return v - v.take_columns(self.pivots) @ self.basis
+        return Mat._of(field, _sum(field, a, _product(field, a[:, self.pivots], self.basis._a), -1))
 
     def contains_vector(self, v: Mat) -> bool:
         return self.reduce(v).is_zero()

@@ -17,7 +17,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, ValidationReport
-from .linalg import Mat, Subspace, _product
+from .linalg import Mat, Subspace, _product, _zeros
 
 __all__ = [
     "FDModule",
@@ -89,7 +89,11 @@ class FDModule:
         return Mat.zeros(self.field, 1, self.dim)
 
     def basis_vector(self, i: int) -> Mat:
-        return Mat.identity(self.field, self.dim).row(i)
+        if not 0 <= i < self.dim:
+            raise ModuleError(f"basis index {i} out of range for dim {self.dim}")
+        a = _zeros(self.field, 1, self.dim)
+        a[0, i] = self.field.one()
+        return Mat._of(self.field, a)
 
     def elements(self):
         """All element vectors, coordinate 0 fastest (prime fields only, for exhaustive oracles)."""

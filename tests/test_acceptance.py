@@ -8,9 +8,11 @@ part of criterion 10 (which reruns the other nine internally).
 import hashlib
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from ppcalc import acceptance
 from ppcalc.acceptance import CRITERIA_NAMES, RunConfig, render_json, render_text, run_acceptance
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -91,12 +93,37 @@ def test_suite_passes_and_renders(report):
     assert text.count("PASS") == 11  # ten criteria plus the suite line
 
 
-def test_core_body_is_byte_identical(report):
-    # the benchmark hashes criteria 1-9 of a core pass, which carry no name
-    pinned = re.search(r'^CORE_BODY_SHA256 = "([0-9a-f]{64})"$', WORKLOADS.read_text(), re.M)
+def core_body_sha256(report):
+    """The sha256 of criteria 1-9 as the benchmark hashes them (a core pass names none)."""
     core = [{k: v for k, v in c.items() if k != "name"} for c in report["criteria"] if c["id"] <= 9]
-    body = render_json({"criteria": core})
-    assert hashlib.sha256(body.encode()).hexdigest() == pinned.group(1)
+    return hashlib.sha256(render_json({"criteria": core}).encode()).hexdigest()
+
+
+def pinned_core_sha256():
+    return re.search(r'^CORE_BODY_SHA256 = "([0-9a-f]{64})"$', WORKLOADS.read_text(), re.M).group(1)
+
+
+def test_core_body_is_byte_identical(report):
+    assert core_body_sha256(report) == pinned_core_sha256()
+
+
+def test_timings_sit_beside_the_criteria(report):
+    # one wall time per criterion, outside the deterministic body
+    timings = report["timings"]
+    assert sorted(timings) == list(range(1, 11))
+    assert all(isinstance(s, float) and s >= 0 for s in timings.values())
+    # criterion 10 reruns criteria 1-9, so it takes about their sum (half is a loose floor)
+    assert timings[10] >= 0.5 * sum(timings[c] for c in range(1, 10))
+    assert all("timings" not in c and "seconds" not in c["details"] for c in report["criteria"])
+    assert "timings" not in render_text(report) and "timings" in render_json(report)
+    # a report with timings keeps the pinned criteria body
+    assert core_body_sha256(report) == pinned_core_sha256()
+
+
+def test_run_core_is_the_plain_criteria_list():
+    criteria = [{"id": i} for i in range(1, 10)]
+    with mock.patch.object(acceptance, "_core_criteria", lambda cfg: iter(criteria)):
+        assert acceptance._run_core(RunConfig()) == criteria
 
 
 def test_run_config_is_an_immutable_value():

@@ -803,3 +803,211 @@ def test_sliced_rref_fixed_cases():
     for shape in [(66, 66), (2, 200)]:
         red, piv = _sliced_rref(np.zeros(shape, dtype=np.int64), 3)
         assert piv == [] and red.shape == shape and not red.any()
+
+
+# -- small operations against the array code they replaced --------------------
+
+# Test-only copies of the earlier constructors and operations: np.full and
+# fill_diagonal, np.vstack / np.hstack, list-indexed takes, and the
+# eliminations through Mat.rref with every intermediate wrapped in a Mat.
+
+
+def old_zeros(field, rows, cols):
+    return np.full((rows, cols), field.zero(), dtype=field.dtype)
+
+
+def old_identity(field, n):
+    a = old_zeros(field, n, n)
+    np.fill_diagonal(a, field.one())
+    return a
+
+
+def old_kernel_basis(m):
+    field, n = m.field, m.rows
+    red, piv = m.transpose().rref()
+    pivset = set(piv)
+    free = [j for j in range(n) if j not in pivset]
+    out = old_zeros(field, len(free), n)
+    out[np.arange(len(free)), free] = field.one()
+    out[:, piv] = _neg(field, red.array()[: len(piv), free].T)
+    return out
+
+
+def old_solve_left(m, b):
+    red, piv = Mat._of(m.field, np.hstack([m.array().T, b.array().T])).rref()
+    if piv and piv[-1] >= m.rows:
+        return None
+    xt = old_zeros(m.field, m.rows, b.rows)
+    xt[piv] = red.array()[: len(piv), m.rows :]
+    return xt.T
+
+
+def old_from_vectors(m):
+    red, piv = m.rref()
+    return red.array()[: len(piv)], piv
+
+
+def old_reduce(space, v):
+    coords = Mat._of(v.field, v.array()[:, list(space.pivots)])
+    return (v - coords @ space.basis).array()
+
+
+OLD_FIELDS = {"gf2": F2, "gf3": F3, "gf1048573": GF(1048573), "qq": QQ}
+
+
+@st.composite
+def ranges(draw, n):
+    """A step-1 range inside 0..n: empty, full, a head, a tail or inside."""
+    kind = draw(st.sampled_from(["empty", "full", "head", "tail", "inner"]))
+    k = draw(st.integers(0, n))
+    if kind == "empty":
+        return range(k, k)
+    if kind == "full":
+        return range(n)
+    if kind == "head":
+        return range(k)
+    if kind == "tail":
+        return range(k, n)
+    return range(k, draw(st.integers(k, n)))
+
+
+def same(mat, want):
+    """mat holds exactly the array want, canonically."""
+    assert_canonical(mat)
+    assert mat.shape == want.shape and np.array_equal(mat.array(), want)
+
+
+@pytest.mark.parametrize("name", sorted(OLD_FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_property_constructors_and_stacks_match_the_old_code(name, data):
+    field = OLD_FIELDS[name]
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    same(Mat.zeros(field, rows, cols), old_zeros(field, rows, cols))
+    same(Mat.identity(field, rows), old_identity(field, rows))
+    assert _zeros(field, rows, cols).flags.writeable
+    count = data.draw(st.integers(1, 3))
+    tall = [data.draw(small_matrices(field, cols=cols)) for _ in range(count)]
+    wide = [data.draw(small_matrices(field, rows=rows)) for _ in range(count)]
+    same(Mat.vstack(tall), np.vstack([m.array() for m in tall]))
+    same(Mat.hstack(wide), np.hstack([m.array() for m in wide]))
+
+
+@pytest.mark.parametrize("name", sorted(OLD_FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_property_takes_match_list_indexing(name, data):
+    field = OLD_FIELDS[name]
+    m = data.draw(small_matrices(field, data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))))
+    rows, cols = data.draw(ranges(m.rows)), data.draw(ranges(m.cols))
+    same(m.take_rows(rows), m.array()[list(rows)])
+    same(m.take_columns(cols), m.array()[:, list(cols)])
+    picks = data.draw(st.lists(st.integers(0, max(0, m.cols - 1)), max_size=4 if m.cols else 0))
+    same(m.take_columns(picks), m.array()[:, picks])
+    same(m.take_columns(iter(picks)), m.array()[:, picks])
+
+
+@pytest.mark.parametrize(
+    "idx", [range(0, 4), range(-1, 1), range(3, 1), range(0, 3, 2), range(2, 0, -1), range(5, 5)]
+)
+def test_takes_outside_a_contiguous_range_index_as_lists(idx):
+    # ranges that run past the end, start below 0 or step otherwise keep the
+    # list semantics: IndexError past the end, negatives from the end
+    m = Mat.of_array(F3, np.arange(9).reshape(3, 3))
+    for take, axis in ((m.take_rows, 0), (m.take_columns, 1)):
+        try:
+            want = np.take(m.array(), list(idx), axis=axis)
+        except IndexError:
+            with pytest.raises(IndexError):
+                take(idx)
+            continue
+        same(take(idx), want)
+
+
+@pytest.mark.parametrize("name", sorted(OLD_FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_property_eliminations_match_the_old_code(name, data):
+    field = OLD_FIELDS[name]
+    m = data.draw(small_matrices(field, data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))))
+    same(m.kernel_basis(), old_kernel_basis(m))
+    basis, piv = old_from_vectors(m)
+    space = Subspace.from_vectors(field, m.cols, m)
+    same(space.basis, basis)
+    assert space.pivots == piv
+    v = data.draw(small_matrices(field, cols=m.cols))
+    same(space.reduce(v), old_reduce(space, v))
+    assert space.contains_vector(v) == (not old_reduce(space, v).any())
+    # a right-hand side in the row space, and one drawn freely
+    for b in (data.draw(small_matrices(field, cols=m.rows)) @ m, v):
+        want = old_solve_left(m, b)
+        got = m.solve_left(b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            same(got, want)
+
+
+# The mixed-field pairs every field check must refuse, and equal fields
+# built separately, which it must accept.
+MIXED = [(F2, F3), (F3, QQ)]
+MIXED_OPS = {
+    "matmul": lambda a, b: a @ b,
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "kron": lambda a, b: a.kron(b),
+    "kron_sum": lambda a, b: a.kron_sum(b, 1),
+    "hstack": lambda a, b: Mat.hstack([a, b]),
+    "vstack": lambda a, b: Mat.vstack([a, b]),
+    "solve_left": lambda a, b: a.solve_left(b),
+    "reduce": lambda a, b: Subspace.from_vectors(a.field, a.cols, a).reduce(b),
+    "from_vectors": lambda a, b: Subspace.from_vectors(a.field, b.cols, b),
+}
+
+
+@pytest.mark.parametrize("fields", MIXED, ids=repr)
+@pytest.mark.parametrize("op", sorted(MIXED_OPS))
+def test_mixed_fields_raise(op, fields):
+    a, b = (Mat.identity(f, 2) for f in fields)
+    with pytest.raises(DimensionMismatch):
+        MIXED_OPS[op](a, b)
+    with pytest.raises(DimensionMismatch):
+        MIXED_OPS[op](b, a)
+
+
+@pytest.mark.parametrize("op", sorted(MIXED_OPS))
+def test_equal_fields_built_apart_are_accepted(op):
+    first, second = GF(3), GF(3)
+    assert first is not second
+    a = Mat.of_array(first, [[1, 2], [0, 1]])
+    b = Mat.of_array(second, [[2, 0], [1, 1]])
+    want = MIXED_OPS[op](a, Mat.of_array(first, b.array()))
+    got = MIXED_OPS[op](a, b)
+    assert got == want
+
+
+def test_small_operations_build_one_mat_each(monkeypatch):
+    # each wraps only its result: no Mat for an intermediate transpose,
+    # stack, rref or product
+    m = Mat.of_array(F3, [[1, 2, 0], [2, 1, 0], [0, 1, 1], [1, 0, 2]])
+    v = Mat.of_array(F3, [[1, 1, 1], [0, 2, 1]])
+    space = Subspace.from_vectors(F3, 3, m.take_rows(range(2)))
+    built = []
+    of = Mat._of
+
+    def counting(field, a):
+        built.append(a.shape)
+        return of(field, a)
+
+    monkeypatch.setattr(Mat, "_of", staticmethod(counting))
+    calls = {
+        "kernel_basis": lambda: m.kernel_basis(),
+        "solve_left": lambda: m.solve_left(v),
+        "from_vectors": lambda: Subspace.from_vectors(F3, 3, m),
+        "reduce": lambda: space.reduce(v),
+    }
+    counts = {}
+    for name, call in calls.items():
+        built.clear()
+        assert call() is not None
+        counts[name] = len(built)
+    assert counts == dict.fromkeys(calls, 1)

@@ -1112,6 +1112,21 @@ def test_element_checks_the_length_of_lists_and_matrices(s1_2, reg2):
         pp_type_generator(reg2, [[1]])
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(1048573), QQ], ids=repr)
+def test_basis_vector_is_the_identity_row(field):
+    lam = lambda_algebra(field)
+    m = direct_sum_many([regular_module(lam), simple_lambda_module(lam)], algebra=lam)[0]
+    ident = Mat.identity(field, m.dim)
+    for i in range(m.dim):
+        v = m.basis_vector(i)
+        assert v == ident.row(i)
+        assert not v.array().flags.writeable
+        assert type(v.entry(0, i)) is type(field.one())
+    for i in (-1, m.dim):
+        with pytest.raises(ModuleError, match="out of range"):
+            m.basis_vector(i)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 def test_elements_in_counter_order(p, dim):
