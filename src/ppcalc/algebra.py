@@ -110,6 +110,8 @@ class Algebra:
     def basis_element(self, i) -> "AlgebraElement":
         if isinstance(i, str):
             i = self.labels.index(i)
+        elif not 0 <= i < self.dim:
+            raise AlgebraError(f"basis index {i} out of range for dim {self.dim}")
         return AlgebraElement(self, Mat.identity(self.field, self.dim).row(i))
 
     def scalar_element(self, c) -> "AlgebraElement":

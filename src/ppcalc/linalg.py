@@ -22,12 +22,17 @@ every other GF(p) matrix of at most _LIST_RREF_THRESHOLD (1024) entries.
 _sliced_rref takes the larger GF(2) and GF(3) matrices: each row is
 Python ints with one bit per column, so a row operation is a few bitwise
 operations on whole rows.  _rref takes the larger GF(p) matrices for
-p > 3 and updates whole int64 blocks per pivot.  The two cuts are measured crossovers, not options, and
-the rref is unique, so the choice changes only the cost.
+p > 3 and updates whole int64 blocks per pivot.  The two cuts are
+measured crossovers, not options, and the rref is unique, so the choice
+changes only the cost.
 
 Over QQ every Fraction operation costs far more than the numpy call
 around it, so the QQ arms of the private kernels (_product, _sum, _scale,
 _neg, _kron) compute only the entries where an operand is nonzero.
+_product also keeps Fractions out of its sums: it reads each row of a and
+each column of b as integers over one common denominator, adds the
+products of nonzero pairs in Python ints, and forms one Fraction per
+nonzero entry of the result.
 """
 
 from __future__ import annotations
@@ -165,17 +170,54 @@ def _zeros(field: FieldSpec, rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
+def _over_common_denominators(lines: list, entries: list, n: int):
+    """Nonzero Fractions as integers over one denominator per line.
+
+    entries[t] lies in line lines[t] of n.  Returns the lcm of each line's
+    denominators and each entry times its line's lcm, an int.
+    """
+    dens = [1] * n
+    pairs = [x.as_integer_ratio() for x in entries]
+    for i, (_, d) in zip(lines, pairs):
+        if d != 1:
+            dens[i] = lcm(dens[i], d)
+    return dens, [num * (dens[i] // d) for i, (num, d) in zip(lines, pairs)]
+
+
 def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the field, for canonical arrays (over GF(p), also stacks of them)."""
+    """a @ b over the field, for canonical arrays (over GF(p), also stacks of them).
+
+    Over QQ, row i of a is integers over one denominator da[i] and column j
+    of b integers over db[j].  Entry (i, j) is summed in Python ints over
+    the k where a[i, k] and b[k, j] are both nonzero, and each nonzero sum
+    becomes one Fraction(sum, da[i] * db[j]); no term pays a Fraction gcd.
+    """
     if field.dtype is object:
-        # Fraction arithmetic dominates: add outer products over the
-        # nonzero entries only (a plain object @ multiplies every zero).
-        out = _zeros(field, a.shape[0], b.shape[1])
-        for k in range(a.shape[1]):
-            rows = np.flatnonzero(a[:, k])
-            cols = np.flatnonzero(b[k])
-            if rows.size and cols.size:
-                out[np.ix_(rows, cols)] += np.multiply.outer(a[rows, k], b[k, cols])
+        (n, inner), m = a.shape, b.shape[1]
+        out = _zeros(field, n, m)
+        ia, ka = a.nonzero()
+        kb, jb = b.nonzero()
+        ia, ka, kb, jb = ia.tolist(), ka.tolist(), kb.tolist(), jb.tolist()
+        da, xa = _over_common_denominators(ia, a[ia, ka].tolist(), n)
+        db, xb = _over_common_denominators(jb, b[kb, jb].tolist(), m)
+        arows = [[] for _ in range(n)]
+        for i, k, x in zip(ia, ka, xa):
+            arows[i].append((k, x))
+        brows = [[] for _ in range(inner)]
+        for k, j, y in zip(kb, jb, xb):
+            brows[k].append((j, y))
+        flat = out.reshape(-1)
+        for i, arow in enumerate(arows):
+            if not arow:
+                continue
+            acc = [0] * m
+            for k, x in arow:
+                for j, y in brows[k]:
+                    acc[j] += x * y
+            d, base = da[i], i * m
+            for j, s in enumerate(acc):
+                if s:
+                    flat[base + j] = Fraction(s, d * db[j])
         return out
     # Delayed reduction: a chunk of `step` products of reduced entries
     # cannot overflow int64.
@@ -576,6 +618,8 @@ class Mat:
         return self._a.item(i, j)
 
     def row(self, i: int) -> "Mat":
+        """Row i as a 1-row matrix; raises past the end, and a negative i counts from it."""
+        i = range(self.rows)[i]
         return Mat._of(self.field, self._a[i : i + 1])
 
     def to_rows(self):
@@ -729,10 +773,13 @@ class Mat:
         field, n = self.field, self.rows
         red, piv = _echelon(field, self._a.T)
         pivset = set(piv)
-        free = [j for j in range(n) if j not in pivset]
-        out = _zeros(field, len(free), n)
-        out[np.arange(len(free)), free] = field.one()
-        out[:, piv] = _neg(field, red[: len(piv), free].T)
+        # one index array serves both fancy indexings below
+        free = np.array([j for j in range(n) if j not in pivset], dtype=np.intp)
+        out = _zeros(field, free.size, n)
+        out[np.arange(free.size), free] = field.one()
+        block = red[: len(piv), free].T
+        # over GF(2) every entry is its own negative
+        out[:, piv] = block if field.p == 2 else _neg(field, block)
         return Mat._of(field, out)
 
     def solve_left(self, b: "Mat"):

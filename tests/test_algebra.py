@@ -339,3 +339,17 @@ def test_algebra_equality_reads_every_structure_constant(field):
                 other = Algebra(field, base.labels, base.one, mul)
                 assert not ref_algebra_eq(base, other)
                 assert base != other and other != base
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_basis_element_is_the_identity_row(field):
+    from ppcalc.examples import kronecker_algebra
+
+    alg = kronecker_algebra(field)
+    ident = Mat.identity(field, alg.dim)
+    for i, label in enumerate(alg.labels):
+        assert alg.basis_element(i).coeffs == ident.row(i)
+        assert alg.basis_element(label).coeffs == ident.row(i)
+    for i in (-1, alg.dim, 9):
+        with pytest.raises(AlgebraError, match="out of range"):
+            alg.basis_element(i)

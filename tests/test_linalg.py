@@ -177,6 +177,19 @@ def test_ambient_mismatch_errors():
         u.intersect(v)
 
 
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_row_raises_past_the_end_and_counts_negatives_from_it(field):
+    m = Mat.identity(field, 3)
+    for i in range(-3, 3):
+        assert m.row(i) == m.take_rows([i])
+        assert m.row(i).shape == (1, 3)
+    for i in (3, 5, -4):
+        with pytest.raises(IndexError):
+            m.row(i)
+        with pytest.raises(IndexError):
+            m.take_rows([i])
+
+
 def test_power_and_trace():
     n = Mat.from_rows(F2, [[0, 1], [0, 0]])
     assert n.power(2).is_zero()
@@ -663,12 +676,13 @@ def test_property_qq_rref_matches_fraction_rref(a):
     assert_canonical(Mat._of(QQ, red))
 
 
-# The broadcast forms the QQ arms replace, kept as references: each touches
+# The dense forms the QQ arms replace, kept as references: each touches
 # every entry, zeros included.
 QQ_REFERENCES = {
     "kron": lambda a, b, c: (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     ),
+    "matmul": lambda a, b, c: a @ b,
     "add": lambda a, b, c: a + b,
     "sub": lambda a, b, c: a - b,
     "neg": lambda a, b, c: -a,
@@ -676,6 +690,7 @@ QQ_REFERENCES = {
 }
 QQ_KERNELS = {
     "kron": lambda a, b, c: _kron(QQ, a, b),
+    "matmul": lambda a, b, c: _product(QQ, a, b),
     "add": lambda a, b, c: _sum(QQ, a, b, 1),
     "sub": lambda a, b, c: _sum(QQ, a, b, -1),
     "neg": lambda a, b, c: _neg(QQ, a),
@@ -683,6 +698,7 @@ QQ_KERNELS = {
 }
 QQ_METHODS = {
     "kron": lambda m, n, c: m.kron(n),
+    "matmul": lambda m, n, c: m @ n,
     "add": lambda m, n, c: m + n,
     "sub": lambda m, n, c: m - n,
     "neg": lambda m, n, c: -m,
@@ -695,7 +711,12 @@ QQ_METHODS = {
 @given(data=st.data())
 def test_property_qq_entrywise_kernels_match_broadcast(op, data):
     a = data.draw(qq_arrays())
-    b = data.draw(qq_arrays()) if op == "kron" else data.draw(qq_arrays(*a.shape))
+    if op == "kron":
+        b = data.draw(qq_arrays())
+    elif op == "matmul":
+        b = data.draw(qq_arrays(rows=a.shape[1]))
+    else:
+        b = data.draw(qq_arrays(*a.shape))
     c = data.draw(st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), QQ_SCALARS))
     want = QQ_REFERENCES[op](a, b, c)
     before = (a.copy(), b.copy())
@@ -705,6 +726,71 @@ def test_property_qq_entrywise_kernels_match_broadcast(op, data):
     m = QQ_METHODS[op](Mat._of(QQ, a), Mat._of(QQ, b), c)
     assert np.array_equal(m.array(), want)
     assert_canonical(m)
+
+
+def test_qq_product_cancels_to_fraction_zero():
+    # row 0 over 12 is [2, 3], the column over 5 is [3, -2]: 2*3 + 3*(-2) = 0
+    a = Mat.from_rows(QQ, [[Fraction(1, 6), Fraction(1, 4)], [Fraction(1, 2), 0]])
+    b = Mat.from_rows(QQ, [[Fraction(3, 5)], [Fraction(-2, 5)]])
+    got = a @ b
+    assert got.to_rows() == [[Fraction(0)], [Fraction(3, 10)]]
+    assert_canonical(got)
+
+
+def dense_identity(n):
+    """The n x n identity as a writable Fraction array."""
+    out = _zeros(QQ, n, n)
+    out.flat[:: n + 1] = Fraction(1)
+    return out
+
+
+@PROPERTY
+@given(data=st.data())
+def test_property_qq_kron_sum_matches_dense_krons(data):
+    (p, q), (r, s) = [(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))) for _ in range(2)]
+    count = data.draw(st.integers(1, 3))
+    lefts = [data.draw(qq_arrays(p, q)) for _ in range(count)]
+    rights = [data.draw(qq_arrays(r, s)) for _ in range(count)]
+    want = _zeros(QQ, p * r, q * s)
+    for x, y in zip(lefts, rights):
+        want = want + np.kron(x, y)
+    left, right = np.concatenate(lefts), np.concatenate(rights)
+    before = (left.copy(), right.copy())
+    got = Mat._of(QQ, left).kron_sum(Mat._of(QQ, right), count)
+    assert np.array_equal(left, before[0]) and np.array_equal(right, before[1])
+    assert got.shape == want.shape and np.array_equal(got.array(), want)
+    assert_canonical(got)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_property_qq_reduce_matches_dense_coset_representatives(data):
+    cols = data.draw(st.integers(0, 6))
+    space = Subspace.from_vectors(QQ, cols, Mat._of(QQ, data.draw(qq_arrays(cols=cols))))
+    v = data.draw(qq_arrays(cols=cols))
+    basis = space.basis.array()
+    want = v - v[:, space.pivots] @ basis
+    before = (v.copy(), basis.copy())
+    got = space.reduce(Mat._of(QQ, v))
+    assert np.array_equal(v, before[0]) and np.array_equal(space.basis.array(), before[1])
+    assert got.shape == v.shape and np.array_equal(got.array(), want)
+    assert not np.count_nonzero(got.array()[:, space.pivots])
+    assert_canonical(got)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_property_qq_power_matches_repeated_dense_products(data):
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 5))
+    a = data.draw(qq_arrays(n, n))
+    want = dense_identity(n)
+    for _ in range(k):
+        want = want @ a
+    before = a.copy()
+    got = Mat._of(QQ, a).power(k)
+    assert np.array_equal(a, before)
+    assert got.shape == (n, n) and np.array_equal(got.array(), want)
+    assert_canonical(got)
 
 
 # -- the sliced kernel against the int64 one ----------------------------------
