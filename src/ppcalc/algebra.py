@@ -343,7 +343,7 @@ def algebra_from_quiver(q: QuiverSpec, field: FieldSpec) -> Algebra:
             "or fix the relations"
         )
 
-    _, piv = Mat.vstack([ideal.basis, units]).transpose().rref()
+    piv = Mat.vstack([ideal.basis, units]).independent_rows()
     basis = [i - ideal.dim for i in piv[ideal.dim :]]
     picked = [paths[i] for i in basis]
     dim = len(picked)

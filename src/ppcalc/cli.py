@@ -33,6 +33,14 @@ def _field(value):
     return pio.field_from_str(value)
 
 
+def _nonnegative(value):
+    """A non-negative int, such as a cap or a budget; argparse exits 2 on anything else."""
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _emit(args, payload, text):
     if args.out == "json":
         print(pio.dumps(payload))
@@ -242,7 +250,7 @@ def build_parser():
         description="pp-formula calculus over finite-dimensional algebras",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--budget", type=int, default=10**7, help="enumeration budget")
+    parser.add_argument("--budget", type=_nonnegative, default=10**7, help="enumeration budget")
     parser.add_argument("--out", choices=["json", "text"], default="text")
     parser.add_argument(
         "--field", type=_field, default=None, help="base field: q or fp:P (for quiver files)"
@@ -276,7 +284,7 @@ def build_parser():
     p = sub.add_parser("verify-lattice", help="lattice homomorphism/embedding checks")
     p.add_argument("--bimodule", required=True)
     p.add_argument("--sample", nargs="*", default=None, help="formula files")
-    p.add_argument("--cap", type=int, default=3, help="inventory cap for auto-sampling")
+    p.add_argument("--cap", type=_nonnegative, default=3, help="inventory cap for auto-sampling")
     p.set_defaults(func=cmd_verify_lattice)
 
     p = sub.add_parser("interp-apply", help="evaluate interpretation data on a module")
@@ -287,7 +295,7 @@ def build_parser():
     p = sub.add_parser("isolate", help="isolating pair for an indecomposable")
     p.add_argument("--module", required=True)
     p.add_argument("--element", required=True, help="JSON coordinate vector")
-    p.add_argument("--cap", type=int, default=3, help="inventory cap")
+    p.add_argument("--cap", type=_nonnegative, default=3, help="inventory cap")
     p.set_defaults(func=cmd_isolate)
 
     p = sub.add_parser("pullback", help="pull a pp-pair back along interpretation data")
@@ -309,7 +317,7 @@ def build_parser():
     p = sub.add_parser("check-controlled", help="controlled-decomposition report")
     p.add_argument("--bimodule", required=True)
     p.add_argument("--control", default=None)
-    p.add_argument("--cap", type=int, default=2, help="source-inventory cap")
+    p.add_argument("--cap", type=_nonnegative, default=2, help="source-inventory cap")
     p.set_defaults(func=cmd_check_controlled)
 
     p = sub.add_parser("roundtrip", help="inverse-functor round trip on one module")
@@ -320,7 +328,7 @@ def build_parser():
 
     p = sub.add_parser("inventory", help="enumerate indecomposables over a prime field")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_inventory)
 
     p = sub.add_parser("acceptance", help="run the full acceptance suite")

@@ -206,11 +206,9 @@ def eval_formula(phi: PpFormula, m: FDModule) -> Subspace:
     """The solution set phi(m) as a subspace of m^n."""
     if phi.algebra != m.algebra:
         raise FormulaError("formula and module live over different algebras")
-    d = m.dim
-    big = _formula_matrix(phi, m)
-    ker = big.kernel_basis()
-    # the span of the projected rows is the projection of the span
-    return Subspace.from_vectors(m.field, phi.n * d, ker.take_columns(range(phi.n * d)))
+    # phi(m) is the left kernel of the system projected to the free variables
+    k = phi.n * m.dim
+    return Subspace.from_vectors(m.field, k, _formula_matrix(phi, m).projected_kernel(k))
 
 
 def assemble(algebra: Algebra, n_free: int, n_aux: int, instances, raw=None,

@@ -244,6 +244,8 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
     budget, keeps certified indecomposables, and groups them by
     isomorphism.
     """
+    if cap < 0:
+        raise ValueError(f"inventory cap must be non-negative, got {cap}")
     if not algebra.field.is_prime_field:
         raise ModuleError("exhaustive enumeration needs a finite prime field")
     candidates, count = _candidates(algebra)

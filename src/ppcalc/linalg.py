@@ -12,19 +12,31 @@ operands and wrap only their result, so a small operation costs one
 numpy call or a few, not a Mat per intermediate step.
 
 _echelon picks one of four Gauss-Jordan kernels from the field and the
-number of entries; Mat.rref, kernel_basis, solve_left and
-Subspace.from_vectors call it on arrays.  _qq_rref takes every QQ
-matrix: it eliminates fraction-free on primitive integer rows and forms
-Fractions only for the nonzero entries of the result.  _list_rref works
-on Python lists and touches only nonzero entries; it takes every GF(2)
-and GF(3) matrix of at most _SLICED_RREF_THRESHOLD (128) entries, and
-every other GF(p) matrix of at most _LIST_RREF_THRESHOLD (1024) entries.
-_sliced_rref takes the larger GF(2) and GF(3) matrices: each row is
-Python ints with one bit per column, so a row operation is a few bitwise
-operations on whole rows.  _rref takes the larger GF(p) matrices for
-p > 3 and updates whole int64 blocks per pivot.  The two cuts are
-measured crossovers, not options, and the rref is unique, so the choice
-changes only the cost.
+number of entries; Mat.rref and Subspace.from_vectors call it on arrays.
+_qq_rref takes every QQ matrix: it eliminates fraction-free on primitive
+integer rows and forms Fractions only for the nonzero entries of the
+result.  _list_rref works on Python lists and touches only nonzero
+entries; it takes every GF(2) and GF(3) matrix of at most
+_SLICED_RREF_THRESHOLD (128) entries, and every other GF(p) matrix of at
+most _LIST_RREF_THRESHOLD (1024) entries.  _sliced_rref takes the larger
+GF(2) and GF(3) matrices: each row is Python ints with one bit per
+column, so a row operation is a few bitwise operations on whole rows.
+_rref takes the larger GF(p) matrices for p > 3 and updates whole int64
+blocks per pivot.  The two cuts are measured crossovers, not options,
+and the rref is unique, so the choice changes only the cost.
+
+The questions about the rows of a matrix (Mat.kernel_basis, solve_left,
+rank, independent_rows and projected_kernel) need no reduced form.  Over
+GF(2) and GF(3), at every size, _forward answers them in one pass over
+the rows of [A | I], bit-sliced (_sliced_rows): each row is reduced
+against the pivot rows found so far, and a row that vanishes in its A
+part gives its tracking bits as a kernel vector.  There is no transpose
+and no back-substitution.  Over QQ and GF(p), p > 3, they read the
+answer off the rref that _echelon gives of the transpose (rank, of A
+itself).  _forward_field makes that choice, and both routes return the
+same arrays: the kernel row of each dependent row f is the one vector of
+the kernel that is 1 at f and 0 at every other dependent row, and a
+solution is the one that is 0 at every dependent row.
 
 Over QQ every Fraction operation costs far more than the numpy call
 around it, so the QQ arms of the private kernels (_product, _sum, _scale,
@@ -307,12 +319,14 @@ def _unpack(ints: list, ncols: int) -> np.ndarray:
 
 
 # The measured crossover between the list routine and the sliced one over
-# GF(2) and GF(3).  Below it the sliced kernel's fixed cost of packing and
-# unpacking outweighs its gain.  Replayed alone, the rref inputs of one
-# acceptance core pass cost least with the cut anywhere from 48 to 128
-# entries; timed inside whole core passes, where other work runs between
-# eliminations, 128 beat 64 and 256, and hom_space's systems of 65 to 128
-# entries were no faster sliced.
+# GF(2) and GF(3), for Mat.rref and Subspace.from_vectors only: kernels,
+# solves and ranks over these fields take _forward at every size.  Below
+# the cut the sliced kernel's fixed cost of packing and unpacking
+# outweighs its gain.  Replayed alone, the rref inputs of one acceptance
+# core pass cost least with the cut anywhere from 48 to 128 entries; timed
+# inside whole core passes, where other work runs between eliminations,
+# 128 beat 64 and 256, and hom_space's systems of 65 to 128 entries were
+# no faster sliced.
 _SLICED_RREF_THRESHOLD = 128
 
 
@@ -324,35 +338,135 @@ def _add3(u: int, s: int, pu: int, ps: int):
     return (u ^ pu) | same, (t & ~both) | (same & ~s)
 
 
-def _sliced_rref(a: np.ndarray, p: int):
-    """Bit-sliced Gauss-Jordan over F_2 or F_3 (Boothby and Bradshaw's slicing).
+def _forward_field(field: FieldSpec) -> bool:
+    """Whether the field's row questions go to _forward rather than to _echelon of the transpose."""
+    return field.p in (2, 3)
+
+
+# Bit j, for the positions 0..62 that a nonnegative int64 holds.
+_SHIFTS = np.arange(63, dtype=np.int64)
+_BITS = 1 << _SHIFTS
+
+
+def _sliced_rows(a: np.ndarray, p: int, tracked: int = 0) -> list:
+    """The rows of a canonical array over F_2 or F_3, bit-sliced (Boothby and Bradshaw).
 
     Bit j of a row's ints stands for column j.  Over F_2 a row is one int
     and a row operation one XOR.  Over F_3 a row is a pair (u, s): u marks
     the nonzero entries and s the entries equal to 2, so s <= u, and
-    negation is s ^= u.  Rows are taken one at a time: the lowest pivot bit
-    of the row is cleared by the pivot row with that lead (whose bits are
-    all at or above it) until none is left, and a row left nonzero is
-    stored, normalised to lead 1, under its lowest bit.  Then each stored
-    row, from the highest lead down, is cleared at the pivots above its
-    lead; the rows there are already fully reduced, so each clearing sets
-    no other pivot bit.
+    negation is s ^= u.  Row i < tracked also carries the tracking bit
+    1 << (cols + i).  When those bits fit in an int64, each plane of bits
+    is one product of a with the powers of 2.
     """
     nrows, ncols = a.shape
-    piv = {}  # lead bit -> row with lead 1
-    mask = 0  # the lead bits
+    width = ncols + tracked
+    if width <= 63:
+        bits = _BITS[:ncols]
+        if p == 2:
+            x = a.dot(bits)
+            x[:tracked] += _BITS[ncols:width]
+            return x.tolist()
+        s = (a >> 1).dot(bits)
+        u = a.dot(bits) - s  # an entry 2 is u + s = 1 + 1
+        u[:tracked] += _BITS[ncols:width]
+        return list(zip(u.tolist(), s.tolist()))
+    ints = _pack(a, p) if ncols else [0] * ((p - 1) * nrows)
+    bits = [1 << k for k in range(ncols, width)]
     if p == 2:
-        for r in _pack(a, 2):
+        return [r | b for r, b in zip(ints, bits)] + ints[tracked:]
+    us, ss = ints[:nrows], ints[nrows:]
+    return list(zip([u | b for u, b in zip(us, bits)] + us[tracked:], ss))
+
+
+def _unsliced(rows: list, p: int, ncols: int) -> np.ndarray:
+    """The inverse of _sliced_rows without tracking bits: a len(rows) x ncols int64 array."""
+    planes = rows if p == 2 else [u for u, _ in rows] + [s for _, s in rows]
+    if ncols <= 63:
+        bits = np.array(planes, dtype=np.int64)[:, None] >> _SHIFTS[:ncols] & 1
+    else:
+        bits = _unpack(planes, ncols).astype(np.int64)
+    return bits if p == 2 else bits[: len(rows)] + bits[len(rows) :]
+
+
+def _forward(p: int, rows, cols: int, piv: dict, residues: bool):
+    """One forward pass over sliced rows (_sliced_rows), in order.
+
+    piv maps a lead bit below cols to a pivot row whose lowest bit below
+    cols is that lead, with entry 1 there.  Each row is reduced against
+    the pivot rows: the lowest lead it holds is cleared until none is
+    left, and each clearing changes only bits above that lead.  A row
+    left with bits below cols joins piv under its lowest one, normalised.
+    The bits from cols up of a row left without them are its residue.
+    Returns the positions of the rows that joined piv and, if residues,
+    the residues of the others, in order; if not, the pass stops once
+    the rank reaches cols, as no later row can join.
+    """
+    amask = (1 << cols) - 1
+    mask = 0  # the lead bits
+    for lead in piv:
+        mask |= lead
+    taken, left = [], []
+    if p == 2:
+        for i, r in enumerate(rows):
             hits = r & mask
             while hits:
                 r ^= piv[hits & -hits]
                 hits = r & mask
-            if r:
-                low = r & -r
+            low = r & amask
+            if low:
+                low &= -low
                 piv[low] = r
                 mask |= low
-        leads = sorted(piv)
-        for lead in reversed(leads):
+                taken.append(i)
+                if not residues and len(piv) == cols:
+                    break
+            elif residues:
+                left.append(r >> cols)
+        return taken, left
+    for i, (u, s) in enumerate(rows):
+        hits = u & mask
+        while hits:
+            low = hits & -hits
+            pu, ps = piv[low]
+            # add the pivot row to an entry 2, its negative to an entry 1;
+            # the sum is _add3's, inlined
+            if not s & low:
+                ps ^= pu
+            t = s ^ ps
+            both = u & pu
+            same = both & ~t
+            u, s = (u ^ pu) | same, (t & ~both) | (same & ~s)
+            hits = u & mask
+        low = u & amask
+        if low:
+            low &= -low
+            if s & low:
+                s ^= u
+            piv[low] = (u, s)
+            mask |= low
+            taken.append(i)
+            if not residues and len(piv) == cols:
+                break
+        elif residues:
+            left.append((u >> cols, s >> cols))
+    return taken, left
+
+
+def _sliced_rref(a: np.ndarray, p: int):
+    """Bit-sliced Gauss-Jordan over F_2 or F_3: _forward, then back-substitution.
+
+    _forward leaves one pivot row per lead, normalised to 1 there.  Then
+    each pivot row, from the highest lead down, is cleared at the leads
+    above its own; the rows there are already fully reduced, so each
+    clearing sets no other lead bit.
+    """
+    nrows, ncols = a.shape
+    piv = {}
+    _forward(p, _sliced_rows(a, p), ncols, piv, False)
+    leads = sorted(piv)
+    mask = sum(leads)
+    for lead in reversed(leads):
+        if p == 2:
             r = piv[lead]
             hits = (r & mask) ^ lead
             while hits:
@@ -360,27 +474,7 @@ def _sliced_rref(a: np.ndarray, p: int):
                 hits ^= low
                 r ^= piv[low]
             piv[lead] = r
-        out = np.zeros((nrows, ncols), dtype=np.int64)
-        out[: len(leads)] = _unpack([piv[k] for k in leads], ncols)
-        return out, [k.bit_length() - 1 for k in leads]
-    rows = _pack(a, 3)
-    for u, s in zip(rows[:nrows], rows[nrows:]):
-        hits = u & mask
-        while hits:
-            low = hits & -hits
-            pu, ps = piv[low]
-            # clear the entry: add the pivot row if its sign differs from
-            # the pivot's (2 + 1 = 0), else the negated pivot row
-            u, s = _add3(u, s, pu, ps if (s ^ ps) & low else ps ^ pu)
-            hits = u & mask
-        if u:
-            low = u & -u
-            if s & low:
-                s ^= u
-            piv[low] = (u, s)
-            mask |= low
-    leads = sorted(piv)
-    for lead in reversed(leads):
+            continue
         u, s = piv[lead]
         hits = (u & mask) ^ lead
         while hits:
@@ -389,11 +483,21 @@ def _sliced_rref(a: np.ndarray, p: int):
             pu, ps = piv[low]
             u, s = _add3(u, s, pu, ps if (s ^ ps) & low else ps ^ pu)
         piv[lead] = (u, s)
-    rank = len(leads)
-    bits = _unpack([piv[k][0] for k in leads] + [piv[k][1] for k in leads], ncols)
     out = np.zeros((nrows, ncols), dtype=np.int64)
-    np.add(bits[:rank], bits[rank:], out=out[:rank], dtype=np.int64)
+    out[: len(leads)] = _unsliced([piv[k] for k in leads], p, ncols)
     return out, [k.bit_length() - 1 for k in leads]
+
+
+def _forward_kernel(a: np.ndarray, p: int, k: int) -> np.ndarray:
+    """A basis of the left kernel of a over F_2 or F_3, projected to its first k coordinates.
+
+    The rows k.. go first, untracked, so the pass tracks only the rows
+    ..k, and row i of those is tracked by bit cols + i.  For k = rows the
+    basis is kernel_basis's.
+    """
+    piv, rows = {}, _sliced_rows(a, p, k)
+    _forward(p, rows[k:], a.shape[1], piv, False)
+    return _unsliced(_forward(p, rows[:k], a.shape[1], piv, True)[1], p, k)
 
 
 def _rref(a: np.ndarray, field: FieldSpec):
@@ -758,7 +862,16 @@ class Mat:
         return Mat._of(self.field, a), piv
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        if _forward_field(self.field):
+            return len(self.independent_rows())
+        return len(_echelon(self.field, self._a)[1])
+
+    def independent_rows(self) -> list:
+        """The rows independent of the rows before them: the pivot columns of the transpose's rref."""
+        field, a = self.field, self._a
+        if not _forward_field(field):
+            return _echelon(field, a.T)[1]
+        return _forward(field.p, _sliced_rows(a, field.p), self.cols, {}, False)[0]
 
     def kernel(self) -> "Mat":
         """Basis (rows, in rref) of the left kernel {v : v @ self = 0}."""
@@ -768,32 +881,53 @@ class Mat:
         """A basis (rows, not in rref) of the left kernel, from one elimination.
 
         Row f is the solution that is 1 at the free coordinate f and 0 at
-        the other free coordinates.
+        the other free coordinates; the free coordinates are the rows that
+        depend on the rows before them.
         """
         field, n = self.field, self.rows
+        if _forward_field(field):
+            return Mat._of(field, _forward_kernel(self._a, field.p, n))
         red, piv = _echelon(field, self._a.T)
         pivset = set(piv)
         # one index array serves both fancy indexings below
         free = np.array([j for j in range(n) if j not in pivset], dtype=np.intp)
         out = _zeros(field, free.size, n)
         out[np.arange(free.size), free] = field.one()
-        block = red[: len(piv), free].T
-        # over GF(2) every entry is its own negative
-        out[:, piv] = block if field.p == 2 else _neg(field, block)
+        out[:, piv] = _neg(field, red[: len(piv), free].T)
         return Mat._of(field, out)
 
+    def projected_kernel(self, k: int) -> "Mat":
+        """Rows spanning {x : (x, y) @ self = 0 for some y}, x the first k coordinates.
+
+        Over GF(2) and GF(3) they are a basis, from _forward_kernel;
+        otherwise they are kernel_basis's first k columns.
+        """
+        if not _forward_field(self.field):
+            return self.kernel_basis().take_columns(range(k))
+        return Mat._of(self.field, _forward_kernel(self._a, self.field.p, k))
+
     def solve_left(self, b: "Mat"):
-        """Solve X @ self = b; returns one X (free vars 0) or None."""
+        """Solve X @ self = b; returns one X (0 at the rows that depend on the rows before them) or None."""
         self._check_same(b)
         if b.cols != self.cols:
             raise DimensionMismatch("solve_left column mismatch")
+        field, n = self.field, self.rows
+        if _forward_field(field):
+            # X @ self = b exactly when each row of [b | 0] reduces to [0 | -X]
+            p, piv = field.p, {}
+            rows = _sliced_rows(np.concatenate([self._a, b._a]), p, n)
+            _forward(p, rows[:n], self.cols, piv, False)
+            taken, left = _forward(p, rows[n:], self.cols, piv, True)
+            if taken:
+                return None
+            return Mat._of(field, _unsliced(left if p == 2 else [(u, s ^ u) for u, s in left], p, n))
         # [self^T | b^T] is the transpose of self stacked on b
-        red, piv = _echelon(self.field, np.concatenate([self._a, b._a]).T)
-        if piv and piv[-1] >= self.rows:
+        red, piv = _echelon(field, np.concatenate([self._a, b._a]).T)
+        if piv and piv[-1] >= n:
             return None
-        xt = _zeros(self.field, self.rows, b.rows)
-        xt[piv] = red[: len(piv), self.rows :]
-        return Mat._of(self.field, xt.T)
+        xt = _zeros(field, n, b.rows)
+        xt[piv] = red[: len(piv), n:]
+        return Mat._of(field, xt.T)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -926,12 +1060,12 @@ def quotient_basis(inner: Subspace, outer: Subspace):
     """Rows of outer's basis completing a basis of inner to one of outer.
 
     The greedy choice: a row is kept when it is independent of inner and
-    the rows before it, read off one elimination of [inner; outer]^T.
+    the rows before it in [inner; outer].
     Requires inner <= outer; raises DimensionMismatch otherwise.
     """
     if inner.ambient != outer.ambient:
         raise DimensionMismatch("ambient mismatch")
-    _, piv = Mat.vstack([inner.basis, outer.basis]).transpose().rref()
+    piv = Mat.vstack([inner.basis, outer.basis]).independent_rows()
     if len(piv) != outer.dim:
         raise DimensionMismatch("quotient_basis requires inner <= outer")
     return [outer.basis.row(i - inner.dim) for i in piv[inner.dim :]]

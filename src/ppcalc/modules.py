@@ -272,7 +272,7 @@ def _spin_presentation(m: FDModule):
     s, field, na = m.dim, m.field, m.algebra.dim
     # 1. rows (j, l) of the stack: e_j for l = 0, then e_j M_0, ...
     stack = Mat.hstack([Mat.identity(field, s)] + m.action).reshape(s * (na + 1), s)
-    gens = [c // (na + 1) for c in stack.transpose().rref()[1] if c % (na + 1) == 0]
+    gens = [c // (na + 1) for c in stack.independent_rows() if c % (na + 1) == 0]
     r = len(gens)
     # 2. rref [G | I] = [[I, X], [0, K]], as G has rank s, its width
     g = Mat.vstack([act.take_rows(gens) for act in m.action])

@@ -35,7 +35,7 @@ from ppcalc.modules import (
     zero_module,
 )
 
-from test_linalg import assert_canonical
+from test_linalg import assert_canonical, old_kernel_basis
 from test_modules import (
     ORACLE,
     ORACLE_FIELDS,
@@ -695,6 +695,27 @@ def storage_kinds(field):
         (kron, kronecker_modules(field, max_side=1)),
         (truncated_algebra(field), truncated_modules(field)),
     ]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_eval_formula_matches_the_projected_kernel(case, data):
+    # the kernel of the whole system, then its first n*d columns
+    field = ORACLE_FIELDS[case]
+    for algebra, mods in storage_kinds(field):
+        phi, _ = data.draw(dict_formulas(algebra))
+        m = data.draw(mods)
+        k = phi.n * m.dim
+        ref = old_kernel_basis(_formula_matrix(phi, m))[:, :k]
+        got = eval_formula(phi, m)
+        assert got == Subspace.from_vectors(field, k, Mat._of(field, ref))
+        assert_canonical(got.basis)
+    kind, n = data.draw(st.sampled_from([("lam", 1), ("lam", 2), ("kron", 1), ("kron", 2)]))
+    phi = data.draw(realised_formulas(field, kind, n))
+    m = data.draw(lambda_modules(field, max_dim=3) if kind == "lam" else kronecker_modules(field))
+    ref = old_kernel_basis(_formula_matrix(phi, m))[:, : n * m.dim]
+    assert eval_formula(phi, m) == Subspace.from_vectors(field, n * m.dim, Mat._of(field, ref))
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))

@@ -64,6 +64,13 @@ def test_cap_zero_empty(lam2):
     assert len(inv) == 0
 
 
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_negative_cap_raises(lam2, cap):
+    # a negative cap gave an empty inventory, as if it were 0
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_indecomposables(lam2, cap, seed=0)
+
+
 def reference_candidates(algebra, d):
     """The arrow matrices of every d-dimensional module, one assignment at a
     time: dimension vectors in lexicographic order, and within each the

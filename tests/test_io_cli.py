@@ -441,6 +441,38 @@ def test_cli_field_too_large_exit_code(files, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["--field", "fp:2", "inventory", "--algebra", "quiver.q", "--cap", "-1"],
+        ["isolate", "--module", "s1.mod", "--element", "[1]", "--cap", "-1"],
+        ["verify-lattice", "--bimodule", "bim.bim", "--cap", "-1"],
+        ["check-controlled", "--bimodule", "bim.bim", "--cap", "-2"],
+        ["--budget", "-1", "--field", "fp:2", "inventory", "--algebra", "quiver.q", "--cap", "2"],
+        ["--budget", "-5", "isolate", "--module", "s1.mod", "--element", "[1]", "--cap", "2"],
+        ["--field", "fp:2", "inventory", "--algebra", "quiver.q", "--cap", "two"],
+    ],
+    ids=["inventory-cap", "isolate-cap", "verify-lattice-cap", "check-controlled-cap",
+         "inventory-budget", "isolate-budget", "cap-not-int"],
+)
+def test_cli_negative_cap_or_budget_is_a_usage_error(files, capsys, command):
+    # a negative cap printed "0 indecomposables" (or checked nothing) and
+    # exited 0; a negative budget exited 1, the code of a failed check
+    args = [files.get(a, a) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    flag = "--budget" if "--budget" in command else "--cap"
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_cli_zero_cap_and_budget_are_accepted(files, capsys):
+    assert main(["--field", "fp:2", "inventory", "--algebra", files["quiver.q"], "--cap", "0"]) == 0
+    assert "0 indecomposables" in capsys.readouterr().out
+    assert main(["--budget", "0", "--field", "fp:2", "inventory", "--algebra", files["quiver.q"],
+                 "--cap", "0"]) == 0
+
+
 def test_cli_verify_lattice_payload_matches_unshared_reports(files, capsys):
     from ppcalc.inventory import enumerate_indecomposables
     from ppcalc.lattice import BetaMap, standard_sample, verify_embedding, verify_lattice_hom

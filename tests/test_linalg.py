@@ -1033,6 +1033,130 @@ def test_property_eliminations_match_the_old_code(name, data):
             same(got, want)
 
 
+# -- the forward pass over GF(2) and GF(3) against the transposed route ------
+
+
+def old_rank(m):
+    return len(m.rref()[1])
+
+
+@st.composite
+def forward_inputs(draw, field):
+    """(a, b) over GF(2) or GF(3) for the forward pass, a = m x n and b = k x n.
+
+    The shape has no rows or no columns, is small, or has n + m (the bits
+    of a tracked row) near 64 or 128, or m or n alone near 64.  a is a
+    product of sparse factors through a drawn rank, so it is often rank
+    deficient.  b has 0 to 3 rows: combinations of a's rows, free rows
+    (inconsistent whenever they leave the row space), or consistent rows
+    with one free row among them.
+    """
+    shape = draw(st.sampled_from(["empty", "small", "tracked", "side"]))
+    if shape == "empty":
+        rows, cols = draw(st.sampled_from([(0, 0), (0, 3), (3, 0), (0, 70), (70, 0)]))
+    elif shape == "small":
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    elif shape == "tracked":
+        total = draw(st.sampled_from([62, 63, 64, 65, 127, 128, 129]))
+        rows = draw(st.integers(1, total - 1))
+        cols = total - rows
+    else:
+        rows, cols = draw(st.sampled_from([62, 63, 64, 65])), draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            rows, cols = cols, rows
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([1.0, 0.3, 0.05]))
+
+    def sparse(shape):
+        return Mat.of_array(field, gen.integers(0, field.p, shape) * (gen.random(shape) < density))
+
+    rank = draw(st.integers(0, min(rows, cols) + 1))
+    a = sparse((rows, rank)) @ sparse((rank, cols))
+    k = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["consistent", "free", "mixed"]))
+    b = sparse((k, rows)) @ a if kind != "free" else sparse((k, cols))
+    if kind == "mixed" and k:
+        free = gen.integers(0, field.p, (1, cols))
+        b = Mat.vstack([b.take_rows(range(k - 1)), Mat.of_array(field, free)])
+    return a, b
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_forward_pass_matches_the_transposed_route(name, data):
+    field = OLD_FIELDS[name]
+    a, b = data.draw(forward_inputs(field))
+    same(a.kernel_basis(), old_kernel_basis(a))
+    assert a.rank() == old_rank(a)
+    assert a.independent_rows() == a.transpose().rref()[1]
+    assert a.is_invertible() == (a.rows == a.cols and old_rank(a) == a.rows)
+    want, got = old_solve_left(a, b), a.solve_left(b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        same(got, want)
+        assert got @ a == b
+    # the projection of the kernel to the first k coordinates
+    k = data.draw(st.integers(0, a.rows))
+    proj = a.projected_kernel(k)
+    assert_canonical(proj)
+    assert proj.rank() == proj.rows
+    assert Subspace.from_vectors(field, k, proj) == Subspace.from_vectors(
+        field, k, Mat._of(field, old_kernel_basis(a)[:, :k])
+    )
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf3"])
+@pytest.mark.parametrize("rows", [60, 61, 63, 64, 65, 70])
+def test_forward_pass_fixed_cases(name, rows):
+    # 3 + rows tracked bits and rows kernel columns on both sides of 63 and 64
+    field = OLD_FIELDS[name]
+    # every row equal: rows 1.. depend on row 0, each kernel row is e_f - e_0
+    a = Mat.of_array(field, np.ones((rows, 3), dtype=np.int64))
+    ker = a.kernel_basis()
+    assert ker.shape == (rows - 1, rows) and a.rank() == 1 and a.independent_rows() == [0]
+    same(ker, old_kernel_basis(a))
+    # -e_0 and the e_f - e_0 for 0 < f < rows - 1 span all of the first rows - 1 coordinates
+    assert a.projected_kernel(rows - 1).rank() == rows - 1
+    # b with no rows is solved by the 0 x m matrix, and a row outside the
+    # row space after a solvable one makes the whole system unsolvable
+    same(a.solve_left(Mat.zeros(field, 0, 3)), old_zeros(field, 0, rows))
+    assert a.solve_left(Mat.of_array(field, [[1, 1, 1], [1, 0, 0]])) is None
+    x = a.solve_left(Mat.of_array(field, [[2, 2, 2]]))
+    assert x.to_rows() == [[field.coerce(2)] + [0] * (rows - 1)]
+    # the transpose: one pivot row of rows columns, all of them 1
+    red, piv = Mat.of_array(field, np.ones((3, rows), dtype=np.int64)).rref()
+    assert piv == [0] and red.to_rows() == [[1] * rows, [0] * rows, [0] * rows]
+    # no columns: every row is in the kernel, and any b with no columns is solved by 0
+    a = Mat.zeros(field, 4, 0)
+    same(a.kernel_basis(), old_identity(field, 4))
+    same(a.solve_left(Mat.zeros(field, 2, 0)), old_zeros(field, 2, 4))
+    assert a.rank() == 0 and a.independent_rows() == []
+    # no rows: the kernel is empty, and only b = 0 is solved
+    a = Mat.zeros(field, 0, 5)
+    same(a.kernel_basis(), old_zeros(field, 0, 0))
+    same(a.solve_left(Mat.zeros(field, 1, 5)), old_zeros(field, 1, 0))
+    assert a.solve_left(Mat.of_array(field, [[0, 0, 1, 0, 0]])) is None
+
+
+@pytest.mark.parametrize(
+    "field, avoided",
+    [(F2, "_echelon"), (F3, "_echelon"), (GF(5), "_forward"), (GF(1048573), "_forward"), (QQ, "_forward")],
+    ids=repr,
+)
+def test_row_questions_take_one_route_per_field(monkeypatch, field, avoided):
+    # GF(2) and GF(3) never transpose; every other field never takes the forward pass
+    m = Mat.of_array(field, np.arange(1, 13).reshape(4, 3) % (field.p or 7))
+
+    def answers():
+        return (m.kernel_basis(), m.solve_left(m.take_rows(range(2))), m.rank(),
+                m.independent_rows(), m.projected_kernel(2), m.is_invertible())
+
+    want = answers()
+    monkeypatch.setattr(linalg, avoided, _raise)
+    assert answers() == want
+
+
 # The mixed-field pairs every field check must refuse, and equal fields
 # built separately, which it must accept.
 MIXED = [(F2, F3), (F3, QQ)]
