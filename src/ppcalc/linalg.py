@@ -3,9 +3,15 @@
 Everything downstream works with row vectors: maps act on the right
 (v -> v @ M), kernels are left kernels, images are row spaces.  Every
 matrix is one read-only numpy array: int64 reduced mod p over a prime
-field, dtype=object holding only Fraction over the rationals.  No
-floating point anywhere.  A prime field needs (p-1)^2 < 2^63, so that
-the product of two reduced entries fits in int64.
+field, dtype=object holding only Fraction over the rationals.  A prime
+field needs (p-1)^2 < 2^63, so that the product of two reduced entries
+fits in int64.  Floating point enters in one place, and exactly: _product
+over GF(p) multiplies large operands as float64 arrays when
+inner·(p-1)^2 < 2^53.  Every term and every partial sum of such a product
+is then an integer below 2^53, and float64 holds every integer below 2^53
+exactly, so the sums are exact whatever order BLAS adds them in and
+whether or not it fuses multiply and add; the result is converted back to
+int64 before its reduction mod p.
 
 A Mat wraps its array once: the operations work on the arrays of their
 operands and wrap only their result, so a small operation costs one
@@ -27,12 +33,13 @@ and the rref is unique, so the choice changes only the cost.
 
 The questions about the rows of a matrix (Mat.kernel_basis, solve_left,
 rank, independent_rows and projected_kernel) need no reduced form.  Over
-GF(2) and GF(3), at every size, _forward answers them in one pass over
-the rows of [A | I], bit-sliced (_sliced_rows): each row is reduced
-against the pivot rows found so far, and a row that vanishes in its A
-part gives its tracking bits as a kernel vector.  There is no transpose
-and no back-substitution.  Over QQ and GF(p), p > 3, they read the
-answer off the rref that _echelon gives of the transpose (rank, of A
+GF(2) and GF(3), at every size (rank above _SLICED_RREF_THRESHOLD
+entries; below it _list_rref is cheaper), _forward answers them in one
+pass over the rows of [A | I], bit-sliced (_sliced_rows): each row is
+reduced against the pivot rows found so far, and a row that vanishes in
+its A part gives its tracking bits as a kernel vector.  There is no
+transpose and no back-substitution.  Over QQ and GF(p), p > 3, they read
+the answer off the rref that _echelon gives of the transpose (rank, of A
 itself).  _forward_field makes that choice, and both routes return the
 same arrays: the kernel row of each dependent row f is the one vector of
 the kernel that is 1 at f and 0 at every other dependent row, and a
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -196,6 +203,20 @@ def _over_common_denominators(lines: list, entries: list, n: int):
     return dens, [num * (dens[i] // d) for i, (num, d) in zip(lines, pairs)]
 
 
+# Over GF(p), a product of more multiply-adds than this goes through float64
+# BLAS when that is exact (see _product); a measured crossover, below which
+# converting to float64 and back costs more than BLAS saves.
+_FLOAT_PRODUCT_CUT = 4096
+_FLOAT_EXACT_BOUND = 2**53
+
+
+def _float_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p by a float64 product, for canonical int64 arrays with inner·(p-1)^2 < 2^53."""
+    out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    out %= p
+    return out
+
+
 def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the field, for canonical arrays (over GF(p), also stacks of them).
 
@@ -203,6 +224,12 @@ def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of b integers over db[j].  Entry (i, j) is summed in Python ints over
     the k where a[i, k] and b[k, j] are both nonzero, and each nonzero sum
     becomes one Fraction(sum, da[i] * db[j]); no term pays a Fraction gcd.
+
+    Over GF(p), a product of more than _FLOAT_PRODUCT_CUT multiply-adds
+    with inner·(p-1)^2 < 2^53 is one float64 (BLAS) product: every term and
+    every partial sum is then an integer below 2^53, which float64 holds
+    exactly, so the result is exact whatever order the sums take.  Every
+    other product is an int64 product with delayed reduction.
     """
     if field.dtype is object:
         (n, inner), m = a.shape, b.shape[1]
@@ -231,14 +258,22 @@ def _product(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 if s:
                     flat[base + j] = Fraction(s, d * db[j])
         return out
+    p = field.p
+    inner = a.shape[-1]
+    top = inner * (p - 1) ** 2  # the largest sum of products of canonical entries
+    if top < _FLOAT_EXACT_BOUND:
+        work = a.shape[-2] * inner * b.shape[-1]  # multiply-adds, stacks broadcast as matmul does
+        if a.ndim + b.ndim > 4:
+            work *= prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        if work > _FLOAT_PRODUCT_CUT:
+            return _float_product(a, b, p)
+    if top < _INT64_BOUND:
+        return a @ b % p
     # Delayed reduction: a chunk of `step` products of reduced entries
     # cannot overflow int64.
-    p = field.p
     step = (_INT64_BOUND - 1) // (p - 1) ** 2
-    if a.shape[-1] <= step:
-        return a @ b % p
     out = 0
-    for s in range(0, a.shape[-1], step):
+    for s in range(0, inner, step):
         out = (out + a[..., s : s + step] @ b[..., s : s + step, :] % p) % p
     return out
 
@@ -862,9 +897,14 @@ class Mat:
         return Mat._of(self.field, a), piv
 
     def rank(self) -> int:
-        if _forward_field(self.field):
-            return len(self.independent_rows())
-        return len(_echelon(self.field, self._a)[1])
+        field, a = self.field, self._a
+        if not _forward_field(field):
+            return len(_echelon(field, a)[1])
+        # on few entries the list kernel, which _echelon would pick, costs
+        # less than packing the rows for _forward
+        if a.size <= _SLICED_RREF_THRESHOLD:
+            return len(_list_rref(a, field)[1])
+        return len(self.independent_rows())
 
     def independent_rows(self) -> list:
         """The rows independent of the rows before them: the pivot columns of the transpose's rref."""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -1221,3 +1222,152 @@ def test_small_operations_build_one_mat_each(monkeypatch):
         assert call() is not None
         counts[name] = len(built)
     assert counts == dict.fromkeys(calls, 1)
+
+
+# -- float64 products over GF(p) ----------------------------------------
+# Below 2^53 the float arm of _product is exact; at and above it the int64
+# arm must run.  1048573 is the ladder's 20-bit prime, 3037000493 the
+# largest prime a field accepts, where no product is ever in float.
+
+PRODUCT_FIELDS = [F2, F3, GF(1048573), GF(3037000493)]
+
+
+def int_product(a, b, p):
+    """a @ b mod p summed in Python ints, stacks broadcast as matmul does."""
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+float_product = linalg._float_product
+
+
+def count_float_products(monkeypatch):
+    """The list that each later call of _product's float arm appends to."""
+    calls = []
+    monkeypatch.setattr(linalg, "_float_product", lambda *args: calls.append(args) or float_product(*args))
+    return calls
+
+
+def product_operands(p, layout, n, k, m, s, seed, fill):
+    """Canonical int64 operands of one of the layouts _product's callers use."""
+    shape_a, shape_b = {
+        "plain": ((n, k), (k, m)),
+        "left stack": ((s, n, k), (k, m)),
+        "right stack": ((n, k), (s, k, m)),
+        "both": ((s, n, k), (s, k, m)),
+        "outer": ((s, 1, n, k), (1, s, k, m)),
+    }[layout]
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(0, p, shape, dtype=np.int64) for shape in (shape_a, shape_b))
+    if fill == "top":  # entries p - 1 and 0 only: the largest sums
+        a, b = np.where(a % 2 == 1, p - 1, 0), np.where(b % 2 == 1, p - 1, 0)
+    return a, b
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_products_match_python_ints(field, data):
+    # from one multiply-add to several times the cut
+    layout = data.draw(st.sampled_from(["plain", "left stack", "right stack", "both", "outer"]))
+    n, k, m = (data.draw(st.integers(1, 24)) for _ in range(3))
+    s = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    fill = data.draw(st.sampled_from(["uniform", "top"]))
+    a, b = product_operands(field.p, layout, n, k, m, s, seed, fill)
+    got = _product(field, a, b)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, int_product(a, b, field.p))
+
+
+# (p, inner): every entry p - 1 makes each sum inner·(p-1)^2, just below
+# 2^53 for the float cases and just above it for the int ones
+EDGE_PRODUCTS = [
+    (94906249, 1, True),
+    (94906249, 2, False),
+    (67108859, 2, True),
+    (67108859, 3, False),
+    (1048573, 8192, True),
+    (1048573, 8193, False),
+]
+
+
+@pytest.mark.parametrize("p, inner, in_float", EDGE_PRODUCTS)
+def test_products_at_the_float_bound_are_exact(monkeypatch, p, inner, in_float):
+    assert (inner * (p - 1) ** 2 < 2**53) == in_float
+    field = GF(p)
+    rows = math.isqrt(linalg._FLOAT_PRODUCT_CUT // inner) + 1  # rows² · inner > the cut
+    a = np.full((rows, inner), p - 1, dtype=np.int64)
+    floats = count_float_products(monkeypatch)
+    # (p-1)^2 = 1 mod p
+    np.testing.assert_array_equal(_product(field, a, a.T), np.full((rows, rows), inner % p))
+    assert bool(floats) == in_float
+    if not in_float:
+        # one term (p-2)^2 makes each sum odd and above 2^53, which float64
+        # cannot hold: the float arm would be wrong where the int64 arm is not
+        a[:, -1] = p - 2
+        want = (inner - 1 + 4) % p
+        np.testing.assert_array_equal(_product(field, a, a.T), np.full((rows, rows), want))
+        assert (float_product(a, a.T, p) != want).all()
+
+
+def product_dispatch_cases():
+    cut = linalg._FLOAT_PRODUCT_CUT
+    return [
+        (F2, (2, 2), (2, 2)),
+        (F2, (1, 1), (1, cut)),  # cut multiply-adds exactly
+        (F2, (1, 1), (1, cut + 1)),
+        (F3, (cut + 1, 1), (1, 1)),
+        (F3, (64, 64), (64, 64)),
+        (F3, (2, 1, 8, 8), (1, 2, 8, 33)),  # 4 · 8 · 8 · 33 through the broadcast stacks
+        (F3, (4, 8, 8), (8, 16)),
+        (F3, (8, 8), (5, 8, 16)),
+        (GF(94906249), (65, 1), (1, 65)),
+        (GF(94906249), (65, 2), (2, 65)),
+        (GF(1048573), (1, 8192), (8192, 1)),
+        (GF(1048573), (1, 8193), (8193, 1)),
+        (GF(1048573), (3, 1, 8193), (8193, 2)),
+        # inner·(p-1)^2 = 2^21 · 2^32 = 2^53 exactly: not below the bound
+        (GF(65537), (1, 2**21), (2**21, 1)),
+        (GF(65537), (1, 2**21 - 1), (2**21 - 1, 1)),
+        (GF(3037000493), (1, 1), (1, 2 * cut)),
+        (GF(3037000493), (40, 40), (40, 40)),
+    ]
+
+
+@pytest.mark.parametrize("field, shape_a, shape_b", product_dispatch_cases(), ids=repr)
+def test_float_products_run_exactly_above_the_cut_and_below_the_bound(monkeypatch, field, shape_a, shape_b):
+    p = field.p
+    a = np.full(shape_a, p - 1, dtype=np.int64)
+    b = np.full(shape_b, p - 1, dtype=np.int64)
+    inner = shape_a[-1]
+    work = int(np.prod(np.broadcast_shapes(shape_a[:-2], shape_b[:-2]))) * shape_a[-2] * inner * shape_b[-1]
+    floats = count_float_products(monkeypatch)
+    got = _product(field, a, b)
+    assert len(floats) == (work > linalg._FLOAT_PRODUCT_CUT and inner * (p - 1) ** 2 < 2**53)
+    # every sum is inner·(p-1)^2 = inner mod p
+    assert got.shape == np.broadcast_shapes(shape_a[:-2], shape_b[:-2]) + (shape_a[-2], shape_b[-1])
+    assert (got == inner % p).all()
+
+
+def test_qq_products_never_take_the_float_arm(monkeypatch):
+    monkeypatch.setattr(linalg, "_float_product", _raise)
+    rng = random.Random(5)
+    a, b = rand_mat(QQ, 20, 20, rng), rand_mat(QQ, 20, 20, rng)
+    assert (a @ b).to_rows() == [
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*b.to_rows())] for row in a.to_rows()
+    ]
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=repr)
+def test_small_ranks_over_gf2_and_gf3_eliminate_on_lists(monkeypatch, field):
+    # at most _SLICED_RREF_THRESHOLD entries the list kernel is cheaper than
+    # packing the rows for the forward pass; above it the forward pass runs
+    rng = random.Random(field.p)
+    small = rand_mat(field, 8, _SLICED_RREF_THRESHOLD // 8, rng)
+    large = rand_mat(field, 8, _SLICED_RREF_THRESHOLD // 8 + 1, rng)
+    want = small.transpose().rref()[1], large.transpose().rref()[1]
+    monkeypatch.setattr(linalg, "_forward", _raise)
+    assert small.rank() == len(want[0])
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_list_rref", _raise)
+    assert large.rank() == len(want[1])
