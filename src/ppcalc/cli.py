@@ -116,7 +116,8 @@ def cmd_verify_lattice(args):
     payload = {"homomorphism": hom, "embedding": emb, "ok": ok}
     text = (
         f"sample of {len(sample)} formulas: homomorphism "
-        f"{'PASS' if hom['ok'] else 'FAIL'}, embedding "
+        f"{'PASS' if hom['ok'] else 'FAIL'} ({hom['pairs_checked']} pairs, "
+        f"{hom['images_built']} images built), embedding "
         f"{'PASS' if emb['ok'] else 'FAIL'}"
     )
     _emit(args, payload, text)

@@ -126,14 +126,23 @@ class FieldSpec:
                 if den % self.p == 0:
                     raise ZeroDivisionError(f"{x} has no value mod {self.p}")
                 return (num * pow(den, self.p - 2, self.p)) % self.p
+            if isinstance(x, (float, np.floating)) and not float(x).is_integer():
+                raise ValueError(f"{float(x)!r} is not an integer: it has no value in {self}")
             return int(x) % self.p
         if isinstance(x, Fraction):
             return x
         return Fraction(x)
 
     def canonical(self, a) -> np.ndarray:
-        """A new array of canonical scalars holding the values of a."""
+        """A new array of canonical scalars holding the values of a.
+
+        Over GF(p) an integer array is only reduced; any other array is
+        read entry by entry through coerce, so a fractional float raises.
+        """
         if self.kind == "prime":
+            a = np.asarray(a)
+            if a.dtype.kind not in "biu":
+                a = np.frompyfunc(self.coerce, 1, 1)(a)
             return np.asarray(a, dtype=np.int64) % self.p
         return np.frompyfunc(self.coerce, 1, 1)(np.asarray(a))
 

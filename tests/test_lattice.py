@@ -209,3 +209,131 @@ def test_verifiers_agree_with_passed_betas_and_order(request, lam2, s1_2, reg2, 
     assert verify_lattice_hom(bmap, sample, betas, order) == verify_lattice_hom(bmap, sample)
     assert verify_embedding(bmap, sample, betas, order) == verify_embedding(bmap, sample)
     assert verify_embedding(bmap, sample, order=order)["strict_pairs"] > 0
+
+
+def reference_verify_lattice_hom(bmap, sample, betas, order):
+    """The per-pair check with nothing shared: beta of every pair formula
+    and conj/sum_formula of the two images built anew for every pair."""
+    from ppcalc.io import formula_to_json
+
+    def witness(law, i, j):
+        return {
+            "law": law,
+            "pair": [i, j],
+            "witness_formulas": [formula_to_json(sample[i]), formula_to_json(sample[j])],
+        }
+
+    failures, pairs = [], 0
+    for i in range(len(sample)):
+        for j in range(i, len(sample)):
+            pairs += 1
+            if not equivalent(beta(bmap, conj(sample[i], sample[j])), conj(betas[i], betas[j])):
+                failures.append(witness("meet", i, j))
+            if not equivalent(beta(bmap, sum_formula(sample[i], sample[j])), sum_formula(betas[i], betas[j])):
+                failures.append(witness("join", i, j))
+    for i in range(len(sample)):
+        for j in range(len(sample)):
+            if i != j and order[i][j] and not implies(betas[i], betas[j]):
+                failures.append(witness("order", i, j))
+    return {
+        "check": "lattice-homomorphism",
+        "sample_size": len(sample),
+        "pairs_checked": pairs,
+        "failures": failures,
+        "ok": not failures,
+    }
+
+
+def without_images_built(report):
+    return {k: v for k, v in report.items() if k != "images_built"}
+
+
+@pytest.fixture(scope="module")
+def acceptance_sample(lam2, bmap2):
+    """The sample of acceptance criteria 1-2: Lambda's indecomposables to dim 3."""
+    from ppcalc.inventory import enumerate_indecomposables
+
+    sample = standard_sample(lam2, enumerate_indecomposables(lam2, 3, seed=0).members)
+    return sample, [beta(bmap2, f) for f in sample], order_table(sample)
+
+
+def test_verify_lattice_hom_matches_reference_on_acceptance_sample(bmap2, acceptance_sample, monkeypatch):
+    import ppcalc.lattice
+
+    sample, betas, order = acceptance_sample
+    want = reference_verify_lattice_hom(bmap2, sample, betas, order)
+    calls = {"beta": 0, "equivalent": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(ppcalc.lattice, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(ppcalc.lattice, name, counted)
+    got = verify_lattice_hom(bmap2, sample, betas, order)
+    assert (len(sample), got["pairs_checked"]) == (25, 325)
+    assert got["ok"] and without_images_built(got) == want
+    # 650 pair formulas with 113 distinct free realisations; one equivalent
+    # per pair and law
+    assert calls == {"beta": 113, "equivalent": 650}
+    assert got["images_built"] == 113
+
+
+def test_verify_lattice_hom_matches_reference_with_rotated_betas(bmap2, acceptance_sample):
+    # wrong images: meet, join and order all fail, and the failures must
+    # come in the reference's order (by pair, meet before join, then order)
+    sample, betas, order = acceptance_sample
+    rotated = betas[1:] + betas[:1]
+    want = reference_verify_lattice_hom(bmap2, sample, rotated, order)
+    got = verify_lattice_hom(bmap2, sample, rotated, order)
+    assert without_images_built(got) == want
+    assert len(got["failures"]) == 645
+    assert {f["law"] for f in got["failures"]} == {"meet", "join", "order"}
+
+
+def test_verify_lattice_hom_matches_reference_without_realisations(lam2, bmap2, s1_2, reg2, monkeypatch):
+    import ppcalc.formulas
+
+    base = standard_sample(lam2, [s1_2, reg2], close=False)
+    base += [conj(base[2], base[3]), sum_formula(base[2], base[3])]
+    sample = [PpFormula(lam2, f.n, f.c, f.e, f.matrix) for f in base]
+    assert all(f.realisation is None for f in sample)
+    betas = [beta(bmap2, f) for f in sample]
+    order = order_table(sample)
+    want = reference_verify_lattice_hom(bmap2, sample, betas, order)
+    built = []
+    fp_module = ppcalc.formulas.fp_module
+    monkeypatch.setattr(ppcalc.formulas, "fp_module", lambda *a: built.append(a) or fp_module(*a))
+    got = verify_lattice_hom(bmap2, sample, betas, order)
+    assert without_images_built(got) == want and got["ok"]
+    # each pair formula's finitely presented realisation is built once,
+    # for its key and its image both
+    assert len(built) == 2 * got["pairs_checked"]
+
+
+def forget_x_bimodule(lam, kron):
+    """The bimodule of F(M) = (M => M; 1, 0), built as embedding_bimodule is.
+
+    F is exact but not a representation embedding: it forgets x, so it
+    sends S + S and Lambda to isomorphic Kronecker modules.
+    """
+    from ppcalc.examples import kronecker_rep
+
+    f, d = lam.field, lam.dim
+    right = kronecker_rep(kron, Mat.identity(f, d), Mat.zeros(f, d, d)).action
+    left = [Mat.identity(f, 2).kron(lam.left_mult_matrix(lam.basis_element(i).coeffs)) for i in range(d)]
+    gens = [Mat.identity(f, 2 * d).row(i) for i in range(2)]
+    return Bimodule(lam, kron, 2 * d, left, right, gens)
+
+
+def test_forget_x_bimodule_is_a_lattice_hom_but_not_an_embedding(lam2, kron2, acceptance_sample):
+    # negative control for criterion 2: the embedding check must catch a
+    # functor that is exact (so the homomorphism check passes) yet loses x
+    sample, _, order = acceptance_sample
+    bmap = BetaMap(forget_x_bimodule(lam2, kron2))
+    betas = [beta(bmap, f) for f in sample]
+    hom = verify_lattice_hom(bmap, sample, betas, order)
+    assert hom["ok"] and hom["pairs_checked"] == 325
+    emb = verify_embedding(bmap, sample, betas, order)
+    assert not emb["ok"]
+    assert (emb["strict_pairs"], len(emb["failures"])) == (225, 25)
+    assert emb["failures"][0]["pair"] == [3, 1]

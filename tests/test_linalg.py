@@ -1371,3 +1371,59 @@ def test_small_ranks_over_gf2_and_gf3_eliminate_on_lists(monkeypatch, field):
     monkeypatch.undo()
     monkeypatch.setattr(linalg, "_list_rref", _raise)
     assert large.rank() == len(want[1])
+
+
+# Over GF(p) a float has a value only when it is an integer: 1.5 read as 1
+# would be silently wrong, since 3/2 = 4 in GF(5).
+GF5_FRACTIONAL = [
+    ("from_rows", lambda: Mat.from_rows(GF(5), [[1.5, 2]]), "1.5"),
+    ("of_array", lambda: Mat.of_array(GF(5), np.array([[2.7, 1.0]])), "2.7"),
+    ("of_array-list", lambda: Mat.of_array(GF(5), [[1, 0.25]]), "0.25"),
+    ("of_array-float32", lambda: Mat.of_array(GF(5), np.array([[0.5]], dtype=np.float32)), "0.5"),
+    ("of_array-object", lambda: Mat.of_array(GF(5), np.array([[1, 1.5]], dtype=object)), "1.5"),
+    ("of_array-inf", lambda: Mat.of_array(GF(5), np.array([[np.inf]])), "inf"),
+    ("of_array-nan", lambda: Mat.of_array(GF(5), np.array([[np.nan]])), "nan"),
+    ("scale", lambda: Mat.identity(GF(5), 2).scale(2.5), "2.5"),
+    ("scale-numpy", lambda: Mat.identity(GF(5), 2).scale(np.float64(-0.5)), "-0.5"),
+    ("coerce", lambda: GF(5).coerce(np.float32(0.75)), "0.75"),
+]
+
+
+@pytest.mark.parametrize("build, text", [c[1:] for c in GF5_FRACTIONAL], ids=[c[0] for c in GF5_FRACTIONAL])
+def test_gfp_rejects_fractional_floats(build, text):
+    with pytest.raises(ValueError, match=f"^{text} is not an integer: it has no value in GF\\(5\\)"):
+        build()
+
+
+def test_gfp_reads_integral_floats_bools_and_numpy_integers_as_ints():
+    want = [[2, 1, 0, 2, 3, 4]]
+    row = [7.0, True, False, np.int64(-3), np.float32(3.0), np.int8(-1)]
+    assert Mat.from_rows(GF(5), [row]).to_rows() == want
+    assert Mat.of_array(GF(5), [row]).to_rows() == want
+    assert Mat.of_array(GF(5), np.array([row], dtype=object)).to_rows() == want
+    assert Mat.of_array(GF(5), np.array([[7.0, 1.0, 0.0, -3.0, 3.0, -1.0]])).to_rows() == want
+    assert Mat.of_array(GF(5), np.array([[True, False]])).to_rows() == [[1, 0]]
+    assert Mat.identity(GF(5), 1).scale(7.0).to_rows() == [[2]]
+    # integral floats beyond int64 keep their exact value mod p
+    big = [[1e20, -1e300]]
+    assert Mat.of_array(GF(7), big).to_rows() == [[int(x) % 7 for x in big[0]]]
+    assert Mat.from_rows(GF(7), big).to_rows() == [[int(x) % 7 for x in big[0]]]
+
+
+def test_gfp_object_arrays_are_read_entry_by_entry():
+    # a Fraction is its value in GF(p), and a Python int beyond int64 is reduced
+    a = np.array([[Fraction(1, 2), 10**30 + 1]], dtype=object)
+    assert Mat.of_array(GF(5), a).to_rows() == [[3, 1]]
+
+
+def test_gfp_integer_arrays_are_only_reduced(monkeypatch):
+    monkeypatch.setattr(np, "frompyfunc", _raise)
+    a = np.array([[7, -1, 12]], dtype=np.int64)
+    assert Mat.of_array(GF(5), a).to_rows() == [[2, 4, 2]]
+    assert Mat.of_array(GF(5), a.astype(np.int8)).to_rows() == [[2, 4, 2]]
+
+
+def test_qq_reads_floats_exactly():
+    assert Mat.from_rows(QQ, [[1.5, 0.25]]).to_rows() == [[Fraction(3, 2), Fraction(1, 4)]]
+    assert Mat.of_array(QQ, np.array([[2.5]])).to_rows() == [[Fraction(5, 2)]]
+    assert Mat.identity(QQ, 1).scale(0.5).to_rows() == [[Fraction(1, 2)]]
