@@ -105,6 +105,18 @@ def _sample_classes(order):
     return len(reps)
 
 
+def _pointwise_mismatches(sample, order, members):
+    """The ordered pairs [i, j] where order[i][j] disagrees with inclusion
+    of the solution sets of sample[i] in those of sample[j] on every member."""
+    evals = [[eval_formula(f, m) for m in members] for f in sample]
+    return [
+        [i, j]
+        for i in range(len(sample))
+        for j in range(len(sample))
+        if order[i][j] != all(ev_j.contains(ev_i) for ev_i, ev_j in zip(evals[i], evals[j]))
+    ]
+
+
 def _criterion_1_2_3(cfg: RunConfig, ctx: PassContext):
     """The shared sample drives the first three criteria, yielded as each is decided."""
     sample = standard_sample(ctx.lam, ctx.lam_inv.up_to(3).members)
@@ -141,22 +153,12 @@ def _criterion_1_2_3(cfg: RunConfig, ctx: PassContext):
     yield c2
 
     members = ctx.lam_inv.members
-    evals = [[eval_formula(f, m) for m in members] for f in sample]
-    mismatches = []
-    checked = 0
-    for i in range(len(sample)):
-        for j in range(len(sample)):
-            checked += 1
-            pointwise = all(
-                ev_j.contains(ev_i) for ev_i, ev_j in zip(evals[i], evals[j])
-            )
-            if order[i][j] != pointwise:
-                mismatches.append([i, j])
+    mismatches = _pointwise_mismatches(sample, order, members)
     c3 = {
         "id": 3,
         "passed": not mismatches,
         "details": {
-            "ordered_pairs_checked": checked,
+            "ordered_pairs_checked": len(sample) ** 2,
             "inventory_size": len(members),
             "mismatches": mismatches,
         },

@@ -117,7 +117,7 @@ def cmd_verify_lattice(args):
     text = (
         f"sample of {len(sample)} formulas: homomorphism "
         f"{'PASS' if hom['ok'] else 'FAIL'} ({hom['pairs_checked']} pairs, "
-        f"{hom['images_built']} images built), embedding "
+        f"{hom['images_built']} images built) with {hom['laws_decided']} laws decided, embedding "
         f"{'PASS' if emb['ok'] else 'FAIL'}"
     )
     _emit(args, payload, text)

@@ -103,8 +103,14 @@ def standard_sample(algebra, modules, close: bool = True):
 
 
 def order_table(formulas):
-    """The order on a list of formulas: entry [i][j] is implies(formulas[i], formulas[j])."""
-    return [[implies(a, b) for b in formulas] for a in formulas]
+    """The order on a list of formulas: entry [i][j] is implies(formulas[i], formulas[j]).
+
+    implies reads a formula only through its free realisation, so it is
+    decided once per pair of distinct realisations (see _representatives).
+    """
+    reps = _representatives(formulas)
+    implied = _Verdicts(implies)
+    return [[implied(a, b) for b in reps] for a in reps]
 
 
 def _realised(phi: PpFormula):
@@ -120,6 +126,37 @@ def _realised(phi: PpFormula):
     return phi, (fr.module, tuple(t.key() for t in fr.tuple))
 
 
+def _representatives(formulas):
+    """Each formula's realised first representative.
+
+    Formulas whose free realisations have equal content share one object:
+    the first of them, carrying its realisation.  beta and implies read a
+    formula only through its realisation, and conj and sum_formula build
+    the realisation they attach from their arguments' realisations alone,
+    so a representative can stand in for every formula it represents.
+    """
+    first = {}
+    return [first.setdefault(key, phi) for phi, key in map(_realised, formulas)]
+
+
+class _Verdicts(dict):
+    """law's verdicts, decided once per distinct tuple of representatives.
+
+    Keys are the representatives' identities: callers keep the
+    representatives alive while the verdicts are in use.
+    """
+
+    def __init__(self, law):
+        super().__init__()
+        self.law = law
+
+    def __call__(self, *reps):
+        key = tuple(map(id, reps))
+        if key not in self:
+            self[key] = self.law(*reps)
+        return self[key]
+
+
 def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
     """Check meet/join/order preservation of the map on all sample pairs.
 
@@ -130,15 +167,14 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
     order failures.
 
     Every pair (i <= j) is checked: beta(conj(f_i, f_j)) against
-    conj(beta f_i, beta f_j), and likewise for sum_formula, one
-    equivalent call per pair and law.  The work they share is done once.
-    beta of a formula, and the realisation conj or sum_formula attaches,
-    depend only on the free realisations of their arguments, and implies
-    reads nothing else.  So beta runs once per distinct realisation of
-    the pair formulas (images_built counts them), and each sample image
-    stands for the first image with the same realisation: pairs with the
-    same two representatives share one conj and one sum_formula of the
-    images, built when their group is checked and dropped after it.
+    conj(beta f_i, beta f_j), and likewise for sum_formula.  Each verdict
+    depends only on the free realisations of f_i, f_j and their images,
+    so it is decided once per distinct tuple of their representatives
+    (laws_decided counts these for meet and join) and given to every pair
+    that shares it.  The keys include the images as passed, so betas that
+    are not beta of the sample are still checked as given.  beta runs
+    once per distinct realisation of the pair formulas (images_built
+    counts them).
     """
     if betas is None:
         betas = [beta(bmap, f) for f in sample]
@@ -152,22 +188,11 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
             images[key] = beta(bmap, phi)
         return images[key]
 
-    realised = [_realised(b) for b in betas]
-    first = {}  # realisation key of a sample image -> index of the first such image
-    rep = [first.setdefault(key, i) for i, (_, key) in enumerate(realised)]
-    groups = {}
-    for i in range(len(sample)):
-        for j in range(i, len(sample)):
-            groups.setdefault((rep[i], rep[j]), []).append((i, j))
-    found = []
-    for (ri, rj), pairs in groups.items():
-        bi, bj = realised[ri][0], realised[rj][0]
-        meet, join = conj(bi, bj), sum_formula(bi, bj)
-        for i, j in pairs:
-            if not equivalent(image(conj(sample[i], sample[j])), meet):
-                found.append((i, j, 0))
-            if not equivalent(image(sum_formula(sample[i], sample[j])), join):
-                found.append((i, j, 1))
+    def meet_and_join(fi, fj, bi, bj):
+        return (
+            equivalent(image(conj(fi, fj)), conj(bi, bj)),
+            equivalent(image(sum_formula(fi, fj)), sum_formula(bi, bj)),
+        )
 
     def witness(law, i, j):
         from .io import formula_to_json
@@ -178,17 +203,24 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
             "witness_formulas": [formula_to_json(sample[i]), formula_to_json(sample[j])],
         }
 
-    failures = [witness(("meet", "join")[law], i, j) for i, j, law in sorted(found)]
+    reps, images_of = _representatives(sample), _representatives(betas)
+    laws = _Verdicts(meet_and_join)
+    implied = _Verdicts(implies)
+    failures = []
+    for i in range(len(sample)):
+        for j in range(i, len(sample)):
+            verdicts = laws(reps[i], reps[j], images_of[i], images_of[j])
+            failures += [witness(law, i, j) for law, ok in zip(("meet", "join"), verdicts) if not ok]
     for i in range(len(sample)):
         for j in range(len(sample)):
-            if i != j and order[i][j]:
-                if not implies(betas[i], betas[j]):
-                    failures.append(witness("order", i, j))
+            if i != j and order[i][j] and not implied(images_of[i], images_of[j]):
+                failures.append(witness("order", i, j))
     return {
         "check": "lattice-homomorphism",
         "sample_size": len(sample),
         "pairs_checked": len(sample) * (len(sample) + 1) // 2,
         "images_built": len(images),
+        "laws_decided": len(laws),
         "failures": failures,
         "ok": not failures,
     }
@@ -198,12 +230,16 @@ def verify_embedding(bmap: BetaMap, sample, betas=None, order=None):
     """Check that strict inequalities map to strict inequalities.
 
     betas and order, when passed, must be [beta(bmap, f) for f in sample]
-    and order_table(sample); they are computed when not passed.
+    and order_table(sample); they are computed when not passed.  Each
+    implication between images is decided once per pair of distinct
+    image realisations, as in verify_lattice_hom.
     """
     if betas is None:
         betas = [beta(bmap, f) for f in sample]
     if order is None:
         order = order_table(sample)
+    images_of = _representatives(betas)
+    implied = _Verdicts(implies)
     failures = []
     strict = 0
     for i in range(len(sample)):
@@ -212,7 +248,7 @@ def verify_embedding(bmap: BetaMap, sample, betas=None, order=None):
                 continue
             if order[i][j] and not order[j][i]:
                 strict += 1
-                if implies(betas[j], betas[i]):
+                if implied(images_of[j], images_of[i]):
                     from .io import formula_to_json
 
                     failures.append(

@@ -8,6 +8,7 @@ from ppcalc.examples import kronecker_algebra, lambda_algebra
 from ppcalc.inventory import (
     _BATCH_LIMIT,
     BudgetExceeded,
+    Inventory,
     _digits,
     _generating_data,
     _naive_candidates,
@@ -151,6 +152,16 @@ def test_completeness_lambda(lam2):
     assert report["ok"]
     assert report["dims"][0]["iso_classes"] == 1  # only the simple at dim 1
     assert report["dims"][1]["iso_classes"] == 2  # S + S and the regular
+
+
+def test_completeness_lambda_without_the_regular_module_fails(lam2):
+    # negative control: every dim-2 module decomposes into members only if
+    # the regular module is one of them
+    inv = enumerate_indecomposables(lam2, 2, seed=0)
+    partial = Inventory(lam2, 2, [m for m in inv.members if m.dim != 2], exhaustive=True)
+    report = verify_completeness(partial, 2, seed=0)
+    assert not report["ok"]
+    assert [(d["dim"], d["ok"]) for d in report["dims"]] == [(1, True), (2, False)]
 
 
 def test_completeness_kronecker_small(kron2):

@@ -243,6 +243,16 @@ def test_cli_verify_lattice_text_reports_pairs_and_images_built(files, capsys):
     assert f"homomorphism PASS ({hom['pairs_checked']} pairs, {hom['images_built']} images built)" in out
 
 
+def test_cli_verify_lattice_text_reports_laws_decided(files, capsys):
+    args = ["verify-lattice", "--bimodule", files["bim.bim"], "--cap", "2"]
+    assert main(["--out", "json", *args]) == 0
+    hom = json.loads(capsys.readouterr().out)["homomorphism"]
+    assert 0 < hom["laws_decided"] <= hom["pairs_checked"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert f"{hom['images_built']} images built) with {hom['laws_decided']} laws decided, embedding PASS" in out
+
+
 def test_cli_interp_apply(files, capsys):
     assert main(["interp-apply", "--data", files["hom.interp"], "--module", files["bmod.mod"]]) == 0
     assert "dimension 2" in capsys.readouterr().out

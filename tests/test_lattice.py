@@ -244,8 +244,8 @@ def reference_verify_lattice_hom(bmap, sample, betas, order):
     }
 
 
-def without_images_built(report):
-    return {k: v for k, v in report.items() if k != "images_built"}
+def without_work_counts(report):
+    return {k: v for k, v in report.items() if k not in ("images_built", "laws_decided")}
 
 
 @pytest.fixture(scope="module")
@@ -271,10 +271,10 @@ def test_verify_lattice_hom_matches_reference_on_acceptance_sample(bmap2, accept
         monkeypatch.setattr(ppcalc.lattice, name, counted)
     got = verify_lattice_hom(bmap2, sample, betas, order)
     assert (len(sample), got["pairs_checked"]) == (25, 325)
-    assert got["ok"] and without_images_built(got) == want
+    assert got["ok"] and without_work_counts(got) == want
     # 650 pair formulas with 113 distinct free realisations; one equivalent
-    # per pair and law
-    assert calls == {"beta": 113, "equivalent": 650}
+    # per law and distinct tuple of sample and image representatives
+    assert calls == {"beta": 113, "equivalent": 206}
     assert got["images_built"] == 113
 
 
@@ -285,7 +285,7 @@ def test_verify_lattice_hom_matches_reference_with_rotated_betas(bmap2, acceptan
     rotated = betas[1:] + betas[:1]
     want = reference_verify_lattice_hom(bmap2, sample, rotated, order)
     got = verify_lattice_hom(bmap2, sample, rotated, order)
-    assert without_images_built(got) == want
+    assert without_work_counts(got) == want
     assert len(got["failures"]) == 645
     assert {f["law"] for f in got["failures"]} == {"meet", "join", "order"}
 
@@ -304,10 +304,10 @@ def test_verify_lattice_hom_matches_reference_without_realisations(lam2, bmap2, 
     fp_module = ppcalc.formulas.fp_module
     monkeypatch.setattr(ppcalc.formulas, "fp_module", lambda *a: built.append(a) or fp_module(*a))
     got = verify_lattice_hom(bmap2, sample, betas, order)
-    assert without_images_built(got) == want and got["ok"]
-    # each pair formula's finitely presented realisation is built once,
-    # for its key and its image both
-    assert len(built) == 2 * got["pairs_checked"]
+    assert without_work_counts(got) == want and got["ok"]
+    # each sample formula's finitely presented realisation is built once;
+    # the pair formulas of its representative carry theirs
+    assert len(built) == len(sample) == 7
 
 
 def forget_x_bimodule(lam, kron):
@@ -337,3 +337,109 @@ def test_forget_x_bimodule_is_a_lattice_hom_but_not_an_embedding(lam2, kron2, ac
     assert not emb["ok"]
     assert (emb["strict_pairs"], len(emb["failures"])) == (225, 25)
     assert emb["failures"][0]["pair"] == [3, 1]
+
+
+def test_pair_realisations_depend_only_on_representatives(acceptance_sample):
+    # what makes per-representative verdicts exact: conj and sum_formula of
+    # a pair have the realisation of the same construction on the pair's
+    # representatives
+    from ppcalc.lattice import _realised, _representatives
+
+    sample = acceptance_sample[0]
+    reps = _representatives(sample)
+    assert len({id(r) for r in reps}) == 12
+    for i in range(len(sample)):
+        assert _realised(reps[i])[1] == _realised(sample[i])[1]
+        for j in range(i, len(sample)):
+            for make in (conj, sum_formula):
+                assert _realised(make(sample[i], sample[j]))[1] == _realised(make(reps[i], reps[j]))[1]
+
+
+def test_order_table_is_pairwise_implies_on_acceptance_sample(lam2, acceptance_sample, monkeypatch):
+    import ppcalc.formulas
+    import ppcalc.lattice
+
+    sample, _, order = acceptance_sample
+    assert order == [[implies(a, b) for b in sample] for a in sample]
+    bare = [PpFormula(lam2, f.n, f.c, f.e, f.matrix) for f in sample]
+    assert all(f.realisation is None for f in bare)
+    want = [[implies(a, b) for b in bare] for a in bare]
+    calls, built = [], []
+    monkeypatch.setattr(ppcalc.lattice, "implies", lambda *a: calls.append(a) or implies(*a))
+    fp_module = ppcalc.formulas.fp_module
+    monkeypatch.setattr(ppcalc.formulas, "fp_module", lambda *a: built.append(a) or fp_module(*a))
+    assert order_table(bare) == want == order
+    # one implies per pair of the 12 distinct realisations, and each
+    # formula's finitely presented realisation built once
+    assert (len(calls), len(built)) == (144, 25)
+
+
+def test_laws_decided_counts_distinct_key_pairs(bmap2, acceptance_sample):
+    # 25 sample formulas (and their images) fall into 12 realisations, and
+    # the 325 pairs i <= j into 103 distinct pairs of representatives
+    sample, betas, order = acceptance_sample
+    report = verify_lattice_hom(bmap2, sample, betas, order)
+    assert (report["pairs_checked"], report["laws_decided"]) == (325, 103)
+
+
+def test_pointwise_check_without_the_regular_module_disagrees(lam2, acceptance_sample):
+    # negative control for criterion 3: Lambda's dim-2 member is what
+    # separates the formulas the order table separates
+    from ppcalc.acceptance import _pointwise_mismatches
+    from ppcalc.inventory import enumerate_indecomposables
+
+    sample, _, order = acceptance_sample
+    members = enumerate_indecomposables(lam2, 4, seed=0).members
+    assert [m.dim for m in members] == [1, 2]
+    assert _pointwise_mismatches(sample, order, members) == []
+    mismatches = _pointwise_mismatches(sample, order, [m for m in members if m.dim != 2])
+    assert len(mismatches) == 75
+    assert mismatches[0] == [2, 1]
+
+
+def loop_embedding_bimodule(s, r):
+    """The bimodule of F(M) = (M => M => M; 1, x, y) on S_S, for S = k<x,y>/(x,y)^2.
+
+    r is the 3-Kronecker algebra (arrows a, b, c).  Built as
+    embedding_bimodule is: the right action is F on the regular module,
+    left multiplications act in both vertex blocks, and the generators
+    are the vertex-1 basis.
+    """
+    f, d = s.field, s.dim
+    reg = regular_module(s)
+    one, zero = Mat.identity(f, d), Mat.zeros(f, d, d)
+
+    def blocks(top_left, top_right, bottom_right):
+        return Mat.vstack([Mat.hstack([top_left, top_right]), Mat.hstack([zero, bottom_right])])
+
+    x, y = (reg.action[s.labels.index(name)] for name in "xy")
+    named = {
+        "e1": blocks(one, zero, zero),
+        "e2": blocks(zero, zero, one),
+        "a": blocks(zero, one, zero),
+        "b": blocks(zero, x, zero),
+        "c": blocks(zero, y, zero),
+    }
+    left = [Mat.identity(f, 2).kron(s.left_mult_matrix(s.basis_element(i).coeffs)) for i in range(d)]
+    gens = [Mat.identity(f, 2 * d).row(i) for i in range(d)]
+    return Bimodule(s, r, 2 * d, left, [named[label] for label in r.labels], gens)
+
+
+def test_wild_three_kronecker_lattice_embedding():
+    # the wild case: S = k<x,y>/(x,y)^2 into the 3-Kronecker quiver over GF(2)
+    from ppcalc.algebra import QuiverSpec, algebra_from_quiver
+    from ppcalc.inventory import enumerate_indecomposables
+
+    square = [[(1, [a, b])] for a in "xy" for b in "xy"]
+    s = algebra_from_quiver(QuiverSpec(1, [(1, 1, "x"), (1, 1, "y")], relations=square), F2)
+    k3 = algebra_from_quiver(QuiverSpec(2, [(1, 2, "a"), (1, 2, "b"), (1, 2, "c")]), F2)
+    bmap = BetaMap(loop_embedding_bimodule(s, k3))
+    sample = standard_sample(s, enumerate_indecomposables(s, 2, seed=0).members, close=False)
+    betas = [beta(bmap, f) for f in sample]
+    order = order_table(sample)
+    hom = verify_lattice_hom(bmap, sample, betas, order)
+    assert (len(sample), hom["pairs_checked"]) == (11, 66)
+    assert hom["ok"], hom["failures"]
+    assert without_work_counts(hom) == reference_verify_lattice_hom(bmap, sample, betas, order)
+    emb = verify_embedding(bmap, sample, betas, order)
+    assert emb["ok"] and emb["strict_pairs"] == 37
