@@ -232,7 +232,12 @@ def cmd_inventory(args):
         "members": [pio.module_to_json(m, algebra_ref=None) for m in inv.members],
     }
     dims = [m.dim for m in inv.members]
-    _emit(args, payload, f"{len(inv.members)} indecomposables, dimensions {dims}")
+    _emit(
+        args,
+        payload,
+        f"{len(inv.members)} indecomposables, dimensions {dims};"
+        f" {inv.decided} candidates decided of {inv.assignments} assignments",
+    )
     return 0
 
 

@@ -1,16 +1,20 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ppcalc.algebra import Algebra
+from ppcalc.algebra import Algebra, QuiverSpec, algebra_from_quiver
 from ppcalc.examples import kronecker_algebra, lambda_algebra
 from ppcalc.inventory import (
     _BATCH_LIMIT,
     BudgetExceeded,
     Inventory,
+    _absolute_counts,
+    _compositions,
     _digits,
     _generating_data,
+    _kac_counts,
     _naive_candidates,
     _quiver_candidates,
     direct_sums_up_to,
@@ -18,7 +22,15 @@ from ppcalc.inventory import (
     verify_completeness,
 )
 from ppcalc.linalg import GF, Mat
-from ppcalc.modules import FDModule, is_direct_summand, iso_test, regular_module, validate_module
+from ppcalc.modules import (
+    FDModule,
+    ModuleError,
+    indecomposability,
+    is_direct_summand,
+    iso_test,
+    regular_module,
+    validate_module,
+)
 
 
 def test_lambda_f2_cap2_is_simple_and_regular(lam2, s1_2, reg2):
@@ -299,3 +311,104 @@ def test_naive_candidates_across_blocks(monkeypatch):
     want = [m.action for m in ref_naive_candidates(algebra, 2, gen_data)]
     monkeypatch.setattr(inventory, "_BATCH_LIMIT", 7)
     assert want and [m.action for m in _naive_candidates(algebra, 2, gen_data)] == want
+
+
+# -- Kac's counts by Hua's formula, and the stop rule they give ------------
+
+KRONECKER = QuiverSpec(2, [(1, 2, "a"), (1, 2, "b")])
+K3 = QuiverSpec(2, [(1, 2, "a"), (1, 2, "b"), (1, 2, "c")])
+A2 = QuiverSpec(2, [(1, 2, "a")])
+A3 = QuiverSpec(3, [(1, 2, "a"), (2, 3, "b")], cap=3)
+D4 = QuiverSpec(4, [(1, 4, "a"), (2, 4, "b"), (3, 4, "c")])
+ARROWLESS = QuiverSpec(2, [])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_kac_polynomials_in_closed_form(q):
+    kron = _absolute_counts(KRONECKER, q, 5)
+    assert [kron[(n, n)] for n in (1, 2)] == [q + 1, q + 1]
+    assert [kron[(n, n + 1)] for n in (0, 1, 2)] == [1, 1, 1]
+    # the Jordan loop x, with no relation: one nilpotent class per size
+    # and q eigenvalues
+    assert _absolute_counts(QuiverSpec(1, [(1, 1, "x")]), q, 4) == {(n,): q for n in range(1, 5)}
+    k3 = _absolute_counts(K3, q, 3)
+    assert k3[(1, 1)] == k3[(1, 2)] == q * q + q + 1
+    # Dynkin quivers (Gabriel): 1 on the positive roots, 0 elsewhere
+    roots = {
+        A2: {(1, 0), (0, 1), (1, 1)},
+        A3: {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)},
+    }
+    for quiver, positive in roots.items():
+        values = _absolute_counts(quiver, q, 4)
+        assert len(values) > len(positive)
+        assert {alpha: int(alpha in positive) for alpha in values} == values
+
+
+def no_stop_inventory(algebra, cap, seed=0):
+    """The inventory walk without the stop rule: every candidate of each
+    dimension is decided and tested against every member of that
+    dimension.  Returns the members, their dimension vectors, and, per
+    dimension vector, the position among its candidates of its last member."""
+    q = algebra.quiver
+    idempotents = [algebra.labels.index(f"e{i}") for i in range(1, q.n_vertices + 1)]
+    members, vectors, seen, last = [], [], Counter(), {}
+    for d in range(1, cap + 1):
+        for cand in _quiver_candidates(algebra, d):
+            vector = tuple(cand.action[i].rank() for i in idempotents)
+            seen[vector] += 1
+            res = indecomposability(cand, seed)
+            assert res.status != "probably-indecomposable"
+            if res.status != "indecomposable":
+                continue
+            if not any(iso_test(cand, m, seed, res) for m in members if m.dim == d):
+                members.append(cand)
+                vectors.append(vector)
+                last[vector] = seen[vector]
+    return members, vectors, last
+
+
+@pytest.mark.parametrize(
+    "quiver, p, cap, size",
+    [
+        (KRONECKER, 2, 5, 13),
+        (KRONECKER, 3, 3, 8),
+        (K3, 2, 3, 23),
+        (K3, 3, 3, 41),
+        (A3, 2, 3, 6),
+        (D4, 2, 3, 10),
+        (ARROWLESS, 2, 3, 2),
+    ],
+    ids=["kronecker-gf2-cap5", "kronecker-gf3-cap3", "k3-gf2-cap3", "k3-gf3-cap3",
+         "a3-gf2-cap3", "d4-gf2-cap3", "arrowless-gf2-cap3"],
+)
+def test_kac_stop_keeps_the_no_stop_inventory(quiver, p, cap, size):
+    algebra = algebra_from_quiver(quiver, GF(p))
+    want, vectors, last = no_stop_inventory(algebra, cap)
+    inv = enumerate_indecomposables(algebra, cap, seed=0)
+    assert len(want) == size
+    assert [m.action for m in inv.members] == [m.action for m in want]
+    # the reference's per-vector counts are Kac's, with 0 on the others
+    kac = _kac_counts(quiver, p, cap)
+    assert set(kac) == {c for d in range(1, cap + 1) for c in _compositions(d, quiver.n_vertices)}
+    assert {alpha: Counter(vectors)[alpha] for alpha in kac} == kac
+    # each vector with members is walked up to its last member, and no further;
+    # a vector with none is not walked
+    assert inv.decided == sum(last.values())
+    assert inv.assignments == sum(
+        p ** sum(c[s - 1] * c[t - 1] for s, t, _ in quiver.arrows) for c in kac
+    )
+
+
+def test_kac_stop_raises_when_a_vector_runs_out(monkeypatch):
+    # negative control: a count one too high at (1, 1) cannot be met, since
+    # the Kronecker quiver has three indecomposables there over GF(2)
+    from ppcalc import inventory
+
+    def over_count(quiver, p, cap):
+        counts = _kac_counts(quiver, p, cap)
+        counts[(1, 1)] += 1
+        return counts
+
+    monkeypatch.setattr(inventory, "_kac_counts", over_count)
+    with pytest.raises(ModuleError, match=r"dimension vector \(1, 1\) has 3 .* count 4"):
+        enumerate_indecomposables(kronecker_algebra(GF(2)), 2, seed=0)
