@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from functools import cached_property, partial
 
 import numpy as np
@@ -228,7 +229,8 @@ def hom_space(m: FDModule, n: FDModule):
     action matrices on m and n).  m and n must be modules (see
     validate_module).  Four eliminations, of which steps 1 and 2 depend
     on m alone and are made once per module object (m.presentation, see
-    _spin_presentation), so later calls out of the same m make two:
+    _spin_presentation), so later calls out of the same m make two, and
+    over GF(2) and GF(3) no product between them:
 
     1. Greedy generators: the basis vector e_j is one iff its row is
        independent of the rows before it in the stack of the rows
@@ -240,10 +242,13 @@ def hom_space(m: FDModule, n: FDModule):
     3. f = X Y, where Y has the rows y_i N_l, is a homomorphism iff
        K Y = 0.  With W = [K; X] cut into blocks W_l of r columns, one
        product sum_l W_l^T kron N_l gives [Phi | L]: Phi is the
-       (r*t) x (nrel*t) system y Phi = 0 on y = (y_1, ..., y_r), whose
-       left kernel is taken (not in rref), and y L is f flattened
-       row-major.
-    4. The rref of the images y L is the basis returned.
+       (r*t) x (nrel*t) system y Phi = 0 on y = (y_1, ..., y_r), and y L
+       is f flattened row-major.
+    4. The basis returned is the rref of the images y L of the y with
+       y Phi = 0: Mat.kernel_image of [Phi | L].  Over GF(2) and GF(3)
+       that is one forward pass over the rows of [Phi | L] and one rref
+       of the y L it leaves; otherwise a left kernel of Phi (not in
+       rref), the product y L and its rref.
 
     With s = dim m, t = dim n and nrel = r*dim A - s relations, the
     largest system is Phi, against the (s*t) x (s*t*dim A) system of
@@ -255,9 +260,7 @@ def hom_space(m: FDModule, n: FDModule):
     if s == 0 or t == 0:
         return []
     phi_l, nrel = _hom_system(m, n)
-    ys = phi_l.take_columns(range(nrel * t)).kernel_basis()
-    # 4. the canonical basis of the images y L
-    basis = (ys @ phi_l.take_columns(range(nrel * t, (nrel + s) * t))).rref()[0]
+    basis = phi_l.kernel_image(nrel * t)
     return [ModuleMap(m, n, basis.row(i).reshape(s, t), check=False) for i in range(basis.rows)]
 
 
@@ -562,11 +565,15 @@ def is_direct_summand(n: FDModule, m: FDModule):
     """Trace-ideal summand test for indecomposable n.
 
     True iff id_n lies in the span of {g o f}; on success returns split
-    maps (f, g) with f then g the identity of n.
+    maps (f, g) with f then g the identity of n.  Hom(m, n) is built only
+    when Hom(n, m) is not 0: otherwise there is no composite, so the span
+    is 0 and the answer is (False, None).
     """
     if n.dim == 0:
         return True, (zero_map(n, m), zero_map(m, n))
     fs = hom_space(n, m)
+    if not fs:
+        return False, None
     gs = hom_space(m, n)
     comps = []
     for f in fs:
@@ -607,20 +614,40 @@ class IndecResult:
         return f"IndecResult({self.status}{': ' + self.certificate if self.certificate else ''})"
 
 
+def _kernel_and_image(f: Mat):
+    """The left kernel and the image (row space) of a square f, from one rref of [f | I].
+
+    The rref is [[R, T], [0, K]], R the rows with a pivot in f's columns.
+    It is [T; K] [f | I] with [T; K] invertible, so R is the rref of f
+    and K's rows, as many as f's nullity, span the left kernel; K is
+    reduced at its own pivots, so it is the kernel's rref.  Returns
+    (kernel, image) as Subspaces.
+    """
+    field, n = f.field, f.rows
+    red, piv = Mat.hstack([f, Mat.identity(field, n)]).rref()
+    rank = bisect_left(piv, n)
+    img = Subspace(field, n, red.take_rows(range(rank)).take_columns(range(n)), piv[:rank])
+    ker_basis = red.take_rows(range(rank, n)).take_columns(range(n, 2 * n))
+    return Subspace(field, n, ker_basis, [c - n for c in piv[rank:]]), img
+
+
 def _fitting_split(m: FDModule, f_mat: Mat):
-    """Kernel/image splitting from a high power of an endomorphism."""
+    """Kernel/image splitting from a high power of an endomorphism.
+
+    The kernel and the image of the power have dimensions adding up to
+    dim m, so [ker; img] is invertible iff they meet in 0; its solve
+    decides that and gives the basis change at once.
+    """
     k = 1
     while (1 << k) < max(m.dim, 1):
         k += 1
-    power = f_mat.power(1 << k)
-    ker = Subspace.from_vectors(m.field, m.dim, power.kernel_basis())
-    if ker.dim == 0 or ker.dim == m.dim:
+    ker, img = _kernel_and_image(f_mat.power(1 << k))
+    if ker.dim == 0 or img.dim == 0:
         return None
-    img = Subspace.from_vectors(m.field, m.dim, power)
-    if ker.dim + img.dim != m.dim or ker.intersect(img).dim != 0:
+    tinv = Mat.vstack([ker.basis, img.basis]).solve_left(Mat.identity(m.field, m.dim))
+    if tinv is None:
         return None
     # in the basis [ker; img] the projection keeps the img coordinates
-    tinv = Mat.vstack([ker.basis, img.basis]).inverse()
     e = tinv.take_columns(range(ker.dim, m.dim)) @ img.basis
     return ModuleMap(m, m, e)  # projection onto the image along the kernel
 
@@ -852,11 +879,8 @@ def _split(m: FDModule, seed: int):
     res = indecomposability(m, seed)
     if res.status != "decomposed":
         return [(m, identity_map(m), identity_map(m), res)]
-    e = res.witness.matrix
-    img = Subspace.from_vectors(m.field, m.dim, e)
-    ker = Subspace.from_vectors(m.field, m.dim, e.kernel_basis())
-    t = Mat.vstack([ker.basis, img.basis])
-    tinv = t.inverse()
+    ker, img = _kernel_and_image(res.witness.matrix)
+    tinv = Mat.vstack([ker.basis, img.basis]).inverse()
     out = []
     for offset, space in ((0, ker), (ker.dim, img)):
         sub, incl = submodule_module(m, space)

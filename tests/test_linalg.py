@@ -1140,6 +1140,97 @@ def test_forward_pass_fixed_cases(name, rows):
     assert a.solve_left(Mat.of_array(field, [[0, 0, 1, 0, 0]])) is None
 
 
+def ref_kernel_image(m, k):
+    """kernel_image by three steps: the kernel of A, times B, in rref without its zero rows."""
+    ys = m.take_columns(range(k)).kernel_basis()
+    red, piv = (ys @ m.take_columns(range(k, m.cols))).rref()
+    return red.array()[: len(piv)]
+
+
+@st.composite
+def kernel_image_inputs(draw, field):
+    """(m, k) with m = [A | B], A the first k columns.
+
+    The width is small, or near 63 (the one-int rows of _sliced_rows), or
+    wide enough that the B parts left hold fewer or more than
+    _SLICED_RREF_THRESHOLD entries.  A is zero, has independent rows (the
+    kernel is empty), or is a product of sparse factors through a drawn
+    rank; k may be 0 (no A columns) or the whole width (no B columns).
+    """
+    cols = draw(st.sampled_from([0, 1, 3, 6, 20, 40, 62, 63, 64, 65]))
+    k = draw(st.sampled_from([0, cols, cols // 2, cols // 4]) | st.integers(0, cols))
+    kind = draw(st.sampled_from(["zero", "independent", "low rank"]))
+    rows = draw(st.integers(0, k if kind == "independent" else 14))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([1.0, 0.3, 0.05]))
+
+    def sparse(shape):
+        if field.is_prime_field:
+            return Mat.of_array(field, gen.integers(0, field.p, shape) * (gen.random(shape) < density))
+        return Mat.of_array(field, gen.integers(-3, 4, shape) * (gen.random(shape) < density))
+
+    if kind == "zero":
+        a = Mat.zeros(field, rows, k)
+    elif kind == "independent":
+        # [I | X], its columns shuffled
+        perm = gen.permutation(k).tolist()
+        a = Mat.hstack([Mat.identity(field, rows), sparse((rows, k - rows))]).take_columns(perm)
+    else:
+        rank = draw(st.integers(0, min(rows, k) + 1))
+        a = sparse((rows, rank)) @ sparse((rank, k))
+    return Mat.hstack([a, sparse((rows, cols - k))]), k
+
+
+@pytest.mark.parametrize("name", sorted(OLD_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_kernel_image_matches_three_steps(name, data):
+    field = OLD_FIELDS[name]
+    m, k = data.draw(kernel_image_inputs(field))
+    got = m.kernel_image(k)
+    same(got, ref_kernel_image(m, k))
+    assert got.rank() == got.rows
+
+
+@pytest.mark.parametrize("name", sorted(OLD_FIELDS))
+def test_kernel_image_fixed_cases(name):
+    field = OLD_FIELDS[name]
+    b = Mat.of_array(field, [[1, 2, 0], [2, 4, 0], [0, 1, 1]])
+    # no A columns, or A zero: every y counts, so the answer is the rref of B
+    want = Mat._of(field, old_from_vectors(b)[0])
+    assert b.kernel_image(0) == want
+    assert Mat.hstack([Mat.zeros(field, 3, 4), b]).kernel_image(4) == want
+    # A invertible: only y = 0, whatever B is
+    assert Mat.hstack([Mat.identity(field, 3), b]).kernel_image(3).shape == (0, 3)
+    # A = (1, 1, 0)^T: the kernel is spanned by e_0 - e_1 and e_2
+    a = Mat.of_array(field, [[1], [1], [0]])
+    got = Mat.hstack([a, b]).kernel_image(1)
+    assert got == Mat._of(field, old_from_vectors(Mat.vstack([b.row(0) - b.row(1), b.row(2)]))[0])
+    # no B columns, and no rows
+    assert Mat.hstack([a, Mat.zeros(field, 3, 0)]).kernel_image(1).shape == (0, 0)
+    assert Mat.zeros(field, 0, 5).kernel_image(2).shape == (0, 3)
+
+
+def test_kernel_image_over_gf3_past_the_one_pass_cut(monkeypatch):
+    # past the cut GF(3) takes the kernel, the product and the rref, with the same answer
+    rng = np.random.default_rng(3)
+    low = rng.integers(0, 3, (40, 5)) @ rng.integers(0, 3, (5, 30))
+    m = Mat.of_array(F3, np.hstack([low, rng.integers(0, 3, (40, 50))]))
+    kernels = []
+    kernel_basis = Mat.kernel_basis
+
+    def counted(self):
+        kernels.append(self.shape)
+        return kernel_basis(self)
+
+    monkeypatch.setattr(Mat, "kernel_basis", counted)
+    want = m.kernel_image(30)
+    assert kernels == [] and want.rows == 35
+    monkeypatch.setattr(linalg, "_ONE_PASS_GF3_CUT", m.rows * m.cols - 1)
+    assert m.kernel_image(30) == want and kernels == [(40, 30)]
+    same(want, ref_kernel_image(m, 30))
+
+
 @pytest.mark.parametrize(
     "field, avoided",
     [(F2, "_echelon"), (F3, "_echelon"), (GF(5), "_forward"), (GF(1048573), "_forward"), (QQ, "_forward")],

@@ -52,6 +52,7 @@ from ppcalc.modules import (
     ModuleMap,
     _enumerate_idempotent,
     _fitting_split,
+    _kernel_and_image,
     _krylov_minpoly,
     _roots_mod_p,
 )
@@ -265,6 +266,43 @@ def test_summand_agrees_with_exhaustive_search(s1_2, reg2, lam2):
                 if fm @ gm == Mat.identity(F2, n.dim):
                     found = True
         assert is_direct_summand(n, m)[0] == found
+
+
+def kronecker_simples(field):
+    """The Kronecker algebra and its simples S1 (vertex 1) and S2 (vertex 2)."""
+    kron = oracle_algebras(field)[1]
+    s1 = kronecker_rep(kron, Mat.zeros(field, 1, 0), Mat.zeros(field, 1, 0))
+    s2 = kronecker_rep(kron, Mat.zeros(field, 0, 1), Mat.zeros(field, 0, 1))
+    return kron, s1, s2
+
+
+def test_summand_test_rejects_a_decomposable_first_argument():
+    # End(S1 + S2) = k x k: no composite of two of its basis maps is
+    # invertible, yet the identity is the sum of two of them, which the
+    # local End ring of an indecomposable forbids
+    _, s1, s2 = kronecker_simples(F2)
+    n = direct_sum(s1, s2)[0]
+    end = hom_space(n, n)
+    assert not any((f.matrix @ g.matrix).is_invertible() for f in end for g in end)
+    assert maps_subspace(end, n, n).contains_vector(Mat.identity(F2, 2).reshape(1, 4))
+    with pytest.raises(ModuleError, match="first argument is not indecomposable"):
+        is_direct_summand(n, n)
+
+
+def test_summand_test_stops_at_a_zero_hom_space(monkeypatch):
+    kron, s1, _ = kronecker_simples(F2)
+    reg = regular_module(kron)
+    # Hom(S1, A) = 0 while Hom(A, S1) is not
+    assert not hom_space(s1, reg) and hom_space(reg, s1)
+    calls = []
+
+    def counted(m, n):
+        calls.append((m, n))
+        return hom_space(m, n)
+
+    monkeypatch.setattr(modules, "hom_space", counted)
+    assert is_direct_summand(s1, reg) == (False, None)
+    assert calls == [(s1, reg)]
 
 
 def test_indecomposability_results(s1_2, reg2, kron2):
@@ -762,6 +800,113 @@ def test_lazy_candidates_give_the_eager_answer(field):
                 assert lazy.witness is None
             else:
                 assert lazy.witness.matrix == eager.witness.matrix
+
+
+# -- the Fitting split's kernel and image from one rref --------------------
+
+
+@st.composite
+def square_mats(draw, field):
+    """n x n through a drawn rank; [f | I] has up to 200 entries, on both sides of 128."""
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(0, n))
+    return draw(oracle_mats(field, n, r)) @ draw(oracle_mats(field, r, n))
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+@ORACLE
+@given(data=st.data())
+def test_kernel_and_image_match_their_own_eliminations(case, data):
+    field = ORACLE_FIELDS[case]
+    f = data.draw(square_mats(field))
+    ker, img = _kernel_and_image(f)
+    want_ker = Subspace.from_vectors(field, f.rows, f.kernel_basis())
+    want_img = Subspace.from_vectors(field, f.rows, f)
+    assert (ker, ker.pivots) == (want_ker, want_ker.pivots)
+    assert (img, img.pivots) == (want_img, want_img.pivots)
+
+
+def test_fitting_split_refuses_a_kernel_that_meets_the_image(monkeypatch, lam2):
+    # a power of at least dim m meets its kernel only in 0 (Fitting), so the
+    # refusal is reached with the map standing in for its power: x on
+    # k[x]/(x^2) has kernel and image both (x)
+    reg = regular_module(lam2)
+    monkeypatch.setattr(Mat, "power", lambda self, k: self)
+    assert _fitting_split(reg, reg.action[lam2.labels.index("x")]) is None
+
+
+def ref_fitting_split(m, f_mat):
+    """_fitting_split with the kernel, the image and their meet each from its own elimination."""
+    k = 1
+    while (1 << k) < max(m.dim, 1):
+        k += 1
+    power = f_mat.power(1 << k)
+    ker = Subspace.from_vectors(m.field, m.dim, power.kernel_basis())
+    if ker.dim == 0 or ker.dim == m.dim:
+        return None
+    img = Subspace.from_vectors(m.field, m.dim, power)
+    if ker.dim + img.dim != m.dim or ker.intersect(img).dim != 0:
+        return None
+    tinv = Mat.vstack([ker.basis, img.basis]).inverse()
+    return ModuleMap(m, m, tinv.take_columns(range(ker.dim, m.dim)) @ img.basis)
+
+
+def ref_split(m, seed):
+    """modules._split with the idempotent's kernel and image each from its own elimination."""
+    res = indecomposability(m, seed)
+    if res.status != "decomposed":
+        return [(m, identity_map(m), identity_map(m), res)]
+    e = res.witness.matrix
+    img = Subspace.from_vectors(m.field, m.dim, e)
+    ker = Subspace.from_vectors(m.field, m.dim, e.kernel_basis())
+    tinv = Mat.vstack([ker.basis, img.basis]).inverse()
+    out = []
+    for offset, space in ((0, ker), (ker.dim, img)):
+        sub, incl = submodule_module(m, space)
+        proj = ModuleMap(m, sub, tinv.take_columns(range(offset, offset + space.dim)), check=False)
+        for piece, pi, pp, r in ref_split(sub, seed):
+            out.append((piece, pi.then(incl), proj.then(pp), r))
+    return out
+
+
+def split_cases(field):
+    """Sums of regular Kronecker modules R_a(n) and of Lambda-modules, in seeded random bases."""
+    lam = oracle_algebras(field)[0]
+    s, reg = simple_lambda_module(lam), regular_module(lam)
+    kron = [
+        direct_sum(regular_kronecker(field, 0, 1), regular_kronecker(field, 1, 1))[0],
+        direct_sum(regular_kronecker(field, 0, 2), regular_kronecker(field, 1, 1))[0],
+        direct_sum(regular_kronecker(field, 0, 1), regular_kronecker(field, 0, 2))[0],
+    ]
+    lams = [direct_sum(reg, s)[0], direct_sum(reg, reg)[0], direct_sum_many([reg, s, reg])[0]]
+    return [random_basis(m, seed) for seed, m in enumerate(kron + lams)]
+
+
+def split_outcomes(cases):
+    """Each case's indecomposability at seeds 0..2 and its decomposition (or the error)."""
+    out = []
+    for m in cases:
+        for seed in range(3):
+            res = indecomposability(m, seed)
+            witness = res.witness.matrix if res.witness else None
+            out.append((res.status, res.certificate, res.tried, res.enumerated, witness))
+        try:
+            out.append([(p.action, i.matrix, q.matrix) for p, i, q in decompose(m, 0)])
+        except ModuleError as err:
+            out.append(str(err))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+def test_one_rref_split_keeps_the_witnesses(case, monkeypatch):
+    field = ORACLE_FIELDS[case]
+    cases = split_cases(field)
+    got = split_outcomes(cases)
+    # some case splits by a Fitting candidate, not by the enumeration
+    assert any(o[0] == "decomposed" and o[3] == 0 for o in got if isinstance(o, tuple))
+    monkeypatch.setattr(modules, "_fitting_split", ref_fitting_split)
+    monkeypatch.setattr(modules, "_split", ref_split)
+    assert got == split_outcomes(cases)
 
 
 # -- eigenvalue shifts and the batched enumeration -------------------------
