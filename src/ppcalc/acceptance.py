@@ -35,8 +35,8 @@ from .interp import (
 )
 from .inventory import (
     Inventory,
-    direct_sums_up_to,
     enumerate_indecomposables,
+    sum_combos,
     verify_completeness,
 )
 from .lattice import (
@@ -166,28 +166,39 @@ def _criterion_1_2_3(cfg: RunConfig, ctx: PassContext):
     yield c3
 
 
+def _subject_failures(m_idx, subject, iso, members, combos):
+    """Criterion 4's failures for one subject and its isolating pair.
+
+    A pp pair commutes with finite direct sums, so it opens on a sum of
+    members iff it opens on one of them; by Krull-Schmidt the
+    indecomposable subject is a summand of such a sum iff it is a summand
+    of one of them.  So every combo of members is decided from one
+    isolation test and one summand test per member, and no sum is built.
+    """
+    top = iso.pair.top
+    if top.c != subject.dim or top.e > subject.dim * subject.algebra.dim + 1:
+        return [{"subject": m_idx, "reason": "bounds"}]
+    opens = [iso.open_on(x) for x in members]
+    summands = [is_direct_summand(subject, x)[0] for x in members]
+    return [
+        {"subject": m_idx, "sum": list(combo), "reason": "isolation"}
+        for combo in combos
+        if any(opens[i] for i in combo) != any(summands[i] for i in combo)
+    ]
+
+
 def _criterion_4(cfg: RunConfig):
     failures = []
     subjects = 0
     for make in (lambda_algebra, kronecker_algebra):
-        algebra = make(GF(3))
-        inv = enumerate_indecomposables(algebra, 3, cfg.budget, cfg.seed)
-        sums = list(direct_sums_up_to(inv, 3, 6))
+        inv = enumerate_indecomposables(make(GF(3)), 3, cfg.budget, cfg.seed)
+        combos = list(sum_combos(inv, 3, 6))
         for m_idx, subject in enumerate(inv.members):
             subjects += 1
             iso = isolating_pair(
                 subject, subject.basis_vector(0), inv.members, cfg.seed
             )
-            top = iso.pair.top
-            if top.c != subject.dim or top.e > subject.dim * algebra.dim + 1:
-                failures.append({"subject": m_idx, "reason": "bounds"})
-                continue
-            for l_mod, combo in sums:
-                expected = is_direct_summand(subject, l_mod)[0]
-                if iso.open_on(l_mod) != expected:
-                    failures.append(
-                        {"subject": m_idx, "sum": list(combo), "reason": "isolation"}
-                    )
+            failures += _subject_failures(m_idx, subject, iso, inv.members, combos)
     return {
         "id": 4,
         "passed": not failures,

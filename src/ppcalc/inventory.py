@@ -36,6 +36,7 @@ __all__ = [
     "Inventory",
     "BudgetExceeded",
     "enumerate_indecomposables",
+    "sum_combos",
     "direct_sums_up_to",
     "verify_completeness",
 ]
@@ -447,20 +448,26 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
                      assignments=estimate)
 
 
-def direct_sums_up_to(inv: Inventory, max_summands: int, max_dim: int):
-    """All direct sums of <= max_summands members with total dim <= max_dim.
-
-    Yields (module, member index multiset) in a deterministic order,
-    starting with the empty sum (the zero module).
-    """
+def sum_combos(inv: Inventory, max_summands: int, max_dim: int):
+    """The member index multisets of <= max_summands members with total
+    dim <= max_dim, in a deterministic order, starting with the empty one."""
     idx = range(len(inv.members))
     for size in range(max_summands + 1):
         for combo in itertools.combinations_with_replacement(idx, size):
-            total = sum(inv.members[i].dim for i in combo)
-            if total <= max_dim:
-                mods = [inv.members[i] for i in combo]
-                total_mod, _, _ = direct_sum_many(mods, algebra=inv.algebra)
-                yield total_mod, combo
+            if sum(inv.members[i].dim for i in combo) <= max_dim:
+                yield combo
+
+
+def direct_sums_up_to(inv: Inventory, max_summands: int, max_dim: int):
+    """All direct sums of <= max_summands members with total dim <= max_dim.
+
+    Yields (module, member index multiset) in the order of sum_combos,
+    starting with the empty sum (the zero module).
+    """
+    for combo in sum_combos(inv, max_summands, max_dim):
+        mods = [inv.members[i] for i in combo]
+        total_mod, _, _ = direct_sum_many(mods, algebra=inv.algebra)
+        yield total_mod, combo
 
 
 def verify_completeness(inv: Inventory, max_dim: int, seed: int = 0):
@@ -473,13 +480,10 @@ def verify_completeness(inv: Inventory, max_dim: int, seed: int = 0):
     candidates = _candidates(inv.algebra)[0]
     report = {"check": "inventory-completeness", "dims": [], "ok": True}
     for d in range(1, max_dim + 1):
-        expected = set()
-        for size in range(0, d + 1):
-            for combo in itertools.combinations_with_replacement(
-                range(len(inv.members)), size
-            ):
-                if sum(inv.members[i].dim for i in combo) == d:
-                    expected.add(combo)
+        expected = {
+            combo for combo in sum_combos(inv, d, d)
+            if sum(inv.members[i].dim for i in combo) == d
+        }
         observed = set()
         ok = True
         for cand in candidates(d):

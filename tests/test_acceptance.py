@@ -14,6 +14,12 @@ import pytest
 
 from ppcalc import acceptance
 from ppcalc.acceptance import CRITERIA_NAMES, RunConfig, render_json, render_text, run_acceptance
+from ppcalc.controlled import EmbeddingData, inverse_interp, roundtrip_check
+from ppcalc.examples import kronecker_algebra, lambda_algebra
+from ppcalc.interp import apply_interp, hom_interp_data, isolating_pair
+from ppcalc.inventory import direct_sums_up_to, enumerate_indecomposables, sum_combos
+from ppcalc.linalg import GF
+from ppcalc.modules import is_direct_summand, tensor_over
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -57,10 +63,93 @@ def test_criterion_4_covers_both_algebras(report):
     assert _get(report, 4)["details"]["subjects"] == 10
 
 
+@pytest.fixture(scope="module")
+def gf3_inventories():
+    """Criterion 4's GF(3) inventories at cap 3."""
+    makes = {"lambda": lambda_algebra, "kronecker": kronecker_algebra}
+    return {name: enumerate_indecomposables(make(GF(3)), 3, seed=0) for name, make in makes.items()}
+
+
+def isolating(subject, members):
+    return isolating_pair(subject, subject.basis_vector(0), members, 0)
+
+
+@pytest.mark.parametrize("name", ["lambda", "kronecker"])
+def test_criterion_4_sums_follow_from_their_members(gf3_inventories, name):
+    # criterion 4 decides each sum from the members; the direct tests on
+    # every built sum must agree with that derivation
+    inv = gf3_inventories[name]
+    sums = list(direct_sums_up_to(inv, 3, 6))
+    assert [combo for _, combo in sums] == list(sum_combos(inv, 3, 6))
+    pairs = 0
+    for subject in inv.members:
+        iso = isolating(subject, inv.members)
+        opens = [iso.open_on(x) for x in inv.members]
+        summands = [is_direct_summand(subject, x)[0] for x in inv.members]
+        for l_mod, combo in sums:
+            assert iso.open_on(l_mod) == any(opens[i] for i in combo), combo
+            assert is_direct_summand(subject, l_mod)[0] == any(summands[i] for i in combo), combo
+            pairs += 1
+    # 2 subjects x 10 sums over Lambda, 8 x 123 over Kronecker: 1,004 in all
+    assert pairs == {2: 20, 8: 984}[len(inv.members)]
+
+
+def test_criterion_4_catches_the_isolating_pair_of_another_member(gf3_inventories):
+    # negative control: member 2's pair checked as if it isolated member 3
+    # (both dim 2) opens on sums that member 3 is not a summand of
+    inv = gf3_inventories["kronecker"]
+    two, three = inv.members[2], inv.members[3]
+    assert two.dim == three.dim == 2
+    iso = isolating(two, inv.members)
+    derived = acceptance._subject_failures(3, three, iso, inv.members, list(sum_combos(inv, 3, 6)))
+    direct = [
+        {"subject": 3, "sum": list(combo), "reason": "isolation"}
+        for l_mod, combo in direct_sums_up_to(inv, 3, 6)
+        if iso.open_on(l_mod) != is_direct_summand(three, l_mod)[0]
+    ]
+    assert derived == direct
+    assert len(derived) == 54 and derived[0]["sum"] == [2]
+
+
+def test_criterion_4_reports_bounds_before_sums(gf3_inventories):
+    # a pair whose top formula has the arity of another dimension fails the
+    # bounds check, and its sums are then not tested
+    inv = gf3_inventories["lambda"]
+    simple, regular = inv.members
+    iso = isolating(regular, inv.members)
+    got = acceptance._subject_failures(0, simple, iso, inv.members, list(sum_combos(inv, 3, 6)))
+    assert got == [{"subject": 0, "reason": "bounds"}]
+
+
 def test_criterion_5_exact_dimensions(report):
     rows = _get(report, 5)["details"]["modules"]
     dims = {r["module_dim"]: r["image_dim"] for r in rows}
     assert dims == {1: 1, 2: 2}
+
+
+def test_criterion_5_round_trip_fails_under_the_forget_x_bimodule(lam2, forget_x2):
+    # negative control: the inverse data of a functor that forgets x does
+    # not bring back either member of Lambda's inventory
+    emb = EmbeddingData(forget_x2, control=None)
+    data = inverse_interp(emb)
+    reports = [roundtrip_check(emb, n, data, 0) for n in enumerate_indecomposables(lam2, 2, seed=0).members]
+    assert [r["ok"] for r in reports] == [False, False]
+    assert [r["dims"] for r in reports] == [[1, 2], [2, 4]]
+    assert [r["witness"] for r in reports] == [None, None]
+
+
+def test_criterion_6_simple_is_not_a_summand_under_the_forget_x_bimodule(lam2, forget_x2):
+    # negative control: the simple module is lost from its double image,
+    # while the regular module is still a summand of its own
+    data = hom_interp_data(forget_x2)
+    simple, regular = enumerate_indecomposables(lam2, 2, seed=0).members
+    doubles = [
+        apply_interp(data, tensor_over(n, forget_x2).module, check=False).module
+        for n in (simple, regular)
+    ]
+    assert doubles[0].dim == 2
+    assert is_direct_summand(simple, doubles[0]) == (False, None)
+    assert is_direct_summand(regular, doubles[1])[0]
 
 
 def test_criterion_7_bound_values(report):

@@ -310,26 +310,11 @@ def test_verify_lattice_hom_matches_reference_without_realisations(lam2, bmap2, 
     assert len(built) == len(sample) == 7
 
 
-def forget_x_bimodule(lam, kron):
-    """The bimodule of F(M) = (M => M; 1, 0), built as embedding_bimodule is.
-
-    F is exact but not a representation embedding: it forgets x, so it
-    sends S + S and Lambda to isomorphic Kronecker modules.
-    """
-    from ppcalc.examples import kronecker_rep
-
-    f, d = lam.field, lam.dim
-    right = kronecker_rep(kron, Mat.identity(f, d), Mat.zeros(f, d, d)).action
-    left = [Mat.identity(f, 2).kron(lam.left_mult_matrix(lam.basis_element(i).coeffs)) for i in range(d)]
-    gens = [Mat.identity(f, 2 * d).row(i) for i in range(2)]
-    return Bimodule(lam, kron, 2 * d, left, right, gens)
-
-
-def test_forget_x_bimodule_is_a_lattice_hom_but_not_an_embedding(lam2, kron2, acceptance_sample):
+def test_forget_x_bimodule_is_a_lattice_hom_but_not_an_embedding(forget_x2, acceptance_sample):
     # negative control for criterion 2: the embedding check must catch a
     # functor that is exact (so the homomorphism check passes) yet loses x
     sample, _, order = acceptance_sample
-    bmap = BetaMap(forget_x_bimodule(lam2, kron2))
+    bmap = BetaMap(forget_x2)
     betas = [beta(bmap, f) for f in sample]
     hom = verify_lattice_hom(bmap, sample, betas, order)
     assert hom["ok"] and hom["pairs_checked"] == 325
