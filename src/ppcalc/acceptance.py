@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .algebra import Algebra
 from .controlled import EmbeddingData, inverse_interp, roundtrip_check
-from .examples import embedding_bimodule, kronecker_algebra, lambda_algebra
+from .examples import embedding_bimodule, kronecker_algebra, kronecker_rep, lambda_algebra
 from .formulas import (
     PpFormula,
     PpPair,
@@ -25,6 +25,7 @@ from .formulas import (
     zero_formula,
 )
 from .interp import (
+    InterpData,
     apply_interp,
     axiom_pairs,
     bounds,
@@ -47,7 +48,7 @@ from .lattice import (
     verify_embedding,
     verify_lattice_hom,
 )
-from .linalg import GF
+from .linalg import GF, Mat
 from .modules import Bimodule, is_direct_summand, iso_test, tensor_over
 
 __all__ = ["RunConfig", "run_acceptance", "render_text", "render_json"]
@@ -75,34 +76,25 @@ class RunConfig(NamedTuple):
     budget: int = 10**7
 
 
-class PassContext(NamedTuple):
-    """What criteria 1-9 share within one core pass over GF(2).
+class Case(NamedTuple):
+    """An embedding's two algebras, its bimodule and both inventories over one field.
 
-    lam_inv is the inventory of Lambda at cap 4; smaller caps are its
-    prefixes (Inventory.up_to).
+    s_inv and r_inv are the inventories of S and R at the case's caps;
+    smaller caps are their prefixes (Inventory.up_to).
     """
 
-    lam: Algebra
-    kron: Algebra
+    s: Algebra
+    r: Algebra
     bim: Bimodule
-    lam_inv: Inventory
+    s_inv: Inventory
+    r_inv: Inventory
 
 
-def _f2_context(cfg: RunConfig) -> PassContext:
-    lam = lambda_algebra(GF(2))
-    kron = kronecker_algebra(GF(2))
-    bim = embedding_bimodule(lam, kron)
-    lam_inv = enumerate_indecomposables(lam, 4, cfg.budget, cfg.seed)
-    return PassContext(lam, kron, bim, lam_inv)
-
-
-def _sample_classes(order):
-    """Number of equivalence classes of a sample, given its order table."""
-    reps = []
-    for i in range(len(order)):
-        if not any(order[i][r] and order[r][i] for r in reps):
-            reps.append(i)
-    return len(reps)
+def _lambda_case(cfg: RunConfig, field, cap: int) -> Case:
+    """Lambda into Kronecker over field, both inventories at cap."""
+    s, r = lambda_algebra(field), kronecker_algebra(field)
+    invs = (enumerate_indecomposables(a, cap, cfg.budget, cfg.seed) for a in (s, r))
+    return Case(s, r, embedding_bimodule(s, r), *invs)
 
 
 def _pointwise_mismatches(sample, order, members):
@@ -117,23 +109,23 @@ def _pointwise_mismatches(sample, order, members):
     ]
 
 
-def _criterion_1_2_3(cfg: RunConfig, ctx: PassContext):
+def _criterion_1_2_3(cfg: RunConfig, case: Case):
     """The shared sample drives the first three criteria, yielded as each is decided."""
-    sample = standard_sample(ctx.lam, ctx.lam_inv.up_to(3).members)
-    bmap = BetaMap(ctx.bim)
+    sample = standard_sample(case.s, case.s_inv.up_to(3).members)
+    bmap = BetaMap(case.bim)
 
     start = time.monotonic()
     betas = [beta(bmap, f) for f in sample]
     order = order_table(sample)
     hom_report = verify_lattice_hom(bmap, sample, betas, order)
     elapsed = time.monotonic() - start
-    classes = _sample_classes(order)
     c1 = {
         "id": 1,
         "passed": hom_report["ok"] and len(sample) >= 10 and elapsed < 60.0,
         "details": {
             "sample_size": len(sample),
-            "equivalence_classes": classes,
+            # two formulas are equivalent iff their order-table rows are equal
+            "equivalence_classes": len(set(map(tuple, order))),
             "pairs_checked": hom_report["pairs_checked"],
             "failures": hom_report["failures"],
             "runtime_under_60s": elapsed < 60.0,
@@ -152,7 +144,7 @@ def _criterion_1_2_3(cfg: RunConfig, ctx: PassContext):
     }
     yield c2
 
-    members = ctx.lam_inv.members
+    members = case.s_inv.members
     mismatches = _pointwise_mismatches(sample, order, members)
     c3 = {
         "id": 3,
@@ -187,11 +179,10 @@ def _subject_failures(m_idx, subject, iso, members, combos):
     ]
 
 
-def _criterion_4(cfg: RunConfig):
+def _criterion_4(cfg: RunConfig, case: Case):
     failures = []
     subjects = 0
-    for make in (lambda_algebra, kronecker_algebra):
-        inv = enumerate_indecomposables(make(GF(3)), 3, cfg.budget, cfg.seed)
+    for inv in (case.s_inv, case.r_inv):
         combos = list(sum_combos(inv, 3, 6))
         for m_idx, subject in enumerate(inv.members):
             subjects += 1
@@ -206,19 +197,16 @@ def _criterion_4(cfg: RunConfig):
     }
 
 
-def _criterion_5_6(cfg: RunConfig, ctx: PassContext):
+def _criterion_5_6(cfg: RunConfig, case: Case):
     """The round trip (5), then the double image (6), yielded as each is decided."""
-    inv = ctx.lam_inv
-    emb = EmbeddingData(ctx.bim, control=None)
+    inv = case.s_inv
+    emb = EmbeddingData(case.bim, control=None)
     data = inverse_interp(emb)
     rows = []
     ok5 = True
-    expected_dims = {1: 1, 2: 2}  # image dims for the simple and the regular
     for n_mod in inv.members:
         rep = roundtrip_check(emb, n_mod, data, cfg.seed)
-        want = expected_dims.get(n_mod.dim)
-        dim_ok = want is None or rep["dims"][1] == want
-        ok5 = ok5 and rep["ok"] and dim_ok
+        ok5 = ok5 and rep["ok"] and rep["dims"][1] == n_mod.dim
         rows.append(
             {
                 "module_dim": n_mod.dim,
@@ -228,11 +216,11 @@ def _criterion_5_6(cfg: RunConfig, ctx: PassContext):
         )
     yield {"id": 5, "passed": ok5, "details": {"modules": rows}}
 
-    hom_data = hom_interp_data(ctx.bim)
+    hom_data = hom_interp_data(case.bim)
     double_rows = []
     ok6 = True
     for n_mod in inv.members:
-        t = tensor_over(n_mod, ctx.bim)
+        t = tensor_over(n_mod, case.bim)
         gfn = apply_interp(hom_data, t.module, check=False)
         is_summand = is_direct_summand(n_mod, gfn.module)[0]
         ok6 = ok6 and is_summand
@@ -242,20 +230,18 @@ def _criterion_5_6(cfg: RunConfig, ctx: PassContext):
     yield {"id": 6, "passed": ok6, "details": {"modules": double_rows}}
 
 
-def _criterion_7(cfg: RunConfig, ctx: PassContext):
-    kron = ctx.kron
-    data = hom_interp_data(ctx.bim)
-    lam_inv = ctx.lam_inv.up_to(2)
-    simple = lam_inv.by_dim(1)[0]
-    iso = isolating_pair(simple, simple.basis_vector(0), lam_inv.members, cfg.seed)
+def _criterion_7(cfg: RunConfig, case: Case):
+    data = hom_interp_data(case.bim)
+    s_inv = case.s_inv.up_to(2)
+    simple = s_inv.by_dim(1)[0]
+    iso = isolating_pair(simple, simple.basis_vector(0), s_inv.members, cfg.seed)
     sigma_tau, report = pullback_pair(data, iso.pair, d=1)
     reference = bounds(
-        1, data.m, data.S.dim, data.phi.c, data.psi.c, [r.c for r in data.rhos], kron.dim
+        1, data.m, data.S.dim, data.phi.c, data.psi.c, [r.c for r in data.rhos], case.r.dim
     )
-    kron_inv = enumerate_indecomposables(kron, 4, cfg.budget, cfg.seed)
     pairs = axiom_pairs(data)
     mismatches = []
-    for idx, m in enumerate(kron_inv.members):
+    for idx, m in enumerate(case.r_inv.members):
         # an open axiom pair puts m outside the functor's domain
         if not closure_report(pairs, m)["ok"]:
             mismatches.append(idx)
@@ -270,7 +256,7 @@ def _criterion_7(cfg: RunConfig, ctx: PassContext):
         "details": {
             "c_sigma": report.c_sigma,
             "n_d": reference.n_d,
-            "modules_checked": len(kron_inv.members),
+            "modules_checked": len(case.r_inv.members),
             "mismatches": mismatches,
         },
     }
@@ -285,50 +271,42 @@ def _criterion_8(cfg: RunConfig):
     }
 
 
-def _vertex2_sort_data(lam, kron):
-    """Inverse-on-the-image data with the vertex-2 component as sort.
+def _vertex2_sort_data(s, r):
+    """Inverse-on-the-image data of F: M |-> (M => M; 1, x_1, ...), sort vertex 2.
 
-    The action of x pulls back through the first arrow, which is only
-    possible where that arrow acts invertibly; the resulting domain is a
-    proper definable subcategory containing the image of the embedding.
+    phi says x e1 = 0, so x lies at vertex 2.  A path w_1...w_k of S acts
+    through bound z_1, ..., z_k at vertex 1 (z_i e2 = 0): z_1 a = x,
+    z_{i+1} a = z_i b_{w_i} and z_k b_{w_k} = y, for a the first arrow of
+    R and b_j the arrow of loop j; the empty path gives y = x.  Each loop
+    is pulled back through a, which is only possible where a acts
+    invertibly; the resulting domain is a proper definable subcategory
+    containing the image of the embedding.
     """
-    from .interp import InterpData
-
-    one = kron.one_element()
-    e1 = kron.basis_element("e1")
-    e2 = kron.basis_element("e2")
-    a_ = kron.basis_element("a")
-    b_ = kron.basis_element("b")
-    phi = PpFormula(kron, 1, 0, 1, {(0, 0): e1})  # x e1 = 0, i.e. x = x e2
-    psi = zero_formula(kron, 1)
-    rho_unit = PpFormula(kron, 2, 0, 1, {(0, 0): one, (1, 0): -one})  # y = x
-    rho_x = PpFormula(
-        kron,
-        2,
-        1,
-        3,
-        {
-            (2, 0): e2,          # z e2 = 0: the witness sits at vertex 1
-            (2, 1): a_, (0, 1): -one,  # z a = x
-            (2, 2): b_, (1, 2): -one,  # z b = y
-        },
-    )
+    one, e1, e2 = r.one_element(), r.basis_element("e1"), r.basis_element("e2")
+    first, *rest = (r.basis_element(label) for *_, label in r.quiver.arrows)
+    b_of = dict(zip((label for *_, label in s.quiver.arrows), rest))
     rhos = []
-    for label in lam.labels:
-        rhos.append({"e1": rho_unit, "x": rho_x}[label])
-    return InterpData(kron, lam, 1, PpPair(phi, psi), rhos)
+    for _, word in s.paths:
+        # rows x, y, z_1, ..., z_k; row * coeff is what the next z a (or y) equals
+        coeffs, row, coeff, k = {}, 0, one, len(word)
+        for i, loop in enumerate(word):
+            coeffs[2 + i, 2 * i] = e2
+            coeffs[2 + i, 2 * i + 1], coeffs[row, 2 * i + 1] = first, -coeff
+            row, coeff = 2 + i, b_of[loop]
+        coeffs[row, 2 * k], coeffs[1, 2 * k] = coeff, -one
+        rhos.append(PpFormula(r, 2, k, 2 * k + 1, coeffs))
+    phi = PpFormula(r, 1, 0, 1, {(0, 0): e1})
+    return InterpData(r, s, 1, PpPair(phi, zero_formula(r, 1)), rhos)
 
 
-def _criterion_9(cfg: RunConfig, ctx: PassContext):
-    lam, kron, bim = ctx.lam, ctx.kron, ctx.bim
-    data = _vertex2_sort_data(lam, kron)
+def _criterion_9(cfg: RunConfig, case: Case):
+    data = _vertex2_sort_data(case.s, case.r)
     pairs = axiom_pairs(data)
-    lam_inv = ctx.lam_inv.up_to(2)
     image_reports = []
     image_ok = True
     image_isos = True
-    for n_mod in lam_inv.members:
-        t = tensor_over(n_mod, bim)
+    for n_mod in case.s_inv.up_to(2).members:
+        t = tensor_over(n_mod, case.bim)
         rep = closure_report(pairs, t.module)
         image_ok = image_ok and rep["ok"]
         img = apply_interp(data, t.module, check=False)
@@ -336,10 +314,8 @@ def _criterion_9(cfg: RunConfig, ctx: PassContext):
         image_isos = image_isos and back
         image_reports.append({"module_dim": n_mod.dim, "all_closed": rep["ok"], "recovers_source": back})
     # the simple module at the second vertex is outside the domain
-    from .examples import kronecker_rep
-    from .linalg import Mat
-
-    s2 = kronecker_rep(kron, Mat.zeros(GF(2), 0, 1), Mat.zeros(GF(2), 0, 1))
+    zero = Mat.zeros(case.r.field, 0, 1)
+    s2 = kronecker_rep(case.r, *[zero] * len(case.r.quiver.arrows))
     s2_report = closure_report(pairs, s2)
     open_on_s2 = [e["pair"] for e in s2_report["pairs"] if not e["closed"]]
     return {
@@ -355,13 +331,13 @@ def _criterion_9(cfg: RunConfig, ctx: PassContext):
 
 def _core_criteria(cfg: RunConfig):
     """Criteria 1-9 of one core pass, yielded in id order as each is decided."""
-    ctx = _f2_context(cfg)
-    yield from _criterion_1_2_3(cfg, ctx)
-    yield _criterion_4(cfg)
-    yield from _criterion_5_6(cfg, ctx)
-    yield _criterion_7(cfg, ctx)
+    f2 = _lambda_case(cfg, GF(2), 4)
+    yield from _criterion_1_2_3(cfg, f2)
+    yield _criterion_4(cfg, _lambda_case(cfg, GF(3), 3))
+    yield from _criterion_5_6(cfg, f2)
+    yield _criterion_7(cfg, f2)
     yield _criterion_8(cfg)
-    yield _criterion_9(cfg, ctx)
+    yield _criterion_9(cfg, f2)
 
 
 def _run_core(cfg: RunConfig):
@@ -402,9 +378,10 @@ def run_acceptance(cfg: RunConfig = None):
 
     `timings` maps each criterion id to the wall seconds between the
     previous criterion's result and its own.  So criterion 1 includes the
-    pass context (the inventory of Lambda at cap 4 and the embedding
-    bimodule) and the shared sample, betas and order table; 5 includes the
-    inverse functor data; 10 includes its rerun of criteria 1-9.
+    GF(2) case (the inventories of Lambda and Kronecker at cap 4 and the
+    embedding bimodule) and the shared sample, betas and order table; 4
+    includes the GF(3) case; 5 includes the inverse functor data; 10
+    includes its rerun of criteria 1-9.
     """
     cfg = cfg or RunConfig()
     start = time.monotonic()

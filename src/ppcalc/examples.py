@@ -6,6 +6,10 @@ tensor functor sends a module M to the Kronecker representation
 (M => M; 1, x).  It is that functor's value on the regular module
 Lambda_Lambda.  Its generating tuple is (w, xw) for w the first copy's
 unit.
+
+For a one-vertex S with loops x_1, ..., x_n and the (n+1)-arrow
+Kronecker algebra R the functor is (M => M; 1, x_1, ..., x_n); with
+S = k<x,y>/(x,y)^2 and R = K_3 it is the wild example's.
 """
 
 from __future__ import annotations
@@ -43,44 +47,51 @@ def simple_lambda_module(lam: Algebra) -> FDModule:
     return FDModule(lam, 1, [Mat.identity(f, 1), Mat.zeros(f, 1, 1)])
 
 
-def kronecker_rep(kron: Algebra, a_mat: Mat, b_mat: Mat) -> FDModule:
-    """The Kronecker module with vertex spaces k^d1, k^d2 and arrow maps.
+def kronecker_rep(kron: Algebra, *arrow_mats: Mat) -> FDModule:
+    """The representation of a quiver 1 => 2 with vertex spaces k^d1, k^d2.
 
-    a_mat, b_mat are d1 x d2 matrices acting from the vertex-1 block to
-    the vertex-2 block.
+    arrow_mats holds one d1 x d2 matrix per arrow of kron.quiver, in
+    order, each acting from the vertex-1 block to the vertex-2 block.
     """
     f = kron.field
-    d1, d2 = a_mat.rows, a_mat.cols
-    if b_mat.shape != (d1, d2):
+    arrows = [label for *_, label in kron.quiver.arrows]
+    if len(arrow_mats) != len(arrows):
+        raise ValueError(f"need one matrix per arrow, {len(arrows)} in all")
+    d1, d2 = arrow_mats[0].shape
+    if any(m.shape != (d1, d2) for m in arrow_mats):
         raise ValueError("arrow matrices must share their shape")
     d = d1 + d2
-    blocks = np.full((4, d, d), f.zero(), dtype=f.dtype)
-    e1, e2, a, b = blocks
+    blocks = np.full((2 + len(arrows), d, d), f.zero(), dtype=f.dtype)
+    e1, e2 = blocks[:2]
     e1[range(d1), range(d1)] = f.one()
     e2[range(d1, d), range(d1, d)] = f.one()
-    a[:d1, d1:] = a_mat.array()
-    b[:d1, d1:] = b_mat.array()
-    named = {"e1": e1, "e2": e2, "a": a, "b": b}
+    for block, m in zip(blocks[2:], arrow_mats):
+        block[:d1, d1:] = m.array()
+    named = dict(zip(["e1", "e2", *arrows], blocks))
     return FDModule(kron, d, [Mat.of_array(f, named[label]) for label in kron.labels])
 
 
 def functor_image(kron: Algebra, m: FDModule) -> FDModule:
-    """(M => M; 1, x): the Kronecker representation the bimodule realises."""
-    f = kron.field
-    x_act = m.action[m.algebra.labels.index("x")]
-    return kronecker_rep(kron, Mat.identity(f, m.dim), x_act)
+    """(M => M; 1, x_1, ...): the representation the bimodule realises.
+
+    The loops x_1, ... are the arrows of m.algebra.quiver, in order.
+    """
+    loops = [m.action[m.algebra.labels.index(label)] for *_, label in m.algebra.quiver.arrows]
+    return kronecker_rep(kron, Mat.identity(kron.field, m.dim), *loops)
 
 
 def embedding_bimodule(lam: Algebra, kron: Algebra) -> Bimodule:
-    """The dim-4 bimodule F(Lambda_Lambda) for F: M |-> (M => M; 1, x).
+    """The bimodule F(S_S) for F: M |-> (M => M; 1, x_1, ...), S = lam.
 
     The right action is F on the regular module.  A left multiplication
-    is an endomorphism of Lambda_Lambda, and F acts on it in both vertex
-    blocks.  Basis order: w, xw, u, xu with w the vertex-1 unit and
-    u = w*a the vertex-2 unit; the generators are (w, xw).
+    is an endomorphism of S_S, and F acts on it in both vertex blocks.
+    The basis is S's basis in each vertex block, the vertex-1 block
+    first; the generators are the vertex-1 block.  For Lambda that is
+    w, xw, u, xu with w the vertex-1 unit and u = w*a the vertex-2 unit,
+    generated by (w, xw).
     """
     f, d = lam.field, lam.dim
     right = functor_image(kron, regular_module(lam)).action
     left = [Mat.identity(f, 2).kron(lam.left_mult_matrix(lam.basis_element(i).coeffs)) for i in range(d)]
-    gens = [Mat.identity(f, 2 * d).row(i) for i in range(2)]
+    gens = [Mat.identity(f, 2 * d).row(i) for i in range(d)]
     return Bimodule(lam, kron, 2 * d, left, right, gens)

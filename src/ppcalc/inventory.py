@@ -462,7 +462,10 @@ def direct_sums_up_to(inv: Inventory, max_summands: int, max_dim: int):
     """All direct sums of <= max_summands members with total dim <= max_dim.
 
     Yields (module, member index multiset) in the order of sum_combos,
-    starting with the empty sum (the zero module).
+    starting with the empty sum (the zero module).  Criterion 4 decides
+    these sums without building them; this stays public because
+    perfbench/tracer.py times it by name and the criterion-4 reference
+    test checks that derivation on every sum built here.
     """
     for combo in sum_combos(inv, max_summands, max_dim):
         mods = [inv.members[i] for i in combo]

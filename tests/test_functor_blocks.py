@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 
 from ppcalc.acceptance import _vertex2_sort_data
 from ppcalc.examples import embedding_bimodule, kronecker_algebra, lambda_algebra
-from ppcalc.formulas import PpPair, _subst_blocks, assemble, conj, pp_type_generator, sum_formula
+from ppcalc.formulas import (
+    PpFormula,
+    PpPair,
+    _subst_blocks,
+    assemble,
+    conj,
+    pp_type_generator,
+    sum_formula,
+    zero_formula,
+)
 from ppcalc.interp import InterpData, axiom_pairs, hom_interp_data, pullback_formula
 from ppcalc.linalg import Mat
 from ppcalc.modules import Bimodule, direct_sum
@@ -173,6 +182,37 @@ def test_axiom_pairs_match_slot_offsets_on_vertex2_sort(case):
     field = ORACLE_FIELDS[case]
     vdata = _vertex2_sort_data(lambda_algebra(field), kronecker_algebra(field))
     assert pair_keys(axiom_pairs(vdata)) == pair_keys(ref_axiom_pairs(vdata))
+
+
+def ref_vertex2_sort_data(lam, kron):
+    """The vertex-2 data of Lambda into Kronecker, written out formula by formula."""
+    one = kron.one_element()
+    e1, e2, a, b = (kron.basis_element(label) for label in ("e1", "e2", "a", "b"))
+    phi = PpFormula(kron, 1, 0, 1, {(0, 0): e1})  # x e1 = 0, i.e. x = x e2
+    rho_unit = PpFormula(kron, 2, 0, 1, {(0, 0): one, (1, 0): -one})  # y = x
+    rho_x = PpFormula(
+        kron,
+        2,
+        1,
+        3,
+        {
+            (2, 0): e2,  # z e2 = 0: the witness sits at vertex 1
+            (2, 1): a, (0, 1): -one,  # z a = x
+            (2, 2): b, (1, 2): -one,  # z b = y
+        },
+    )
+    rhos = {"e1": rho_unit, "x": rho_x}
+    return InterpData(kron, lam, 1, PpPair(phi, zero_formula(kron, 1)), [rhos[l] for l in lam.labels])
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
+def test_vertex2_sort_data_is_the_hand_written_one(case):
+    field = ORACLE_FIELDS[case]
+    lam, kron = lambda_algebra(field), kronecker_algebra(field)
+    got, want = _vertex2_sort_data(lam, kron), ref_vertex2_sort_data(lam, kron)
+    assert (got.R, got.S, got.m, len(got.rhos)) == (want.R, want.S, want.m, len(want.rhos))
+    formulas = [got.phi, got.psi, *got.rhos]
+    assert [f.key() for f in formulas] == [f.key() for f in [want.phi, want.psi, *want.rhos]]
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))

@@ -428,3 +428,30 @@ def test_wild_three_kronecker_lattice_embedding():
     assert without_work_counts(hom) == reference_verify_lattice_hom(bmap, sample, betas, order)
     emb = verify_embedding(bmap, sample, betas, order)
     assert emb["ok"] and emb["strict_pairs"] == 37
+
+
+def wild_algebras(field):
+    """S = k<x,y>/(x,y)^2 and the 3-Kronecker algebra (arrows a, b, c) over field."""
+    from ppcalc.algebra import QuiverSpec, algebra_from_quiver
+
+    square = [[(1, [a, b])] for a in "xy" for b in "xy"]
+    s = algebra_from_quiver(QuiverSpec(1, [(1, 1, "x"), (1, 1, "y")], relations=square), field)
+    k3 = algebra_from_quiver(QuiverSpec(2, [(1, 2, "a"), (1, 2, "b"), (1, 2, "c")]), field)
+    return s, k3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_embedding_bimodule_on_two_loops_is_the_loop_bimodule(p):
+    # embedding_bimodule reads the loops and arrows from the quivers, so on
+    # S and K_3 it is the bimodule written out above, matrix for matrix
+    from ppcalc.examples import embedding_bimodule
+
+    s, k3 = wild_algebras(GF(p))
+    got, want = embedding_bimodule(s, k3), loop_embedding_bimodule(s, k3)
+    assert (got.S, got.R, got.dim) == (want.S, want.R, want.dim) == (s, k3, 6)
+    for mats, refs in [
+        (got.left_action, want.left_action),
+        (got.right_action, want.right_action),
+        (got.generators, want.generators),
+    ]:
+        assert [x.key() for x in mats] == [x.key() for x in refs]
