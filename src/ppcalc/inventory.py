@@ -27,7 +27,6 @@ from .modules import (
     direct_sum_many,
     decompose,
     indecomposability,
-    iso_test,
     _digits,
     _first_iso,
 )
@@ -75,6 +74,8 @@ class Inventory:
         its members of dimension <= c do not depend on the cap: this is
         what enumerating at cap c returns.
         """
+        if cap < 0:
+            raise ValueError(f"inventory cap must be non-negative, got {cap}")
         if cap > self.cap or not self.exhaustive:
             raise ValueError(f"cannot take cap {cap} from {self!r}")
         return Inventory(
@@ -100,12 +101,6 @@ def _compositions(total: int, parts: int):
 def _path_action(field, arrows, word):
     """The product, along a nonempty path, of its arrows' stacked matrices."""
     return reduce(partial(_product, field), [arrows[lab] for lab in word])
-
-
-def _quiver_candidates(algebra: Algebra, d: int):
-    """All modules of dimension d, via arrow-matrix assignments, vector by vector."""
-    for comp in _compositions(d, algebra.quiver.n_vertices):
-        yield from _vector_candidates(algebra, comp)
 
 
 def _vector_candidates(algebra: Algebra, comp):
@@ -234,25 +229,29 @@ def _naive_candidates(algebra: Algebra, d: int, gen_data):
             yield FDModule(algebra, d, [Mat.of_array(field, a) for a in acts])
 
 
-def _candidates(algebra: Algebra):
-    """The candidate source: (modules, count).
+def _walks(algebra: Algebra, cap: int):
+    """The candidate walks of dimensions 1..cap, in order, as (d, label,
+    assignments, candidates).
 
-    modules(d) yields every module of dimension d, from arrow matrices
-    for a quiver-built algebra and from generator matrices otherwise;
-    count(d) is the number of assignments it tries.
+    A quiver-built algebra, with or without relations, has one walk per
+    dimension vector of total d, labelled by the vector, from arrow
+    matrices; any other algebra has one walk per dimension d, labelled d,
+    from generator matrices.  assignments is the number of assignments
+    the walk tries, and candidates yields its modules lazily.
     """
     p, q = algebra.field.p, algebra.quiver
     if q is not None:
-        def count(d):
-            return sum(
-                p ** sum(comp[s - 1] * comp[t - 1] for s, t, _ in q.arrows)
-                for comp in _compositions(d, q.n_vertices)
-            )
-
-        return partial(_quiver_candidates, algebra), count
+        return [
+            (d, comp, p ** sum(comp[s - 1] * comp[t - 1] for s, t, _ in q.arrows),
+             _vector_candidates(algebra, comp))
+            for d in range(1, cap + 1)
+            for comp in _compositions(d, q.n_vertices)
+        ]
     gen_data = _generating_data(algebra)
-    n_gens = len(gen_data[0])
-    return partial(_naive_candidates, algebra, gen_data=gen_data), lambda d: p ** (d * d * n_gens)
+    return [
+        (d, d, p ** (d * d * len(gen_data[0])), _naive_candidates(algebra, d, gen_data))
+        for d in range(1, cap + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -382,68 +381,57 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
                               seed: int = 0) -> Inventory:
     """Inventory of all indecomposables of dimension <= cap.
 
-    Enumerates the action-matrix assignments of each dimension within the
-    budget, keeps certified indecomposables, and appends each one that is
-    isomorphic to no member found before it.  For the path algebra of a
-    quiver without relations, each dimension vector alpha is walked on its
-    own, against its own members only, and its walk stops as soon as it
-    holds Kac's count I_alpha(p) of members (a vector whose count is 0 is
-    skipped): the candidates after the last member add none, so the
-    members and their order are those of the full walk.  A vector whose
-    candidates run out below its count raises ModuleError.  Other algebras
-    walk every candidate of each dimension.
+    Walks the action-matrix assignments of _walks within the budget, keeps
+    certified indecomposables, and appends each one that is isomorphic to
+    no member its walk found before it; isomorphic modules share their
+    dimension vector, so a quiver algebra's vectors are walked one by one.
+    For the path algebra of a quiver without relations, the walk of a
+    vector alpha stops as soon as it holds Kac's count I_alpha(p) of
+    members (a vector whose count is 0 is skipped): the candidates after
+    the last member add none, so the members and their order are those of
+    the full walk.  A vector whose candidates run out below its count
+    raises ModuleError.  Other algebras walk every candidate.
     """
     if cap < 0:
         raise ValueError(f"inventory cap must be non-negative, got {cap}")
     if not algebra.field.is_prime_field:
         raise ModuleError("exhaustive enumeration needs a finite prime field")
-    candidates, count = _candidates(algebra)
-    estimate = sum(count(d) for d in range(1, cap + 1))
+    walks = _walks(algebra, cap)
+    estimate = sum(assignments for _, _, assignments, _ in walks)
     if estimate > budget:
         raise BudgetExceeded(
             f"enumeration needs about {estimate} candidates, budget is {budget};"
             " raise --budget or lower the cap"
         )
     q = algebra.quiver
-    if q is not None and not q.relations:
-        # without relations a quiver builds only when it has no path of
-        # length cap, so the algebra is its whole path algebra
-        kac = _kac_counts(q, algebra.field.p, cap)
-
-        def walks(d):
-            return [
-                (comp, _vector_candidates(algebra, comp), kac[comp])
-                for comp in _compositions(d, q.n_vertices)
-            ]
-    else:
-        def walks(d):
-            return [(d, candidates(d), None)]
-
+    # without relations a quiver builds only when it has no path of
+    # length cap, so the algebra is its whole path algebra
+    kac = _kac_counts(q, algebra.field.p, cap) if q is not None and not q.relations else {}
     members, decided = [], 0
-    for d in range(1, cap + 1):
-        for label, walk, expected in walks(d):
-            if expected == 0:
-                continue
-            found = []
-            for cand in walk:
-                decided += 1
-                res = indecomposability(cand, seed)
-                if res.status == "probably-indecomposable":
-                    raise BudgetExceeded(
-                        "cannot certify a candidate as indecomposable within budget"
-                    )
-                if res.status != "indecomposable":
-                    continue
-                if not any(iso_test(cand, m, seed, res) for m in found):
-                    found.append(cand)
-                    if len(found) == expected:
-                        break
-            if expected is not None and len(found) < expected:
-                raise ModuleError(
-                    f"dimension vector {label} has {len(found)} indecomposables,"
-                    f" fewer than its Kac count {expected}"
+    for _, label, _, walk in walks:
+        expected = kac.get(label)
+        if expected == 0:
+            continue
+        found = []
+        for cand in walk:
+            decided += 1
+            res = indecomposability(cand, seed)
+            if res.status == "probably-indecomposable":
+                raise BudgetExceeded(
+                    "cannot certify a candidate as indecomposable within budget"
                 )
-            members.extend(found)
+            if res.status != "indecomposable":
+                continue
+            if all(_first_iso(cand, m) is None for m in found):
+                found.append(cand)
+                if len(found) == expected:
+                    break
+        if expected is not None and len(found) < expected:
+            raise ModuleError(
+                f"dimension vector {label} has {len(found)} indecomposables,"
+                f" fewer than its Kac count {expected}"
+            )
+        members.extend(found)
     return Inventory(algebra, cap, members, exhaustive=True, decided=decided,
                      assignments=estimate)
 
@@ -480,16 +468,15 @@ def verify_completeness(inv: Inventory, max_dim: int, seed: int = 0):
     inventory members, and every multiset of members must occur; the
     report records the per-dimension counts.
     """
-    candidates = _candidates(inv.algebra)[0]
     report = {"check": "inventory-completeness", "dims": [], "ok": True}
-    for d in range(1, max_dim + 1):
+    for d, walks in itertools.groupby(_walks(inv.algebra, max_dim), key=lambda w: w[0]):
         expected = {
             combo for combo in sum_combos(inv, d, d)
             if sum(inv.members[i].dim for i in combo) == d
         }
         observed = set()
         ok = True
-        for cand in candidates(d):
+        for cand in itertools.chain.from_iterable(walk for *_, walk in walks):
             pieces = decompose(cand, seed)
             signature = []
             for piece, _, _ in pieces:

@@ -158,6 +158,22 @@ def test_criterion_7_bound_values(report):
     assert d["modules_checked"] == 11
 
 
+def test_criterion_7_fails_when_the_pair_is_pulled_back_under_the_forget_x_bimodule(
+    forget_x2, monkeypatch
+):
+    # negative control: sigma/tau pulled back along a functor that forgets x
+    # no longer cut out the Kronecker modules whose image has the simple as
+    # a summand, which the real functor still decides.  Passing forget_x2
+    # as the case's bimodule is no control: both sides would use it.
+    cfg = RunConfig()
+    wrong = hom_interp_data(forget_x2)
+    pull = acceptance.pullback_pair
+    monkeypatch.setattr(acceptance, "pullback_pair", lambda data, pair, d: pull(wrong, pair, d))
+    c7 = acceptance._criterion_7(cfg, acceptance._lambda_case(cfg, GF(2), 4))
+    assert not c7["passed"]
+    assert c7["details"]["mismatches"] == [2]
+
+
 def test_criterion_8_reference_integers(report):
     d = _get(report, 8)["details"]
     assert d["n_1"] == 16 and d["b_1"] == 72

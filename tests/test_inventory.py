@@ -16,7 +16,7 @@ from ppcalc.inventory import (
     _generating_data,
     _kac_counts,
     _naive_candidates,
-    _quiver_candidates,
+    _vector_candidates,
     direct_sums_up_to,
     enumerate_indecomposables,
     verify_completeness,
@@ -79,9 +79,19 @@ def test_cap_zero_empty(lam2):
 
 @pytest.mark.parametrize("cap", [-1, -3])
 def test_negative_cap_raises(lam2, cap):
-    # a negative cap gave an empty inventory, as if it were 0
+    # a negative cap gave an empty inventory, as if it were 0, and up_to
+    # one marked exhaustive
     with pytest.raises(ValueError, match="non-negative"):
         enumerate_indecomposables(lam2, cap, seed=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_indecomposables(lam2, 2, seed=0).up_to(cap)
+
+
+def quiver_candidates(algebra, d):
+    """Every module of dimension d, its dimension vectors in lexicographic order."""
+    return itertools.chain.from_iterable(
+        _vector_candidates(algebra, comp) for comp in _compositions(d, algebra.quiver.n_vertices)
+    )
 
 
 def reference_candidates(algebra, d):
@@ -135,7 +145,7 @@ def test_quiver_candidates_match_brute_force(make, p, d, assignments):
     algebra = make(GF(p))
     q = algebra.quiver
     arrows = [algebra.labels.index(lab) for _, _, lab in q.arrows]
-    got = [[m.action[i].to_rows() for i in arrows] for m in _quiver_candidates(algebra, d)]
+    got = [[m.action[i].to_rows() for i in arrows] for m in quiver_candidates(algebra, d)]
     want = reference_candidates(algebra, d)
     if not q.relations:
         assert len(want) == sum(assignments)
@@ -233,7 +243,7 @@ def test_arrowless_quiver_candidates_and_inventory():
     algebra = algebra_from_quiver(QuiverSpec(2, []), GF(2))
     assert algebra.labels == ["e1", "e2"]
     for d in range(1, 4):
-        got = [[a.to_rows() for a in m.action] for m in _quiver_candidates(algebra, d)]
+        got = [[a.to_rows() for a in m.action] for m in quiver_candidates(algebra, d)]
         want = [
             [np.diag([1] * i + [0] * (d - i)).tolist(), np.diag([0] * i + [1] * (d - i)).tolist()]
             for i in range(d + 1)
@@ -253,7 +263,7 @@ def test_quiver_candidates_take_blocks_of_at_most_the_limit(monkeypatch):
         return _digits(start, stop, base, width)
 
     monkeypatch.setattr(inventory, "_digits", counted)
-    for _ in _quiver_candidates(lambda_algebra(GF(3)), 3):
+    for _ in quiver_candidates(lambda_algebra(GF(3)), 3):
         pass
     # one 3 x 3 loop over GF(3): 3^9 assignments, five blocks
     assert sum(sizes) == 3**9 and len(sizes) == 5
@@ -353,7 +363,7 @@ def no_stop_inventory(algebra, cap, seed=0):
     idempotents = [algebra.labels.index(f"e{i}") for i in range(1, q.n_vertices + 1)]
     members, vectors, seen, last = [], [], Counter(), {}
     for d in range(1, cap + 1):
-        for cand in _quiver_candidates(algebra, d):
+        for cand in quiver_candidates(algebra, d):
             vector = tuple(cand.action[i].rank() for i in idempotents)
             seen[vector] += 1
             res = indecomposability(cand, seed)
@@ -412,3 +422,61 @@ def test_kac_stop_raises_when_a_vector_runs_out(monkeypatch):
     monkeypatch.setattr(inventory, "_kac_counts", over_count)
     with pytest.raises(ModuleError, match=r"dimension vector \(1, 1\) has 3 .* count 4"):
         enumerate_indecomposables(kronecker_algebra(GF(2)), 2, seed=0)
+
+
+# -- quivers with relations: walked vector by vector, every candidate ------
+
+A3_AB_ZERO = QuiverSpec(3, [(1, 2, "a"), (2, 3, "b")], relations=[[(1, ["a", "b"])]])
+COMMUTATIVE_SQUARE = QuiverSpec(
+    4,
+    [(1, 2, "a"), (2, 4, "b"), (1, 3, "c"), (3, 4, "d")],
+    relations=[[(1, ["a", "b"]), (-1, ["c", "d"])]],
+    cap=3,
+)
+LOOP_AND_ARROW = QuiverSpec(
+    2, [(1, 1, "x"), (1, 2, "a")], relations=[[(1, ["x", "x"])], [(1, ["x", "a"])]]
+)
+
+
+def per_dimension_inventory(algebra, cap, seed=0):
+    """The inventory walk dimension by dimension: every candidate of
+    dimension d is decided and tested against every member of dimension d.
+    Returns the members, the number decided and the assignments tried."""
+    p, q = algebra.field.p, algebra.quiver
+    members, decided = [], 0
+    for d in range(1, cap + 1):
+        for cand in quiver_candidates(algebra, d):
+            decided += 1
+            res = indecomposability(cand, seed)
+            assert res.status != "probably-indecomposable"
+            if res.status != "indecomposable":
+                continue
+            if not any(iso_test(cand, m, seed, res) for m in members if m.dim == d):
+                members.append(cand)
+    assignments = sum(
+        p ** sum(c[s - 1] * c[t - 1] for s, t, _ in q.arrows)
+        for d in range(1, cap + 1)
+        for c in _compositions(d, q.n_vertices)
+    )
+    return members, decided, assignments
+
+
+@pytest.mark.parametrize(
+    "quiver, p, cap, size, decided, assignments",
+    [
+        (A3_AB_ZERO, 2, 3, 5, 35, 36),
+        (A3_AB_ZERO, 3, 3, 5, 59, 63),
+        (COMMUTATIVE_SQUARE, 2, 3, 10, 72, 74),
+        (LOOP_AND_ARROW, 2, 3, 5, 46, 609),
+    ],
+    ids=["a3-ab-gf2-cap3", "a3-ab-gf3-cap3", "square-gf2-cap3", "loop-arrow-gf2-cap3"],
+)
+def test_relations_walk_per_vector_keeps_the_per_dimension_inventory(
+    quiver, p, cap, size, decided, assignments
+):
+    algebra = algebra_from_quiver(quiver, GF(p))
+    want, want_decided, want_assignments = per_dimension_inventory(algebra, cap)
+    inv = enumerate_indecomposables(algebra, cap, seed=0)
+    assert (len(want), want_decided, want_assignments) == (size, decided, assignments)
+    assert [m.action for m in inv.members] == [m.action for m in want]
+    assert (inv.decided, inv.assignments) == (decided, assignments)
