@@ -18,6 +18,7 @@ from .modules import (
     FDModule,
     ModuleError,
     ModuleMap,
+    _maps,
     direct_sum_many,
     hom_space,
     iso_test,
@@ -97,11 +98,7 @@ def hom_through_C(m: FDModule, n: FDModule, c: FDModule):
     out = []
     for h in hom_space(env.target, n):
         out.append(env.delta.then(h))
-    span = maps_subspace(out, m, n)
-    return [
-        ModuleMap(m, n, span.basis.row(i).reshape(m.dim, n.dim), check=False)
-        for i in range(span.dim)
-    ]
+    return _maps(m, n, maps_subspace(out, m, n).basis)
 
 
 def check_controlled(emb: EmbeddingData, pairs, seed: int = 0):

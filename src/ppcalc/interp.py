@@ -32,6 +32,7 @@ from .modules import (
     FDModule,
     IndecResult,
     ModuleMap,
+    _images,
     identity_map,
     indecomposability,
     rad_hom,
@@ -271,16 +272,19 @@ def hom_interp_data(b: Bimodule) -> InterpData:
     # express s_k * t_i as sum_j t_j r_ji with r_ji in R: row j * dim R + l
     # of gen_mat is t_j times basis_l(R)
     gens = Mat.vstack([Mat.zeros(b.field, 0, b.dim)] + b.generators)
-    gen_mat = Mat.hstack([gens @ r for r in b.right_action]).reshape(n * b.R.dim, b.dim)
-    rhos = []
+    gen_mat = _images(r_mod, gens)
+    # row (i, k) of lefts is s_k * t_i, of sol its coordinates in gen_mat's rows
+    lefts = (gens @ Mat.hstack(b.left_action)).reshape(n * b.S.dim, b.dim)
+    sol = gen_mat.solve_left(lefts)
+    if sol is None:
+        raise InterpError("left action escapes the generated module")
     minus_one = -Mat.identity(b.field, n).kron(b.R.one)
-    for lmat in b.left_action:
-        sol = gen_mat.solve_left(gens @ lmat)
-        if sol is None:
-            raise InterpError("left action escapes the generated module")
-        # row i of sol holds r_ji in block j; rho's row j holds it in block i
-        r = sol.array().reshape(n, n, b.R.dim).transpose(1, 0, 2).reshape(n, n * b.R.dim)
-        rhos.append(PpFormula(b.R, 2 * n, 0, n, Mat.vstack([Mat._of(b.field, r), minus_one])))
+    # row (i, k) holds r_ji in block j; rho_k's row j holds it in block i
+    blocks = sol.array().reshape(n, b.S.dim, n, b.R.dim).transpose(1, 2, 0, 3)
+    rhos = [
+        PpFormula(b.R, 2 * n, 0, n, Mat.vstack([Mat._of(b.field, r.reshape(n, n * b.R.dim)), minus_one]))
+        for r in blocks
+    ]
     pair = PpPair(phi, psi)
     return InterpData(b.R, b.S, n, pair, rhos)
 

@@ -129,11 +129,10 @@ def _parsing(noun: str):
         raise ParseError(f"bad {noun}: {exc}")
 
 
-def _count(obj, key: str) -> int:
-    """obj[key], which must be a non-negative int (not a bool)."""
-    v = obj[key]
+def _count(v, what: str) -> int:
+    """v, which must be a non-negative int (not a bool); what names it in the error."""
     if type(v) is not int or v < 0:
-        raise ParseError(f"{key} must be a non-negative integer, got {v!r}")
+        raise ParseError(f"{what} must be a non-negative integer, got {v!r}")
     return v
 
 
@@ -170,16 +169,20 @@ def tuple_from_json(m: FDModule, text: str) -> list:
 # -- algebras ---------------------------------------------------------------
 
 
-def quiver_from_json(obj) -> QuiverSpec:
+def quiver_from_json(obj, field: FieldSpec) -> QuiverSpec:
+    """A quiver with relations; its relation coefficients are read over field."""
     with _parsing("quiver"):
         return QuiverSpec(
-            obj["vertices"],
-            [tuple(a) for a in obj["arrows"]],
+            _count(obj["vertices"], "vertices"),
+            [
+                (_count(s, "arrow source"), _count(t, "arrow target"), label)
+                for s, t, label in obj["arrows"]
+            ],
             relations=[
-                [(term[0], list(term[1])) for term in rel]
+                [(_scalar_in(field, coeff), list(word)) for coeff, word in rel]
                 for rel in obj.get("relations", [])
             ],
-            cap=obj.get("cap", 2),
+            cap=_count(obj.get("cap", 2), "cap"),
         )
 
 
@@ -208,14 +211,15 @@ def load_algebra(ref, base_dir: str = ".", field: FieldSpec = None) -> Algebra:
     if "vertices" in obj:  # a quiver file; the field comes from the caller
         if field is None:
             raise ParseError("a quiver file needs an explicit --field")
-        return algebra_from_quiver(quiver_from_json(obj), field)
+        with _parsing("quiver"):
+            return algebra_from_quiver(quiver_from_json(obj, field), field)
     with _parsing("algebra"):
         f = field_from_str(obj["field"])
         labels = list(obj["basis"])
         one = _mat_in(f, [obj["one"]])
         mul = [[_mat_in(f, [row]) for row in block] for block in obj["mul"]]
         if "quiver" in obj:
-            built = algebra_from_quiver(quiver_from_json(obj["quiver"]), f)
+            built = algebra_from_quiver(quiver_from_json(obj["quiver"], f), f)
             if built.labels != labels or built.one != one or built.mul != mul:
                 raise ParseError("algebra data disagrees with its quiver presentation")
             return built
@@ -243,7 +247,7 @@ def load_module(ref, base_dir: str = ".", algebra: Algebra = None) -> FDModule:
     with _parsing("module"):
         a = algebra if algebra is not None else load_algebra(obj["algebra"], base_dir)
         action = [_mat_in(a.field, obj["action"][lab]) for lab in a.labels]
-        m = FDModule(a, _count(obj, "dim"), action)
+        m = FDModule(a, _count(obj["dim"], "dim"), action)
     report = validate_module(m)
     if not report.ok:
         raise ParseError(f"module fails validation: {report.problems[0]}")
@@ -273,7 +277,7 @@ def load_bimodule(ref, base_dir: str = ".") -> Bimodule:
         left = [_mat_in(s.field, obj["left_action"][lab]) for lab in s.labels]
         right = [_mat_in(r.field, obj["action"][lab]) for lab in r.labels]
         gens = [_mat_in(r.field, [g]) for g in obj["generators"]]
-        return Bimodule(s, r, _count(obj, "dim"), left, right, gens)
+        return Bimodule(s, r, _count(obj["dim"], "dim"), left, right, gens)
 
 
 # -- formulas ---------------------------------------------------------------
@@ -294,7 +298,7 @@ def load_formula(ref, base_dir: str = ".", algebra: Algebra = None) -> PpFormula
     obj, base_dir = _resolve(ref, base_dir)
     with _parsing("formula"):
         a = algebra if algebra is not None else load_algebra(obj["algebra"], base_dir)
-        n, c = _count(obj, "free"), _count(obj, "bound")
+        n, c = _count(obj["free"], "free"), _count(obj["bound"], "bound")
         matrix = obj["matrix"]
         e = len(matrix[0]) if matrix else 0
         entries = {}
@@ -344,4 +348,4 @@ def load_interp(ref, base_dir: str = ".") -> InterpData:
         phi = load_formula(obj["phi"], base_dir, r)
         psi = load_formula(obj["psi"], base_dir, r)
         rhos = [load_formula(obj["rho"][lab], base_dir, r) for lab in s.labels]
-        return InterpData(r, s, _count(obj, "m"), PpPair(phi, psi), rhos)
+        return InterpData(r, s, _count(obj["m"], "m"), PpPair(phi, psi), rhos)

@@ -74,7 +74,6 @@ def standard_sample(algebra, modules, close: bool = True):
     field = algebra.field
     if not field.is_prime_field:
         raise FormulaError("sample generation enumerates elements: prime fields only")
-    p = field.p
     base = [zero_formula(algebra, 1)]
     seen = {base[0].key()}
     for m in modules:
@@ -157,6 +156,16 @@ class _Verdicts(dict):
         return self[key]
 
 
+def _failure(sample, i, j, law=None):
+    """A report's failure entry: the violated law, if named, the pair and its formulas."""
+    from .io import formula_to_json  # io, the serialisation layer, sits above this one
+
+    entry = {} if law is None else {"law": law}
+    entry["pair"] = [i, j]
+    entry["witness_formulas"] = [formula_to_json(sample[i]), formula_to_json(sample[j])]
+    return entry
+
+
 def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
     """Check meet/join/order preservation of the map on all sample pairs.
 
@@ -194,15 +203,6 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
             equivalent(image(sum_formula(fi, fj)), sum_formula(bi, bj)),
         )
 
-    def witness(law, i, j):
-        from .io import formula_to_json
-
-        return {
-            "law": law,
-            "pair": [i, j],
-            "witness_formulas": [formula_to_json(sample[i]), formula_to_json(sample[j])],
-        }
-
     reps, images_of = _representatives(sample), _representatives(betas)
     laws = _Verdicts(meet_and_join)
     implied = _Verdicts(implies)
@@ -210,11 +210,12 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
     for i in range(len(sample)):
         for j in range(i, len(sample)):
             verdicts = laws(reps[i], reps[j], images_of[i], images_of[j])
-            failures += [witness(law, i, j) for law, ok in zip(("meet", "join"), verdicts) if not ok]
+            failed = [law for law, ok in zip(("meet", "join"), verdicts) if not ok]
+            failures += [_failure(sample, i, j, law) for law in failed]
     for i in range(len(sample)):
         for j in range(len(sample)):
             if i != j and order[i][j] and not implied(images_of[i], images_of[j]):
-                failures.append(witness("order", i, j))
+                failures.append(_failure(sample, i, j, "order"))
     return {
         "check": "lattice-homomorphism",
         "sample_size": len(sample),
@@ -249,17 +250,7 @@ def verify_embedding(bmap: BetaMap, sample, betas=None, order=None):
             if order[i][j] and not order[j][i]:
                 strict += 1
                 if implied(images_of[j], images_of[i]):
-                    from .io import formula_to_json
-
-                    failures.append(
-                        {
-                            "pair": [i, j],
-                            "witness_formulas": [
-                                formula_to_json(sample[i]),
-                                formula_to_json(sample[j]),
-                            ],
-                        }
-                    )
+                    failures.append(_failure(sample, i, j))
     return {
         "check": "lattice-embedding",
         "sample_size": len(sample),

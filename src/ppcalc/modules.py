@@ -185,7 +185,7 @@ class ModuleMap:
     def intertwines(self) -> bool:
         s, t, n = self.source.dim, self.target.dim, self.source.algebra.dim
         # entry [l, 0] is f T_l, to compare with S_l f
-        after = (self.matrix @ Mat.hstack(self.target.action)).array().reshape(s, n, 1, t)
+        after = _images(self.target, self.matrix).array().reshape(s, n, 1, t)
         after = after.transpose(1, 2, 0, 3)
         return _first_unequal_product(self.source.action, [self.matrix], after) is None
 
@@ -256,12 +256,10 @@ def hom_space(m: FDModule, n: FDModule):
     """
     if m.algebra != n.algebra:
         raise ModuleError("hom_space needs modules over the same algebra")
-    s, t = m.dim, n.dim
-    if s == 0 or t == 0:
+    if m.dim == 0 or n.dim == 0:
         return []
     phi_l, nrel = _hom_system(m, n)
-    basis = phi_l.kernel_image(nrel * t)
-    return [ModuleMap(m, n, basis.row(i).reshape(s, t), check=False) for i in range(basis.rows)]
+    return _maps(m, n, phi_l.kernel_image(nrel * n.dim))
 
 
 def _spin_presentation(m: FDModule):
@@ -303,6 +301,14 @@ def _hom_system(m: FDModule, n: FDModule, at: Mat | None = None):
     # 3. W^T stacks the blocks W_l^T, and W_l^T kron N_l has rows (i, c) and
     # columns (k, u): entry W[k, (l, i)] N_l[c, u]
     return w.transpose().kron_sum(Mat.vstack(n.action), m.algebra.dim), nrel
+
+
+def _maps(m: FDModule, n: FDModule, flat: Mat):
+    """The maps m -> n whose matrices are the rows of flat, each flattened row-major."""
+    return [
+        ModuleMap(m, n, Mat._of(m.field, a), check=False)
+        for a in flat.array().reshape(flat.rows, m.dim, n.dim)
+    ]
 
 
 def _flat_span(field, amb: int, mats) -> Subspace:
@@ -355,61 +361,68 @@ def direct_sum_many(mods, algebra=None):
     return total, incls, projs
 
 
-def submodule_generated(m: FDModule, vectors) -> Subspace:
-    """The submodule vA generated by the vectors v: the row space of [V a_0; ...].
+def _images(m: FDModule, rows: Mat) -> Mat:
+    """The images of the rows under the algebra's basis, from one product.
 
-    V stacks the vectors and a_0, ..., a_{dim A - 1} is the algebra's
-    basis.  The span of the v a_l contains v = v 1 and is closed, as
-    (v a) b = v (ab), so one elimination gives it.  m must be a module
-    (see validate_module).
+    Row (i, l), that is row i * dim A + l, is rows[i] a_l.
+    """
+    return (rows @ Mat.hstack(m.action)).reshape(rows.rows * m.algebra.dim, m.dim)
+
+
+def _by_label(rows: Mat, n: int):
+    """Rows indexed (i, l), l < n, regrouped as one matrix per label l."""
+    return [rows.take_rows(range(l, rows.rows, n)) for l in range(n)]
+
+
+def submodule_generated(m: FDModule, vectors) -> Subspace:
+    """The submodule vA generated by the vectors v: the row space of the v a_l.
+
+    a_0, ..., a_{dim A - 1} is the algebra's basis.  The span of the
+    v a_l contains v = v 1 and is closed, as (v a) b = v (ab), so one
+    elimination gives it.  m must be a module (see validate_module).
     """
     rows = [m.element(v) for v in vectors]
     if not rows:
         return Subspace.zero(m.field, m.dim)
-    spun = Mat.vstack(rows) @ Mat.hstack(m.action)
-    return Subspace.from_vectors(m.field, m.dim, spun.reshape(len(rows) * m.algebra.dim, m.dim))
+    return Subspace.from_vectors(m.field, m.dim, _images(m, Mat.vstack(rows)))
 
 
-def _invariance_witness(m: FDModule, u: Subspace):
-    """The first (basis row, label) whose image leaves u, rows before labels."""
-    escapes = np.array([(u.reduce(u.basis @ act).array() != 0).any(axis=1) for act in m.action])
-    hits = np.argwhere(escapes.T)
-    if not hits.size:
-        return None
-    i, l = hits[0]
-    return u.basis.row(i), m.algebra.labels[l]
+def _invariant_images(m: FDModule, u: Subspace, message: str) -> Mat:
+    """The images of u's basis (see _images), raising when one leaves u.
+
+    The witness is the first escaping image, rows before labels: the
+    message is formatted with the basis row and the label.
+    """
+    images = _images(m, u.basis)
+    escapes = np.flatnonzero((u.reduce(images).array() != 0).any(axis=1))
+    if escapes.size:
+        i, l = divmod(int(escapes[0]), m.algebra.dim)
+        raise ModuleError(message.format(u.basis.row(i).to_rows()[0], m.algebra.labels[l]))
+    return images
 
 
 def submodule_module(m: FDModule, u: Subspace):
-    """The submodule on an invariant subspace, with its inclusion."""
-    w = _invariance_witness(m, u)
-    if w is not None:
-        raise ModuleError(f"subspace not action-invariant: vector {w[0].to_rows()[0]} under {w[1]}")
-    basis = u.basis
-    action = []
-    for act in m.action:
-        coords = basis.solve_left(basis @ act)
-        if coords is None:
-            raise ModuleError("internal: invariant subspace solve failed")
-        action.append(coords)
-    s = FDModule(m.algebra, u.dim, action)
-    incl = ModuleMap(s, m, basis, check=False)
-    return s, incl
+    """The submodule on an invariant subspace, with its inclusion.
+
+    u's basis is in rref, so a vector v of u is v[:, pivots] @ basis: the
+    actions are the pivot columns of the basis images.
+    """
+    images = _invariant_images(m, u, "subspace not action-invariant: vector {} under {}")
+    s = FDModule(m.algebra, u.dim, _by_label(images.take_columns(u.pivots), m.algebra.dim))
+    return s, ModuleMap(s, m, u.basis, check=False)
 
 
 def quotient_module(m: FDModule, u: Subspace):
-    """The quotient by an invariant subspace, with the projection map."""
-    w = _invariance_witness(m, u)
-    if w is not None:
-        raise ModuleError(
-            f"cannot quotient by non-invariant subspace: vector "
-            f"{w[0].to_rows()[0]} escapes under {w[1]}"
-        )
-    # the non-pivot coordinates of the canonical coset representatives
+    """The quotient by an invariant subspace, with the projection map.
+
+    Its basis is the classes of the e_j, j not a pivot of u; e_j a_l is
+    row j of a_l's matrix.
+    """
+    _invariant_images(m, u, "cannot quotient by non-invariant subspace: vector {} escapes under {}")
     nonpiv = u.nonpivot_columns()
-    action = [u.reduce(act.take_rows(nonpiv)).take_columns(nonpiv) for act in m.action]
-    q = FDModule(m.algebra, len(nonpiv), action)
     proj = u.reduce(Mat.identity(m.field, m.dim)).take_columns(nonpiv)
+    rows = Mat.hstack(m.action).take_rows(nonpiv).reshape(len(nonpiv) * m.algebra.dim, m.dim)
+    q = FDModule(m.algebra, len(nonpiv), _by_label(rows @ proj, m.algebra.dim))
     return q, ModuleMap(m, q, proj, check=False)
 
 
@@ -980,10 +993,7 @@ def rad_end(x: FDModule):
     flat = Mat.flat_stack(f.matrix for f in end)
     gram = flat @ Mat.flat_stack(f.matrix.transpose() for f in end).transpose()
     rad_flat = gram.kernel() @ flat
-    rad = [
-        ModuleMap(x, x, rad_flat.row(r).reshape(x.dim, x.dim), check=False)
-        for r in range(rad_flat.rows)
-    ]
+    rad = _maps(x, x, rad_flat)
     # verify nilpotency: the trace-form kernel is a two-sided ideal, and a
     # nilpotent ideal is contained in the radical, forcing equality
     amb = x.dim * x.dim
@@ -992,15 +1002,8 @@ def rad_end(x: FDModule):
     for _ in range(e + 1):
         if power.dim == 0:
             return rad
-        power = _flat_span(
-            field,
-            amb,
-            [
-                power.basis.row(i).reshape(x.dim, x.dim) @ bmat
-                for i in range(power.dim)
-                for bmat in base
-            ],
-        )
+        prods = [f.matrix @ bmat for f in _maps(x, x, power.basis) for bmat in base]
+        power = _flat_span(field, amb, prods)
     raise UnsupportedCharacteristicError(
         "trace form is degenerate at this characteristic (kernel not nilpotent)"
     )
@@ -1024,8 +1027,4 @@ def rad_hom(m: FDModule, n: FDModule, seed: int = 0, decomp_m=None, decomp_n=Non
                 block = [f.matrix for f in hom]
             for bmat in block:
                 collected.append(px.matrix @ bmat @ iy.matrix)
-    span = _flat_span(field, m.dim * n.dim, collected)
-    return [
-        ModuleMap(m, n, span.basis.row(i).reshape(m.dim, n.dim), check=False)
-        for i in range(span.dim)
-    ]
+    return _maps(m, n, _flat_span(field, m.dim * n.dim, collected).basis)

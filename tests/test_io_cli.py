@@ -284,6 +284,48 @@ def test_cli_inventory_quiver_needs_field(files, capsys):
     assert "[1, 2]; 5 candidates decided of 18 assignments" in capsys.readouterr().out
 
 
+LOOP_QUIVER = {"vertices": 1, "arrows": [[1, 1, "x"]], "relations": [[[1, ["x", "x"]]]], "cap": 2}
+
+
+def two_loops(coeff):
+    """k<x, y>/(x^2, y^2, xy + coeff yx) as a quiver file."""
+    rels = [[[1, ["x", "x"]]], [[1, ["y", "y"]]], [[1, ["x", "y"]], [coeff, ["y", "x"]]]]
+    return {"vertices": 1, "arrows": [[1, 1, "x"], [1, 1, "y"]], "relations": rels, "cap": 3}
+
+
+def quiver_inventory(tmp_path, capsys, quiver):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(quiver))
+    code = main(["--field", "fp:3", "--out", "json", "inventory", "--algebra", str(path), "--cap", "2"])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"vertices": 2.0},
+        {"cap": 2.5},
+        {"arrows": [[1.7, 1, "x"]]},
+        {"vertices": True},
+        {"relations": [[[True, ["x", "x"]]]]},
+        {"relations": [[[1.5, ["x", "x"]]]]},
+    ],
+    ids=["float-vertices", "float-cap", "float-endpoint", "bool-vertices", "bool-coeff", "float-coeff"],
+)
+def test_cli_malformed_quiver_file_is_a_parse_error(tmp_path, capsys, change):
+    # each crashed with a TypeError, was read as an int (exit 0), or exited 1
+    code, out = quiver_inventory(tmp_path, capsys, {**LOOP_QUIVER, **change})
+    assert code == 2
+    assert "parse error" in out.err
+
+
+def test_cli_quiver_coefficient_is_read_as_a_fraction(tmp_path, capsys):
+    # over GF(3), 1/2 = 2; 1 gives another algebra
+    half, two, one = (quiver_inventory(tmp_path, capsys, two_loops(c)) for c in ("1/2", 2, 1))
+    assert half[0] == two[0] == one[0] == 0
+    assert half[1].out == two[1].out != one[1].out
+
+
 def test_cli_inventory_reports_the_kac_stop(files, capsys):
     # Kronecker over GF(2) at cap 4: 11 members from 428 assignments; the
     # walk of each dimension vector stops at its last member

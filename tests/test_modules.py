@@ -669,6 +669,8 @@ def test_submodule_and_quotient_match_per_row_reference(case, data):
         action, pmat = ref_quotient(m, u)
         assert q.action == action
         assert proj.matrix == pmat
+        s, incl = submodule_module(m, u)
+        assert (s.action, incl.matrix) == ([u.basis.solve_left(u.basis @ act) for act in m.action], u.basis)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
