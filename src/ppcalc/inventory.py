@@ -4,10 +4,12 @@ Quiver-built algebras are enumerated by dimension vector (one matrix per
 arrow, relations checked on products); other algebras by assigning
 matrices to a computed generating set of the basis.  Every returned
 member is certified indecomposable and the list is pairwise
-non-isomorphic, in a deterministic order.  For a quiver without
-relations the number of members of each dimension vector is known in
-advance, from Kac's count evaluated by Hua's formula, and each vector's
-walk stops once it has that many.
+non-isomorphic, in a deterministic order.  For a quiver algebra the
+number of members of each dimension vector is known before its walk,
+and the walk stops once it has that many: without relations from Kac's
+count evaluated by Hua's formula, with relations from the extensions of
+the simples by sums of the members of smaller dimension.  Only the
+walks of structure-constant algebras try every candidate.
 """
 
 from __future__ import annotations
@@ -20,15 +22,21 @@ from functools import partial, reduce
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import Mat, Subspace, _product
+from .linalg import Mat, Subspace, _product, quotient_basis
 from .modules import (
     FDModule,
     ModuleError,
     direct_sum_many,
     decompose,
+    hom_space,
     indecomposability,
+    quotient_module,
+    regular_module,
+    submodule_generated,
+    submodule_module,
     _digits,
     _first_iso,
+    _flat_span,
 )
 
 __all__ = [
@@ -50,9 +58,10 @@ class BudgetExceeded(ModuleError):
 class Inventory:
     """Certified indecomposables of dimension <= cap, pairwise non-isomorphic.
 
-    decided is the number of candidates whose indecomposability the
-    enumeration decided, and assignments the number of assignments its
-    budget counted; both are None for an inventory not enumerated as such.
+    decided is the number of walk candidates whose indecomposability the
+    enumeration decided (not counting the middle terms behind extension
+    counts), and assignments the number of assignments its budget
+    counted; both are None for an inventory not enumerated as such.
     """
 
     def __init__(self, algebra: Algebra, cap: int, members, exhaustive: bool,
@@ -377,6 +386,130 @@ def _kac_counts(quiver, p: int, cap: int):
     return counts
 
 
+# ---------------------------------------------------------------------------
+# Counts for quivers with relations, from extensions of smaller members.
+# ---------------------------------------------------------------------------
+
+
+def _radical_covers(algebra: Algebra):
+    """Per vertex v, in order: (P_v, Omega_v, rad, incl), made once per algebra.
+
+    P_v = e_v A is the projective cover of the simple S_v and Omega_v =
+    e_v J its radical, spanned by the arrows out of v times A.  rad is
+    Omega_v's basis, rows of elements of A, and incl the same rows in
+    P_v's coordinates: the inclusion Omega_v -> P_v.
+    """
+    q, reg = algebra.quiver, regular_module(algebra)
+    unit = {path: algebra.basis_element(i).coeffs for i, path in enumerate(algebra.paths)}
+    covers = []
+    for v in range(1, q.n_vertices + 1):
+        top = submodule_generated(reg, [unit[(v, ())]])
+        rad = submodule_generated(reg, [unit[(v, (lab,))] for s, _, lab in q.arrows if s == v])
+        covers.append((submodule_module(reg, top)[0], submodule_module(reg, rad)[0], rad.basis,
+                       rad.basis.take_columns(top.pivots)))
+    return covers
+
+
+def _ext_classes(cover, k: FDModule):
+    """A basis of Ext^1(S_v, K) as maps Omega_v -> K, each flattened.
+
+    A map f: Omega_v -> K is the matrix of the images f(w_i) of the rows
+    w_i of rad.  Ext^1(S_v, K) is Hom(Omega_v, K) modulo the restrictions
+    of Hom(P_v, K), the maps w -> x w for x in K; the basis completes
+    theirs to one of Hom(Omega_v, K).
+    """
+    _, omega, rad, _ = cover
+    field, n, d = k.field, omega.dim, k.dim
+    homs = hom_space(omega, k)
+    if not homs:
+        return []
+    # row x of the restrictions is the map w_i -> x w_i, flattened
+    acts = (rad @ Mat.flat_stack(k.action)).array().reshape(n, d, d).transpose(1, 0, 2)
+    restricted = Subspace.from_vectors(field, n * d, Mat.of_array(field, acts.reshape(d, n * d)))
+    return quotient_basis(restricted, _flat_span(field, n * d, [f.matrix for f in homs]))
+
+
+def _middle_terms(cover, summands):
+    """The middle terms E of extensions 0 -> K -> E -> S_v -> 0 that can be
+    indecomposable, K the direct sum of the modules K_i of summands.
+
+    summands holds (K_i, _ext_classes(cover, K_i)).  Ext^1(S_v, K) is the
+    sum of the Ext^1(S_v, K_i), and a class whose part at some K_i is 0
+    splits K_i off E, so each part runs over the nonzero combinations of
+    K_i's classes, up to a scalar: f and phi f, phi an automorphism of K
+    such as a scalar on each K_i, give isomorphic middle terms.  For no
+    summands, K = 0 and E = S_v.  The middle term of the class of f is
+    the pushout (P_v + K) / {(w, -f(w)) : w in Omega_v}.
+    """
+    proj, omega, _, incl = cover
+    field, n = proj.field, omega.dim
+    total = direct_sum_many([proj] + [k for k, _ in summands])[0]
+    parts = []
+    for k, classes in summands:
+        # one combination per projective point: its first nonzero coefficient is 1
+        coeffs = [c for c in itertools.product(range(field.p), repeat=len(classes))
+                  if next((x for x in c if x), 0) == 1]
+        maps = Mat.of_array(field, coeffs) @ Mat.vstack(classes)
+        parts.append([-maps.row(r).reshape(n, k.dim) for r in range(maps.rows)])
+    for minus_f in itertools.product(*parts):  # -f, one part per K_i
+        pushed = Mat.hstack([incl, *minus_f])
+        yield quotient_module(total, Subspace.from_vectors(field, total.dim, pushed))[0]
+
+
+def _sums_of_vector(pieces, beta):
+    """The lists of items, one per multiset of pieces (vector, item) whose
+    vectors add up to beta, each list in the order of pieces."""
+    if not any(beta):
+        yield []
+        return
+    for i, (vector, item) in enumerate(pieces):
+        rest = tuple(b - a for b, a in zip(beta, vector))
+        if min(rest) >= 0:
+            for tail in _sums_of_vector(pieces[i:], rest):
+                yield [item] + tail
+
+
+def _extension_count(covers, alpha, pieces, seed: int) -> int:
+    """The number of indecomposables of dimension vector alpha.
+
+    pieces holds (dimension vector, module) for every indecomposable of
+    total dimension |alpha| - 1 and below, and covers is
+    _radical_covers(A).  An indecomposable E of vector alpha has a
+    maximal submodule K, and E/K is a simple S_v with alpha_v > 0 (all
+    simples have dimension 1), so E is the middle term of an extension
+    0 -> K -> E -> S_v -> 0 with K a direct sum of pieces of vector
+    alpha - e_v (Auslander, Reiten and Smaloe, Representation Theory of
+    Artin Algebras).  The count is that of the iso classes of the
+    indecomposable middle terms of _middle_terms over every such v and K;
+    a piece with no extension class by S_v splits off every middle term,
+    so it is left out.
+    """
+    found = []
+    for v, cover in enumerate(covers):
+        if not alpha[v]:
+            continue
+        beta = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]
+        extending = [(vector, (m, classes)) for vector, m in pieces
+                     if all(a <= b for a, b in zip(vector, beta))
+                     and (classes := _ext_classes(cover, m))]
+        for summands in _sums_of_vector(extending, beta):
+            for middle in _middle_terms(cover, summands):
+                if _is_new(middle, found, seed):
+                    found.append(middle)
+    return len(found)
+
+
+def _is_new(cand: FDModule, found, seed: int) -> bool:
+    """Whether cand is certified indecomposable and isomorphic to no module of found.
+
+    Raises BudgetExceeded when cand can be neither certified nor split.
+    """
+    res = indecomposability(cand, seed)
+    if res.status == "probably-indecomposable":
+        raise BudgetExceeded("cannot certify a candidate as indecomposable within budget")
+    return res.status == "indecomposable" and all(_first_iso(cand, m) is None for m in found)
+
+
 def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
                               seed: int = 0) -> Inventory:
     """Inventory of all indecomposables of dimension <= cap.
@@ -385,12 +518,14 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
     certified indecomposables, and appends each one that is isomorphic to
     no member its walk found before it; isomorphic modules share their
     dimension vector, so a quiver algebra's vectors are walked one by one.
-    For the path algebra of a quiver without relations, the walk of a
-    vector alpha stops as soon as it holds Kac's count I_alpha(p) of
-    members (a vector whose count is 0 is skipped): the candidates after
-    the last member add none, so the members and their order are those of
-    the full walk.  A vector whose candidates run out below its count
-    raises ModuleError.  Other algebras walk every candidate.
+    For a quiver algebra the walk of a vector alpha stops as soon as it
+    holds alpha's count of members (a vector whose count is 0 is skipped):
+    Kac's count I_alpha(p) without relations, _extension_count with them,
+    from the members found before alpha, which are complete by induction.
+    The candidates after the last member add none, so the members and
+    their order are those of the full walk.  A vector whose candidates
+    run out below its count raises ModuleError.  Structure-constant
+    algebras have no count and walk every candidate.
     """
     if cap < 0:
         raise ValueError(f"inventory cap must be non-negative, got {cap}")
@@ -404,34 +539,33 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
             " raise --budget or lower the cap"
         )
     q = algebra.quiver
-    # without relations a quiver builds only when it has no path of
-    # length cap, so the algebra is its whole path algebra
-    kac = _kac_counts(q, algebra.field.p, cap) if q is not None and not q.relations else {}
-    members, decided = [], 0
+    pieces, decided = [], 0  # (label, member) in order
+    if q is None:
+        count = {}.get  # no count: every candidate is walked
+    elif q.relations:
+        count = partial(_extension_count, _radical_covers(algebra), pieces=pieces, seed=seed)
+    else:
+        # without relations a quiver builds only when it has no path of
+        # length cap, so the algebra is its whole path algebra
+        count = _kac_counts(q, algebra.field.p, cap).get
     for _, label, _, walk in walks:
-        expected = kac.get(label)
+        expected = count(label)
         if expected == 0:
             continue
         found = []
         for cand in walk:
             decided += 1
-            res = indecomposability(cand, seed)
-            if res.status == "probably-indecomposable":
-                raise BudgetExceeded(
-                    "cannot certify a candidate as indecomposable within budget"
-                )
-            if res.status != "indecomposable":
-                continue
-            if all(_first_iso(cand, m) is None for m in found):
+            if _is_new(cand, found, seed):
                 found.append(cand)
                 if len(found) == expected:
                     break
         if expected is not None and len(found) < expected:
             raise ModuleError(
                 f"dimension vector {label} has {len(found)} indecomposables,"
-                f" fewer than its Kac count {expected}"
+                f" fewer than its count {expected}"
             )
-        members.extend(found)
+        pieces.extend((label, m) for m in found)
+    members = [m for _, m in pieces]
     return Inventory(algebra, cap, members, exhaustive=True, decided=decided,
                      assignments=estimate)
 

@@ -136,6 +136,20 @@ def _count(v, what: str) -> int:
     return v
 
 
+def _label(v) -> str:
+    """v, which must be a non-empty string: an arrow label."""
+    if not isinstance(v, str) or not v:
+        raise ParseError(f"arrow label must be a non-empty string, got {v!r}")
+    return v
+
+
+def _word(v) -> list:
+    """v, which must be a list of arrow labels: a relation's path."""
+    if not isinstance(v, list):
+        raise ParseError(f"relation path must be a list of arrow labels, got {v!r}")
+    return [_label(label) for label in v]
+
+
 def _vec_out(field, m: Mat):
     return [_scalar_out(field, x) for x in m.to_rows()[0]]
 
@@ -175,11 +189,11 @@ def quiver_from_json(obj, field: FieldSpec) -> QuiverSpec:
         return QuiverSpec(
             _count(obj["vertices"], "vertices"),
             [
-                (_count(s, "arrow source"), _count(t, "arrow target"), label)
+                (_count(s, "arrow source"), _count(t, "arrow target"), _label(label))
                 for s, t, label in obj["arrows"]
             ],
             relations=[
-                [(_scalar_in(field, coeff), list(word)) for coeff, word in rel]
+                [(_scalar_in(field, coeff), _word(word)) for coeff, word in rel]
                 for rel in obj.get("relations", [])
             ],
             cap=_count(obj.get("cap", 2), "cap"),

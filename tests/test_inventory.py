@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,9 +14,13 @@ from ppcalc.inventory import (
     _absolute_counts,
     _compositions,
     _digits,
+    _ext_classes,
+    _extension_count,
     _generating_data,
     _kac_counts,
+    _middle_terms,
     _naive_candidates,
+    _radical_covers,
     _vector_candidates,
     direct_sums_up_to,
     enumerate_indecomposables,
@@ -25,6 +30,7 @@ from ppcalc.linalg import GF, Mat
 from ppcalc.modules import (
     FDModule,
     ModuleError,
+    hom_space,
     indecomposability,
     is_direct_summand,
     iso_test,
@@ -359,12 +365,10 @@ def no_stop_inventory(algebra, cap, seed=0):
     dimension is decided and tested against every member of that
     dimension.  Returns the members, their dimension vectors, and, per
     dimension vector, the position among its candidates of its last member."""
-    q = algebra.quiver
-    idempotents = [algebra.labels.index(f"e{i}") for i in range(1, q.n_vertices + 1)]
     members, vectors, seen, last = [], [], Counter(), {}
     for d in range(1, cap + 1):
         for cand in quiver_candidates(algebra, d):
-            vector = tuple(cand.action[i].rank() for i in idempotents)
+            vector = dimension_vector(cand)
             seen[vector] += 1
             res = indecomposability(cand, seed)
             assert res.status != "probably-indecomposable"
@@ -375,6 +379,15 @@ def no_stop_inventory(algebra, cap, seed=0):
                 vectors.append(vector)
                 last[vector] = seen[vector]
     return members, vectors, last
+
+
+def dimension_vector(module):
+    """The ranks of the vertex idempotents' actions on a module over a quiver algebra."""
+    algebra = module.algebra
+    return tuple(
+        module.action[algebra.labels.index(f"e{i}")].rank()
+        for i in range(1, algebra.quiver.n_vertices + 1)
+    )
 
 
 @pytest.mark.parametrize(
@@ -424,7 +437,7 @@ def test_kac_stop_raises_when_a_vector_runs_out(monkeypatch):
         enumerate_indecomposables(kronecker_algebra(GF(2)), 2, seed=0)
 
 
-# -- quivers with relations: walked vector by vector, every candidate ------
+# -- quivers with relations: walked per vector, stopped at extension counts ---
 
 A3_AB_ZERO = QuiverSpec(3, [(1, 2, "a"), (2, 3, "b")], relations=[[(1, ["a", "b"])]])
 COMMUTATIVE_SQUARE = QuiverSpec(
@@ -438,45 +451,140 @@ LOOP_AND_ARROW = QuiverSpec(
 )
 
 
-def per_dimension_inventory(algebra, cap, seed=0):
-    """The inventory walk dimension by dimension: every candidate of
-    dimension d is decided and tested against every member of dimension d.
-    Returns the members, the number decided and the assignments tried."""
-    p, q = algebra.field.p, algebra.quiver
-    members, decided = [], 0
-    for d in range(1, cap + 1):
-        for cand in quiver_candidates(algebra, d):
-            decided += 1
-            res = indecomposability(cand, seed)
-            assert res.status != "probably-indecomposable"
-            if res.status != "indecomposable":
-                continue
-            if not any(iso_test(cand, m, seed, res) for m in members if m.dim == d):
-                members.append(cand)
-    assignments = sum(
-        p ** sum(c[s - 1] * c[t - 1] for s, t, _ in q.arrows)
-        for d in range(1, cap + 1)
-        for c in _compositions(d, q.n_vertices)
-    )
-    return members, decided, assignments
+TWO_LOOPS_RAD2 = QuiverSpec(  # S = k<x, y>/(x, y)^2
+    1,
+    [(1, 1, "x"), (1, 1, "y")],
+    relations=[[(1, [a, b])] for a in "xy" for b in "xy"],
+)
 
 
 @pytest.mark.parametrize(
     "quiver, p, cap, size, decided, assignments",
     [
-        (A3_AB_ZERO, 2, 3, 5, 35, 36),
-        (A3_AB_ZERO, 3, 3, 5, 59, 63),
-        (COMMUTATIVE_SQUARE, 2, 3, 10, 72, 74),
-        (LOOP_AND_ARROW, 2, 3, 5, 46, 609),
+        (A3_AB_ZERO, 2, 3, 5, 7, 36),
+        (A3_AB_ZERO, 3, 3, 5, 7, 63),
+        (COMMUTATIVE_SQUARE, 2, 3, 10, 20, 74),
+        (LOOP_AND_ARROW, 2, 3, 5, 12, 609),
+        (TWO_LOOPS_RAD2, 2, 3, 6, 34, 262404),
     ],
-    ids=["a3-ab-gf2-cap3", "a3-ab-gf3-cap3", "square-gf2-cap3", "loop-arrow-gf2-cap3"],
+    ids=["a3-ab-gf2-cap3", "a3-ab-gf3-cap3", "square-gf2-cap3", "loop-arrow-gf2-cap3",
+         "two-loops-rad2-gf2-cap3"],
 )
 def test_relations_walk_per_vector_keeps_the_per_dimension_inventory(
     quiver, p, cap, size, decided, assignments
 ):
     algebra = algebra_from_quiver(quiver, GF(p))
-    want, want_decided, want_assignments = per_dimension_inventory(algebra, cap)
+    want, _, last = no_stop_inventory(algebra, cap)
     inv = enumerate_indecomposables(algebra, cap, seed=0)
-    assert (len(want), want_decided, want_assignments) == (size, decided, assignments)
+    assert len(want) == size
     assert [m.action for m in inv.members] == [m.action for m in want]
-    assert (inv.decided, inv.assignments) == (decided, assignments)
+    # each vector's walk stops at its last member, and a vector with no
+    # member is not walked
+    assert inv.decided == sum(last.values()) == decided
+    assert inv.assignments == assignments == sum(
+        p ** sum(c[s - 1] * c[t - 1] for s, t, _ in quiver.arrows)
+        for d in range(1, cap + 1)
+        for c in _compositions(d, quiver.n_vertices)
+    )
+
+
+@pytest.mark.parametrize("p, cap, decided", [(2, 4, 3), (3, 3, 3)])
+def test_lambda_inventory_skips_the_dimensions_without_members(p, cap, decided):
+    # the extension counts of (3,) and (4,) are 0: Ext^1(S, Lambda) = 0,
+    # and every extension of S by a sum of copies of S splits off a copy
+    inv = enumerate_indecomposables(lambda_algebra(GF(p)), cap, seed=0)
+    assert [m.dim for m in inv.members] == [1, 2]
+    assert inv.decided == decided
+
+
+def test_extension_stop_raises_when_a_vector_runs_out(monkeypatch):
+    # negative control: a count one too high at (2,) cannot be met, since
+    # Lambda has one indecomposable there, the regular module
+    from ppcalc import inventory
+
+    def over_count(covers, alpha, pieces, seed):
+        return _extension_count(covers, alpha, pieces, seed) + (alpha == (2,))
+
+    monkeypatch.setattr(inventory, "_extension_count", over_count)
+    with pytest.raises(ModuleError, match=r"dimension vector \(2,\) has 1 .* count 2"):
+        enumerate_indecomposables(lambda_algebra(GF(2)), 2, seed=0)
+
+
+def extension_counts(algebra, cap):
+    """_extension_count at every vector of total dimension <= cap, from the
+    members of the algebra's inventory at cap - 1."""
+    inv = enumerate_indecomposables(algebra, cap - 1, seed=0)
+    pieces = [(dimension_vector(m), m) for m in inv.members]
+    covers = _radical_covers(algebra)
+    return {
+        alpha: _extension_count(covers, alpha, pieces, 0)
+        for d in range(1, cap + 1)
+        for alpha in _compositions(d, algebra.quiver.n_vertices)
+    }
+
+
+@pytest.mark.parametrize(
+    "quiver, p, cap",
+    [(KRONECKER, 2, 4), (KRONECKER, 3, 3), (A3, 2, 3), (A3, 3, 3)],
+    ids=["kronecker-gf2-cap4", "kronecker-gf3-cap3", "a3-gf2-cap3", "a3-gf3-cap3"],
+)
+def test_extension_counts_equal_kac_counts(quiver, p, cap):
+    # two independent counts of the same indecomposables: Hua's formula,
+    # and the middle terms of extensions of the members below
+    assert extension_counts(algebra_from_quiver(quiver, GF(p)), cap) == _kac_counts(quiver, p, cap)
+
+
+@pytest.mark.parametrize("p, cap", [(2, 3), (3, 2)])
+def test_extension_counts_of_rad_square_zero_equal_the_kronecker_counts(p, cap):
+    # the separated quiver of S = k<x, y>/(x, y)^2 is the Kronecker quiver:
+    # the indecomposables of S of dimension d >= 2 match those of the
+    # Kronecker quiver of total dimension d (Auslander, Reiten and Smaloe,
+    # Representation Theory of Artin Algebras, X.2)
+    counts = extension_counts(algebra_from_quiver(TWO_LOOPS_RAD2, GF(p)), cap)
+    kac = _kac_counts(KRONECKER, p, cap)
+    assert counts[(1,)] == 1
+    for d in range(2, cap + 1):
+        assert counts[(d,)] == sum(n for alpha, n in kac.items() if sum(alpha) == d)
+
+
+@pytest.mark.parametrize(
+    "quiver, p",
+    [(QuiverSpec(1, [(1, 1, "x")], relations=[[(1, ["x", "x"])]]), 3), (TWO_LOOPS_RAD2, 2),
+     (LOOP_AND_ARROW, 3), (A3_AB_ZERO, 2)],
+    ids=["lambda-gf3", "two-loops-rad2-gf2", "loop-arrow-gf3", "a3-ab-gf2"],
+)
+def test_middle_terms_are_one_per_point_of_the_nonzero_ext_parts(quiver, p):
+    # dim Ext^1(S_v, K) = dim Hom(Omega_v, K) - dim Hom(P_v, K) + dim Hom(S_v, K),
+    # from Hom(-, K) on 0 -> Omega_v -> P_v -> S_v -> 0; the middle terms of
+    # K_1 + ... + K_r are one per projective point of each Ext^1(S_v, K_i)
+    algebra = algebra_from_quiver(quiver, GF(p))
+    members = enumerate_indecomposables(algebra, 2, seed=0).members
+    for cover in _radical_covers(algebra):
+        proj, omega = cover[:2]
+        [simple] = _middle_terms(cover, [])
+        assert simple.dim == 1
+        ext = {}
+        for k in members:
+            dims = [len(hom_space(a, k)) for a in (omega, proj, simple)]
+            ext[id(k)] = dims[0] - dims[1] + dims[2]
+            assert len(_ext_classes(cover, k)) == ext[id(k)]
+        for combo in itertools.combinations_with_replacement(members, 2):
+            if not all(ext[id(k)] for k in combo):
+                continue
+            summands = [(k, _ext_classes(cover, k)) for k in combo]
+            middles = list(_middle_terms(cover, summands))
+            assert len(middles) == math.prod((p ** ext[id(k)] - 1) // (p - 1) for k in combo)
+            for middle in middles:
+                assert validate_module(middle).ok
+                assert middle.dim == 1 + sum(k.dim for k in combo)
+
+
+def test_completeness_two_loops_rad2_gf2_cap3():
+    # every module of dimension <= 3 decomposes into the members that the
+    # extension counts stopped at, and every multiset of them occurs
+    algebra = algebra_from_quiver(TWO_LOOPS_RAD2, GF(2))
+    report = verify_completeness(enumerate_indecomposables(algebra, 3, seed=0), 3, seed=0)
+    assert report["ok"]
+    # members by dimension 1, 3, 2: dim 2 holds S + S and three members,
+    # dim 3 S + S + S, S plus each dim-2 member and two members
+    assert [d["iso_classes"] for d in report["dims"]] == [1, 4, 6]

@@ -281,7 +281,7 @@ def test_cli_inventory_quiver_needs_field(files, capsys):
         main(["--field", "fp:2", "inventory", "--algebra", files["quiver.q"], "--cap", "2"])
         == 0
     )
-    assert "[1, 2]; 5 candidates decided of 18 assignments" in capsys.readouterr().out
+    assert "[1, 2]; 3 candidates decided of 18 assignments" in capsys.readouterr().out
 
 
 LOOP_QUIVER = {"vertices": 1, "arrows": [[1, 1, "x"]], "relations": [[[1, ["x", "x"]]]], "cap": 2}
@@ -309,11 +309,16 @@ def quiver_inventory(tmp_path, capsys, quiver):
         {"vertices": True},
         {"relations": [[[True, ["x", "x"]]]]},
         {"relations": [[[1.5, ["x", "x"]]]]},
+        {"vertices": 2, "arrows": [[1, 2, None]], "relations": []},
+        {"vertices": 2, "arrows": [[1, 2, 7]], "relations": []},
+        {"relations": [[[1, "xx"]]]},
     ],
-    ids=["float-vertices", "float-cap", "float-endpoint", "bool-vertices", "bool-coeff", "float-coeff"],
+    ids=["float-vertices", "float-cap", "float-endpoint", "bool-vertices", "bool-coeff", "float-coeff",
+         "null-label", "int-label", "string-word"],
 )
 def test_cli_malformed_quiver_file_is_a_parse_error(tmp_path, capsys, change):
-    # each crashed with a TypeError, was read as an int (exit 0), or exited 1
+    # each crashed with a TypeError, was read as an int or a string (exit 0),
+    # or exited 1
     code, out = quiver_inventory(tmp_path, capsys, {**LOOP_QUIVER, **change})
     assert code == 2
     assert "parse error" in out.err
