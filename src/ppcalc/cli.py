@@ -236,7 +236,8 @@ def cmd_inventory(args):
         args,
         payload,
         f"{len(inv.members)} indecomposables, dimensions {dims};"
-        f" {inv.decided} candidates decided of {inv.assignments} assignments",
+        f" {inv.decided} candidates decided of {inv.assignments} assignments,"
+        f" {inv.middle_terms} middle terms of extensions decided",
     )
     return 0
 

@@ -41,6 +41,10 @@ __all__ = [
     "pp_type_generator",
     "implies",
     "equivalent",
+    "realisation_pair",
+    "pair_implies",
+    "pair_equivalent",
+    "meet_and_sum_pairs",
     "pair_open",
 ]
 
@@ -168,9 +172,7 @@ class FreeRealisation:
             raise FormulaError("realisation tuple arity mismatch")
 
     def tuple_flat(self) -> Mat:
-        if not self.tuple:
-            return Mat.zeros(self.module.field, 1, 0)
-        return Mat.hstack(self.tuple)
+        return _flat(self.module, self.tuple)
 
     def __repr__(self):
         return f"FreeRealisation(dim {self.module.dim}, arity {self.formula.n})"
@@ -268,26 +270,50 @@ def _subst_blocks(field, n_blocks: int, m: int, *cols) -> Mat:
     return Mat._of(field, b).kron(Mat.identity(field, m))
 
 
-def meet_realisation(phi: PpFormula, psi: PpFormula):
-    """Free realisation (module, tuple) of the meet.
+def _summed(a, b):
+    """The direct sum of two realisations' modules, with both tuples carried in.
 
-    This is the pushout of the maps A^n -> C_phi and A^n -> C_psi that
-    send the free generators to the tuples: C_phi + C_psi modulo the
-    submodule generated by the differences c_phi,i - c_psi,i, with the
-    images of c_phi as the tuple.
+    a and b are pairs (module, tuple) of equal arity.  Returns (total,
+    left, right): the sum and the images of a's and b's tuples in it.
     """
-    fr_phi, fr_psi = free_realisation(phi), free_realisation(psi)
-    total, i1, i2, _, _ = direct_sum(fr_phi.module, fr_psi.module)
-    diffs = [i1(a) - i2(b) for a, b in zip(fr_phi.tuple, fr_psi.tuple)]
-    q, proj = quotient_module(total, submodule_generated(total, diffs))
-    return q, [proj(i1(a)) for a in fr_phi.tuple]
+    total, i1, i2, _, _ = direct_sum(a[0], b[0])
+    return total, [i1(x) for x in a[1]], [i2(y) for y in b[1]]
+
+
+def _pushout(total, left, right):
+    """The meet's free realisation: total modulo the submodule generated by
+    the differences left_i - right_i, with the classes of left as the tuple."""
+    q, proj = quotient_module(total, submodule_generated(total, [x - y for x, y in zip(left, right)]))
+    return q, [proj(x) for x in left]
+
+
+def _added(total, left, right):
+    """The sum's free realisation: total with the tuple left_i + right_i."""
+    return total, [x + y for x, y in zip(left, right)]
+
+
+def meet_and_sum_pairs(a, b):
+    """Free realisations (module, tuple) of the meet and of the sum of the
+    formulas that the pairs a and b realise, both from one direct sum.
+
+    The meet's is the pushout of the maps A^n -> C_a and A^n -> C_b that
+    send the free generators to the tuples (_pushout); the sum's is
+    C_a + C_b with the tuple a_i + b_i (_added).  conj and sum_formula
+    attach the same pairs.
+    """
+    if len(a[1]) != len(b[1]):
+        raise FormulaError("conj needs equal arities")
+    if a[0].algebra != b[0].algebra:
+        raise FormulaError("conj needs a common algebra")
+    summed = _summed(a, b)
+    return _pushout(*summed), _added(*summed)
 
 
 def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
     """Conjunction: shared free variables, bound variables kept apart.
 
     When both inputs carry free realisations, the pushout realisation of
-    the meet is attached to the result.
+    the meet (_pushout) is attached to the result.
     """
     if phi.n != psi.n:
         raise FormulaError("conj needs equal arities")
@@ -295,22 +321,24 @@ def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
         raise FormulaError("conj needs a common algebra")
     ident = Mat.identity(phi.algebra.field, phi.n)
     real = None
-    if phi.realisation is not None and psi.realisation is not None:
-        real = meet_realisation(phi, psi)
+    if phi._pair is not None and psi._pair is not None:
+        real = _pushout(*_summed(phi._pair, psi._pair))
     return assemble(phi.algebra, phi.n, 0, [(phi, ident), (psi, ident)], realisation=real)
 
 
 def sum_formula(phi: PpFormula, psi: PpFormula) -> PpFormula:
-    """Sum: x = x1 + x2 with phi(x1) and psi(x2)."""
+    """Sum: x = x1 + x2 with phi(x1) and psi(x2).
+
+    When both inputs carry free realisations, the direct sum of theirs
+    with the tuples added (_added) is attached to the result.
+    """
     if phi.n != psi.n:
         raise FormulaError("sum needs equal arities")
     if phi.algebra != psi.algebra:
         raise FormulaError("sum needs a common algebra")
-    fr_phi, fr_psi = phi.realisation, psi.realisation
     real = None
-    if fr_phi is not None and fr_psi is not None:
-        total, i1, i2, _, _ = direct_sum(fr_phi.module, fr_psi.module)
-        real = (total, [i1(a) + i2(b) for a, b in zip(fr_phi.tuple, fr_psi.tuple)])
+    if phi._pair is not None and psi._pair is not None:
+        real = _added(*_summed(phi._pair, psi._pair))
     # slot blocks x (free) and x1 (aux): phi sees x1, psi sees x - x1
     sub = partial(_subst_blocks, phi.algebra.field, 2, phi.n)
     instances = [(phi, sub(1)), (psi, sub({0: 1, 1: -1}))]
@@ -363,27 +391,61 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
     return PpFormula(a, n, d, n + ker.rows, matrix, (m, tup))
 
 
+def realisation_pair(phi: PpFormula):
+    """phi's free realisation (see free_realisation) as a pair (module, tuple).
+
+    The pair fixed at construction is returned itself, not copied: read
+    it, do not change it.
+    """
+    if phi._pair is not None:
+        return phi._pair
+    fr = free_realisation(phi)
+    return fr.module, fr.tuple
+
+
+def _flat(module: FDModule, tup) -> Mat:
+    """The tuple's vectors side by side, as one row."""
+    return Mat.hstack(tup) if tup else Mat.zeros(module.field, 1, 0)
+
+
+def pair_implies(psi, phi) -> bool:
+    """Decide psi <= phi for the formulas free-realised by the pairs
+    psi = (C_psi, c_psi) and phi = (C_phi, c_phi).
+
+    By the free-realisation criterion, psi <= phi iff some homomorphism
+    C_phi -> C_psi sends c_phi to c_psi.  Equal pairs are decided at once,
+    the identity map being one.  The cheap fields are compared first:
+    the dimensions, then the tuples, then the modules, by identity and
+    then by actions (FDModule.__eq__).
+    Otherwise the maps are those of hom_space's spinning system [Phi | L],
+    with L replaced by the evaluation E at c_phi, so one solve of
+    y [Phi | E] = [0 | c_psi] decides.
+    """
+    (target, c_psi), (source, c_phi) = psi, phi
+    if len(c_psi) != len(c_phi):
+        raise FormulaError("implies needs equal arities")
+    if target.algebra != source.algebra:
+        raise FormulaError("implies needs a common algebra")
+    if target.dim == source.dim and c_psi == c_phi and target == source:
+        return True
+    at = _flat(source, c_phi).reshape(len(c_phi), source.dim)
+    system, nrel = _hom_system(source, target, at=at)
+    rhs = Mat.hstack([Mat.zeros(target.field, 1, nrel * target.dim), _flat(target, c_psi)])
+    return system.solve_left(rhs) is not None
+
+
+def pair_equivalent(a, b) -> bool:
+    return pair_implies(a, b) and pair_implies(b, a)
+
+
 def implies(psi: PpFormula, phi: PpFormula) -> bool:
     """Decide psi <= phi (solution-set inclusion in every module).
 
-    By the free-realisation criterion, psi <= phi iff some homomorphism
-    C_phi -> C_psi sends c_phi to c_psi, where (C_phi, c_phi) and
-    (C_psi, c_psi) are free realisations of phi and psi.  The maps are
-    those of hom_space's spinning system [Phi | L], with L replaced by
-    the evaluation E at c_phi, so one solve of y [Phi | E] = [0 | c_psi]
-    decides.  The answer trusts the realisations attached to both
-    formulas (see PpFormula.with_realisation).
+    pair_implies on the two formulas' free realisations.  The answer
+    trusts the realisations attached to both formulas (see
+    PpFormula.with_realisation).
     """
-    if psi.n != phi.n:
-        raise FormulaError("implies needs equal arities")
-    if psi.algebra != phi.algebra:
-        raise FormulaError("implies needs a common algebra")
-    fr_psi, fr_phi = free_realisation(psi), free_realisation(phi)
-    target = fr_psi.module
-    c_phi = fr_phi.tuple_flat().reshape(phi.n, fr_phi.module.dim)
-    system, nrel = _hom_system(fr_phi.module, target, at=c_phi)
-    rhs = Mat.hstack([Mat.zeros(target.field, 1, nrel * target.dim), fr_psi.tuple_flat()])
-    return system.solve_left(rhs) is not None
+    return pair_implies(realisation_pair(psi), realisation_pair(phi))
 
 
 def equivalent(phi: PpFormula, psi: PpFormula) -> bool:

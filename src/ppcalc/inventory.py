@@ -59,19 +59,23 @@ class Inventory:
     """Certified indecomposables of dimension <= cap, pairwise non-isomorphic.
 
     decided is the number of walk candidates whose indecomposability the
-    enumeration decided (not counting the middle terms behind extension
-    counts), and assignments the number of assignments its budget
-    counted; both are None for an inventory not enumerated as such.
+    enumeration decided, middle_terms the number of middle terms of
+    extensions it decided for the counts of a quiver with relations (0
+    for any other algebra), and assignments the number of assignments
+    its budget counted; all three are None for an inventory not
+    enumerated as such.
     """
 
     def __init__(self, algebra: Algebra, cap: int, members, exhaustive: bool,
-                 decided: int | None = None, assignments: int | None = None):
+                 decided: int | None = None, assignments: int | None = None,
+                 middle_terms: int | None = None):
         self.algebra = algebra
         self.cap = cap
         self.members = list(members)
         self.exhaustive = exhaustive
         self.decided = decided
         self.assignments = assignments
+        self.middle_terms = middle_terms
 
     def by_dim(self, d: int):
         return [m for m in self.members if m.dim == d]
@@ -469,34 +473,54 @@ def _sums_of_vector(pieces, beta):
                 yield [item] + tail
 
 
-def _extension_count(covers, alpha, pieces, seed: int) -> int:
-    """The number of indecomposables of dimension vector alpha.
+class _ExtensionCounts:
+    """The number of indecomposables of each dimension vector alpha, for
+    one enumeration of an algebra with relations.
 
-    pieces holds (dimension vector, module) for every indecomposable of
-    total dimension |alpha| - 1 and below, and covers is
-    _radical_covers(A).  An indecomposable E of vector alpha has a
-    maximal submodule K, and E/K is a simple S_v with alpha_v > 0 (all
-    simples have dimension 1), so E is the middle term of an extension
-    0 -> K -> E -> S_v -> 0 with K a direct sum of pieces of vector
-    alpha - e_v (Auslander, Reiten and Smaloe, Representation Theory of
-    Artin Algebras).  The count is that of the iso classes of the
-    indecomposable middle terms of _middle_terms over every such v and K;
-    a piece with no extension class by S_v splits off every middle term,
-    so it is left out.
+    pieces is the enumeration's list of (dimension vector, member), which
+    grows as it walks: when alpha is counted it holds every
+    indecomposable of total dimension |alpha| - 1 and below.  An
+    indecomposable E of vector alpha has a maximal submodule K, and E/K
+    is a simple S_v with alpha_v > 0 (all simples have dimension 1), so E
+    is the middle term of an extension 0 -> K -> E -> S_v -> 0 with K a
+    direct sum of pieces of vector alpha - e_v (Auslander, Reiten and
+    Smaloe, Representation Theory of Artin Algebras).  The count is that
+    of the iso classes of the indecomposable middle terms of
+    _middle_terms over every such v and K; a piece with no extension
+    class by S_v splits off every middle term, so it is left out.
+
+    The Ext classes of each (vertex, piece) are made on first use and
+    kept for the later vectors; middle_terms counts the middle terms
+    whose indecomposability was decided.
     """
-    found = []
-    for v, cover in enumerate(covers):
-        if not alpha[v]:
-            continue
-        beta = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]
-        extending = [(vector, (m, classes)) for vector, m in pieces
-                     if all(a <= b for a, b in zip(vector, beta))
-                     and (classes := _ext_classes(cover, m))]
-        for summands in _sums_of_vector(extending, beta):
-            for middle in _middle_terms(cover, summands):
-                if _is_new(middle, found, seed):
-                    found.append(middle)
-    return len(found)
+
+    def __init__(self, algebra: Algebra, pieces, seed: int):
+        self.covers = _radical_covers(algebra)
+        self.pieces = pieces
+        self.seed = seed
+        self.classes = {}  # (vertex, piece index) -> _ext_classes
+        self.middle_terms = 0
+
+    def _classes(self, v: int, i: int):
+        if (v, i) not in self.classes:
+            self.classes[v, i] = _ext_classes(self.covers[v], self.pieces[i][1])
+        return self.classes[v, i]
+
+    def __call__(self, alpha) -> int:
+        found = []
+        for v, cover in enumerate(self.covers):
+            if not alpha[v]:
+                continue
+            beta = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]
+            extending = [(vector, (m, classes)) for i, (vector, m) in enumerate(self.pieces)
+                         if all(a <= b for a, b in zip(vector, beta))
+                         and (classes := self._classes(v, i))]
+            for summands in _sums_of_vector(extending, beta):
+                for middle in _middle_terms(cover, summands):
+                    self.middle_terms += 1
+                    if _is_new(middle, found, self.seed):
+                        found.append(middle)
+        return len(found)
 
 
 def _is_new(cand: FDModule, found, seed: int) -> bool:
@@ -520,7 +544,7 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
     dimension vector, so a quiver algebra's vectors are walked one by one.
     For a quiver algebra the walk of a vector alpha stops as soon as it
     holds alpha's count of members (a vector whose count is 0 is skipped):
-    Kac's count I_alpha(p) without relations, _extension_count with them,
+    Kac's count I_alpha(p) without relations, _ExtensionCounts with them,
     from the members found before alpha, which are complete by induction.
     The candidates after the last member add none, so the members and
     their order are those of the full walk.  A vector whose candidates
@@ -539,11 +563,11 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
             " raise --budget or lower the cap"
         )
     q = algebra.quiver
-    pieces, decided = [], 0  # (label, member) in order
+    pieces, decided, extensions = [], 0, None  # pieces: (label, member) in order
     if q is None:
         count = {}.get  # no count: every candidate is walked
     elif q.relations:
-        count = partial(_extension_count, _radical_covers(algebra), pieces=pieces, seed=seed)
+        count = extensions = _ExtensionCounts(algebra, pieces, seed)
     else:
         # without relations a quiver builds only when it has no path of
         # length cap, so the algebra is its whole path algebra
@@ -567,7 +591,7 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
         pieces.extend((label, m) for m in found)
     members = [m for _, m in pieces]
     return Inventory(algebra, cap, members, exhaustive=True, decided=decided,
-                     assignments=estimate)
+                     assignments=estimate, middle_terms=extensions.middle_terms if extensions else 0)
 
 
 def sum_combos(inv: Inventory, max_summands: int, max_dim: int):

@@ -15,10 +15,11 @@ from .formulas import (
     FormulaError,
     PpFormula,
     conj,
-    equivalent,
-    free_realisation,
     implies,
+    meet_and_sum_pairs,
+    pair_equivalent,
     pp_type_generator,
+    realisation_pair,
     sum_formula,
     zero_formula,
 )
@@ -51,17 +52,26 @@ class BetaMap:
 def beta(bmap: BetaMap, phi: PpFormula) -> PpFormula:
     """Image of a one-variable formula under the lattice map.
 
-    Takes a free realisation (C, c), tensors with the bimodule, and
-    returns a generator of the pp-type of the tuple c tensor t.
+    Takes a free realisation (C, c), tensors it with the bimodule
+    (tensored_pair), and returns a generator of the pp-type of the tuple
+    c tensor t, with that pair as its free realisation.
     """
-    if phi.n != 1:
+    return pp_type_generator(*tensored_pair(bmap, realisation_pair(phi)))
+
+
+def tensored_pair(bmap: BetaMap, pair):
+    """The free realisation of the image of the formula that pair realises.
+
+    pair is (C, (c,)), a free realisation of a one-variable formula over
+    S; the image's is (C tensor B, (c tensor t_1, ..., c tensor t_n)).
+    """
+    module, tup = pair
+    if len(tup) != 1:
         raise FormulaError("beta is defined on formulas of arity 1")
-    if phi.algebra != bmap.bimodule.S:
+    if module.algebra != bmap.bimodule.S:
         raise FormulaError("formula must live over the bimodule's left algebra")
-    fr = free_realisation(phi)
-    t = tensor_over(fr.module, bmap.bimodule)
-    tup = [t.pure_tensor(fr.tuple[0], g) for g in bmap.bimodule.generators]
-    return pp_type_generator(t.module, tup)
+    t = tensor_over(module, bmap.bimodule)
+    return t.module, [t.pure_tensor(tup[0], g) for g in bmap.bimodule.generators]
 
 
 def standard_sample(algebra, modules, close: bool = True):
@@ -112,17 +122,22 @@ def order_table(formulas):
     return [[implied(a, b) for b in reps] for a in reps]
 
 
+def _content_key(pair):
+    """A free realisation's content key: the module (FDModule compares by
+    its action matrices) and the keys of the tuple's entries."""
+    return pair[0], tuple(t.key() for t in pair[1])
+
+
 def _realised(phi: PpFormula):
     """phi carrying a free realisation, and that realisation's content key.
 
-    The key is the module (FDModule compares by its action matrices) and
-    the keys of the tuple's entries.  A formula without a realisation
-    gets its finitely presented one, built once here.
+    A formula without a realisation gets its finitely presented one,
+    built once here.
     """
-    fr = free_realisation(phi)
+    pair = realisation_pair(phi)
     if phi._pair is None:
-        phi = phi.with_realisation(fr.module, fr.tuple)
-    return phi, (fr.module, tuple(t.key() for t in fr.tuple))
+        phi = phi.with_realisation(*pair)
+    return phi, _content_key(pair)
 
 
 def _representatives(formulas):
@@ -175,33 +190,38 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
     and the violated law, ordered by pair with meet before join, then the
     order failures.
 
-    Every pair (i <= j) is checked: beta(conj(f_i, f_j)) against
+    Every pair (i <= j) is checked: the image of conj(f_i, f_j) against
     conj(beta f_i, beta f_j), and likewise for sum_formula.  Each verdict
     depends only on the free realisations of f_i, f_j and their images,
     so it is decided once per distinct tuple of their representatives
     (laws_decided counts these for meet and join) and given to every pair
-    that shares it.  The keys include the images as passed, so betas that
-    are not beta of the sample are still checked as given.  beta runs
-    once per distinct realisation of the pair formulas (images_built
-    counts them).
+    that shares it.  The laws are decided on the realisations alone:
+    per side, one direct sum gives the meet's and the sum's (see
+    meet_and_sum_pairs), the S side's are tensored with the bimodule, and
+    pair_equivalent compares the two sides, so no formula matrix is
+    built.  The keys include the images as passed, so betas that are not
+    beta of the sample are still checked as given.  The tensor runs once
+    per distinct realisation of the pair formulas (images_built counts
+    them).
     """
     if betas is None:
         betas = [beta(bmap, f) for f in sample]
     if order is None:
         order = order_table(sample)
-    images = {}  # realisation key of a pair formula -> its beta image
+    images = {}  # realisation key of a pair formula -> its image's realisation
 
-    def image(phi):
-        phi, key = _realised(phi)
+    def image(pair):
+        key = _content_key(pair)
         if key not in images:
-            images[key] = beta(bmap, phi)
+            images[key] = tensored_pair(bmap, pair)
         return images[key]
 
     def meet_and_join(fi, fj, bi, bj):
-        return (
-            equivalent(image(conj(fi, fj)), conj(bi, bj)),
-            equivalent(image(sum_formula(fi, fj)), sum_formula(bi, bj)),
-        )
+        # raises what conj, beta and implies would, in their order
+        s_meet, s_sum = meet_and_sum_pairs(realisation_pair(fi), realisation_pair(fj))
+        image_meet = image(s_meet)
+        r_meet, r_sum = meet_and_sum_pairs(realisation_pair(bi), realisation_pair(bj))
+        return pair_equivalent(image_meet, r_meet), pair_equivalent(image(s_sum), r_sum)
 
     reps, images_of = _representatives(sample), _representatives(betas)
     laws = _Verdicts(meet_and_join)

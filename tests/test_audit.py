@@ -10,7 +10,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from ppcalc import acceptance, formulas, interp, inventory, modules
+from ppcalc import acceptance, formulas, interp, inventory, lattice, modules
 from ppcalc.acceptance import RunConfig
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
@@ -63,3 +63,43 @@ def test_every_decomposition_of_a_core_pass_is_a_nontrivial_idempotent(monkeypat
     for m, res in answers:
         if res.status == "decomposed":
             oracle.check_idempotent(m, res.witness)
+
+
+def test_every_implication_of_a_core_pass_agrees_with_the_formula_in_the_realisation(monkeypatch):
+    # psi <= phi iff the tuple c_psi of psi's free realisation (C_psi, c_psi)
+    # satisfies phi in C_psi; a pair-level verdict is checked on phi's
+    # realisation through the pp-type generator of c_phi in C_phi
+    formula_level, pair_level = {}, {}
+    implies, pair_implies = formulas.implies, formulas.pair_implies
+
+    def content(pair):
+        return pair[0], tuple(t.key() for t in pair[1])
+
+    def record(answers, key, verdict, *inputs):
+        assert answers.setdefault(key, (verdict, inputs))[0] == verdict
+
+    def recorded_implies(psi, phi):
+        verdict = implies(psi, phi)
+        psi_pair = formulas.realisation_pair(psi)
+        record(formula_level, (content(psi_pair), phi.key()), verdict, psi_pair, phi)
+        return verdict
+
+    def recorded_pair_implies(psi, phi):
+        verdict = pair_implies(psi, phi)
+        record(pair_level, (content(psi), content(phi)), verdict, psi, phi)
+        return verdict
+
+    # every place the names are bound and called from; implies and
+    # pair_equivalent reach pair_implies through formulas
+    for module in (formulas, lattice):
+        monkeypatch.setattr(module, "implies", recorded_implies)
+    monkeypatch.setattr(formulas, "pair_implies", recorded_pair_implies)
+    acceptance._run_core(RunConfig(seed=0))
+    # distinct inputs: 293 to implies, 401 to pair_implies (86 false each)
+    for answers in (formula_level, pair_level):
+        verdicts = Counter(verdict for verdict, _ in answers.values())
+        assert len(answers) > 250 and verdicts[False] > 50
+    for verdict, ((module, tup), phi) in formula_level.values():
+        assert oracle.satisfies(phi, module, tup) == verdict
+    for verdict, ((module, tup), phi) in pair_level.values():
+        assert oracle.satisfies(formulas.pp_type_generator(*phi), module, tup) == verdict

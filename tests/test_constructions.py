@@ -2,7 +2,7 @@
 linear combinations and solves done once per family.
 
 direct_sum_many fills one block-diagonal array, submodule_generated
-spins its vectors once, and meet_realisation reads the meet off
+spins its vectors once, and meet_and_sum_pairs reads the meet off
 C_phi + C_psi without building A^n.  Linear combinations of basis
 matrices (act, left_mult, right_mult_matrix, _formula_matrix, rad_end)
 are one product with the flattened matrices, and quotient_basis,
@@ -31,8 +31,10 @@ from ppcalc.formulas import (
     conj,
     eval_formula,
     free_realisation,
-    meet_realisation,
+    meet_and_sum_pairs,
     pp_type_generator,
+    realisation_pair,
+    sum_formula,
 )
 from ppcalc.interp import (
     apply_interp,
@@ -219,10 +221,18 @@ def realised_pairs(draw, field):
 @given(data=st.data())
 def test_meet_realisation_matches_pushout_from_free(case, data):
     phi, psi = data.draw(realised_pairs(ORACLE_FIELDS[case]))
-    q, tup = meet_realisation(phi, psi)
+    (q, tup), (total, added) = meet_and_sum_pairs(realisation_pair(phi), realisation_pair(psi))
     ref_q, ref_tup = ref_meet_realisation(phi, psi)
     assert q.action == ref_q.action
     assert tup == ref_tup
+    # the sum's realisation is the direct sum with the tuples added, and
+    # conj and sum_formula attach the same two pairs
+    ref_total, i1, i2, _, _ = direct_sum(phi.realisation.module, psi.realisation.module)
+    assert total.action == ref_total.action
+    assert added == [i1(a) + i2(b) for a, b in zip(phi.realisation.tuple, psi.realisation.tuple)]
+    for made, (module, made_tup) in [(conj(phi, psi), (q, tup)), (sum_formula(phi, psi), (total, added))]:
+        assert made.realisation.module.action == module.action
+        assert made.realisation.tuple == made_tup
 
 
 def test_conj_builds_no_free_module_and_no_pushout(reg2, s1_2):

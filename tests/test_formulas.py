@@ -26,6 +26,7 @@ from ppcalc.formulas import (
 from ppcalc.lattice import BetaMap
 from ppcalc.linalg import GF, QQ, Mat, Subspace
 from ppcalc.modules import (
+    FDModule,
     direct_sum,
     fp_module,
     hom_space,
@@ -507,6 +508,29 @@ def test_implies_does_not_call_hom_space(lam2, reg2, s1_2, phis, monkeypatch):
     div, ann = phis
     gen = pp_type_generator(reg2, [reg2.element([0, 1])])
     assert implies(div, ann) and implies(gen, div) and not implies(ann, gen)
+
+
+def test_pair_implies_takes_the_identity_only_for_equal_pairs(lam2, reg2, s1_2, monkeypatch):
+    # equal pairs are decided without a system; pairs that agree in
+    # dimension and tuple but not in action are still solved: 1 in Lambda
+    # and e_1 in S + S are both the vector (1, 0), and 1 |-> e_1 extends
+    # to Lambda -> S + S, while e_1 |-> 1 does not extend (e_1 x = 0, 1 x != 0)
+    import ppcalc.formulas
+    from ppcalc.formulas import pair_equivalent, pair_implies
+
+    ss = direct_sum(s1_2, s1_2)[0]
+    lam_one, ss_e1 = (reg2, [reg2.element([1, 0])]), (ss, [ss.element([1, 0])])
+    assert (lam_one[0].dim, lam_one[1]) == (ss_e1[0].dim, ss_e1[1])
+    systems = []
+    hom_system = ppcalc.formulas._hom_system
+    monkeypatch.setattr(ppcalc.formulas, "_hom_system", lambda *a, **k: systems.append(a) or hom_system(*a, **k))
+    copy = (FDModule(lam2, 2, list(reg2.action)), [reg2.element([1, 0])])
+    assert pair_implies(lam_one, lam_one) and pair_equivalent(lam_one, copy)
+    assert systems == []
+    assert pair_implies(ss_e1, lam_one) and not pair_implies(lam_one, ss_e1)
+    assert len(systems) == 2
+    with pytest.raises(FormulaError, match="implies needs equal arities"):
+        pair_implies(lam_one, (reg2, []))
 
 
 # -- one coefficient matrix against the dict of entries -------------------

@@ -15,7 +15,7 @@ from ppcalc.inventory import (
     _compositions,
     _digits,
     _ext_classes,
-    _extension_count,
+    _ExtensionCounts,
     _generating_data,
     _kac_counts,
     _middle_terms,
@@ -497,27 +497,65 @@ def test_lambda_inventory_skips_the_dimensions_without_members(p, cap, decided):
     assert inv.decided == decided
 
 
+def test_ext_classes_are_made_once_per_vertex_and_member(monkeypatch):
+    # the commutative square over GF(2) at cap 3 asks for 32 distinct
+    # (vertex, member) pairs over its vectors of dims 2 and 3; remaking
+    # them for every vector made 96 calls
+    from ppcalc import inventory
+
+    calls = []
+    monkeypatch.setattr(inventory, "_ext_classes", lambda cover, k: calls.append((id(cover), id(k))) or _ext_classes(cover, k))
+    inv = enumerate_indecomposables(algebra_from_quiver(COMMUTATIVE_SQUARE, GF(2)), 3, seed=0)
+    assert len(inv.members) == 10
+    assert len(calls) == len(set(calls)) == 32
+
+
+@pytest.mark.parametrize(
+    "algebra, cap, middle_terms, decided",
+    [
+        (lambda_algebra(GF(2)), 4, 4, 3),
+        (algebra_from_quiver(TWO_LOOPS_RAD2, GF(2)), 3, 16, 34),
+        (algebra_from_quiver(KRONECKER, GF(2)), 3, 0, None),
+    ],
+    ids=["lambda-gf2-cap4", "two-loops-rad2-gf2-cap3", "kronecker-gf2-cap3"],
+)
+def test_inventory_counts_the_middle_terms_it_decides(monkeypatch, algebra, cap, middle_terms, decided):
+    # every middle term _middle_terms yields is decided by indecomposability;
+    # decided keeps counting the walk candidates alone
+    from ppcalc import inventory
+
+    yielded = []
+    monkeypatch.setattr(inventory, "_middle_terms",
+                        lambda cover, summands: (yielded.append(e) or e for e in _middle_terms(cover, summands)))
+    inv = enumerate_indecomposables(algebra, cap, seed=0)
+    assert inv.middle_terms == len(yielded) == middle_terms
+    if decided is not None:
+        assert inv.decided == decided
+    assert inv.up_to(cap - 1).middle_terms is None
+
+
 def test_extension_stop_raises_when_a_vector_runs_out(monkeypatch):
     # negative control: a count one too high at (2,) cannot be met, since
     # Lambda has one indecomposable there, the regular module
     from ppcalc import inventory
 
-    def over_count(covers, alpha, pieces, seed):
-        return _extension_count(covers, alpha, pieces, seed) + (alpha == (2,))
+    count = _ExtensionCounts.__call__
 
-    monkeypatch.setattr(inventory, "_extension_count", over_count)
+    def over_count(counts, alpha):
+        return count(counts, alpha) + (alpha == (2,))
+
+    monkeypatch.setattr(inventory._ExtensionCounts, "__call__", over_count)
     with pytest.raises(ModuleError, match=r"dimension vector \(2,\) has 1 .* count 2"):
         enumerate_indecomposables(lambda_algebra(GF(2)), 2, seed=0)
 
 
 def extension_counts(algebra, cap):
-    """_extension_count at every vector of total dimension <= cap, from the
+    """_ExtensionCounts at every vector of total dimension <= cap, from the
     members of the algebra's inventory at cap - 1."""
     inv = enumerate_indecomposables(algebra, cap - 1, seed=0)
-    pieces = [(dimension_vector(m), m) for m in inv.members]
-    covers = _radical_covers(algebra)
+    count = _ExtensionCounts(algebra, [(dimension_vector(m), m) for m in inv.members], 0)
     return {
-        alpha: _extension_count(covers, alpha, pieces, 0)
+        alpha: count(alpha)
         for d in range(1, cap + 1)
         for alpha in _compositions(d, algebra.quiver.n_vertices)
     }

@@ -281,7 +281,9 @@ def test_cli_inventory_quiver_needs_field(files, capsys):
         main(["--field", "fp:2", "inventory", "--algebra", files["quiver.q"], "--cap", "2"])
         == 0
     )
-    assert "[1, 2]; 3 candidates decided of 18 assignments" in capsys.readouterr().out
+    assert "[1, 2]; 3 candidates decided of 18 assignments, 2 middle terms of extensions decided" in (
+        capsys.readouterr().out
+    )
 
 
 LOOP_QUIVER = {"vertices": 1, "arrows": [[1, 1, "x"]], "relations": [[[1, ["x", "x"]]]], "cap": 2}
@@ -335,7 +337,7 @@ def test_cli_inventory_reports_the_kac_stop(files, capsys):
     # Kronecker over GF(2) at cap 4: 11 members from 428 assignments; the
     # walk of each dimension vector stops at its last member
     assert main(["inventory", "--algebra", files["kron.alg"], "--cap", "4"]) == 0
-    assert "; 128 candidates decided of 428 assignments" in capsys.readouterr().out
+    assert "; 128 candidates decided of 428 assignments, 0 middle terms" in capsys.readouterr().out
     assert main(["--out", "json", "inventory", "--algebra", files["kron.alg"], "--cap", "4"]) == 0
     assert set(json.loads(capsys.readouterr().out)) == {"count", "members"}
 

@@ -21,7 +21,7 @@ from ppcalc.lattice import (
     verify_lattice_hom,
 )
 from ppcalc.linalg import GF, Mat
-from ppcalc.modules import Bimodule, direct_sum, regular_module
+from ppcalc.modules import Bimodule, FDModule, direct_sum, regular_module
 
 from test_formulas import ann_formula, div_formula
 
@@ -258,23 +258,37 @@ def acceptance_sample(lam2, bmap2):
 
 
 def test_verify_lattice_hom_matches_reference_on_acceptance_sample(bmap2, acceptance_sample, monkeypatch):
+    import ppcalc.formulas
     import ppcalc.lattice
 
     sample, betas, order = acceptance_sample
     want = reference_verify_lattice_hom(bmap2, sample, betas, order)
-    calls = {"beta": 0, "equivalent": 0}
-    for name in calls:
-        def counted(*args, _name=name, _f=getattr(ppcalc.lattice, name)):
-            calls[_name] += 1
-            return _f(*args)
+    calls = {"tensored_pair": 0, "pair_equivalent": 0, "solved": 0}
+    systems = []
+    hom_system = ppcalc.formulas._hom_system
+    monkeypatch.setattr(ppcalc.formulas, "_hom_system", lambda *a, **k: systems.append(a) or hom_system(*a, **k))
+    tensored_pair, pair_equivalent = ppcalc.lattice.tensored_pair, ppcalc.lattice.pair_equivalent
 
-        monkeypatch.setattr(ppcalc.lattice, name, counted)
+    def counted_tensor(*args):
+        calls["tensored_pair"] += 1
+        return tensored_pair(*args)
+
+    def counted_equivalent(*args):
+        before = len(systems)
+        ok = pair_equivalent(*args)
+        calls["pair_equivalent"] += 1
+        calls["solved"] += len(systems) > before
+        return ok
+
+    monkeypatch.setattr(ppcalc.lattice, "tensored_pair", counted_tensor)
+    monkeypatch.setattr(ppcalc.lattice, "pair_equivalent", counted_equivalent)
     got = verify_lattice_hom(bmap2, sample, betas, order)
     assert (len(sample), got["pairs_checked"]) == (25, 325)
     assert got["ok"] and without_work_counts(got) == want
-    # 650 pair formulas with 113 distinct free realisations; one equivalent
-    # per law and distinct tuple of sample and image representatives
-    assert calls == {"beta": 113, "equivalent": 206}
+    # 650 pair formulas with 113 distinct free realisations; one
+    # equivalence per law and distinct tuple of sample and image
+    # representatives, each between equal realisations, so none is solved
+    assert calls == {"tensored_pair": 113, "pair_equivalent": 206, "solved": 0}
     assert got["images_built"] == 113
 
 
@@ -310,6 +324,69 @@ def test_verify_lattice_hom_matches_reference_without_realisations(lam2, bmap2, 
     assert len(built) == len(sample) == 7
 
 
+def moved(phi, rng):
+    """phi with its free realisation moved through a random invertible change
+    of basis P: the module with actions P^-1 a P, and the tuple t P."""
+    module, tup = phi.realisation.module, phi.realisation.tuple
+    field, d = module.field, module.dim
+    while True:
+        p = Mat.of_array(field, rng.integers(0, field.p, size=(d, d)))
+        if p.is_invertible():
+            break
+    inv = p.inverse()
+    image = FDModule(module.algebra, d, [inv @ a @ p for a in module.action])
+    return phi.with_realisation(image, [t @ p for t in tup])
+
+
+def test_laws_between_equivalent_unequal_realisations_are_solved_and_hold(bmap2, acceptance_sample, monkeypatch):
+    # the images, moved to other bases, realise the same formulas; each law
+    # then compares realisations that are isomorphic but not equal, so
+    # pair_implies cannot take the identity and solves
+    import numpy as np
+
+    import ppcalc.formulas
+    import ppcalc.lattice
+
+    sample, betas, order = acceptance_sample
+    rng = np.random.default_rng(0)
+    moved_betas = [moved(b, rng) for b in betas]
+    assert sum(b.realisation.module != m.realisation.module for b, m in zip(betas, moved_betas)) >= 20
+    want = reference_verify_lattice_hom(bmap2, sample, moved_betas, order)
+    systems, laws = [], {"identical": 0, "solved": 0}
+    hom_system = ppcalc.formulas._hom_system
+    monkeypatch.setattr(ppcalc.formulas, "_hom_system", lambda *a, **k: systems.append(a) or hom_system(*a, **k))
+    pair_equivalent = ppcalc.lattice.pair_equivalent
+
+    def counted(a, b):
+        before = len(systems)
+        ok = pair_equivalent(a, b)
+        laws["solved" if len(systems) > before else "identical"] += 1
+        return ok
+
+    monkeypatch.setattr(ppcalc.lattice, "pair_equivalent", counted)
+    got = verify_lattice_hom(bmap2, sample, moved_betas, order)
+    assert got["ok"] and without_work_counts(got) == want
+    assert laws["solved"] > 100
+
+
+def test_verify_lattice_hom_rejects_a_sample_formula_of_another_arity_or_algebra(lam2, kron2, bmap2, s1_2, reg2):
+    # the law loop raises what conj raises, at the first pair that mixes them
+    from ppcalc.formulas import FormulaError
+    from ppcalc.examples import lambda_algebra
+
+    sample = standard_sample(lam2, [s1_2, reg2], close=False)
+    betas = [beta(bmap2, f) for f in sample]
+    for odd, message in [
+        (top_formula(lam2, 2), "conj needs equal arities"),
+        (top_formula(lambda_algebra(GF(3)), 1), "conj needs a common algebra"),
+        (top_formula(kron2, 1), "conj needs a common algebra"),
+    ]:
+        formulas = sample + [odd]
+        order = [[False] * len(formulas) for _ in formulas]
+        with pytest.raises(FormulaError, match=message):
+            verify_lattice_hom(bmap2, formulas, betas + [zero_formula(kron2, 2)], order)
+
+
 def test_forget_x_bimodule_is_a_lattice_hom_but_not_an_embedding(forget_x2, acceptance_sample):
     # negative control for criterion 2: the embedding check must catch a
     # functor that is exact (so the homomorphism check passes) yet loses x
@@ -318,6 +395,7 @@ def test_forget_x_bimodule_is_a_lattice_hom_but_not_an_embedding(forget_x2, acce
     betas = [beta(bmap, f) for f in sample]
     hom = verify_lattice_hom(bmap, sample, betas, order)
     assert hom["ok"] and hom["pairs_checked"] == 325
+    assert without_work_counts(hom) == reference_verify_lattice_hom(bmap, sample, betas, order)
     emb = verify_embedding(bmap, sample, betas, order)
     assert not emb["ok"]
     assert (emb["strict_pairs"], len(emb["failures"])) == (225, 25)
