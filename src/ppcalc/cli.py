@@ -99,7 +99,8 @@ def cmd_verify_lattice(args):
     bmap = BetaMap(bim)
     if args.sample:
         # formulas read from files carry no realisation: build each one once
-        # here, so the order table and the checks do not rebuild them per pair
+        # here, where beta, order_table and verify_lattice_hom would each
+        # build it again
         sample = []
         for path in args.sample:
             phi = pio.load_formula(path, algebra=bim.S)

@@ -11,13 +11,15 @@ a finite sample of formulas.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .formulas import (
     FormulaError,
     PpFormula,
     conj,
-    implies,
     meet_and_sum_pairs,
     pair_equivalent,
+    pair_implies,
     pp_type_generator,
     realisation_pair,
     sum_formula,
@@ -115,11 +117,11 @@ def order_table(formulas):
     """The order on a list of formulas: entry [i][j] is implies(formulas[i], formulas[j]).
 
     implies reads a formula only through its free realisation, so it is
-    decided once per pair of distinct realisations (see _representatives).
+    decided once per pair of distinct realisations (see _distinct).
     """
-    reps = _representatives(formulas)
-    implied = _Verdicts(implies)
-    return [[implied(a, b) for b in reps] for a in reps]
+    index, pairs = _distinct(formulas)
+    implied = cache(lambda a, b: pair_implies(pairs[a], pairs[b]))
+    return [[implied(a, b) for b in index] for a in index]
 
 
 def _content_key(pair):
@@ -128,47 +130,21 @@ def _content_key(pair):
     return pair[0], tuple(t.key() for t in pair[1])
 
 
-def _realised(phi: PpFormula):
-    """phi carrying a free realisation, and that realisation's content key.
+def _distinct(formulas):
+    """The distinct free realisations of formulas, and each formula's position.
 
+    Returns (index, pairs): formula i is realised by pairs[index[i]], the
+    first realisation in formulas with the same content (_content_key).
     A formula without a realisation gets its finitely presented one,
-    built once here.
+    built once here.  beta and implies read a formula only through its
+    realisation, and conj and sum_formula build the realisation they
+    attach from their arguments' realisations alone, so a verdict decided
+    on positions holds for every formula at them.
     """
-    pair = realisation_pair(phi)
-    if phi._pair is None:
-        phi = phi.with_realisation(*pair)
-    return phi, _content_key(pair)
-
-
-def _representatives(formulas):
-    """Each formula's realised first representative.
-
-    Formulas whose free realisations have equal content share one object:
-    the first of them, carrying its realisation.  beta and implies read a
-    formula only through its realisation, and conj and sum_formula build
-    the realisation they attach from their arguments' realisations alone,
-    so a representative can stand in for every formula it represents.
-    """
-    first = {}
-    return [first.setdefault(key, phi) for phi, key in map(_realised, formulas)]
-
-
-class _Verdicts(dict):
-    """law's verdicts, decided once per distinct tuple of representatives.
-
-    Keys are the representatives' identities: callers keep the
-    representatives alive while the verdicts are in use.
-    """
-
-    def __init__(self, law):
-        super().__init__()
-        self.law = law
-
-    def __call__(self, *reps):
-        key = tuple(map(id, reps))
-        if key not in self:
-            self[key] = self.law(*reps)
-        return self[key]
+    first = {}  # content key -> (position, pair)
+    realised = map(realisation_pair, formulas)
+    index = [first.setdefault(_content_key(p), (len(first), p))[0] for p in realised]
+    return index, [p for _, p in first.values()]
 
 
 def _failure(sample, i, j, law=None):
@@ -193,16 +169,16 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
     Every pair (i <= j) is checked: the image of conj(f_i, f_j) against
     conj(beta f_i, beta f_j), and likewise for sum_formula.  Each verdict
     depends only on the free realisations of f_i, f_j and their images,
-    so it is decided once per distinct tuple of their representatives
-    (laws_decided counts these for meet and join) and given to every pair
-    that shares it.  The laws are decided on the realisations alone:
-    per side, one direct sum gives the meet's and the sum's (see
-    meet_and_sum_pairs), the S side's are tensored with the bimodule, and
-    pair_equivalent compares the two sides, so no formula matrix is
-    built.  The keys include the images as passed, so betas that are not
-    beta of the sample are still checked as given.  The tensor runs once
-    per distinct realisation of the pair formulas (images_built counts
-    them).
+    so it is decided once per distinct tuple of their positions among
+    the distinct realisations (see _distinct; laws_decided counts these
+    for meet and join) and given to every pair that shares it.  The laws
+    are decided on the realisations alone: per side, one direct sum gives
+    the meet's and the sum's (see meet_and_sum_pairs), the S side's are
+    tensored with the bimodule, and pair_equivalent compares the two
+    sides, so no formula matrix is built.  The positions include the
+    images' as passed, so betas that are not beta of the sample are still
+    checked as given.  The tensor runs once per distinct realisation of
+    the pair formulas (images_built counts them).
     """
     if betas is None:
         betas = [beta(bmap, f) for f in sample]
@@ -216,32 +192,34 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
             images[key] = tensored_pair(bmap, pair)
         return images[key]
 
-    def meet_and_join(fi, fj, bi, bj):
+    index, pairs = _distinct(sample)
+    image_index, image_pairs = _distinct(betas)
+
+    @cache
+    def laws(a, b, x, y):
         # raises what conj, beta and implies would, in their order
-        s_meet, s_sum = meet_and_sum_pairs(realisation_pair(fi), realisation_pair(fj))
+        s_meet, s_sum = meet_and_sum_pairs(pairs[a], pairs[b])
         image_meet = image(s_meet)
-        r_meet, r_sum = meet_and_sum_pairs(realisation_pair(bi), realisation_pair(bj))
+        r_meet, r_sum = meet_and_sum_pairs(image_pairs[x], image_pairs[y])
         return pair_equivalent(image_meet, r_meet), pair_equivalent(image(s_sum), r_sum)
 
-    reps, images_of = _representatives(sample), _representatives(betas)
-    laws = _Verdicts(meet_and_join)
-    implied = _Verdicts(implies)
+    implied = cache(lambda x, y: pair_implies(image_pairs[x], image_pairs[y]))
     failures = []
     for i in range(len(sample)):
         for j in range(i, len(sample)):
-            verdicts = laws(reps[i], reps[j], images_of[i], images_of[j])
+            verdicts = laws(index[i], index[j], image_index[i], image_index[j])
             failed = [law for law, ok in zip(("meet", "join"), verdicts) if not ok]
             failures += [_failure(sample, i, j, law) for law in failed]
     for i in range(len(sample)):
         for j in range(len(sample)):
-            if i != j and order[i][j] and not implied(images_of[i], images_of[j]):
+            if i != j and order[i][j] and not implied(image_index[i], image_index[j]):
                 failures.append(_failure(sample, i, j, "order"))
     return {
         "check": "lattice-homomorphism",
         "sample_size": len(sample),
         "pairs_checked": len(sample) * (len(sample) + 1) // 2,
         "images_built": len(images),
-        "laws_decided": len(laws),
+        "laws_decided": laws.cache_info().currsize,
         "failures": failures,
         "ok": not failures,
     }
@@ -252,15 +230,15 @@ def verify_embedding(bmap: BetaMap, sample, betas=None, order=None):
 
     betas and order, when passed, must be [beta(bmap, f) for f in sample]
     and order_table(sample); they are computed when not passed.  Each
-    implication between images is decided once per pair of distinct
-    image realisations, as in verify_lattice_hom.
+    implication between images is decided once per pair of positions
+    among the distinct image realisations, as in verify_lattice_hom.
     """
     if betas is None:
         betas = [beta(bmap, f) for f in sample]
     if order is None:
         order = order_table(sample)
-    images_of = _representatives(betas)
-    implied = _Verdicts(implies)
+    image_index, image_pairs = _distinct(betas)
+    implied = cache(lambda x, y: pair_implies(image_pairs[x], image_pairs[y]))
     failures = []
     strict = 0
     for i in range(len(sample)):
@@ -269,7 +247,7 @@ def verify_embedding(bmap: BetaMap, sample, betas=None, order=None):
                 continue
             if order[i][j] and not order[j][i]:
                 strict += 1
-                if implied(images_of[j], images_of[i]):
+                if implied(image_index[j], image_index[i]):
                     failures.append(_failure(sample, i, j))
     return {
         "check": "lattice-embedding",

@@ -10,7 +10,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from ppcalc import acceptance, formulas, interp, inventory, lattice, modules
+from ppcalc import acceptance, controlled, formulas, interp, inventory, lattice, modules
 from ppcalc.acceptance import RunConfig
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
@@ -90,16 +90,82 @@ def test_every_implication_of_a_core_pass_agrees_with_the_formula_in_the_realisa
         return verdict
 
     # every place the names are bound and called from; implies and
-    # pair_equivalent reach pair_implies through formulas
+    # pair_equivalent reach pair_implies through formulas, the lattice
+    # checks call it on their distinct realisations
+    monkeypatch.setattr(formulas, "implies", recorded_implies)
     for module in (formulas, lattice):
-        monkeypatch.setattr(module, "implies", recorded_implies)
-    monkeypatch.setattr(formulas, "pair_implies", recorded_pair_implies)
+        monkeypatch.setattr(module, "pair_implies", recorded_pair_implies)
     acceptance._run_core(RunConfig(seed=0))
-    # distinct inputs: 293 to implies, 401 to pair_implies (86 false each)
-    for answers in (formula_level, pair_level):
-        verdicts = Counter(verdict for verdict, _ in answers.values())
-        assert len(answers) > 250 and verdicts[False] > 50
+    # distinct inputs: 13 to implies, all true; 401 to pair_implies, 86 false
+    counts = [Counter(verdict for verdict, _ in answers.values()) for answers in (formula_level, pair_level)]
+    assert counts == [Counter({True: 13}), Counter({True: 315, False: 86})]
     for verdict, ((module, tup), phi) in formula_level.values():
         assert oracle.satisfies(phi, module, tup) == verdict
     for verdict, ((module, tup), phi) in pair_level.values():
         assert oracle.satisfies(formulas.pp_type_generator(*phi), module, tup) == verdict
+
+
+def hom_system_rows(m, n):
+    """The system of f -> (a_l f - f b_l)_l on m.dim x n.dim matrices f,
+    one row per unit matrix E_ij, from the action matrices' rows."""
+    dm, dn = m.dim, n.dim
+    rows = [[] for _ in range(dm * dn)]
+    for am, an in zip(m.action, n.action):
+        a, b = am.to_rows(), an.to_rows()
+        for i in range(dm):
+            for j in range(dn):
+                # (a E_ij)[r][c] = a[r][i] if c == j; (E_ij b)[r][c] = b[j][c] if r == i
+                rows[i * dn + j] += [
+                    (a[r][i] if c == j else 0) - (b[j][c] if r == i else 0) for r in range(dm) for c in range(dn)
+                ]
+    return rows
+
+
+def test_every_hom_space_of_a_core_pass_is_a_basis_of_the_oracle_dimension(monkeypatch):
+    answers = []
+    real = modules.hom_space
+
+    def recorded(m, n):
+        maps = real(m, n)
+        answers.append((m, n, maps))
+        return maps
+
+    # every place the name is bound and called from
+    for module in (modules, controlled, inventory):
+        monkeypatch.setattr(module, "hom_space", recorded)
+    acceptance._run_core(RunConfig(seed=0))
+    assert len(answers) == 429
+    for m, n, maps in answers:
+        assert m.dim * n.dim <= 16
+        expected = m.dim * n.dim - oracle.rank(m.field, hom_system_rows(m, n))
+        oracle.check_hom_basis(m, n, maps, expected)
+
+
+def test_every_isomorphism_witness_of_a_core_pass_is_an_invertible_module_map(monkeypatch):
+    witnesses = {"iso_test": [], "_first_iso": []}
+    iso_test, first_iso = modules.iso_test, modules._first_iso
+
+    def recorded_iso_test(m, n, seed=0, indec=None):
+        w = iso_test(m, n, seed, indec)
+        witnesses["iso_test"].append((m, n, w))
+        return w
+
+    def recorded_first_iso(m, n, maps=None):
+        w = first_iso(m, n, maps)
+        witnesses["_first_iso"].append((m, n, w))
+        return w
+
+    # every place the names are bound and called from, iso_test's own
+    # matches of summands included
+    for module in (acceptance, controlled):
+        monkeypatch.setattr(module, "iso_test", recorded_iso_test)
+    for module in (modules, inventory):
+        monkeypatch.setattr(module, "_first_iso", recorded_first_iso)
+    acceptance._run_core(RunConfig(seed=0))
+    found = {name: [a for a in answers if a[2] is not None] for name, answers in witnesses.items()}
+    assert {name: len(a) for name, a in found.items()} == {"iso_test": 4, "_first_iso": 27}
+    for m, n, w in found["iso_test"] + found["_first_iso"]:
+        rows = w.matrix.to_rows()
+        assert (w.source, w.target) == (m, n) and m.dim == n.dim > 0
+        assert oracle.intertwines(m, n, oracle._array(m.field, rows))
+        assert oracle.rank(m.field, rows) == m.dim

@@ -563,8 +563,8 @@ def extension_counts(algebra, cap):
 
 @pytest.mark.parametrize(
     "quiver, p, cap",
-    [(KRONECKER, 2, 4), (KRONECKER, 3, 3), (A3, 2, 3), (A3, 3, 3)],
-    ids=["kronecker-gf2-cap4", "kronecker-gf3-cap3", "a3-gf2-cap3", "a3-gf3-cap3"],
+    [(KRONECKER, 2, 4), (KRONECKER, 3, 3), (K3, 2, 3), (A3, 2, 3), (A3, 3, 3)],
+    ids=["kronecker-gf2-cap4", "kronecker-gf3-cap3", "k3-gf2-cap3", "a3-gf2-cap3", "a3-gf3-cap3"],
 )
 def test_extension_counts_equal_kac_counts(quiver, p, cap):
     # two independent counts of the same indecomposables: Hua's formula,

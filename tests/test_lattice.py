@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from ppcalc.formulas import (
@@ -403,19 +406,27 @@ def test_forget_x_bimodule_is_a_lattice_hom_but_not_an_embedding(forget_x2, acce
 
 
 def test_pair_realisations_depend_only_on_representatives(acceptance_sample):
-    # what makes per-representative verdicts exact: conj and sum_formula of
-    # a pair have the realisation of the same construction on the pair's
-    # representatives
-    from ppcalc.lattice import _realised, _representatives
+    # what makes verdicts on positions exact: conj and sum_formula of a
+    # pair have the realisation of the same construction on the formulas
+    # at the pair's positions, and meet_and_sum_pairs of the positions'
+    # realisations gives that content too
+    from ppcalc.formulas import meet_and_sum_pairs, realisation_pair
+    from ppcalc.lattice import _content_key, _distinct
+
+    def content(phi):
+        return _content_key(realisation_pair(phi))
 
     sample = acceptance_sample[0]
-    reps = _representatives(sample)
-    assert len({id(r) for r in reps}) == 12
+    index, pairs = _distinct(sample)
+    assert (len(index), len(pairs), sorted(set(index))) == (25, 12, list(range(12)))
+    at = [sample[index.index(a)] for a in range(len(pairs))]  # the first formula at each position
     for i in range(len(sample)):
-        assert _realised(reps[i])[1] == _realised(sample[i])[1]
+        assert content(sample[i]) == _content_key(pairs[index[i]]) == content(at[index[i]])
         for j in range(i, len(sample)):
-            for make in (conj, sum_formula):
-                assert _realised(make(sample[i], sample[j]))[1] == _realised(make(reps[i], reps[j]))[1]
+            a, b = index[i], index[j]
+            made = [content(make(sample[i], sample[j])) for make in (conj, sum_formula)]
+            assert made == [content(make(at[a], at[b])) for make in (conj, sum_formula)]
+            assert made == [_content_key(pair) for pair in meet_and_sum_pairs(pairs[a], pairs[b])]
 
 
 def test_order_table_is_pairwise_implies_on_acceptance_sample(lam2, acceptance_sample, monkeypatch):
@@ -428,11 +439,12 @@ def test_order_table_is_pairwise_implies_on_acceptance_sample(lam2, acceptance_s
     assert all(f.realisation is None for f in bare)
     want = [[implies(a, b) for b in bare] for a in bare]
     calls, built = [], []
-    monkeypatch.setattr(ppcalc.lattice, "implies", lambda *a: calls.append(a) or implies(*a))
+    pair_implies = ppcalc.lattice.pair_implies
+    monkeypatch.setattr(ppcalc.lattice, "pair_implies", lambda *a: calls.append(a) or pair_implies(*a))
     fp_module = ppcalc.formulas.fp_module
     monkeypatch.setattr(ppcalc.formulas, "fp_module", lambda *a: built.append(a) or fp_module(*a))
     assert order_table(bare) == want == order
-    # one implies per pair of the 12 distinct realisations, and each
+    # one pair_implies per pair of the 12 distinct realisations, and each
     # formula's finitely presented realisation built once
     assert (len(calls), len(built)) == (144, 25)
 
@@ -525,11 +537,38 @@ def test_embedding_bimodule_on_two_loops_is_the_loop_bimodule(p):
     from ppcalc.examples import embedding_bimodule
 
     s, k3 = wild_algebras(GF(p))
-    got, want = embedding_bimodule(s, k3), loop_embedding_bimodule(s, k3)
-    assert (got.S, got.R, got.dim) == (want.S, want.R, want.dim) == (s, k3, 6)
+    assert_same_bimodule(embedding_bimodule(s, k3), loop_embedding_bimodule(s, k3), s, k3)
+
+
+def assert_same_bimodule(got, want, s, r):
+    """got and want are the same (s, r)-bimodule of dim 6, matrix for matrix."""
+    assert (got.S, got.R, got.dim) == (want.S, want.R, want.dim) == (s, r, 6)
     for mats, refs in [
         (got.left_action, want.left_action),
         (got.right_action, want.right_action),
         (got.generators, want.generators),
     ]:
         assert [x.key() for x in mats] == [x.key() for x in refs]
+
+
+# embedding_bimodule(S, K_3) over GF(2), written by io.bimodule_to_json
+# with both quiver algebras inline, so the CLI can reach the wild case
+WILD_BIMODULE = str(Path(__file__).parent / "data" / "rad2_into_k3_gf2.bim")
+
+
+def test_wild_bimodule_file_is_the_embedding_bimodule():
+    from ppcalc.examples import embedding_bimodule
+    from ppcalc.io import load_bimodule
+
+    s, k3 = wild_algebras(F2)
+    assert_same_bimodule(load_bimodule(WILD_BIMODULE), embedding_bimodule(s, k3), s, k3)
+
+
+def test_cli_verify_lattice_passes_on_the_wild_bimodule_file(capsys):
+    from ppcalc.cli import main
+
+    assert main(["--out", "json", "verify-lattice", "--bimodule", WILD_BIMODULE, "--cap", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    hom, emb = report["homomorphism"], report["embedding"]
+    assert report["ok"] and hom["ok"] and emb["ok"]
+    assert (hom["sample_size"], hom["pairs_checked"]) == (4, 10)
