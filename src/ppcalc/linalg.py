@@ -50,6 +50,18 @@ B, y its kernel vector.  _echelon of those rows gives the rref.  Over
 GF(3) above _ONE_PASS_GF3_CUT entries it takes kernel_basis, a product
 and an rref instead, as over the other fields.
 
+Mat.kernel_image and Mat.solve_left presolve a system whose block A (the
+first k columns for kernel_image, the matrix for solve_left) has more
+than _PRESOLVE_CUT (4096) entries.  A column of A with one nonzero, in
+row i, where the right-hand side is 0, forces y_i = 0 in every solution
+of y A = r; _forced finds such rows, in rounds, and they are dropped
+before the elimination (their columns, zero on the rows left, stay), and
+solve_left puts 0 at them in X.  The answers are the
+same bit for bit: kernel_image's is a canonical rref, and a forced row is
+independent of all the other rows, so the rows that depend on the rows
+before them, where solve_left's X is 0, do not change.  The cut is
+measured inside whole passes: below it the scan costs more than it saves.
+
 Over QQ every Fraction operation costs far more than the numpy call
 around it, so the QQ arms of the private kernels (_product, _sum, _scale,
 _neg, _kron) compute only the entries where an operand is nonzero.
@@ -715,6 +727,62 @@ def _echelon(field: FieldSpec, a: np.ndarray):
     return _rref(a, field)
 
 
+# Mat.kernel_image and Mat.solve_left presolve (_forced) a system block A
+# of more entries than this; below it the scan costs more than it saves.
+_PRESOLVE_CUT = 4096
+
+
+def _forced(a: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """The rows of a that its singleton columns force to 0, as a boolean mask.
+
+    The unknowns are y in y a = r, and pinned marks the columns j with
+    r_j = 0.  A pinned column whose one nonzero among the rows left is in
+    row i forces y_i = 0 (LaMacchia and Odlyzko's first step of
+    structured Gaussian elimination), so row i goes.  The column is then
+    zero on the rows left, where it costs the eliminations nothing, so it
+    stays, as do the columns that row i shared; these may be singletons
+    among the rows left.  Rounds repeat while one forces a row and the
+    rows left hold more than _PRESOLVE_CUT entries.  A forced row is
+    independent of all the other rows, so dropping it changes no
+    dependency among them.
+    """
+    nz = a.astype(bool)
+    counts = nz.sum(axis=0)
+    forced = np.zeros(a.shape[0], dtype=bool)
+    while True:
+        new = (counts == 1) & pinned
+        if not new.any():
+            break
+        # the one row left in each new singleton column
+        rows = nz[:, new].any(axis=1) & ~forced
+        forced |= rows
+        counts -= nz[rows].sum(axis=0)
+        if np.count_nonzero(~forced) * a.shape[1] <= _PRESOLVE_CUT:
+            break
+    return forced
+
+
+def _solve(field: FieldSpec, a: np.ndarray, b: np.ndarray):
+    """Mat.solve_left on canonical arrays, without the presolve: an array X with X a = b, or None."""
+    n = a.shape[0]
+    if _forward_field(field):
+        # X a = b exactly when each row of [b | 0] reduces to [0 | -X]
+        p, piv = field.p, {}
+        rows = _sliced_rows(np.concatenate([a, b]), p, n)
+        _forward(p, rows[:n], a.shape[1], piv, False)
+        taken, left = _forward(p, rows[n:], a.shape[1], piv, True)
+        if taken:
+            return None
+        return _unsliced(left if p == 2 else [(u, s ^ u) for u, s in left], p, n)
+    # [a^T | b^T] is the transpose of a stacked on b
+    red, piv = _echelon(field, np.concatenate([a, b]).T)
+    if piv and piv[-1] >= n:
+        return None
+    xt = _zeros(field, n, b.shape[0])
+    xt[piv] = red[: len(piv), n:]
+    return xt.T
+
+
 def _positions(idx, n: int):
     """idx as an index into an axis of length n.
 
@@ -980,39 +1048,47 @@ class Mat:
         each row whose A part vanishes, y the kernel vector _forward_kernel
         tracks for it; these span the answer, and _echelon of them gives
         its rref.  Otherwise the kernel of A, times B, in rref.
+
+        When A has more than _PRESOLVE_CUT entries, the rows that
+        singleton columns of A force to 0 (_forced) go first.  The answer
+        is a canonical rref of the same space, so it is the same.
         """
         field, a = self.field, self._a
+        if self.rows * k > _PRESOLVE_CUT:
+            a = a[~_forced(a[:, :k], np.ones(k, dtype=bool))]
         if _forward_field(field) and (field.p == 2 or a.size <= _ONE_PASS_GF3_CUT):
             p = field.p
             left = _forward(p, _sliced_rows(a, p), k, {}, True)[1]
-            red, piv = _echelon(field, _unsliced(left, p, self.cols - k))
+            red, piv = _echelon(field, _unsliced(left, p, a.shape[1] - k))
             return Mat._of(field, red[: len(piv)])
-        ys = self.take_columns(range(k)).kernel_basis()
-        red, piv = (ys @ self.take_columns(range(k, self.cols))).rref()
+        ys = Mat._of(field, a[:, :k]).kernel_basis()
+        red, piv = (ys @ Mat._of(field, a[:, k:])).rref()
         return red.take_rows(range(len(piv)))
 
     def solve_left(self, b: "Mat"):
-        """Solve X @ self = b; returns one X (0 at the rows that depend on the rows before them) or None."""
+        """Solve X @ self = b; returns one X (0 at the rows that depend on the rows before them) or None.
+
+        Above _PRESOLVE_CUT entries the rows that singleton columns force
+        to 0 are dropped first (_forced); X is 0 at them.  Such a row takes
+        part in no dependency, so X is the same as without the step.
+        """
         self._check_same(b)
         if b.cols != self.cols:
             raise DimensionMismatch("solve_left column mismatch")
-        field, n = self.field, self.rows
-        if _forward_field(field):
-            # X @ self = b exactly when each row of [b | 0] reduces to [0 | -X]
-            p, piv = field.p, {}
-            rows = _sliced_rows(np.concatenate([self._a, b._a]), p, n)
-            _forward(p, rows[:n], self.cols, piv, False)
-            taken, left = _forward(p, rows[n:], self.cols, piv, True)
-            if taken:
-                return None
-            return Mat._of(field, _unsliced(left if p == 2 else [(u, s ^ u) for u, s in left], p, n))
-        # [self^T | b^T] is the transpose of self stacked on b
-        red, piv = _echelon(field, np.concatenate([self._a, b._a]).T)
-        if piv and piv[-1] >= n:
-            return None
-        xt = _zeros(field, n, b.rows)
-        xt[piv] = red[: len(piv), n:]
-        return Mat._of(field, xt.T)
+        field, a, rhs = self.field, self._a, b._a
+        if a.size > _PRESOLVE_CUT:
+            forced = _forced(a, ~rhs.astype(bool).any(axis=0))
+            if forced.any():
+                # every column stays: where the forced rows held all of a
+                # column's nonzeros and b is not 0, no X solves it
+                x = _solve(field, a[~forced], rhs)
+                if x is None:
+                    return None
+                out = _zeros(field, b.rows, self.rows)
+                out[:, ~forced] = x
+                return Mat._of(field, out)
+        x = _solve(field, a, rhs)
+        return None if x is None else Mat._of(field, x)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:

@@ -3,20 +3,32 @@
 The oracle shares no linear algebra with ppcalc: it reads matrices out
 with to_rows() and checks them by plain elimination and products, int64
 mod p or Fraction rows.  Each test records every answer of one kind that
-a core pass at seed 0 gives, then checks each against the oracle.
+a core pass at seed 0 gives, then checks each against the oracle.  The
+last test audits the top rungs of one ladder_fp repetition, built by
+perfbench/gen.py, whose answers are known by construction.
 """
 
 import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from ppcalc import acceptance, controlled, formulas, interp, inventory, lattice, modules
+import pytest
+
+from ppcalc import acceptance, controlled, formulas, interp, inventory, lattice, linalg, modules
 from ppcalc.acceptance import RunConfig
 
-ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-_spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
-oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load("oracle")
+gen = _load("gen")
 
 
 def test_every_quotient_of_a_core_pass_is_a_surjection_killing_the_subspace(monkeypatch):
@@ -169,3 +181,36 @@ def test_every_isomorphism_witness_of_a_core_pass_is_an_invertible_module_map(mo
         assert (w.source, w.target) == (m, n) and m.dim == n.dim > 0
         assert oracle.intertwines(m, n, oracle._array(m.field, rows))
         assert oracle.rank(m.field, rows) == m.dim
+
+
+@pytest.mark.parametrize("field_name, dim", [("gf2", 24), ("gf3", 20), ("gfp20", 20)])
+def test_the_top_ladder_rungs_agree_with_their_construction(monkeypatch, field_name, dim):
+    # the inputs of ladder_fp's repetition 0 at seed 0, as perfbench builds
+    # them: the benchmark's largest hom and implication systems, all above
+    # the presolve cut
+    field = gen.FIELDS[field_name]
+
+    def sample(op, sampler):
+        return sampler(field, dim, gen.rng_for(0, field_name, dim, op, 0))
+
+    forced = []
+    real = linalg._forced
+
+    def recorded(a, pinned):
+        rows = real(a, pinned)
+        forced.append(int(rows.sum()))
+        return rows
+
+    monkeypatch.setattr(linalg, "_forced", recorded)
+    m, n, expected = sample("hom_space", gen.hom_sample)
+    oracle.check_hom_basis(m, n, modules.hom_space(m, n), expected)
+    assert forced and min(forced) > 0
+    forced.clear()
+    cases = sample("implies", gen.implies_sample)
+    assert [formulas.implies(psi, phi) for psi, phi, _ in cases] == [want for *_, want in cases]
+    assert forced and min(forced) > 0
+    for module, indec in sample("indecomposability", gen.indec_sample):
+        res = modules.indecomposability(module, 0)
+        assert res.status == ("indecomposable" if indec else "decomposed")
+        if not indec:
+            oracle.check_idempotent(module, res.witness)

@@ -1,5 +1,6 @@
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -1229,6 +1230,175 @@ def test_kernel_image_over_gf3_past_the_one_pass_cut(monkeypatch):
     monkeypatch.setattr(linalg, "_ONE_PASS_GF3_CUT", m.rows * m.cols - 1)
     assert m.kernel_image(30) == want and kernels == [(40, 30)]
     same(want, ref_kernel_image(m, 30))
+
+
+# -- the singleton presolve of kernel_image and solve_left -------------------
+
+
+@contextmanager
+def presolve_cut(cut):
+    """linalg._PRESOLVE_CUT set to cut inside the block (inf: no presolve)."""
+    old = linalg._PRESOLVE_CUT
+    linalg._PRESOLVE_CUT = cut
+    try:
+        yield
+    finally:
+        linalg._PRESOLVE_CUT = old
+
+
+# the cuts each property is checked at: 0 presolves every system, the real
+# cut only the large ones
+PRESOLVE_CUTS = [0, linalg._PRESOLVE_CUT]
+# rows x body columns: below the real cut, and above it (66 * 66 > 4096)
+PRESOLVE_SIZES = {"small": ((1, 10), (0, 8)), "large": ((66, 76), (66, 76))}
+
+
+@st.composite
+def presolve_systems(draw, field, size):
+    """(a, b, kind) for X a = b, with singleton columns planted in a.
+
+    a's columns, shuffled, are a sparse random body and planted columns:
+    - a private column for each held row, its one nonzero there (most held
+      rows have body nonzeros too);
+    - a chain from one held row through two more rows, a column on each
+      step, which only a second and then a third round find singleton;
+    - a trap column on two held rows, emptied once both are forced.
+    b's rows are y a for y that is 0 on the held and chain rows (kind
+    "pinned"), the same with y nonzero on one held row, whose private
+    column then has b != 0 and forces nothing ("one held"), "pinned" with
+    one entry added in the trap column (no solution), or drawn freely.
+    """
+    (rlo, rhi), (clo, chi) = PRESOLVE_SIZES[size]
+    rows, body = draw(st.integers(rlo, rhi)), draw(st.integers(clo, chi))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = field.p or 4
+    density = draw(st.sampled_from([0.5, 0.2, 0.05]))
+
+    def units(count):
+        return gen.integers(1, top, count)
+
+    order = gen.permutation(rows)
+    held = order[: draw(st.integers(0, rows))].tolist()
+    chain = held[:1] + order[len(held) : len(held) + 2].tolist() if held else []
+    cols = [gen.integers(0, top, (rows, body)) * (gen.random((rows, body)) < density)]
+    for i in held:
+        cols.append(np.zeros((rows, 1), dtype=np.int64))
+        cols[-1][i] = units(1)
+    for i, j in zip(chain, chain[1:]):
+        cols.append(np.zeros((rows, 1), dtype=np.int64))
+        cols[-1][[i, j], 0] = units(2)
+    if len(held) >= 2:
+        cols.append(np.zeros((rows, 1), dtype=np.int64))
+        cols[-1][held[:2], 0] = units(2)
+        trap = sum(c.shape[1] for c in cols) - 1
+    a = np.hstack(cols)
+    perm = gen.permutation(a.shape[1])
+    a = Mat.of_array(field, a[:, perm])
+    kinds = ["pinned", "free"] + (["one held"] if held else []) + (["trap"] if len(held) >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    k = draw(st.integers(1 if kind in ("one held", "trap") else 0, 3))
+    if kind == "free":
+        return a, Mat.of_array(field, gen.integers(0, top, (k, a.cols))), kind
+    y = gen.integers(0, top, (k, rows))
+    y[:, held + chain] = 0
+    if kind == "one held":
+        y[0, held[draw(st.integers(0, len(held) - 1))]] = units(1)[0]
+    b = (Mat.of_array(field, y) @ a).array().copy()
+    if kind == "trap":
+        b[0, perm.tolist().index(trap)] += 1
+    return a, Mat.of_array(field, b), kind
+
+
+@pytest.mark.parametrize("size", sorted(PRESOLVE_SIZES))
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_presolved_solve_left_matches_the_direct_route(name, size, data):
+    field = KERNEL_FIELDS[name]
+    a, b, kind = data.draw(presolve_systems(field, size))
+    with presolve_cut(math.inf):
+        want = a.solve_left(b)
+    ref = old_solve_left(a, b)
+    assert (want is None) == (ref is None) and (want is None or np.array_equal(want.array(), ref))
+    if kind != "free":
+        assert (want is None) == (kind == "trap")
+    for cut in PRESOLVE_CUTS:
+        with presolve_cut(cut):
+            got = a.solve_left(b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            same(got, want.array())
+            assert got @ a == b
+
+
+@pytest.mark.parametrize("size", sorted(PRESOLVE_SIZES))
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_presolved_kernel_image_matches_the_direct_route(name, size, data):
+    field = KERNEL_FIELDS[name]
+    a, _, _ = data.draw(presolve_systems(field, size))
+    width = data.draw(st.integers(0, 5))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = Mat.hstack([a, Mat.of_array(field, gen.integers(0, field.p or 4, (a.rows, width)))])
+    with presolve_cut(math.inf):
+        want = m.kernel_image(a.cols)
+    same(want, ref_kernel_image(m, a.cols))
+    for cut in PRESOLVE_CUTS:
+        with presolve_cut(cut):
+            same(m.kernel_image(a.cols), want.array())
+
+
+# rows 0..3 of PRESOLVE_A: column 0 is a singleton in row 0, which has
+# other nonzeros; columns 1, 2 and 4 are singletons only in the second,
+# third and fourth rounds; column 3 has its nonzeros in rows 0 and 1, so
+# it is left empty once they are forced
+PRESOLVE_A = [
+    [1, 1, 0, 1, 0],
+    [0, 1, 1, 1, 0],
+    [0, 0, 1, 0, 1],
+    [0, 0, 0, 0, 1],
+]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_presolve_fixed_cases(name):
+    field = KERNEL_FIELDS[name]
+    a = Mat.of_array(field, PRESOLVE_A)
+    pinned = np.ones(5, dtype=bool)
+    with presolve_cut(0):
+        assert linalg._forced(a.array(), pinned).all()
+    # the rounds stop once the rows left hold no more than the cut
+    with presolve_cut(15):
+        assert linalg._forced(a.array(), pinned).tolist() == [True, False, False, False]
+    # b != 0 in column 0: it forces nothing, and no other column is a singleton
+    with presolve_cut(0):
+        assert not linalg._forced(a.array(), np.array([False, True, True, True, True])).any()
+
+    def row(values):
+        return Mat.of_array(field, [values])
+
+    def solution(width, at):
+        return row([int(j == at) for j in range(width)]).array()
+
+    with presolve_cut(0):
+        # a has independent rows: only y = 0 is in the kernel
+        assert a.kernel_image(5).shape == (0, 0)
+        assert Mat.hstack([a, Mat.identity(field, 4)]).kernel_image(5).shape == (0, 4)
+        # b is a's row 0, nonzero in the singleton column 0
+        same(a.solve_left(a.row(0)), solution(4, 0))
+        # b != 0 only in column 3, whose nonzeros lie in forced rows: no solution
+        assert a.solve_left(row([0, 0, 0, 1, 0])) is None
+        # X is 0 at the forced rows and at row 3, which is zero
+        c = Mat.of_array(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        same(c.solve_left(row([0, 0, 1])), solution(4, 2))
+        same(c.solve_left(row([0, 1, 0])), solution(4, 1))
+    # above the real cut: 64 blocks of a on the diagonal, 256 x 320
+    big = Mat.of_array(field, np.kron(np.eye(64, dtype=np.int64), PRESOLVE_A))
+    assert big.rows * big.cols > linalg._PRESOLVE_CUT
+    assert big.solve_left(row([0, 0, 0, 1, 0] * 64)) is None
+    same(big.solve_left(big.row(4)), solution(256, 4))
+    assert big.kernel_image(320).shape == (0, 0)
 
 
 @pytest.mark.parametrize(
