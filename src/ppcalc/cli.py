@@ -67,7 +67,7 @@ def cmd_implies(args):
 
 def cmd_freereal(args):
     phi = pio.load_formula(args.formula)
-    fr = free_realisation(phi, via="fp")
+    fr = free_realisation(phi)
     payload = {
         "module": pio.module_to_json(fr.module),
         "tuple": [t.to_rows()[0] for t in fr.tuple],
@@ -104,8 +104,7 @@ def cmd_verify_lattice(args):
         sample = []
         for path in args.sample:
             phi = pio.load_formula(path, algebra=bim.S)
-            fr = free_realisation(phi)
-            sample.append(phi.with_realisation(fr.module, fr.tuple))
+            sample.append(phi.with_realisation(*free_realisation(phi)))
     else:
         inv = enumerate_indecomposables(bim.S, args.cap, args.budget, args.seed)
         sample = standard_sample(bim.S, inv.members)

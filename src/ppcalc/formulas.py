@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "pp_type_generator",
     "implies",
     "equivalent",
-    "realisation_pair",
     "pair_implies",
     "pair_equivalent",
     "meet_and_sum_pairs",
@@ -64,8 +64,8 @@ class PpFormula:
 
     c and e are the complexity statistics: the number of bound variables
     and the number of equations.  realisation, when given, is a pair
-    (module, tuple) fixed as the formula's free realisation; it is set
-    here and never changed.
+    (module, tuple) fixed as the formula's free realisation: it is stored
+    once, as a FreeRealisation, and never changed.
     """
 
     def __init__(self, algebra: Algebra, n: int, c: int, e: int, coeffs,
@@ -92,20 +92,16 @@ class PpFormula:
         if self.e < e:
             coeffs = Mat._of(field, blocks[:, live].reshape(rows, self.e * dim))
         self.matrix = coeffs
-        if realisation is not None and len(realisation[1]) != n:
-            raise FormulaError("realisation tuple arity mismatch")
-        self._pair = None if realisation is None else (realisation[0], list(realisation[1]))
+        if realisation is not None:
+            realisation = FreeRealisation(realisation[0], tuple(realisation[1]))
+            if len(realisation.tuple) != n:
+                raise FormulaError("realisation tuple arity mismatch")
+        self._realisation = realisation
 
     @property
-    def realisation(self):
-        """The free realisation fixed at construction, or None.
-
-        A new FreeRealisation on each access: the formula keeps only the
-        pair (module, tuple), so it and its realisation form no cycle.
-        """
-        return None if self._pair is None else FreeRealisation(*self._pair, self)
-
-    _realisation = realisation  # the name perfbench/ reads
+    def realisation(self) -> "FreeRealisation | None":
+        """The free realisation fixed at construction, or None."""
+        return self._realisation
 
     def blocks(self):
         """The matrix as an (n+c) x e x dim A array of coefficient rows."""
@@ -156,26 +152,18 @@ class PpFormula:
         return PpFormula(self.algebra, self.n, self.c, self.e, self.matrix, (module, tup))
 
 
-class FreeRealisation:
-    """A module C and tuple c whose pp-type the formula generates.
+class FreeRealisation(NamedTuple):
+    """A module C and tuple c whose pp-type a formula generates.
 
-    Construction checks only the arity.  implies trusts the realisations
-    of both of its formulas: psi <= phi is read off Hom(C_phi, C_psi), so
-    a tuple whose pp-type is not the one phi generates gives wrong answers.
+    tuple is a Python tuple of 1 x dim C Mats, so the value is immutable,
+    and it is equal and hashed by content (FDModule and Mat are).
+    implies trusts the realisations of both of its formulas: psi <= phi
+    is read off Hom(C_phi, C_psi), so a tuple whose pp-type is not the
+    one phi generates gives wrong answers.
     """
 
-    def __init__(self, module: FDModule, tup, formula: PpFormula):
-        self.module = module
-        self.tuple = list(tup)
-        self.formula = formula
-        if len(self.tuple) != formula.n:
-            raise FormulaError("realisation tuple arity mismatch")
-
-    def tuple_flat(self) -> Mat:
-        return _flat(self.module, self.tuple)
-
-    def __repr__(self):
-        return f"FreeRealisation(dim {self.module.dim}, arity {self.formula.n})"
+    module: FDModule
+    tuple: tuple
 
 
 def top_formula(algebra: Algebra, n: int) -> PpFormula:
@@ -187,7 +175,7 @@ def zero_formula(algebra: Algebra, n: int) -> PpFormula:
     """x = 0: one equation per free variable, realised in the zero module."""
     z = zero_module(algebra)
     ident = Mat.identity(algebra.field, n).kron(algebra.one)
-    return PpFormula(algebra, n, 0, n, ident, (z, [z.zero_vector()] * n))
+    return PpFormula(algebra, n, 0, n, ident, (z, (z.zero_vector(),) * n))
 
 
 def _formula_matrix(phi: PpFormula, m: FDModule) -> Mat:
@@ -270,40 +258,40 @@ def _subst_blocks(field, n_blocks: int, m: int, *cols) -> Mat:
     return Mat._of(field, b).kron(Mat.identity(field, m))
 
 
-def _summed(a, b):
+def _summed(a: FreeRealisation, b: FreeRealisation):
     """The direct sum of two realisations' modules, with both tuples carried in.
 
-    a and b are pairs (module, tuple) of equal arity.  Returns (total,
-    left, right): the sum and the images of a's and b's tuples in it.
+    a and b have equal arity.  Returns (total, left, right): the sum and
+    the images of a's and b's tuples in it.
     """
-    total, i1, i2, _, _ = direct_sum(a[0], b[0])
-    return total, [i1(x) for x in a[1]], [i2(y) for y in b[1]]
+    total, i1, i2, _, _ = direct_sum(a.module, b.module)
+    return total, [i1(x) for x in a.tuple], [i2(y) for y in b.tuple]
 
 
-def _pushout(total, left, right):
+def _pushout(total, left, right) -> FreeRealisation:
     """The meet's free realisation: total modulo the submodule generated by
     the differences left_i - right_i, with the classes of left as the tuple."""
     q, proj = quotient_module(total, submodule_generated(total, [x - y for x, y in zip(left, right)]))
-    return q, [proj(x) for x in left]
+    return FreeRealisation(q, tuple(proj(x) for x in left))
 
 
-def _added(total, left, right):
+def _added(total, left, right) -> FreeRealisation:
     """The sum's free realisation: total with the tuple left_i + right_i."""
-    return total, [x + y for x, y in zip(left, right)]
+    return FreeRealisation(total, tuple(x + y for x, y in zip(left, right)))
 
 
-def meet_and_sum_pairs(a, b):
-    """Free realisations (module, tuple) of the meet and of the sum of the
-    formulas that the pairs a and b realise, both from one direct sum.
+def meet_and_sum_pairs(a: FreeRealisation, b: FreeRealisation):
+    """Free realisations of the meet and of the sum of the formulas that
+    a and b realise, both from one direct sum.
 
     The meet's is the pushout of the maps A^n -> C_a and A^n -> C_b that
     send the free generators to the tuples (_pushout); the sum's is
     C_a + C_b with the tuple a_i + b_i (_added).  conj and sum_formula
-    attach the same pairs.
+    attach the same realisations.
     """
-    if len(a[1]) != len(b[1]):
+    if len(a.tuple) != len(b.tuple):
         raise FormulaError("conj needs equal arities")
-    if a[0].algebra != b[0].algebra:
+    if a.module.algebra != b.module.algebra:
         raise FormulaError("conj needs a common algebra")
     summed = _summed(a, b)
     return _pushout(*summed), _added(*summed)
@@ -321,8 +309,8 @@ def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
         raise FormulaError("conj needs a common algebra")
     ident = Mat.identity(phi.algebra.field, phi.n)
     real = None
-    if phi._pair is not None and psi._pair is not None:
-        real = _pushout(*_summed(phi._pair, psi._pair))
+    if phi.realisation is not None and psi.realisation is not None:
+        real = _pushout(*_summed(phi.realisation, psi.realisation))
     return assemble(phi.algebra, phi.n, 0, [(phi, ident), (psi, ident)], realisation=real)
 
 
@@ -337,30 +325,28 @@ def sum_formula(phi: PpFormula, psi: PpFormula) -> PpFormula:
     if phi.algebra != psi.algebra:
         raise FormulaError("sum needs a common algebra")
     real = None
-    if phi._pair is not None and psi._pair is not None:
-        real = _added(*_summed(phi._pair, psi._pair))
+    if phi.realisation is not None and psi.realisation is not None:
+        real = _added(*_summed(phi.realisation, psi.realisation))
     # slot blocks x (free) and x1 (aux): phi sees x1, psi sees x - x1
     sub = partial(_subst_blocks, phi.algebra.field, 2, phi.n)
     instances = [(phi, sub(1)), (psi, sub({0: 1, 1: -1}))]
     return assemble(phi.algebra, phi.n, phi.n, instances, realisation=real)
 
 
-def free_realisation(phi: PpFormula, via: str = "auto") -> FreeRealisation:
+def free_realisation(phi: PpFormula) -> FreeRealisation:
     """A free realisation of phi.
 
-    via="auto" returns the realisation fixed when phi was constructed,
-    if it has one; otherwise, and always for via="fp", this builds the
-    canonical finitely presented module on n + c generators with the
-    formula's columns as relations.  phi is not changed: a formula used
-    many times without a realisation should be rebuilt once with
-    phi.with_realisation.
+    The realisation fixed when phi was constructed, if it has one;
+    otherwise the canonical finitely presented module on n + c generators
+    with the formula's columns as relations, built anew on each call.
+    phi is not changed: a formula used many times without a realisation
+    should be rebuilt once with phi.with_realisation(*free_realisation(phi)).
     """
-    if via == "auto" and phi._pair is not None:
+    if phi.realisation is not None:
         return phi.realisation
     q, gens, _ = fp_module(phi.algebra, phi.dense())
-    fr = FreeRealisation(q, gens[: phi.n], phi)
-    sol = eval_formula(phi, q)
-    if not sol.contains_vector(fr.tuple_flat()):
+    fr = FreeRealisation(q, tuple(gens[: phi.n]))
+    if not eval_formula(phi, q).contains_vector(_flat(q, fr.tuple)):
         raise FormulaError("internal: realisation tuple fails its own formula")
     return fr
 
@@ -391,30 +377,18 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
     return PpFormula(a, n, d, n + ker.rows, matrix, (m, tup))
 
 
-def realisation_pair(phi: PpFormula):
-    """phi's free realisation (see free_realisation) as a pair (module, tuple).
-
-    The pair fixed at construction is returned itself, not copied: read
-    it, do not change it.
-    """
-    if phi._pair is not None:
-        return phi._pair
-    fr = free_realisation(phi)
-    return fr.module, fr.tuple
-
-
 def _flat(module: FDModule, tup) -> Mat:
     """The tuple's vectors side by side, as one row."""
     return Mat.hstack(tup) if tup else Mat.zeros(module.field, 1, 0)
 
 
-def pair_implies(psi, phi) -> bool:
-    """Decide psi <= phi for the formulas free-realised by the pairs
+def pair_implies(psi: FreeRealisation, phi: FreeRealisation) -> bool:
+    """Decide psi <= phi for the formulas free-realised by
     psi = (C_psi, c_psi) and phi = (C_phi, c_phi).
 
     By the free-realisation criterion, psi <= phi iff some homomorphism
-    C_phi -> C_psi sends c_phi to c_psi.  Equal pairs are decided at once,
-    the identity map being one.  The cheap fields are compared first:
+    C_phi -> C_psi sends c_phi to c_psi.  Equal realisations are decided
+    at once, the identity map being one.  The cheap fields are compared first:
     the dimensions, then the tuples, then the modules, by identity and
     then by actions (FDModule.__eq__).
     Otherwise the maps are those of hom_space's spinning system [Phi | L],
@@ -445,7 +419,7 @@ def implies(psi: PpFormula, phi: PpFormula) -> bool:
     trusts the realisations attached to both formulas (see
     PpFormula.with_realisation).
     """
-    return pair_implies(realisation_pair(psi), realisation_pair(phi))
+    return pair_implies(free_realisation(psi), free_realisation(phi))
 
 
 def equivalent(phi: PpFormula, psi: PpFormula) -> bool:

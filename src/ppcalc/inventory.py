@@ -66,13 +66,12 @@ class Inventory:
     enumerated as such.
     """
 
-    def __init__(self, algebra: Algebra, cap: int, members, exhaustive: bool,
+    def __init__(self, algebra: Algebra, cap: int, members,
                  decided: int | None = None, assignments: int | None = None,
                  middle_terms: int | None = None):
         self.algebra = algebra
         self.cap = cap
         self.members = list(members)
-        self.exhaustive = exhaustive
         self.decided = decided
         self.assignments = assignments
         self.middle_terms = middle_terms
@@ -81,7 +80,7 @@ class Inventory:
         return [m for m in self.members if m.dim == d]
 
     def up_to(self, cap: int) -> "Inventory":
-        """The members of dimension <= cap, in order, as an exhaustive inventory.
+        """The members of dimension <= cap, in order, as an inventory.
 
         enumerate_indecomposables walks dimensions 1..cap in order, so
         its members of dimension <= c do not depend on the cap: this is
@@ -89,11 +88,9 @@ class Inventory:
         """
         if cap < 0:
             raise ValueError(f"inventory cap must be non-negative, got {cap}")
-        if cap > self.cap or not self.exhaustive:
+        if cap > self.cap:
             raise ValueError(f"cannot take cap {cap} from {self!r}")
-        return Inventory(
-            self.algebra, cap, [m for m in self.members if m.dim <= cap], exhaustive=True
-        )
+        return Inventory(self.algebra, cap, [m for m in self.members if m.dim <= cap])
 
     def __iter__(self):
         return iter(self.members)
@@ -590,7 +587,7 @@ def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
             )
         pieces.extend((label, m) for m in found)
     members = [m for _, m in pieces]
-    return Inventory(algebra, cap, members, exhaustive=True, decided=decided,
+    return Inventory(algebra, cap, members, decided=decided,
                      assignments=estimate, middle_terms=extensions.middle_terms if extensions else 0)
 
 

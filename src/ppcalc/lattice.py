@@ -15,13 +15,14 @@ from functools import cache
 
 from .formulas import (
     FormulaError,
+    FreeRealisation,
     PpFormula,
     conj,
+    free_realisation,
     meet_and_sum_pairs,
     pair_equivalent,
     pair_implies,
     pp_type_generator,
-    realisation_pair,
     sum_formula,
     zero_formula,
 )
@@ -56,24 +57,24 @@ def beta(bmap: BetaMap, phi: PpFormula) -> PpFormula:
 
     Takes a free realisation (C, c), tensors it with the bimodule
     (tensored_pair), and returns a generator of the pp-type of the tuple
-    c tensor t, with that pair as its free realisation.
+    c tensor t, with (C tensor B, c tensor t) as its free realisation.
     """
-    return pp_type_generator(*tensored_pair(bmap, realisation_pair(phi)))
+    return pp_type_generator(*tensored_pair(bmap, free_realisation(phi)))
 
 
-def tensored_pair(bmap: BetaMap, pair):
-    """The free realisation of the image of the formula that pair realises.
+def tensored_pair(bmap: BetaMap, real: FreeRealisation) -> FreeRealisation:
+    """The free realisation of the image of the formula that real realises.
 
-    pair is (C, (c,)), a free realisation of a one-variable formula over
+    real is (C, (c,)), a free realisation of a one-variable formula over
     S; the image's is (C tensor B, (c tensor t_1, ..., c tensor t_n)).
     """
-    module, tup = pair
+    module, tup = real
     if len(tup) != 1:
         raise FormulaError("beta is defined on formulas of arity 1")
     if module.algebra != bmap.bimodule.S:
         raise FormulaError("formula must live over the bimodule's left algebra")
     t = tensor_over(module, bmap.bimodule)
-    return t.module, [t.pure_tensor(tup[0], g) for g in bmap.bimodule.generators]
+    return FreeRealisation(t.module, tuple(t.pure_tensor(tup[0], g) for g in bmap.bimodule.generators))
 
 
 def standard_sample(algebra, modules, close: bool = True):
@@ -124,27 +125,21 @@ def order_table(formulas):
     return [[implied(a, b) for b in index] for a in index]
 
 
-def _content_key(pair):
-    """A free realisation's content key: the module (FDModule compares by
-    its action matrices) and the keys of the tuple's entries."""
-    return pair[0], tuple(t.key() for t in pair[1])
-
-
 def _distinct(formulas):
     """The distinct free realisations of formulas, and each formula's position.
 
     Returns (index, pairs): formula i is realised by pairs[index[i]], the
-    first realisation in formulas with the same content (_content_key).
+    first realisation in formulas equal to its own (a FreeRealisation is
+    equal and hashed by content).
     A formula without a realisation gets its finitely presented one,
     built once here.  beta and implies read a formula only through its
     realisation, and conj and sum_formula build the realisation they
     attach from their arguments' realisations alone, so a verdict decided
     on positions holds for every formula at them.
     """
-    first = {}  # content key -> (position, pair)
-    realised = map(realisation_pair, formulas)
-    index = [first.setdefault(_content_key(p), (len(first), p))[0] for p in realised]
-    return index, [p for _, p in first.values()]
+    first = {}  # realisation -> its position; equal ones keep the first
+    index = [first.setdefault(free_realisation(f), len(first)) for f in formulas]
+    return index, list(first)
 
 
 def _failure(sample, i, j, law=None):
@@ -184,13 +179,12 @@ def verify_lattice_hom(bmap: BetaMap, sample, betas=None, order=None):
         betas = [beta(bmap, f) for f in sample]
     if order is None:
         order = order_table(sample)
-    images = {}  # realisation key of a pair formula -> its image's realisation
+    images = {}  # realisation of a pair formula -> its image's realisation
 
-    def image(pair):
-        key = _content_key(pair)
-        if key not in images:
-            images[key] = tensored_pair(bmap, pair)
-        return images[key]
+    def image(real):
+        if real not in images:
+            images[real] = tensored_pair(bmap, real)
+        return images[real]
 
     index, pairs = _distinct(sample)
     image_index, image_pairs = _distinct(betas)

@@ -84,21 +84,18 @@ def test_every_implication_of_a_core_pass_agrees_with_the_formula_in_the_realisa
     formula_level, pair_level = {}, {}
     implies, pair_implies = formulas.implies, formulas.pair_implies
 
-    def content(pair):
-        return pair[0], tuple(t.key() for t in pair[1])
-
     def record(answers, key, verdict, *inputs):
         assert answers.setdefault(key, (verdict, inputs))[0] == verdict
 
     def recorded_implies(psi, phi):
         verdict = implies(psi, phi)
-        psi_pair = formulas.realisation_pair(psi)
-        record(formula_level, (content(psi_pair), phi.key()), verdict, psi_pair, phi)
+        psi_real = formulas.free_realisation(psi)
+        record(formula_level, (psi_real, phi.key()), verdict, psi_real, phi)
         return verdict
 
     def recorded_pair_implies(psi, phi):
         verdict = pair_implies(psi, phi)
-        record(pair_level, (content(psi), content(phi)), verdict, psi, phi)
+        record(pair_level, (psi, phi), verdict, psi, phi)
         return verdict
 
     # every place the names are bound and called from; implies and

@@ -33,7 +33,6 @@ from ppcalc.formulas import (
     free_realisation,
     meet_and_sum_pairs,
     pp_type_generator,
-    realisation_pair,
     sum_formula,
 )
 from ppcalc.interp import (
@@ -130,7 +129,7 @@ def ref_map_from_free(fr: FreeRealisation):
     """The map A^n -> C sending the free generators to the tuple."""
     c_mod = fr.module
     a = c_mod.algebra
-    free, _ = free_module(a, fr.formula.n)
+    free, _ = free_module(a, len(fr.tuple))
     rows = [(t @ act).to_rows()[0] for t in fr.tuple for act in c_mod.action]
     mat = Mat.from_rows(c_mod.field, rows) if rows else Mat.zeros(c_mod.field, 0, c_mod.dim)
     return ModuleMap(free, c_mod, mat)
@@ -154,7 +153,7 @@ def ref_meet_realisation(phi, psi):
     """The pushout of the two maps out of A^n, with the images of c_phi."""
     fr_phi, fr_psi = free_realisation(phi), free_realisation(psi)
     p, hf, _ = pushout(ref_map_from_free(fr_phi), ref_map_from_free(fr_psi))
-    return p, [hf(t) for t in fr_phi.tuple]
+    return p, tuple(hf(t) for t in fr_phi.tuple)
 
 
 def module_kinds(field):
@@ -221,7 +220,7 @@ def realised_pairs(draw, field):
 @given(data=st.data())
 def test_meet_realisation_matches_pushout_from_free(case, data):
     phi, psi = data.draw(realised_pairs(ORACLE_FIELDS[case]))
-    (q, tup), (total, added) = meet_and_sum_pairs(realisation_pair(phi), realisation_pair(psi))
+    (q, tup), (total, added) = meet_and_sum_pairs(free_realisation(phi), free_realisation(psi))
     ref_q, ref_tup = ref_meet_realisation(phi, psi)
     assert q.action == ref_q.action
     assert tup == ref_tup
@@ -229,7 +228,7 @@ def test_meet_realisation_matches_pushout_from_free(case, data):
     # conj and sum_formula attach the same two pairs
     ref_total, i1, i2, _, _ = direct_sum(phi.realisation.module, psi.realisation.module)
     assert total.action == ref_total.action
-    assert added == [i1(a) + i2(b) for a, b in zip(phi.realisation.tuple, psi.realisation.tuple)]
+    assert added == tuple(i1(a) + i2(b) for a, b in zip(phi.realisation.tuple, psi.realisation.tuple))
     for made, (module, made_tup) in [(conj(phi, psi), (q, tup)), (sum_formula(phi, psi), (total, added))]:
         assert made.realisation.module.action == module.action
         assert made.realisation.tuple == made_tup

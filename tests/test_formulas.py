@@ -114,20 +114,20 @@ def test_sum_with_zero_is_neutral(lam2, phis):
 
 def test_free_realisation_div(lam2, reg2, phis):
     div, _ = phis
-    fr = free_realisation(div, via="fp")
+    fr = free_realisation(div)
     assert fr.module.dim == 2
     assert iso_test(fr.module, reg2)
     # the tuple is a generator image satisfying div: x-divisible
-    assert eval_formula(div, fr.module).contains_vector(fr.tuple_flat())
+    assert eval_formula(div, fr.module).contains_vector(Mat.hstack(fr.tuple))
 
 
 def test_free_realisation_zero_formula(lam2):
-    fr = free_realisation(zero_formula(lam2, 1), via="fp")
+    fr = free_realisation(unrealised(zero_formula(lam2, 1)))
     assert fr.module.dim == 0
 
 
 def test_free_realisation_top(lam2, reg2):
-    fr = free_realisation(top_formula(lam2, 1), via="fp")
+    fr = free_realisation(unrealised(top_formula(lam2, 1)))
     assert fr.module.dim == 2
     assert iso_test(fr.module, reg2)
     # tuple is a free generator: its annihilator is zero
@@ -298,7 +298,7 @@ def test_formula_pipeline_over_rationals(lamq):
     gen = pp_type_generator(reg, [reg.element([0, 1])])
     assert equivalent(gen, div)
     assert equivalent(conj(div, ann), div)
-    assert pair_open(PpPair(ann, div), free_realisation(ann, via="fp").module)
+    assert pair_open(PpPair(ann, div), free_realisation(ann).module)
 
 
 # -- implies against the direct system -----------------------------------
@@ -314,7 +314,7 @@ def ref_implies(psi, phi):
     c_mod = fr.module
     d = c_mod.dim
     big = _formula_matrix(phi, c_mod)
-    tflat = fr.tuple_flat()
+    tflat = Mat.hstack([Mat.zeros(c_mod.field, 1, 0), *fr.tuple])
     if big.cols == 0:
         return True
     x_part = big.take_rows(range(phi.n * d))
@@ -472,14 +472,26 @@ def test_with_realisation_leaves_the_original_unrealised(lam2, reg2, phis):
     realised = div.with_realisation(reg2, [x])
     assert div._realisation is None
     assert realised == div and realised is not div
-    assert realised._realisation.module is reg2 and realised._realisation.tuple == [x]
+    assert realised._realisation.module is reg2 and realised._realisation.tuple == (x,)
 
 
 def test_free_realisation_writes_nothing(lam2, phis):
     div, _ = phis
-    for via in ("auto", "fp"):
-        fr = free_realisation(div, via=via)
-        assert fr.formula is div and div._realisation is None
+    fr = free_realisation(div)
+    assert div._realisation is None
+    # built anew on each call, with the same content
+    assert free_realisation(div) is not fr and free_realisation(div) == fr
+
+
+def test_a_realisation_handed_out_cannot_be_rewritten(reg2):
+    # the realisation is one immutable value: no caller can change the
+    # tuple that implies reads
+    one, x = reg2.element([1, 0]), reg2.element([0, 1])
+    phi, psi = pp_type_generator(reg2, [x]), pp_type_generator(reg2, [one])
+    assert phi.realisation is free_realisation(phi)
+    with pytest.raises(TypeError):
+        free_realisation(phi).tuple[0] = one
+    assert not implies(psi, phi)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
@@ -487,7 +499,7 @@ def test_zero_and_top_realisations_agree_with_fp(field):
     lam = oracle_algebras(field)[0]
     for n in (0, 1, 2):
         for phi in (zero_formula(lam, n), top_formula(lam, n)):
-            attached, fp = phi._realisation, free_realisation(phi, via="fp")
+            attached, fp = phi._realisation, free_realisation(unrealised(phi))
             assert attached is not None
             assert attached.module.dim == fp.module.dim
             # implies reads the attached realisation of phi, the fp one of the copy
@@ -862,12 +874,13 @@ def test_negated_unit_is_canonical_at_a_large_prime():
 
 
 def test_realised_formula_is_freed_without_the_cycle_collector(lam2):
-    # the formula keeps (module, tuple) only, so refcounting alone frees it
+    # the realisation holds no reference to the formula, so refcounting
+    # alone frees both
     gc.disable()
     try:
         m = regular_module(lam2)
         phi = pp_type_generator(m, [m.element([0, 1])])
-        assert phi.realisation.module is m and phi._realisation.formula is phi
+        assert phi.realisation.module is m
         module_ref, formula_ref = weakref.ref(m), weakref.ref(phi)
         del m, phi
         assert module_ref() is None and formula_ref() is None

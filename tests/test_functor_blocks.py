@@ -229,7 +229,7 @@ def test_sum_formula_matches_stacked_blocks(case, data):
     gen2 = pp_type_generator(m2, data.draw(module_tuples(m2, n)))
     got, want = sum_formula(gen, gen2), ref_sum_formula(gen, gen2)
     assert got.key() == want.key()
-    (gm, gt), (wm, wt) = got._pair, want._pair
+    (gm, gt), (wm, wt) = got.realisation, want.realisation
     assert [x.key() for x in gm.action] == [x.key() for x in wm.action]
     assert [v.key() for v in gt] == [v.key() for v in wt]
 

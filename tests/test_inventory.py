@@ -86,7 +86,7 @@ def test_cap_zero_empty(lam2):
 @pytest.mark.parametrize("cap", [-1, -3])
 def test_negative_cap_raises(lam2, cap):
     # a negative cap gave an empty inventory, as if it were 0, and up_to
-    # one marked exhaustive
+    # took one
     with pytest.raises(ValueError, match="non-negative"):
         enumerate_indecomposables(lam2, cap, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
@@ -186,7 +186,7 @@ def test_completeness_lambda_without_the_regular_module_fails(lam2):
     # negative control: every dim-2 module decomposes into members only if
     # the regular module is one of them
     inv = enumerate_indecomposables(lam2, 2, seed=0)
-    partial = Inventory(lam2, 2, [m for m in inv.members if m.dim != 2], exhaustive=True)
+    partial = Inventory(lam2, 2, [m for m in inv.members if m.dim != 2])
     report = verify_completeness(partial, 2, seed=0)
     assert not report["ok"]
     assert [(d["dim"], d["ok"]) for d in report["dims"]] == [(1, True), (2, False)]
@@ -226,7 +226,6 @@ def test_up_to_equals_fresh_enumeration(make, p, big, small):
     prefix = enumerate_indecomposables(algebra, big, seed=0).up_to(small)
     fresh = enumerate_indecomposables(algebra, small, seed=0)
     assert prefix.cap == fresh.cap == small
-    assert prefix.exhaustive and fresh.exhaustive
     assert prefix.algebra == fresh.algebra
     assert len(prefix) == len(fresh)
     for got, want in zip(prefix.members, fresh.members):

@@ -410,23 +410,20 @@ def test_pair_realisations_depend_only_on_representatives(acceptance_sample):
     # pair have the realisation of the same construction on the formulas
     # at the pair's positions, and meet_and_sum_pairs of the positions'
     # realisations gives that content too
-    from ppcalc.formulas import meet_and_sum_pairs, realisation_pair
-    from ppcalc.lattice import _content_key, _distinct
-
-    def content(phi):
-        return _content_key(realisation_pair(phi))
+    from ppcalc.formulas import free_realisation, meet_and_sum_pairs
+    from ppcalc.lattice import _distinct
 
     sample = acceptance_sample[0]
     index, pairs = _distinct(sample)
     assert (len(index), len(pairs), sorted(set(index))) == (25, 12, list(range(12)))
     at = [sample[index.index(a)] for a in range(len(pairs))]  # the first formula at each position
     for i in range(len(sample)):
-        assert content(sample[i]) == _content_key(pairs[index[i]]) == content(at[index[i]])
+        assert free_realisation(sample[i]) == pairs[index[i]] == free_realisation(at[index[i]])
         for j in range(i, len(sample)):
             a, b = index[i], index[j]
-            made = [content(make(sample[i], sample[j])) for make in (conj, sum_formula)]
-            assert made == [content(make(at[a], at[b])) for make in (conj, sum_formula)]
-            assert made == [_content_key(pair) for pair in meet_and_sum_pairs(pairs[a], pairs[b])]
+            made = [free_realisation(make(sample[i], sample[j])) for make in (conj, sum_formula)]
+            assert made == [free_realisation(make(at[a], at[b])) for make in (conj, sum_formula)]
+            assert made == list(meet_and_sum_pairs(pairs[a], pairs[b]))
 
 
 def test_order_table_is_pairwise_implies_on_acceptance_sample(lam2, acceptance_sample, monkeypatch):

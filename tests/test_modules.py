@@ -1145,9 +1145,9 @@ def ref_implies_by_system(psi, phi):
     """implies, with the system made by ref_hom_system."""
     fr_psi, fr_phi = free_realisation(psi), free_realisation(phi)
     target = fr_psi.module
-    c_phi = fr_phi.tuple_flat().reshape(phi.n, fr_phi.module.dim)
+    c_phi = Mat.hstack(fr_phi.tuple).reshape(phi.n, fr_phi.module.dim)
     system, nrel = ref_hom_system(fr_phi.module, target, at=c_phi)
-    rhs = Mat.hstack([Mat.zeros(target.field, 1, nrel * target.dim), fr_psi.tuple_flat()])
+    rhs = Mat.hstack([Mat.zeros(target.field, 1, nrel * target.dim), *fr_psi.tuple])
     return system.solve_left(rhs) is not None
 
 
