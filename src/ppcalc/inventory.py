@@ -22,21 +22,17 @@ from functools import partial, reduce
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import Mat, Subspace, _product, quotient_basis
+from .linalg import Mat, Subspace, _product
 from .modules import (
     FDModule,
     ModuleError,
     direct_sum_many,
     decompose,
-    hom_space,
+    ext1,
+    extension,
     indecomposability,
-    quotient_module,
-    regular_module,
-    submodule_generated,
-    submodule_module,
     _digits,
     _first_iso,
-    _flat_span,
 )
 
 __all__ = [
@@ -392,69 +388,37 @@ def _kac_counts(quiver, p: int, cap: int):
 # ---------------------------------------------------------------------------
 
 
-def _radical_covers(algebra: Algebra):
-    """Per vertex v, in order: (P_v, Omega_v, rad, incl), made once per algebra.
-
-    P_v = e_v A is the projective cover of the simple S_v and Omega_v =
-    e_v J its radical, spanned by the arrows out of v times A.  rad is
-    Omega_v's basis, rows of elements of A, and incl the same rows in
-    P_v's coordinates: the inclusion Omega_v -> P_v.
-    """
-    q, reg = algebra.quiver, regular_module(algebra)
-    unit = {path: algebra.basis_element(i).coeffs for i, path in enumerate(algebra.paths)}
-    covers = []
-    for v in range(1, q.n_vertices + 1):
-        top = submodule_generated(reg, [unit[(v, ())]])
-        rad = submodule_generated(reg, [unit[(v, (lab,))] for s, _, lab in q.arrows if s == v])
-        covers.append((submodule_module(reg, top)[0], submodule_module(reg, rad)[0], rad.basis,
-                       rad.basis.take_columns(top.pivots)))
-    return covers
+def _simples(algebra: Algebra):
+    """The simple S_v per vertex v, in order: e_v acts as 1 and every other path as 0."""
+    one, zero = Mat.identity(algebra.field, 1), Mat.zeros(algebra.field, 1, 1)
+    return [FDModule(algebra, 1, [one if path == (v, ()) else zero for path in algebra.paths])
+            for v in range(1, algebra.quiver.n_vertices + 1)]
 
 
-def _ext_classes(cover, k: FDModule):
-    """A basis of Ext^1(S_v, K) as maps Omega_v -> K, each flattened.
-
-    A map f: Omega_v -> K is the matrix of the images f(w_i) of the rows
-    w_i of rad.  Ext^1(S_v, K) is Hom(Omega_v, K) modulo the restrictions
-    of Hom(P_v, K), the maps w -> x w for x in K; the basis completes
-    theirs to one of Hom(Omega_v, K).
-    """
-    _, omega, rad, _ = cover
-    field, n, d = k.field, omega.dim, k.dim
-    homs = hom_space(omega, k)
-    if not homs:
-        return []
-    # row x of the restrictions is the map w_i -> x w_i, flattened
-    acts = (rad @ Mat.flat_stack(k.action)).array().reshape(n, d, d).transpose(1, 0, 2)
-    restricted = Subspace.from_vectors(field, n * d, Mat.of_array(field, acts.reshape(d, n * d)))
-    return quotient_basis(restricted, _flat_span(field, n * d, [f.matrix for f in homs]))
-
-
-def _middle_terms(cover, summands):
+def _middle_terms(simple: FDModule, summands):
     """The middle terms E of extensions 0 -> K -> E -> S_v -> 0 that can be
-    indecomposable, K the direct sum of the modules K_i of summands.
+    indecomposable, S_v = simple and K the direct sum of the modules K_i
+    of summands.
 
-    summands holds (K_i, _ext_classes(cover, K_i)).  Ext^1(S_v, K) is the
-    sum of the Ext^1(S_v, K_i), and a class whose part at some K_i is 0
-    splits K_i off E, so each part runs over the nonzero combinations of
-    K_i's classes, up to a scalar: f and phi f, phi an automorphism of K
-    such as a scalar on each K_i, give isomorphic middle terms.  For no
-    summands, K = 0 and E = S_v.  The middle term of the class of f is
-    the pushout (P_v + K) / {(w, -f(w)) : w in Omega_v}.
+    summands holds (K_i, ext1(simple, K_i)).  Ext^1(S_v, K) is the sum of
+    the Ext^1(S_v, K_i), a class of K having the blocks [c_1 | c_2 | ...],
+    and a class whose part c_i is 0 splits K_i off E, so each part runs
+    over the nonzero combinations of K_i's classes, up to a scalar: c and
+    phi c, phi an automorphism of K such as a scalar on each K_i, give
+    isomorphic middle terms.  For no summands, K = 0 and E = S_v.
     """
-    proj, omega, _, incl = cover
-    field, n = proj.field, omega.dim
-    total = direct_sum_many([proj] + [k for k, _ in summands])[0]
+    field, rows = simple.field, simple.algebra.dim * simple.dim
+    total = direct_sum_many([k for k, _ in summands], algebra=simple.algebra)[0]
     parts = []
     for k, classes in summands:
         # one combination per projective point: its first nonzero coefficient is 1
-        coeffs = [c for c in itertools.product(range(field.p), repeat=len(classes))
+        coeffs = [c for c in itertools.product(range(field.p), repeat=classes.rows)
                   if next((x for x in c if x), 0) == 1]
-        maps = Mat.of_array(field, coeffs) @ Mat.vstack(classes)
-        parts.append([-maps.row(r).reshape(n, k.dim) for r in range(maps.rows)])
-    for minus_f in itertools.product(*parts):  # -f, one part per K_i
-        pushed = Mat.hstack([incl, *minus_f])
-        yield quotient_module(total, Subspace.from_vectors(field, total.dim, pushed))[0]
+        points = Mat.of_array(field, coeffs) @ classes
+        parts.append([points.row(r).reshape(rows, k.dim) for r in range(points.rows)])
+    for blocks in itertools.product(*parts):  # c, one part per K_i
+        c = Mat.hstack([Mat.zeros(field, rows, 0), *blocks]).reshape(1, rows * total.dim)
+        yield extension(simple, total, c)
 
 
 def _sums_of_vector(pieces, beta):
@@ -492,28 +456,28 @@ class _ExtensionCounts:
     """
 
     def __init__(self, algebra: Algebra, pieces, seed: int):
-        self.covers = _radical_covers(algebra)
+        self.simples = _simples(algebra)
         self.pieces = pieces
         self.seed = seed
-        self.classes = {}  # (vertex, piece index) -> _ext_classes
+        self.classes = {}  # (vertex, piece index) -> ext1(S_v, piece)
         self.middle_terms = 0
 
     def _classes(self, v: int, i: int):
         if (v, i) not in self.classes:
-            self.classes[v, i] = _ext_classes(self.covers[v], self.pieces[i][1])
+            self.classes[v, i] = ext1(self.simples[v], self.pieces[i][1])
         return self.classes[v, i]
 
     def __call__(self, alpha) -> int:
         found = []
-        for v, cover in enumerate(self.covers):
+        for v, simple in enumerate(self.simples):
             if not alpha[v]:
                 continue
             beta = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]
             extending = [(vector, (m, classes)) for i, (vector, m) in enumerate(self.pieces)
                          if all(a <= b for a, b in zip(vector, beta))
-                         and (classes := self._classes(v, i))]
+                         and (classes := self._classes(v, i)).rows]
             for summands in _sums_of_vector(extending, beta):
-                for middle in _middle_terms(cover, summands):
+                for middle in _middle_terms(simple, summands):
                     self.middle_terms += 1
                     if _is_new(middle, found, self.seed):
                         found.append(middle)

@@ -3,8 +3,8 @@
 Modules are given by one action matrix per algebra basis element, acting
 on row vectors from the right.  This module also provides homomorphism
 spaces, the categorical constructions consumed upstream (direct sums,
-quotients, finitely presented modules, tensor with a bimodule),
-direct-summand and indecomposability tests, and the radical of hom
+quotients, finitely presented modules, extensions, tensor with a
+bimodule), direct-summand and indecomposability tests, and the radical of hom
 spaces via the trace form.
 """
 
@@ -18,7 +18,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, ValidationReport
-from .linalg import Mat, Subspace, _product, _zeros
+from .linalg import Mat, Subspace, _product, _zeros, quotient_basis
 
 __all__ = [
     "FDModule",
@@ -36,6 +36,8 @@ __all__ = [
     "submodule_generated",
     "free_module",
     "fp_module",
+    "ext1",
+    "extension",
     "TensorResult",
     "tensor_over",
     "tensor_hom",
@@ -446,6 +448,76 @@ def fp_module(a: Algebra, h):
     rels = [Mat.hstack([h[i][j].coeffs for i in range(d)]) for j in range(e)]
     q, proj = quotient_module(free, submodule_generated(free, rels))
     return q, [proj(g) for g in gens], proj
+
+
+# ---------------------------------------------------------------------------
+# Extensions.
+# ---------------------------------------------------------------------------
+
+
+def ext1(m: FDModule, n: FDModule) -> Mat:
+    """A basis of Ext^1(m, n), one row per class, from one kernel and one span.
+
+    A class is given by one s x t block c_l per algebra basis element a_l
+    (s = dim m, t = dim n, M_l and N_l the actions); column (l, i, j) of
+    its row is entry (i, j) of c_l.  The blocks that make a_l act on
+    extension(m, n, c) are the cocycles,
+        c(a_x a_y) = M_x c_y + c_x N_y for every basis pair (x, y),
+    with c(a_x a_y) = sum_l t_xyl c_l, t_xyl the coefficient of a_l in
+    a_x a_y; those of a split extension are the coboundaries
+    c_l = M_l u - u N_l, u any s x t matrix.  The rows complete the
+    coboundaries to a basis of the cocycles (quotient_basis).  A zero
+    module on either side gives no rows.
+    """
+    if m.algebra != n.algebra:
+        raise ModuleError("ext1 needs modules over the same algebra")
+    field, na, s, t = m.field, m.algebra.dim, m.dim, n.dim
+    if s == 0 or t == 0:
+        return Mat.zeros(field, 0, 0)
+    # with c flattened row-major, vec(M_x c) = vec(c) (M_x^T kron I_t) and
+    # vec(c N_y) = vec(c) (I_s kron N_y); left and right hold them for
+    # every x and y at once, columns (x, i, j) and (y, i, j)
+    ident = partial(Mat.identity, field)
+    left = Mat.vstack(m.action).transpose().kron(ident(t))
+    right = _swap_columns(ident(s).kron(Mat.hstack(n.action)), s, na)
+    # the conditions are indexed (y, x, i, j), and _rstack[y, (x, l)] is t_xyl
+    cocycle = (
+        m.algebra._rstack.reshape(na * na, na).transpose().kron(ident(s * t))
+        - ident(na).kron(left)
+        - _swap_columns(ident(na).kron(right), na, na)
+    )
+    cocycles = Subspace.from_vectors(field, na * s * t, cocycle.kernel_basis())
+    coboundaries = Subspace.from_vectors(field, na * s * t, left - right)
+    classes = quotient_basis(coboundaries, cocycles)
+    return Mat.vstack(classes) if classes else Mat.zeros(field, 0, na * s * t)
+
+
+def _swap_columns(x: Mat, a: int, b: int) -> Mat:
+    """x with its columns indexed (i, j, k), i < a and j < b, reordered as (j, i, k)."""
+    cols = x.array().reshape(x.rows, a, b, -1).transpose(0, 2, 1, 3)
+    return Mat._of(x.field, cols.reshape(x.rows, x.cols))
+
+
+def extension(m: FDModule, n: FDModule, c: Mat) -> FDModule:
+    """The middle term E of the extension 0 -> n -> E -> m -> 0 of the class c.
+
+    c is a row laid out as ext1's: one s x t block c_l per algebra basis
+    element.  E has n's basis first, and a_l acts as [[N_l, 0], [c_l, M_l]],
+    so the t x (t + s) matrix [I | 0] embeds n and the (t + s) x s matrix
+    [0; I] projects onto m.  c = 0 gives direct_sum(n, m), and every
+    coboundary a module isomorphic to it.
+    """
+    if m.algebra != n.algebra:
+        raise ModuleError("extension needs modules over the same algebra")
+    field, na, s, t = m.field, m.algebra.dim, m.dim, n.dim
+    if c.shape != (1, na * s * t):
+        raise ModuleError(f"class shape {c.shape}, expected {(1, na * s * t)}")
+    stacked = c.reshape(na * s, t)
+    zero = Mat.zeros(field, t, s)
+    return FDModule(m.algebra, t + s, [
+        Mat.vstack([Mat.hstack([nl, zero]), Mat.hstack([stacked.take_rows(range(l * s, l * s + s)), ml])])
+        for l, (nl, ml) in enumerate(zip(n.action, m.action))
+    ])
 
 
 # ---------------------------------------------------------------------------

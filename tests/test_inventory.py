@@ -14,13 +14,12 @@ from ppcalc.inventory import (
     _absolute_counts,
     _compositions,
     _digits,
-    _ext_classes,
     _ExtensionCounts,
     _generating_data,
     _kac_counts,
     _middle_terms,
     _naive_candidates,
-    _radical_covers,
+    _simples,
     _vector_candidates,
     direct_sums_up_to,
     enumerate_indecomposables,
@@ -30,11 +29,14 @@ from ppcalc.linalg import GF, Mat
 from ppcalc.modules import (
     FDModule,
     ModuleError,
+    ext1,
     hom_space,
     indecomposability,
     is_direct_summand,
     iso_test,
     regular_module,
+    submodule_generated,
+    submodule_module,
     validate_module,
 )
 
@@ -503,7 +505,7 @@ def test_ext_classes_are_made_once_per_vertex_and_member(monkeypatch):
     from ppcalc import inventory
 
     calls = []
-    monkeypatch.setattr(inventory, "_ext_classes", lambda cover, k: calls.append((id(cover), id(k))) or _ext_classes(cover, k))
+    monkeypatch.setattr(inventory, "ext1", lambda simple, k: calls.append((id(simple), id(k))) or ext1(simple, k))
     inv = enumerate_indecomposables(algebra_from_quiver(COMMUTATIVE_SQUARE, GF(2)), 3, seed=0)
     assert len(inv.members) == 10
     assert len(calls) == len(set(calls)) == 32
@@ -525,7 +527,7 @@ def test_inventory_counts_the_middle_terms_it_decides(monkeypatch, algebra, cap,
 
     yielded = []
     monkeypatch.setattr(inventory, "_middle_terms",
-                        lambda cover, summands: (yielded.append(e) or e for e in _middle_terms(cover, summands)))
+                        lambda simple, summands: (yielded.append(e) or e for e in _middle_terms(simple, summands)))
     inv = enumerate_indecomposables(algebra, cap, seed=0)
     assert inv.middle_terms == len(yielded) == middle_terms
     if decided is not None:
@@ -592,24 +594,31 @@ def test_extension_counts_of_rad_square_zero_equal_the_kronecker_counts(p, cap):
 )
 def test_middle_terms_are_one_per_point_of_the_nonzero_ext_parts(quiver, p):
     # dim Ext^1(S_v, K) = dim Hom(Omega_v, K) - dim Hom(P_v, K) + dim Hom(S_v, K),
-    # from Hom(-, K) on 0 -> Omega_v -> P_v -> S_v -> 0; the middle terms of
-    # K_1 + ... + K_r are one per projective point of each Ext^1(S_v, K_i)
+    # from Hom(-, K) on 0 -> Omega_v -> P_v -> S_v -> 0 with P_v = e_v A and
+    # Omega_v = e_v J, built here from the regular module; the middle terms
+    # of K_1 + ... + K_r are one per projective point of each Ext^1(S_v, K_i)
     algebra = algebra_from_quiver(quiver, GF(p))
+    reg = regular_module(algebra)
+    unit = {path: algebra.basis_element(i).coeffs for i, path in enumerate(algebra.paths)}
     members = enumerate_indecomposables(algebra, 2, seed=0).members
-    for cover in _radical_covers(algebra):
-        proj, omega = cover[:2]
-        [simple] = _middle_terms(cover, [])
-        assert simple.dim == 1
+    for v, simple in enumerate(_simples(algebra), start=1):
+        proj = submodule_module(reg, submodule_generated(reg, [unit[(v, ())]]))[0]
+        omega = submodule_module(
+            reg, submodule_generated(reg, [unit[(v, (lab,))] for s, _, lab in quiver.arrows if s == v])
+        )[0]
+        assert proj.dim == omega.dim + 1
+        [alone] = _middle_terms(simple, [])
+        assert alone == simple
         ext = {}
         for k in members:
             dims = [len(hom_space(a, k)) for a in (omega, proj, simple)]
             ext[id(k)] = dims[0] - dims[1] + dims[2]
-            assert len(_ext_classes(cover, k)) == ext[id(k)]
+            assert ext1(simple, k).rows == ext[id(k)]
         for combo in itertools.combinations_with_replacement(members, 2):
             if not all(ext[id(k)] for k in combo):
                 continue
-            summands = [(k, _ext_classes(cover, k)) for k in combo]
-            middles = list(_middle_terms(cover, summands))
+            summands = [(k, ext1(simple, k)) for k in combo]
+            middles = list(_middle_terms(simple, summands))
             assert len(middles) == math.prod((p ** ext[id(k)] - 1) // (p - 1) for k in combo)
             for middle in middles:
                 assert validate_module(middle).ok

@@ -31,6 +31,8 @@ from ppcalc.modules import (
     decompose,
     direct_sum,
     direct_sum_many,
+    ext1,
+    extension,
     fp_module,
     free_module,
     hom_space,
@@ -1290,3 +1292,85 @@ def test_elements_past_int64_weights():
     m = direct_sum_many([simple_lambda_module(lam)] * 64, algebra=lam)[0]
     first = [v.to_rows()[0] for v in itertools.islice(m.elements(), 4)]
     assert first == [[0] * 64, [1] + [0] * 63, [0, 1] + [0] * 62, [1, 1] + [0] * 62]
+
+
+EXT_FIELDS = [GF(2), GF(3), QQ]
+
+
+def lambda_modules_of(lam):
+    """S, Lambda_Lambda, S + Lambda and 0 over a copy of k[x]/(x^2) with basis (1, x)."""
+    field = lam.field
+    s = FDModule(lam, 1, [Mat.identity(field, 1), Mat.zeros(field, 1, 1)])
+    reg = regular_module(lam)
+    return [s, reg, direct_sum(s, reg)[0], zero_module(lam)]
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=repr)
+def test_ext1_of_lambda(field):
+    # Lambda is self-injective, so Ext^1(Lambda, -) = 0 = Ext^1(-, Lambda);
+    # Ext^1(S, S) has one class, of 0 -> S -> Lambda -> S -> 0
+    lam = lambda_algebra(field)
+    s, reg, _, zero = lambda_modules_of(lam)
+    for n in (s, reg, zero):
+        assert ext1(reg, n).rows == ext1(n, reg).rows == ext1(zero, n).rows == ext1(n, zero).rows == 0
+    classes = ext1(s, s)
+    assert classes.shape == (1, 2)
+    middle = extension(s, s, classes)
+    assert not middle.action[1].is_zero()  # x acts nonzero: no S splits off
+    if field.is_prime_field:
+        assert iso_test(middle, reg) is not None
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=repr)
+def test_extensions_are_modules_and_the_zero_class_is_the_direct_sum(field):
+    lam = lambda_algebra(field)
+    mods = lambda_modules_of(lam)
+    for m, n in itertools.product(mods, repeat=2):
+        classes = ext1(m, n)
+        assert extension(m, n, Mat.zeros(field, 1, lam.dim * m.dim * n.dim)) == direct_sum(n, m)[0]
+        rows = [classes.row(r) for r in range(classes.rows)]
+        for c in rows + ([functools.reduce(Mat.__add__, rows)] if rows else []):
+            e = extension(m, n, c)
+            assert validate_module(e).ok
+            # n embeds by the rows [I | 0] and E projects onto m by the columns [0; I]
+            ident = Mat.identity(field, e.dim)
+            ModuleMap(n, e, ident.take_rows(range(n.dim)))
+            ModuleMap(e, m, ident.take_columns(range(n.dim, e.dim)))
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=repr)
+def test_ext1_needs_no_quiver(field):
+    # Lambda given by its structure constants has the quiver algebra's Ext dimensions
+    rows = functools.partial(Mat.from_rows, field)
+    one, x, zero = rows([[1, 0]]), rows([[0, 1]]), rows([[0, 0]])
+    constants = Algebra(field, ["1", "x"], one, [[one, x], [x, zero]])
+    assert constants.quiver is None
+
+    def dims(lam):
+        mods = lambda_modules_of(lam)
+        return [[ext1(m, n).rows for n in mods] for m in mods]
+
+    assert dims(constants) == dims(lambda_algebra(field)) == [[1, 0, 1, 0], [0] * 4, [1, 0, 1, 0], [0] * 4]
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=repr)
+def test_ext1_of_truncated_polynomials(field):
+    # over A = k[x]/(x^3), M_a = A/x^a A has the periodic resolution
+    # ... -> A -x^(3-a)-> A -x^a-> A -> M_a -> 0, so dim Ext^1(M_a, M_b) is
+    # dim ker(x^(3-a) on M_b) - dim im(x^a on M_b) = min(3 - a, b) - max(b - a, 0)
+    reg = regular_module(truncated_algebra(field))
+    quotients = {a: quotient_module(reg, submodule_generated(reg, [[int(j == a) for j in range(3)]]))[0]
+                 for a in (1, 2)}
+    quotients[3] = reg
+    for (a, m), (b, n) in itertools.product(quotients.items(), repeat=2):
+        assert ext1(m, n).rows == min(3 - a, b) - max(b - a, 0)
+
+
+def test_ext1_and_extension_need_one_algebra(s1_2):
+    other = kronecker_simples(GF(2))[1]
+    with pytest.raises(ModuleError, match="same algebra"):
+        ext1(s1_2, other)
+    with pytest.raises(ModuleError, match="same algebra"):
+        extension(other, s1_2, Mat.zeros(GF(2), 1, 0))
+    with pytest.raises(ModuleError, match="class shape"):
+        extension(s1_2, s1_2, Mat.zeros(GF(2), 1, 3))
