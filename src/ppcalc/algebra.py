@@ -62,13 +62,12 @@ class Algebra:
             for entry in row:
                 if entry.shape != (1, self.dim):
                     raise AlgebraError("structure constant row has wrong length")
-        # R_j: right multiplication by basis_j, rows indexed by basis_i
-        self._rmul = [
-            Mat.vstack([self.mul[i][j] for i in range(self.dim)])
-            for j in range(self.dim)
-        ]
-        # row j: R_j flattened, so y @ _rstack is sum_j y_j R_j
-        self._rstack = Mat.flat_stack(self._rmul) if self.dim else Mat.zeros(field, 0, 0)
+        d = self.dim
+        # row (i, j) is b_i b_j: entry [(i, j), k] is t_ijk
+        self._table = Mat.vstack([Mat.zeros(field, 0, d)] + [entry for row in self.mul for entry in row])
+        # row j is R_j, right multiplication by b_j, flattened (entry [j, (i, k)]
+        # is t_ijk), so y @ _rstack is sum_j y_j R_j
+        self._rstack = Mat._of(field, self._table.array().reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d))
         self.quiver = quiver
         self.paths = paths  # aligned with basis when quiver-built
 
@@ -123,7 +122,7 @@ class Algebra:
 
     def left_mult_matrix(self, x: Mat) -> Mat:
         """Matrix of v -> x*v in the basis (row convention: v @ L)."""
-        return (x @ Mat.hstack(self._rmul)).reshape(self.dim, self.dim)
+        return (x @ self._table.reshape(self.dim, self.dim * self.dim)).reshape(self.dim, self.dim)
 
     def multiply(self, x: Mat, y: Mat) -> Mat:
         return x @ self.right_mult_matrix(y)
@@ -199,8 +198,7 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     # row (i, j) of t is b_i b_j = sum_k t_ijk b_k, and _rstack holds t_ikm in
     # row k, column (i, m); with entries (i, j, l, m), (b_i b_j) b_l is
     # sum_k t_ijk t_klm and b_i (b_j b_l) is sum_k t_jlk t_ikm
-    d = a.dim
-    t = Mat.vstack([Mat.zeros(a.field, 0, d)] + [a.mul[i][j] for i in range(d) for j in range(d)])
+    d, t = a.dim, a._table
     left = (t @ t.reshape(d, d * d)).array().reshape(d, d, d, d)
     right = (t @ a._rstack).array().reshape(d, d, d, d).transpose(2, 0, 1, 3)
     bad = np.argwhere((left != right).any(axis=3))

@@ -19,6 +19,7 @@ from .linalg import Mat, Subspace, _product, _zeros
 from .modules import (
     FDModule,
     _hom_system,
+    _side_by_side,
     direct_sum,
     fp_module,
     free_module,
@@ -186,7 +187,7 @@ def _formula_matrix(phi: PpFormula, m: FDModule) -> Mat:
     i, j = np.nonzero((blocks != 0).any(axis=2))
     if i.size:
         coeffs = Mat._of(field, blocks[i, j])
-        prods = (coeffs @ Mat.flat_stack(m.action)).array().reshape(i.size, d, d)
+        prods = (coeffs @ m.stack.reshape(m.algebra.dim, d * d)).array().reshape(i.size, d, d)
         # block (i, j) of big is entry [i, :, j, :] of this view
         big.reshape(phi.n + phi.c, d, phi.e, d)[i, :, j, :] = prods
     return Mat._of(field, big)
@@ -364,7 +365,7 @@ def pp_type_generator(m: FDModule, tup) -> PpFormula:
     n = len(tup)
     # relation space of the spanning tuple (the standard basis of m):
     # rows indexed by (basis index, algebra basis index)
-    ker = Mat.hstack(m.action).reshape(d * a.dim, d).kernel()
+    ker = _side_by_side(m.stack, a.dim).reshape(d * a.dim, d).kernel()
     # row t: x_t in column t; row n + i: -g_ti y_i in column t, where
     # x_t = sum_i g_ti y_i, and in column n + j the coefficients of y_i
     # in relation j

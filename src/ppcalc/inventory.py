@@ -142,14 +142,14 @@ def _vector_candidates(algebra: Algebra, comp):
             keep &= ~(acc % p).reshape(n, -1).any(axis=1)
         live = {lab: a[keep] for lab, a in arrows.items()}
         survivors = int(keep.sum())
-        actions = [
+        stacks = np.stack([
             _path_action(field, live, word)
             if word
             else np.broadcast_to(np.diag(vertex_of == src).astype(np.int64), (survivors, d, d))
             for src, word in algebra.paths
-        ]
-        for i in range(survivors):
-            yield FDModule(algebra, d, [Mat.of_array(field, a[i]) for a in actions])
+        ], axis=1).reshape(survivors, algebra.dim * d, d)
+        for stack in stacks:
+            yield FDModule(algebra, d, Mat.of_array(field, stack))
 
 
 def _generating_data(algebra: Algebra):
@@ -211,7 +211,6 @@ def _naive_candidates(algebra: Algebra, d: int, gen_data):
     n_entries = len(gens) * d * d
     total = p**n_entries
     ident = np.eye(d, dtype=np.int64)
-    table = Mat.vstack([algebra.mul[i][j] for i in range(dim) for j in range(dim)]).array()
     for start in range(0, total, _BATCH_LIMIT):
         digits = _digits(start, min(total, start + _BATCH_LIMIT), p, n_entries)[:, ::-1]
         n = len(digits)
@@ -228,11 +227,11 @@ def _naive_candidates(algebra: Algebra, d: int, gen_data):
         action = flat.reshape(n, dim, d, d)
         # rho(1) = id, and rho(b_i) rho(b_j) = rho(b_i b_j) for every pair
         keep = (_product(field, algebra.one.array(), flat).reshape(n, d, d) == ident).all(axis=(1, 2))
-        combined = _product(field, table, flat).reshape(n, dim, dim, d, d)
+        combined = _product(field, algebra._table.array(), flat).reshape(n, dim, dim, d, d)
         prods = _product(field, action[:, :, None], action[:, None])
         keep &= (prods == combined).reshape(n, -1).all(axis=1)
-        for acts in action[keep]:
-            yield FDModule(algebra, d, [Mat.of_array(field, a) for a in acts])
+        for stack in flat[keep]:
+            yield FDModule(algebra, d, Mat.of_array(field, stack.reshape(dim * d, d)))
 
 
 def _walks(algebra: Algebra, cap: int):

@@ -1130,7 +1130,7 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         self.basis = basis
-        self.pivots = list(pivots)
+        self.pivots = tuple(pivots)
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient: int, vectors) -> "Subspace":
@@ -1151,11 +1151,11 @@ class Subspace:
 
     @staticmethod
     def zero(field: FieldSpec, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Mat.zeros(field, 0, ambient), [])
+        return Subspace(field, ambient, Mat.zeros(field, 0, ambient), ())
 
     @staticmethod
     def full(field: FieldSpec, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Mat.identity(field, ambient), list(range(ambient)))
+        return Subspace(field, ambient, Mat.identity(field, ambient), range(ambient))
 
     @property
     def dim(self) -> int:

@@ -60,17 +60,27 @@ class UnsupportedCharacteristicError(ModuleError):
 
 
 class FDModule:
-    """A right module: dim and one action matrix per algebra basis element."""
+    """A right module: one action matrix per algebra basis element a_l, stored
+    once as the read-only matrix stack, whose row l * dim + i is row i of
+    a_l's matrix.  The constructor takes the matrices or their stack."""
 
     def __init__(self, algebra: Algebra, dim: int, action):
         self.algebra = algebra
         self.dim = dim
-        self.action = list(action)
-        if len(self.action) != algebra.dim:
-            raise ModuleError("need one action matrix per algebra basis element")
-        for m in self.action:
-            if m.shape != (dim, dim):
-                raise ModuleError(f"action matrix shape {m.shape}, expected {(dim, dim)}")
+        if not isinstance(action, Mat):
+            action = list(action)
+            if len(action) != algebra.dim or any(m.shape != (dim, dim) for m in action):
+                raise ModuleError(f"need one {dim} x {dim} action matrix per algebra basis element")
+            action = Mat.vstack(action) if action else Mat.zeros(algebra.field, 0, dim)
+        elif action.shape != (algebra.dim * dim, dim):
+            raise ModuleError(f"action stack shape {action.shape}, expected {(algebra.dim * dim, dim)}")
+        self.stack = action
+
+    @cached_property
+    def action(self):
+        """The matrix of each a_l, as a tuple of views of stack."""
+        d = self.dim
+        return tuple(self.stack.take_rows(range(l * d, l * d + d)) for l in range(self.algebra.dim))
 
     @property
     def field(self):
@@ -79,7 +89,7 @@ class FDModule:
     def act(self, elt) -> Mat:
         """Action matrix of an algebra element (AlgebraElement or coeff row)."""
         coeffs = elt.coeffs if isinstance(elt, AlgebraElement) else elt
-        return (coeffs @ Mat.flat_stack(self.action)).reshape(self.dim, self.dim)
+        return (coeffs @ self.stack.reshape(self.algebra.dim, self.dim**2)).reshape(self.dim, self.dim)
 
     def element(self, coords) -> Mat:
         if not isinstance(coords, Mat):
@@ -113,11 +123,11 @@ class FDModule:
             isinstance(other, FDModule)
             and self.algebra == other.algebra
             and self.dim == other.dim
-            and self.action == other.action
+            and self.stack == other.stack
         )
 
     def __hash__(self):
-        return hash((self.dim, tuple(m.key() for m in self.action)))
+        return hash((self.dim, self.stack.key()))
 
     @cached_property
     def presentation(self):
@@ -133,14 +143,14 @@ class FDModule:
         return f"FDModule(dim {self.dim} over {self.algebra!r})"
 
 
-def _first_unequal_product(left, right, expected: np.ndarray):
-    """The first (i, j), in row-major order, with left[i] @ right[j] != expected[i, j], or None.
+def _first_unequal_product(left: Mat, right: Mat, expected: np.ndarray):
+    """The first (i, j), in row-major order, with L_i @ R_j != expected[i, j], or None.
 
-    The products are the blocks of vstack(left) @ hstack(right); expected is
-    indexed [i, j, row, column].
+    left stacks the L_i and right holds the R_j side by side, so the
+    products are the blocks of left @ right; expected is indexed [i, j, row, column].
     """
-    rows, cols = left[0].rows, right[0].cols
-    prod = (Mat.vstack(left) @ Mat.hstack(right)).array().reshape(len(left), rows, len(right), cols)
+    nl, nr, rows, cols = expected.shape
+    prod = (left @ right).array().reshape(nl, rows, nr, cols)
     bad = np.argwhere((prod.transpose(0, 2, 1, 3) != expected).any(axis=(2, 3)))
     return tuple(bad[0]) if bad.size else None
 
@@ -150,9 +160,8 @@ def validate_module(m: FDModule) -> ValidationReport:
     a = m.algebra
     if m.act(a.one) != Mat.identity(m.field, m.dim):
         return ValidationReport(False, ["unit does not act as identity"])
-    t = Mat.vstack([a.mul[i][j] for i in range(a.dim) for j in range(a.dim)])  # row (i, j): b_i b_j
-    combined = (t @ Mat.flat_stack(m.action)).array().reshape(a.dim, a.dim, m.dim, m.dim)
-    bad = _first_unequal_product(m.action, m.action, combined)
+    combined = (a._table @ m.stack.reshape(a.dim, m.dim**2)).array().reshape(a.dim, a.dim, m.dim, m.dim)
+    bad = _first_unequal_product(m.stack, _side_by_side(m.stack, a.dim), combined)
     if bad is not None:
         i, j = bad
         return ValidationReport(
@@ -163,11 +172,11 @@ def validate_module(m: FDModule) -> ValidationReport:
 
 def regular_module(a: Algebra) -> FDModule:
     """The right regular representation of the algebra on itself."""
-    return FDModule(a, a.dim, [a.right_mult_matrix(a.basis_element(j).coeffs) for j in range(a.dim)])
+    return FDModule(a, a.dim, a._rstack.reshape(a.dim * a.dim, a.dim))
 
 
 def zero_module(a: Algebra) -> FDModule:
-    return FDModule(a, 0, [Mat.zeros(a.field, 0, 0)] * a.dim)
+    return FDModule(a, 0, Mat.zeros(a.field, 0, 0))
 
 
 class ModuleMap:
@@ -189,7 +198,7 @@ class ModuleMap:
         # entry [l, 0] is f T_l, to compare with S_l f
         after = _images(self.target, self.matrix).array().reshape(s, n, 1, t)
         after = after.transpose(1, 2, 0, 3)
-        return _first_unequal_product(self.source.action, [self.matrix], after) is None
+        return _first_unequal_product(self.source.stack, self.matrix, after) is None
 
     def __call__(self, v: Mat) -> Mat:
         return v @ self.matrix
@@ -274,11 +283,11 @@ def _spin_presentation(m: FDModule):
     """
     s, field, na = m.dim, m.field, m.algebra.dim
     # 1. rows (j, l) of the stack: e_j for l = 0, then e_j M_0, ...
-    stack = Mat.hstack([Mat.identity(field, s)] + m.action).reshape(s * (na + 1), s)
+    stack = Mat.hstack([Mat.identity(field, s), _side_by_side(m.stack, na)]).reshape(s * (na + 1), s)
     gens = [c // (na + 1) for c in stack.independent_rows() if c % (na + 1) == 0]
     r = len(gens)
     # 2. rref [G | I] = [[I, X], [0, K]], as G has rank s, its width
-    g = Mat.vstack([act.take_rows(gens) for act in m.action])
+    g = m.stack.take_rows([l * s + i for l in range(na) for i in gens])
     red, piv = Mat.hstack([g, Mat.identity(field, na * r)]).rref()
     if piv[:s] != list(range(s)):
         raise ModuleError("hom_space: the spun generators do not span the source; is it a module?")
@@ -302,7 +311,7 @@ def _hom_system(m: FDModule, n: FDModule, at: Mat | None = None):
         w = Mat.vstack([w.take_rows(range(nrel)), at @ w.take_rows(range(nrel, nrel + m.dim))])
     # 3. W^T stacks the blocks W_l^T, and W_l^T kron N_l has rows (i, c) and
     # columns (k, u): entry W[k, (l, i)] N_l[c, u]
-    return w.transpose().kron_sum(Mat.vstack(n.action), m.algebra.dim), nrel
+    return w.transpose().kron_sum(n.stack, m.algebra.dim), nrel
 
 
 def _maps(m: FDModule, n: FDModule, flat: Mat):
@@ -354,13 +363,18 @@ def direct_sum_many(mods, algebra=None):
     d = bounds[-1]
     blocks = np.full((algebra.dim, d, d), field.zero(), dtype=field.dtype)
     for m, r in zip(mods, spans):
-        for block, act in zip(blocks, m.action):
-            block[r.start : r.stop, r.start : r.stop] = act.array()
-    total = FDModule(algebra, d, [Mat.of_array(field, block) for block in blocks])
+        blocks[:, r.start : r.stop, r.start : r.stop] = m.stack.array().reshape(algebra.dim, m.dim, m.dim)
+    total = FDModule(algebra, d, Mat._of(field, blocks.reshape(algebra.dim * d, d)))
     ident = Mat.identity(field, d)
     incls = [ModuleMap(m, total, ident.take_rows(r), check=False) for m, r in zip(mods, spans)]
     projs = [ModuleMap(total, m, ident.take_columns(r), check=False) for m, r in zip(mods, spans)]
     return total, incls, projs
+
+
+def _side_by_side(stack: Mat, n: int) -> Mat:
+    """The n square blocks that stack holds one above the other, side by side instead."""
+    d = stack.cols
+    return Mat._of(stack.field, stack.array().reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d))
 
 
 def _images(m: FDModule, rows: Mat) -> Mat:
@@ -368,12 +382,7 @@ def _images(m: FDModule, rows: Mat) -> Mat:
 
     Row (i, l), that is row i * dim A + l, is rows[i] a_l.
     """
-    return (rows @ Mat.hstack(m.action)).reshape(rows.rows * m.algebra.dim, m.dim)
-
-
-def _by_label(rows: Mat, n: int):
-    """Rows indexed (i, l), l < n, regrouped as one matrix per label l."""
-    return [rows.take_rows(range(l, rows.rows, n)) for l in range(n)]
+    return (rows @ _side_by_side(m.stack, m.algebra.dim)).reshape(rows.rows * m.algebra.dim, m.dim)
 
 
 def submodule_generated(m: FDModule, vectors) -> Subspace:
@@ -410,7 +419,9 @@ def submodule_module(m: FDModule, u: Subspace):
     actions are the pivot columns of the basis images.
     """
     images = _invariant_images(m, u, "subspace not action-invariant: vector {} under {}")
-    s = FDModule(m.algebra, u.dim, _by_label(images.take_columns(u.pivots), m.algebra.dim))
+    na = m.algebra.dim
+    rows = images.take_rows([i * na + l for l in range(na) for i in range(u.dim)])
+    s = FDModule(m.algebra, u.dim, rows.take_columns(u.pivots))
     return s, ModuleMap(s, m, u.basis, check=False)
 
 
@@ -418,13 +429,13 @@ def quotient_module(m: FDModule, u: Subspace):
     """The quotient by an invariant subspace, with the projection map.
 
     Its basis is the classes of the e_j, j not a pivot of u; e_j a_l is
-    row j of a_l's matrix.
+    row j of a_l's matrix, row l * dim m + j of m.stack.
     """
     _invariant_images(m, u, "cannot quotient by non-invariant subspace: vector {} escapes under {}")
     nonpiv = u.nonpivot_columns()
     proj = u.reduce(Mat.identity(m.field, m.dim)).take_columns(nonpiv)
-    rows = Mat.hstack(m.action).take_rows(nonpiv).reshape(len(nonpiv) * m.algebra.dim, m.dim)
-    q = FDModule(m.algebra, len(nonpiv), _by_label(rows @ proj, m.algebra.dim))
+    rows = m.stack.take_rows([l * m.dim + j for l in range(m.algebra.dim) for j in nonpiv])
+    q = FDModule(m.algebra, len(nonpiv), rows @ proj)
     return q, ModuleMap(m, q, proj, check=False)
 
 
@@ -478,8 +489,8 @@ def ext1(m: FDModule, n: FDModule) -> Mat:
     # vec(c N_y) = vec(c) (I_s kron N_y); left and right hold them for
     # every x and y at once, columns (x, i, j) and (y, i, j)
     ident = partial(Mat.identity, field)
-    left = Mat.vstack(m.action).transpose().kron(ident(t))
-    right = _swap_columns(ident(s).kron(Mat.hstack(n.action)), s, na)
+    left = m.stack.transpose().kron(ident(t))
+    right = _swap_columns(ident(s).kron(_side_by_side(n.stack, na)), s, na)
     # the conditions are indexed (y, x, i, j), and _rstack[y, (x, l)] is t_xyl
     cocycle = (
         m.algebra._rstack.reshape(na * na, na).transpose().kron(ident(s * t))
@@ -512,12 +523,11 @@ def extension(m: FDModule, n: FDModule, c: Mat) -> FDModule:
     field, na, s, t = m.field, m.algebra.dim, m.dim, n.dim
     if c.shape != (1, na * s * t):
         raise ModuleError(f"class shape {c.shape}, expected {(1, na * s * t)}")
-    stacked = c.reshape(na * s, t)
-    zero = Mat.zeros(field, t, s)
-    return FDModule(m.algebra, t + s, [
-        Mat.vstack([Mat.hstack([nl, zero]), Mat.hstack([stacked.take_rows(range(l * s, l * s + s)), ml])])
-        for l, (nl, ml) in enumerate(zip(n.action, m.action))
-    ])
+    blocks = np.full((na, t + s, t + s), field.zero(), dtype=field.dtype)
+    blocks[:, :t, :t] = n.stack.array().reshape(na, t, t)
+    blocks[:, t:, :t] = c.array().reshape(na, s, t)
+    blocks[:, t:, t:] = m.stack.array().reshape(na, s, s)
+    return FDModule(m.algebra, t + s, Mat._of(field, blocks.reshape(na * (t + s), t + s)))
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +539,8 @@ class Bimodule:
     """An (S, R)-bimodule with commuting actions and a right generating tuple.
 
     left_action[i] is the matrix of v -> basis_i(S) * v, right_action[j]
-    of v -> v * basis_j(R), both on row vectors.  The generating tuple
-    must generate the underlying right R-module.
+    of v -> v * basis_j(R), both tuples of matrices on row vectors.  The
+    generating tuple must generate the underlying right R-module.
     """
 
     def __init__(self, left_algebra: Algebra, right_algebra: Algebra, dim: int,
@@ -538,8 +548,9 @@ class Bimodule:
         self.S = left_algebra
         self.R = right_algebra
         self.dim = dim
-        self.left_action = list(left_action)
-        self.right_action = list(right_action)
+        self.left_action = tuple(left_action)
+        self._right = FDModule(right_algebra, dim, right_action)
+        self.right_action = self._right.action
         self.generators = [g if isinstance(g, Mat) else Mat.from_rows(self.field, [list(g)]) for g in generators]
         self._validate()
 
@@ -548,7 +559,7 @@ class Bimodule:
         return self.R.field
 
     def right_module(self) -> FDModule:
-        return FDModule(self.R, self.dim, self.right_action)
+        return self._right
 
     def left_mult(self, s) -> Mat:
         """Matrix of left multiplication by an S-element."""
@@ -558,7 +569,7 @@ class Bimodule:
     def _validate(self):
         if self.S.field != self.R.field:
             raise ModuleError("bimodule needs a common base field")
-        rep = validate_module(self.right_module())
+        rep = validate_module(self._right)
         if not rep.ok:
             raise ModuleError(f"right action invalid: {rep.problems[0]}")
         if self.left_mult(self.S.one) != Mat.identity(self.field, self.dim):
@@ -570,16 +581,17 @@ class Bimodule:
             raise ModuleError(f"left {rep.problems[0]}")
         d, ns, nr = self.dim, self.S.dim, self.R.dim
         # entry [i, j] is R_j L_i, to compare with L_i R_j
-        rl = (Mat.vstack(self.right_action) @ Mat.hstack(self.left_action)).array()
+        left = Mat.vstack(self.left_action)
+        rl = (self._right.stack @ _side_by_side(left, ns)).array()
         bad = _first_unequal_product(
-            self.left_action, self.right_action, rl.reshape(nr, d, ns, d).transpose(2, 0, 1, 3)
+            left, _side_by_side(self._right.stack, nr), rl.reshape(nr, d, ns, d).transpose(2, 0, 1, 3)
         )
         if bad is not None:
             i, j = bad
             raise ModuleError(
                 f"actions do not commute on ({self.S.labels[i]}, {self.R.labels[j]})"
             )
-        closure = submodule_generated(self.right_module(), self.generators)
+        closure = submodule_generated(self._right, self.generators)
         if closure.dim != self.dim:
             raise ModuleError("generating tuple does not generate the right module")
 

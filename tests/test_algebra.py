@@ -304,7 +304,7 @@ def test_left_mult_matrix_is_one_product(field):
         elements.append(Mat.from_rows(field, [[i + 1 for i in range(a.dim)]]))
         for x in elements:
             got = a.left_mult_matrix(x)
-            assert same(got, Mat.vstack([x @ a._rmul[j] for j in range(a.dim)]))
+            assert same(got, Mat.vstack([x @ a.right_mult_matrix(a.basis_element(j).coeffs) for j in range(a.dim)]))
             # row j of L is x * basis_j
             for j in range(a.dim):
                 assert got.row(j) == a.multiply(x, a.basis_element(j).coeffs)

@@ -654,7 +654,7 @@ def test_tensor_over_matches_per_row_reference(case, data):
         i_m = Mat.identity(field, m.dim)
         ambient = FDModule(b.R, m.dim * b.dim, [i_m.kron(act) for act in b.right_action])
         action, proj = ref_quotient(ambient, t.relations)
-        assert t.module.action == action
+        assert t.module.action == tuple(action)
         assert t._proj.matrix == proj
 
 
@@ -669,10 +669,10 @@ def test_submodule_and_quotient_match_per_row_reference(case, data):
         assert u == ref_submodule_generated(m, vectors)
         q, proj = quotient_module(m, u)
         action, pmat = ref_quotient(m, u)
-        assert q.action == action
+        assert q.action == tuple(action)
         assert proj.matrix == pmat
         s, incl = submodule_module(m, u)
-        assert (s.action, incl.matrix) == ([u.basis.solve_left(u.basis @ act) for act in m.action], u.basis)
+        assert (list(s.action), incl.matrix) == ([u.basis.solve_left(u.basis @ act) for act in m.action], u.basis)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_FIELDS))
@@ -1129,7 +1129,7 @@ def test_hom_space_rejects_a_non_module(lam2):
 def ref_hom_system(m, n, at=None):
     """Steps 1 to 3 of hom_space, all made on every call."""
     s, field, na = m.dim, m.field, m.algebra.dim
-    stack = Mat.hstack([Mat.identity(field, s)] + m.action).reshape(s * (na + 1), s)
+    stack = Mat.hstack([Mat.identity(field, s), *m.action]).reshape(s * (na + 1), s)
     gens = [c // (na + 1) for c in stack.transpose().rref()[1] if c % (na + 1) == 0]
     r = len(gens)
     g = Mat.vstack([act.take_rows(gens) for act in m.action])
@@ -1249,6 +1249,34 @@ def test_presentation_is_not_shared_by_value(spins):
     assert len(spins) == 2 and spins[0] is first and spins[1] is second
     assert first.presentation is not second.presentation
     assert_same_system(first.presentation, second.presentation)
+
+
+def test_actions_cannot_be_rewritten_under_a_kept_presentation(lam2, kron2):
+    m = regular_module(lam2)
+    assert len(hom_space(m, m)) == 2
+    with pytest.raises(TypeError):
+        m.action[1] = Mat.zeros(F2, 2, 2)
+    copy = FDModule(m.algebra, m.dim, list(m.action))
+    assert len(hom_space(m, m)) == len(hom_space(copy, copy)) == 2
+    b = embedding_bimodule(lam2, kron2)
+    for actions in (b.left_action, b.right_action):
+        with pytest.raises(TypeError):
+            actions[0] = actions[1]
+    assert b.right_action is b.right_module().action
+
+
+def test_a_module_is_built_from_its_matrices_or_their_stack(lam2):
+    m = direct_sum(regular_module(lam2), simple_lambda_module(lam2))[0]
+    stacked = FDModule(lam2, m.dim, Mat.vstack(list(m.action)))
+    assert stacked == m and hash(stacked) == hash(m) and stacked.action == m.action
+    # row l * dim + i of the stack is row i of a_l, and action views it
+    for l, act in enumerate(m.action):
+        assert act == m.stack.take_rows(range(l * m.dim, (l + 1) * m.dim))
+        assert np.shares_memory(act.array(), m.stack.array())
+    assert not m.stack.array().flags.writeable
+    for bad in (m.action[:1], [m.action[0], Mat.zeros(F2, 2, 2)], Mat.zeros(F2, 3, 3)):
+        with pytest.raises(ModuleError, match="action"):
+            FDModule(lam2, m.dim, bad)
 
 
 def test_element_checks_the_length_of_lists_and_matrices(s1_2, reg2):
