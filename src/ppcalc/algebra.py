@@ -8,6 +8,8 @@ orthogonal primitive idempotents.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .linalg import FieldSpec, Mat, Subspace
@@ -44,8 +46,9 @@ class ValidationReport:
 class Algebra:
     """Associative unital algebra: basis labels, unit vector, mul table.
 
-    mul[i][j] is the coefficient row (1 x dim Mat) of basis_i * basis_j.
-    Vectors are rows; right multiplication by y is v @ right_mult_matrix(y).
+    mul[i][j] is the coefficient row (1 x dim Mat) of basis_i * basis_j,
+    a read-only view of the one table of structure constants.  Vectors
+    are rows; right multiplication by y is v @ right_mult_matrix(y).
     """
 
     def __init__(self, field: FieldSpec, labels, one: Mat, mul, quiver=None, paths=None):
@@ -57,19 +60,23 @@ class Algebra:
         if one.shape != (1, self.dim):
             raise AlgebraError("unit vector has wrong length")
         self.one = one
-        self.mul = [[mul[i][j] for j in range(self.dim)] for i in range(self.dim)]
-        for row in self.mul:
-            for entry in row:
-                if entry.shape != (1, self.dim):
-                    raise AlgebraError("structure constant row has wrong length")
         d = self.dim
+        entries = [mul[i][j] for i in range(d) for j in range(d)]
+        if any(entry.shape != (1, d) for entry in entries):
+            raise AlgebraError("structure constant row has wrong length")
         # row (i, j) is b_i b_j: entry [(i, j), k] is t_ijk
-        self._table = Mat.vstack([Mat.zeros(field, 0, d)] + [entry for row in self.mul for entry in row])
+        self._table = Mat.vstack([Mat.zeros(field, 0, d)] + entries)
         # row j is R_j, right multiplication by b_j, flattened (entry [j, (i, k)]
         # is t_ijk), so y @ _rstack is sum_j y_j R_j
         self._rstack = Mat._of(field, self._table.array().reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d))
         self.quiver = quiver
         self.paths = paths  # aligned with basis when quiver-built
+
+    @cached_property
+    def mul(self):
+        """mul[i][j] for every i and j, as tuples of views of _table's rows."""
+        d = self.dim
+        return tuple(tuple(self._table.row(i * d + j) for j in range(d)) for i in range(d))
 
     # -- structural equality (used by serialisation round trips) -------
 

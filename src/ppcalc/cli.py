@@ -232,13 +232,9 @@ def cmd_inventory(args):
         "members": [pio.module_to_json(m, algebra_ref=None) for m in inv.members],
     }
     dims = [m.dim for m in inv.members]
-    _emit(
-        args,
-        payload,
-        f"{len(inv.members)} indecomposables, dimensions {dims};"
-        f" {inv.decided} candidates decided of {inv.assignments} assignments,"
-        f" {inv.middle_terms} middle terms of extensions decided",
-    )
+    decided = (f"{inv.decided} middle terms of extensions decided" if inv.assignments is None
+               else f"{inv.decided} candidates decided of {inv.assignments} assignments")
+    _emit(args, payload, f"{len(inv.members)} indecomposables, dimensions {dims}; {decided}")
     return 0
 
 

@@ -1,22 +1,20 @@
 """Exhaustive enumeration of indecomposable modules over a finite prime field.
 
-Quiver-built algebras are enumerated by dimension vector (one matrix per
-arrow, relations checked on products); other algebras by assigning
-matrices to a computed generating set of the basis.  Every returned
-member is certified indecomposable and the list is pairwise
-non-isomorphic, in a deterministic order.  For a quiver algebra the
-number of members of each dimension vector is known before its walk,
-and the walk stops once it has that many: without relations from Kac's
-count evaluated by Hua's formula, with relations from the extensions of
-the simples by sums of the members of smaller dimension.  Only the
-walks of structure-constant algebras try every candidate.
+A quiver-built algebra, with or without relations, takes the members of
+each dimension vector from the middle terms of the extensions of the
+simples by sums of the members of smaller dimension, and walks no
+matrix assignments.  An algebra given by structure constants walks every
+assignment of matrices to a computed generating set of its basis.  Every
+returned member is certified indecomposable and the list is pairwise
+non-isomorphic, in a deterministic order.  verify_completeness checks an
+inventory against a blind walk of every module up to a dimension, for
+quiver algebras from arrow matrices with the relations checked on
+products.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
@@ -54,23 +52,21 @@ class BudgetExceeded(ModuleError):
 class Inventory:
     """Certified indecomposables of dimension <= cap, pairwise non-isomorphic.
 
-    decided is the number of walk candidates whose indecomposability the
-    enumeration decided, middle_terms the number of middle terms of
-    extensions it decided for the counts of a quiver with relations (0
-    for any other algebra), and assignments the number of assignments
-    its budget counted; all three are None for an inventory not
-    enumerated as such.
+    decided is the number of modules whose indecomposability the
+    enumeration decided: middle terms of extensions for a quiver algebra,
+    walk candidates for one given by structure constants.  assignments is
+    the number of assignments the walk of a structure-constant algebra
+    tries, which its budget bounds, and None for a quiver algebra, which
+    walks none.  Both are None for an inventory not enumerated as such.
     """
 
     def __init__(self, algebra: Algebra, cap: int, members,
-                 decided: int | None = None, assignments: int | None = None,
-                 middle_terms: int | None = None):
+                 decided: int | None = None, assignments: int | None = None):
         self.algebra = algebra
         self.cap = cap
         self.members = list(members)
         self.decided = decided
         self.assignments = assignments
-        self.middle_terms = middle_terms
 
     def by_dim(self, d: int):
         return [m for m in self.members if m.dim == d]
@@ -78,7 +74,7 @@ class Inventory:
     def up_to(self, cap: int) -> "Inventory":
         """The members of dimension <= cap, in order, as an inventory.
 
-        enumerate_indecomposables walks dimensions 1..cap in order, so
+        enumerate_indecomposables takes dimensions 1..cap in order, so
         its members of dimension <= c do not depend on the cap: this is
         what enumerating at cap c returns.
         """
@@ -235,155 +231,23 @@ def _naive_candidates(algebra: Algebra, d: int, gen_data):
 
 
 def _walks(algebra: Algebra, cap: int):
-    """The candidate walks of dimensions 1..cap, in order, as (d, label,
-    assignments, candidates).
+    """The candidate walks of dimensions 1..cap, in order, as (d, candidates).
 
     A quiver-built algebra, with or without relations, has one walk per
-    dimension vector of total d, labelled by the vector, from arrow
-    matrices; any other algebra has one walk per dimension d, labelled d,
-    from generator matrices.  assignments is the number of assignments
-    the walk tries, and candidates yields its modules lazily.
+    dimension vector of total d, from arrow matrices; any other algebra
+    has one walk per dimension d, from generator matrices.  candidates
+    yields the walk's modules lazily.
     """
-    p, q = algebra.field.p, algebra.quiver
+    q = algebra.quiver
     if q is not None:
-        return [
-            (d, comp, p ** sum(comp[s - 1] * comp[t - 1] for s, t, _ in q.arrows),
-             _vector_candidates(algebra, comp))
-            for d in range(1, cap + 1)
-            for comp in _compositions(d, q.n_vertices)
-        ]
+        return [(d, _vector_candidates(algebra, comp))
+                for d in range(1, cap + 1) for comp in _compositions(d, q.n_vertices)]
     gen_data = _generating_data(algebra)
-    return [
-        (d, d, p ** (d * d * len(gen_data[0])), _naive_candidates(algebra, d, gen_data))
-        for d in range(1, cap + 1)
-    ]
+    return [(d, _naive_candidates(algebra, d, gen_data)) for d in range(1, cap + 1)]
 
 
 # ---------------------------------------------------------------------------
-# Kac's counts for quivers without relations, by Hua's formula.
-# ---------------------------------------------------------------------------
-
-
-def _partitions(n: int, largest: int | None = None):
-    """The partitions of n into parts of at most largest, as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _log_hua(quiver, q: int, cap: int):
-    """[X^beta] log P(q, X) for every nonzero beta with |beta| <= cap, exactly.
-
-    Hua's P(q, X) sums, over tuples pi of partitions with one pi^i per
-    vertex, the terms
-        prod_{arrows i->j} q^<pi^i,pi^j> / prod_i q^<pi^i,pi^i> b_{pi^i}(1/q) X^|pi|,
-    with <l,m> = sum_k l'_k m'_k over the conjugate partitions and
-    b_l(t) = prod_j phi_{m_j(l)}(t), phi_m(t) = (1 - t)...(1 - t^m).  The
-    logarithm follows from |beta| L_beta = |beta| P_beta - sum_{0<g<beta}
-    |g| L_g P_{beta-g}, with |.| the total dimension.
-    """
-    inv_q = Fraction(1, q)
-    shapes = {}  # per size: (conjugate, q^<l,l> b_l(1/q)) for each partition l
-    for k in range(cap + 1):
-        shapes[k] = []
-        for lam in _partitions(k):
-            conj = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
-            b = math.prod(
-                math.prod(1 - inv_q**e for e in range(1, lam.count(j) + 1)) for j in set(lam)
-            )
-            shapes[k].append((conj, q ** sum(c * c for c in conj) * b))
-
-    def pairing(shape, other):  # <l,m> from the conjugates of two shapes
-        return sum(x * y for x, y in zip(shape[0], other[0]))
-
-    vectors = [c for total in range(cap + 1) for c in _compositions(total, quiver.n_vertices)]
-    P = {
-        beta: sum(
-            Fraction(q) ** sum(pairing(pis[s - 1], pis[t - 1]) for s, t, _ in quiver.arrows)
-            / math.prod(w for _, w in pis)
-            for pis in itertools.product(*(shapes[k] for k in beta))
-        )
-        for beta in vectors
-    }
-    L = {}
-    for beta in vectors[1:]:
-        acc = sum(beta) * P[beta]
-        for gamma, value in L.items():
-            rest = tuple(b - g for b, g in zip(beta, gamma))
-            if min(rest) >= 0 and any(rest):
-                acc -= sum(gamma) * value * P[rest]
-        L[beta] = acc / sum(beta)
-    return L
-
-
-def _mobius(n: int) -> int:
-    """The Moebius function of a positive integer."""
-    sign, k = 1, 2
-    while k * k <= n:
-        if n % k == 0:
-            n //= k
-            if n % k == 0:
-                return 0
-            sign = -sign
-        k += 1
-    return -sign if n > 1 else sign
-
-
-def _common_divisors(alpha):
-    """The positive integers dividing every entry of alpha."""
-    g = math.gcd(*alpha)
-    return [r for r in range(1, g + 1) if g % r == 0]
-
-
-def _absolute_counts(quiver, q: int, cap: int):
-    """Kac's A_alpha(q) for every nonzero alpha with |alpha| <= cap.
-
-    A_alpha(q) counts the absolutely indecomposable representations of
-    dimension vector alpha over F_q (Kac, Invent. Math. 56, 1980), and
-    by Hua (J. Algebra 226, 2000)
-        A_alpha(q) / (q - 1) = sum_{r | alpha} mu(r)/r [X^{alpha/r}] log P(q^r, X).
-    The values are exact Fractions; q need only be a prime power.
-    """
-    logs = {r: _log_hua(quiver, q**r, cap // r) for r in range(1, cap + 1)}
-    return {
-        alpha: (q - 1) * sum(
-            Fraction(_mobius(r), r) * logs[r][tuple(a // r for a in alpha)]
-            for r in _common_divisors(alpha)
-        )
-        for alpha in logs[1]
-    }
-
-
-def _kac_counts(quiver, p: int, cap: int):
-    """I_alpha(p), the number of indecomposables of dimension vector alpha
-    over GF(p), for every nonzero alpha with |alpha| <= cap.
-
-    An indecomposable over GF(p) is a Galois orbit of d absolutely
-    indecomposables defined over GF(p^d) and no smaller field, so
-        I_alpha(p) = sum_{d | alpha} (1/d) sum_{r | d} mu(d/r) A_{alpha/d}(p^r).
-    Nothing is kept between calls.
-    """
-    absolute = {r: _absolute_counts(quiver, p**r, cap // r) for r in range(1, cap + 1)}
-    counts = {}
-    for alpha in absolute[1]:
-        value = sum(
-            Fraction(1, d) * sum(
-                _mobius(d // r) * absolute[r][tuple(a // d for a in alpha)]
-                for r in _common_divisors((d,))
-            )
-            for d in _common_divisors(alpha)
-        )
-        if value.denominator != 1 or value < 0:
-            raise ModuleError(f"Hua's formula gave {value} indecomposables at {alpha}")
-        counts[alpha] = int(value)
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# Counts for quivers with relations, from extensions of smaller members.
+# Quiver algebras: the members are the middle terms of extensions.
 # ---------------------------------------------------------------------------
 
 
@@ -433,56 +297,6 @@ def _sums_of_vector(pieces, beta):
                 yield [item] + tail
 
 
-class _ExtensionCounts:
-    """The number of indecomposables of each dimension vector alpha, for
-    one enumeration of an algebra with relations.
-
-    pieces is the enumeration's list of (dimension vector, member), which
-    grows as it walks: when alpha is counted it holds every
-    indecomposable of total dimension |alpha| - 1 and below.  An
-    indecomposable E of vector alpha has a maximal submodule K, and E/K
-    is a simple S_v with alpha_v > 0 (all simples have dimension 1), so E
-    is the middle term of an extension 0 -> K -> E -> S_v -> 0 with K a
-    direct sum of pieces of vector alpha - e_v (Auslander, Reiten and
-    Smaloe, Representation Theory of Artin Algebras).  The count is that
-    of the iso classes of the indecomposable middle terms of
-    _middle_terms over every such v and K; a piece with no extension
-    class by S_v splits off every middle term, so it is left out.
-
-    The Ext classes of each (vertex, piece) are made on first use and
-    kept for the later vectors; middle_terms counts the middle terms
-    whose indecomposability was decided.
-    """
-
-    def __init__(self, algebra: Algebra, pieces, seed: int):
-        self.simples = _simples(algebra)
-        self.pieces = pieces
-        self.seed = seed
-        self.classes = {}  # (vertex, piece index) -> ext1(S_v, piece)
-        self.middle_terms = 0
-
-    def _classes(self, v: int, i: int):
-        if (v, i) not in self.classes:
-            self.classes[v, i] = ext1(self.simples[v], self.pieces[i][1])
-        return self.classes[v, i]
-
-    def __call__(self, alpha) -> int:
-        found = []
-        for v, simple in enumerate(self.simples):
-            if not alpha[v]:
-                continue
-            beta = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]
-            extending = [(vector, (m, classes)) for i, (vector, m) in enumerate(self.pieces)
-                         if all(a <= b for a, b in zip(vector, beta))
-                         and (classes := self._classes(v, i)).rows]
-            for summands in _sums_of_vector(extending, beta):
-                for middle in _middle_terms(simple, summands):
-                    self.middle_terms += 1
-                    if _is_new(middle, found, self.seed):
-                        found.append(middle)
-        return len(found)
-
-
 def _is_new(cand: FDModule, found, seed: int) -> bool:
     """Whether cand is certified indecomposable and isomorphic to no module of found.
 
@@ -494,64 +308,90 @@ def _is_new(cand: FDModule, found, seed: int) -> bool:
     return res.status == "indecomposable" and all(_first_iso(cand, m) is None for m in found)
 
 
+def _extension_members(algebra: Algebra, cap: int, budget: int, seed: int):
+    """The members of a quiver algebra up to dimension cap, and the number
+    of middle terms decided.
+
+    The dimension vectors alpha go by total dimension 1..cap, each in the
+    order of _compositions.  An indecomposable E of vector alpha has a
+    maximal submodule K, and E/K is a simple S_v with alpha_v > 0 (all
+    simples have dimension 1), so E is the middle term of an extension
+    0 -> K -> E -> S_v -> 0 with K a direct sum of members of vector
+    alpha - e_v (Auslander, Reiten and Smaloe, Representation Theory of
+    Artin Algebras), which are complete by induction.  alpha's members
+    are the iso classes of the indecomposable middle terms of
+    _middle_terms over every such v and K, in the order they come; a
+    member with no extension class by S_v splits off every middle term,
+    so it is left out.  The Ext classes of each (vertex, member) are made
+    on first use and kept for the later vectors.  Raises BudgetExceeded
+    as soon as more than budget middle terms have been decided.
+    """
+    simples = _simples(algebra)
+    pieces, classes, decided = [], {}, 0  # pieces: (vector, member) in order
+
+    def ext_classes(v: int, i: int):
+        if (v, i) not in classes:
+            classes[v, i] = ext1(simples[v], pieces[i][1])
+        return classes[v, i]
+
+    for d in range(1, cap + 1):
+        for alpha in _compositions(d, algebra.quiver.n_vertices):
+            found = []
+            for v, simple in enumerate(simples):
+                if not alpha[v]:
+                    continue
+                beta = alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]
+                extending = [(vector, (m, c)) for i, (vector, m) in enumerate(pieces)
+                             if all(a <= b for a, b in zip(vector, beta))
+                             and (c := ext_classes(v, i)).rows]
+                for summands in _sums_of_vector(extending, beta):
+                    for middle in _middle_terms(simple, summands):
+                        decided += 1
+                        if decided > budget:
+                            raise BudgetExceeded(
+                                f"enumeration decided more than {budget} middle terms of"
+                                " extensions; raise --budget or lower the cap"
+                            )
+                        if _is_new(middle, found, seed):
+                            found.append(middle)
+            pieces.extend((alpha, m) for m in found)
+    return [m for _, m in pieces], decided
+
+
 def enumerate_indecomposables(algebra: Algebra, cap: int, budget: int = 10**7,
                               seed: int = 0) -> Inventory:
     """Inventory of all indecomposables of dimension <= cap.
 
-    Walks the action-matrix assignments of _walks within the budget, keeps
-    certified indecomposables, and appends each one that is isomorphic to
-    no member its walk found before it; isomorphic modules share their
-    dimension vector, so a quiver algebra's vectors are walked one by one.
-    For a quiver algebra the walk of a vector alpha stops as soon as it
-    holds alpha's count of members (a vector whose count is 0 is skipped):
-    Kac's count I_alpha(p) without relations, _ExtensionCounts with them,
-    from the members found before alpha, which are complete by induction.
-    The candidates after the last member add none, so the members and
-    their order are those of the full walk.  A vector whose candidates
-    run out below its count raises ModuleError.  Structure-constant
-    algebras have no count and walk every candidate.
+    A quiver algebra takes its members from the middle terms of
+    extensions (_extension_members), and budget bounds the middle terms
+    decided.  An algebra given by structure constants walks every
+    generator-matrix assignment (_naive_candidates), whose number budget
+    bounds, keeps certified indecomposables, and appends each one that
+    is isomorphic to no member of its dimension found before it.
     """
     if cap < 0:
         raise ValueError(f"inventory cap must be non-negative, got {cap}")
     if not algebra.field.is_prime_field:
         raise ModuleError("exhaustive enumeration needs a finite prime field")
-    walks = _walks(algebra, cap)
-    estimate = sum(assignments for _, _, assignments, _ in walks)
+    if algebra.quiver is not None:
+        members, decided = _extension_members(algebra, cap, budget, seed)
+        return Inventory(algebra, cap, members, decided=decided)
+    gen_data = _generating_data(algebra)
+    estimate = sum(algebra.field.p ** (d * d * len(gen_data[0])) for d in range(1, cap + 1))
     if estimate > budget:
         raise BudgetExceeded(
             f"enumeration needs about {estimate} candidates, budget is {budget};"
             " raise --budget or lower the cap"
         )
-    q = algebra.quiver
-    pieces, decided, extensions = [], 0, None  # pieces: (label, member) in order
-    if q is None:
-        count = {}.get  # no count: every candidate is walked
-    elif q.relations:
-        count = extensions = _ExtensionCounts(algebra, pieces, seed)
-    else:
-        # without relations a quiver builds only when it has no path of
-        # length cap, so the algebra is its whole path algebra
-        count = _kac_counts(q, algebra.field.p, cap).get
-    for _, label, _, walk in walks:
-        expected = count(label)
-        if expected == 0:
-            continue
+    members, decided = [], 0
+    for d in range(1, cap + 1):
         found = []
-        for cand in walk:
+        for cand in _naive_candidates(algebra, d, gen_data):
             decided += 1
             if _is_new(cand, found, seed):
                 found.append(cand)
-                if len(found) == expected:
-                    break
-        if expected is not None and len(found) < expected:
-            raise ModuleError(
-                f"dimension vector {label} has {len(found)} indecomposables,"
-                f" fewer than its count {expected}"
-            )
-        pieces.extend((label, m) for m in found)
-    members = [m for _, m in pieces]
-    return Inventory(algebra, cap, members, decided=decided,
-                     assignments=estimate, middle_terms=extensions.middle_terms if extensions else 0)
+        members.extend(found)
+    return Inventory(algebra, cap, members, decided=decided, assignments=estimate)
 
 
 def sum_combos(inv: Inventory, max_summands: int, max_dim: int):
@@ -594,7 +434,7 @@ def verify_completeness(inv: Inventory, max_dim: int, seed: int = 0):
         }
         observed = set()
         ok = True
-        for cand in itertools.chain.from_iterable(walk for *_, walk in walks):
+        for cand in itertools.chain.from_iterable(walk for _, walk in walks):
             pieces = decompose(cand, seed)
             signature = []
             for piece, _, _ in pieces:

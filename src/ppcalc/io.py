@@ -231,7 +231,7 @@ def load_algebra(ref, base_dir: str = ".", field: FieldSpec = None) -> Algebra:
         f = field_from_str(obj["field"])
         labels = list(obj["basis"])
         one = _mat_in(f, [obj["one"]])
-        mul = [[_mat_in(f, [row]) for row in block] for block in obj["mul"]]
+        mul = tuple(tuple(_mat_in(f, [row]) for row in block) for block in obj["mul"])
         if "quiver" in obj:
             built = algebra_from_quiver(quiver_from_json(obj["quiver"], f), f)
             if built.labels != labels or built.one != one or built.mul != mul:

@@ -513,9 +513,9 @@ def extension(m: FDModule, n: FDModule, c: Mat) -> FDModule:
     """The middle term E of the extension 0 -> n -> E -> m -> 0 of the class c.
 
     c is a row laid out as ext1's: one s x t block c_l per algebra basis
-    element.  E has n's basis first, and a_l acts as [[N_l, 0], [c_l, M_l]],
-    so the t x (t + s) matrix [I | 0] embeds n and the (t + s) x s matrix
-    [0; I] projects onto m.  c = 0 gives direct_sum(n, m), and every
+    element.  E has m's basis first, and a_l acts as [[M_l, c_l], [0, N_l]],
+    so the t x (s + t) matrix [0 | I] embeds n and the (s + t) x s matrix
+    [I; 0] projects onto m.  c = 0 gives direct_sum(m, n), and every
     coboundary a module isomorphic to it.
     """
     if m.algebra != n.algebra:
@@ -523,11 +523,11 @@ def extension(m: FDModule, n: FDModule, c: Mat) -> FDModule:
     field, na, s, t = m.field, m.algebra.dim, m.dim, n.dim
     if c.shape != (1, na * s * t):
         raise ModuleError(f"class shape {c.shape}, expected {(1, na * s * t)}")
-    blocks = np.full((na, t + s, t + s), field.zero(), dtype=field.dtype)
-    blocks[:, :t, :t] = n.stack.array().reshape(na, t, t)
-    blocks[:, t:, :t] = c.array().reshape(na, s, t)
-    blocks[:, t:, t:] = m.stack.array().reshape(na, s, s)
-    return FDModule(m.algebra, t + s, Mat._of(field, blocks.reshape(na * (t + s), t + s)))
+    blocks = np.full((na, s + t, s + t), field.zero(), dtype=field.dtype)
+    blocks[:, :s, :s] = m.stack.array().reshape(na, s, s)
+    blocks[:, :s, s:] = c.array().reshape(na, s, t)
+    blocks[:, s:, s:] = n.stack.array().reshape(na, t, t)
+    return FDModule(m.algebra, s + t, Mat._of(field, blocks.reshape(na * (s + t), s + t)))
 
 
 # ---------------------------------------------------------------------------

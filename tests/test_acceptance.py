@@ -171,7 +171,7 @@ def test_criterion_7_fails_when_the_pair_is_pulled_back_under_the_forget_x_bimod
     monkeypatch.setattr(acceptance, "pullback_pair", lambda data, pair, d: pull(wrong, pair, d))
     c7 = acceptance._criterion_7(cfg, acceptance._lambda_case(cfg, GF(2), 4))
     assert not c7["passed"]
-    assert c7["details"]["mismatches"] == [2]
+    assert c7["details"]["mismatches"] == [3]
 
 
 def test_criterion_8_reference_integers(report):

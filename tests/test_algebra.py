@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ppcalc.algebra import (
@@ -332,7 +333,7 @@ def test_algebra_equality_reads_every_structure_constant(field):
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                mul = [row[:] for row in base.mul]
+                mul = [list(row) for row in base.mul]
                 row = mul[i][j].to_rows()[0]
                 row[k] = row[k] + 1
                 mul[i][j] = Mat.from_rows(field, [row])
@@ -353,3 +354,23 @@ def test_basis_element_is_the_identity_row(field):
     for i in (-1, alg.dim, 9):
         with pytest.raises(AlgebraError, match="out of range"):
             alg.basis_element(i)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_mul_is_a_read_only_view_of_the_one_table(field):
+    # mul was a list of lists beside the table that products read: after
+    # a.mul[1][1] = a.one, a still multiplied as before and still equalled
+    # a fresh copy, while io wrote the rewritten mul
+    from ppcalc.algebra import Algebra
+    from ppcalc.examples import lambda_algebra
+
+    a = lambda_algebra(field)
+    with pytest.raises(TypeError):
+        a.mul[1][1] = a.one
+    with pytest.raises(TypeError):
+        a.mul[1] = a.mul[0]
+    with pytest.raises(ValueError, match="read-only"):
+        a.mul[1][1].array()[0, 0] = field.one()
+    assert a == lambda_algebra(field)
+    assert all(np.shares_memory(entry.array(), a._table.array()) for row in a.mul for entry in row)
+    assert Algebra(field, a.labels, a.one, a.mul) == a

@@ -71,7 +71,7 @@ def test_every_decomposition_of_a_core_pass_is_a_nontrivial_idempotent(monkeypat
         monkeypatch.setattr(module, "indecomposability", recorded)
     acceptance._run_core(RunConfig(seed=0))
     statuses = Counter(res.status for _, res in answers)
-    assert set(statuses) == {"decomposed", "indecomposable"} and statuses["decomposed"] > 100
+    assert set(statuses) == {"decomposed", "indecomposable"} and statuses["decomposed"] >= 46
     for m, res in answers:
         if res.status == "decomposed":
             oracle.check_idempotent(m, res.witness)
@@ -143,7 +143,7 @@ def test_every_hom_space_of_a_core_pass_is_a_basis_of_the_oracle_dimension(monke
     for module in (modules, controlled):
         monkeypatch.setattr(module, "hom_space", recorded)
     acceptance._run_core(RunConfig(seed=0))
-    assert len(answers) == 425
+    assert len(answers) == 355
     for m, n, maps in answers:
         assert m.dim * n.dim <= 16
         expected = m.dim * n.dim - oracle.rank(m.field, hom_system_rows(m, n))
@@ -151,8 +151,8 @@ def test_every_hom_space_of_a_core_pass_is_a_basis_of_the_oracle_dimension(monke
 
 
 def test_every_extension_of_a_core_pass_embeds_its_kernel_and_projects_onto_its_end(monkeypatch):
-    # the middle term E of a class of Ext^1(m, n) has n's basis first: the
-    # rows [I | 0] embed n in E, and the columns [0; I] project E onto m
+    # the middle term E of a class of Ext^1(m, n) has m's basis first: the
+    # rows [0 | I] embed n in E, and the columns [I; 0] project E onto m
     answers = []
     real = modules.extension
 
@@ -165,14 +165,14 @@ def test_every_extension_of_a_core_pass_embeds_its_kernel_and_projects_onto_its_
     for module in (modules, inventory):
         monkeypatch.setattr(module, "extension", recorded)
     acceptance._run_core(RunConfig(seed=0))
-    assert len(answers) == 7
+    assert len(answers) == 93
     for m, n, e in answers:
         field, s, t = m.field, m.dim, n.dim
         assert e.dim == s + t and s
-        proj = [[int(i == j + t) for j in range(s)] for i in range(s + t)]
+        proj = [[int(i == j) for j in range(s)] for i in range(s + t)]
         assert oracle.intertwines(e, m, oracle._array(field, proj))
         if t:  # n = 0, K = 0 for a simple alone, has no inclusion to check
-            incl = [[int(i == j) for j in range(s + t)] for i in range(t)]
+            incl = [[int(j == i + s) for j in range(s + t)] for i in range(t)]
             assert oracle.intertwines(n, e, oracle._array(field, incl))
 
 
@@ -198,7 +198,7 @@ def test_every_isomorphism_witness_of_a_core_pass_is_an_invertible_module_map(mo
         monkeypatch.setattr(module, "_first_iso", recorded_first_iso)
     acceptance._run_core(RunConfig(seed=0))
     found = {name: [a for a in answers if a[2] is not None] for name, answers in witnesses.items()}
-    assert {name: len(a) for name, a in found.items()} == {"iso_test": 4, "_first_iso": 27}
+    assert {name: len(a) for name, a in found.items()} == {"iso_test": 4, "_first_iso": 39}
     for m, n, w in found["iso_test"] + found["_first_iso"]:
         rows = w.matrix.to_rows()
         assert (w.source, w.target) == (m, n) and m.dim == n.dim > 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,9 @@ from ppcalc.inventory import (
     _BATCH_LIMIT,
     BudgetExceeded,
     Inventory,
-    _absolute_counts,
     _compositions,
     _digits,
-    _ExtensionCounts,
     _generating_data,
-    _kac_counts,
     _middle_terms,
     _naive_candidates,
     _simples,
@@ -28,7 +26,6 @@ from ppcalc.inventory import (
 from ppcalc.linalg import GF, Mat
 from ppcalc.modules import (
     FDModule,
-    ModuleError,
     ext1,
     hom_space,
     indecomposability,
@@ -161,8 +158,10 @@ def test_quiver_candidates_match_brute_force(make, p, d, assignments):
 
 
 def test_budget_guard(kron2):
+    # Kronecker over GF(2) at cap 4 decides 60 middle terms of extensions
+    assert enumerate_indecomposables(kron2, 4, budget=60, seed=0).decided == 60
     with pytest.raises(BudgetExceeded, match="budget"):
-        enumerate_indecomposables(kron2, 4, budget=100, seed=0)
+        enumerate_indecomposables(kron2, 4, budget=59, seed=0)
 
 
 def test_naive_mode_matches_quiver_mode(lam2):
@@ -330,7 +329,125 @@ def test_naive_candidates_across_blocks(monkeypatch):
     assert want and [m.action for m in _naive_candidates(algebra, 2, gen_data)] == want
 
 
-# -- Kac's counts by Hua's formula, and the stop rule they give ------------
+# -- Kac's counts by Hua's formula: an oracle independent of extensions ---
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n into parts of at most largest, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def log_hua(quiver, q: int, cap: int):
+    """[X^beta] log P(q, X) for every nonzero beta with |beta| <= cap, exactly.
+
+    Hua's P(q, X) sums, over tuples pi of partitions with one pi^i per
+    vertex, the terms
+        prod_{arrows i->j} q^<pi^i,pi^j> / prod_i q^<pi^i,pi^i> b_{pi^i}(1/q) X^|pi|,
+    with <l,m> = sum_k l'_k m'_k over the conjugate partitions and
+    b_l(t) = prod_j phi_{m_j(l)}(t), phi_m(t) = (1 - t)...(1 - t^m).  The
+    logarithm follows from |beta| L_beta = |beta| P_beta - sum_{0<g<beta}
+    |g| L_g P_{beta-g}, with |.| the total dimension.
+    """
+    inv_q = Fraction(1, q)
+    shapes = {}  # per size: (conjugate, q^<l,l> b_l(1/q)) for each partition l
+    for k in range(cap + 1):
+        shapes[k] = []
+        for lam in partitions(k):
+            conj = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+            b = math.prod(
+                math.prod(1 - inv_q**e for e in range(1, lam.count(j) + 1)) for j in set(lam)
+            )
+            shapes[k].append((conj, q ** sum(c * c for c in conj) * b))
+
+    def pairing(shape, other):  # <l,m> from the conjugates of two shapes
+        return sum(x * y for x, y in zip(shape[0], other[0]))
+
+    vectors = [c for total in range(cap + 1) for c in _compositions(total, quiver.n_vertices)]
+    P = {
+        beta: sum(
+            Fraction(q) ** sum(pairing(pis[s - 1], pis[t - 1]) for s, t, _ in quiver.arrows)
+            / math.prod(w for _, w in pis)
+            for pis in itertools.product(*(shapes[k] for k in beta))
+        )
+        for beta in vectors
+    }
+    L = {}
+    for beta in vectors[1:]:
+        acc = sum(beta) * P[beta]
+        for gamma, value in L.items():
+            rest = tuple(b - g for b, g in zip(beta, gamma))
+            if min(rest) >= 0 and any(rest):
+                acc -= sum(gamma) * value * P[rest]
+        L[beta] = acc / sum(beta)
+    return L
+
+
+def mobius(n: int) -> int:
+    """The Moebius function of a positive integer."""
+    sign, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return -sign if n > 1 else sign
+
+
+def common_divisors(alpha):
+    """The positive integers dividing every entry of alpha."""
+    g = math.gcd(*alpha)
+    return [r for r in range(1, g + 1) if g % r == 0]
+
+
+def absolute_counts(quiver, q: int, cap: int):
+    """Kac's A_alpha(q) for every nonzero alpha with |alpha| <= cap.
+
+    A_alpha(q) counts the absolutely indecomposable representations of
+    dimension vector alpha over F_q (Kac, Invent. Math. 56, 1980), and
+    by Hua (J. Algebra 226, 2000)
+        A_alpha(q) / (q - 1) = sum_{r | alpha} mu(r)/r [X^{alpha/r}] log P(q^r, X).
+    The values are exact Fractions; q need only be a prime power.
+    """
+    logs = {r: log_hua(quiver, q**r, cap // r) for r in range(1, cap + 1)}
+    return {
+        alpha: (q - 1) * sum(
+            Fraction(mobius(r), r) * logs[r][tuple(a // r for a in alpha)]
+            for r in common_divisors(alpha)
+        )
+        for alpha in logs[1]
+    }
+
+
+def kac_counts(quiver, p: int, cap: int):
+    """I_alpha(p), the number of indecomposables of dimension vector alpha
+    over GF(p), for every nonzero alpha with |alpha| <= cap, for a quiver
+    without relations.
+
+    An indecomposable over GF(p) is a Galois orbit of d absolutely
+    indecomposables defined over GF(p^d) and no smaller field, so
+        I_alpha(p) = sum_{d | alpha} (1/d) sum_{r | d} mu(d/r) A_{alpha/d}(p^r).
+    """
+    absolute = {r: absolute_counts(quiver, p**r, cap // r) for r in range(1, cap + 1)}
+    counts = {}
+    for alpha in absolute[1]:
+        value = sum(
+            Fraction(1, d) * sum(
+                mobius(d // r) * absolute[r][tuple(a // d for a in alpha)]
+                for r in common_divisors((d,))
+            )
+            for d in common_divisors(alpha)
+        )
+        assert value.denominator == 1 and value >= 0, (alpha, value)
+        counts[alpha] = int(value)
+    return counts
+
 
 KRONECKER = QuiverSpec(2, [(1, 2, "a"), (1, 2, "b")])
 K3 = QuiverSpec(2, [(1, 2, "a"), (1, 2, "b"), (1, 2, "c")])
@@ -342,13 +459,13 @@ ARROWLESS = QuiverSpec(2, [])
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_kac_polynomials_in_closed_form(q):
-    kron = _absolute_counts(KRONECKER, q, 5)
+    kron = absolute_counts(KRONECKER, q, 5)
     assert [kron[(n, n)] for n in (1, 2)] == [q + 1, q + 1]
     assert [kron[(n, n + 1)] for n in (0, 1, 2)] == [1, 1, 1]
     # the Jordan loop x, with no relation: one nilpotent class per size
     # and q eigenvalues
-    assert _absolute_counts(QuiverSpec(1, [(1, 1, "x")]), q, 4) == {(n,): q for n in range(1, 5)}
-    k3 = _absolute_counts(K3, q, 3)
+    assert absolute_counts(QuiverSpec(1, [(1, 1, "x")]), q, 4) == {(n,): q for n in range(1, 5)}
+    k3 = absolute_counts(K3, q, 3)
     assert k3[(1, 1)] == k3[(1, 2)] == q * q + q + 1
     # Dynkin quivers (Gabriel): 1 on the positive roots, 0 elsewhere
     roots = {
@@ -356,30 +473,26 @@ def test_kac_polynomials_in_closed_form(q):
         A3: {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)},
     }
     for quiver, positive in roots.items():
-        values = _absolute_counts(quiver, q, 4)
+        values = absolute_counts(quiver, q, 4)
         assert len(values) > len(positive)
         assert {alpha: int(alpha in positive) for alpha in values} == values
 
 
 def no_stop_inventory(algebra, cap, seed=0):
-    """The inventory walk without the stop rule: every candidate of each
-    dimension is decided and tested against every member of that
-    dimension.  Returns the members, their dimension vectors, and, per
-    dimension vector, the position among its candidates of its last member."""
-    members, vectors, seen, last = [], [], Counter(), {}
+    """The reference walk: every candidate of each dimension is decided and
+    tested against every member of that dimension.  Returns the members
+    and their dimension vectors."""
+    members, vectors = [], []
     for d in range(1, cap + 1):
         for cand in quiver_candidates(algebra, d):
-            vector = dimension_vector(cand)
-            seen[vector] += 1
             res = indecomposability(cand, seed)
             assert res.status != "probably-indecomposable"
             if res.status != "indecomposable":
                 continue
             if not any(iso_test(cand, m, seed, res) for m in members if m.dim == d):
                 members.append(cand)
-                vectors.append(vector)
-                last[vector] = seen[vector]
-    return members, vectors, last
+                vectors.append(dimension_vector(cand))
+    return members, vectors
 
 
 def dimension_vector(module):
@@ -391,54 +504,48 @@ def dimension_vector(module):
     )
 
 
+def assert_same_iso_classes(inv, want, vectors):
+    """inv holds the iso classes of want, vector by vector in want's order:
+    the same sequence of dimension vectors, and each member isomorphic
+    to a different module of want."""
+    assert [dimension_vector(m) for m in inv.members] == vectors
+    matches = [
+        [i for i, w in enumerate(want) if vectors[i] == dimension_vector(m) and iso_test(m, w) is not None]
+        for m in inv.members
+    ]
+    assert sorted(i for match in matches for i in match) == list(range(len(want)))
+
+
 @pytest.mark.parametrize(
-    "quiver, p, cap, size",
+    "quiver, p, cap, size, decided",
     [
-        (KRONECKER, 2, 5, 13),
-        (KRONECKER, 3, 3, 8),
-        (K3, 2, 3, 23),
-        (K3, 3, 3, 41),
-        (A3, 2, 3, 6),
-        (D4, 2, 3, 10),
-        (ARROWLESS, 2, 3, 2),
+        (KRONECKER, 2, 5, 13, 207),
+        (KRONECKER, 3, 3, 8, 26),
+        (K3, 2, 3, 23, 79),
+        (K3, 3, 3, 41, 236),
+        (A3, 2, 3, 6, 8),
+        (D4, 2, 3, 10, 16),
+        (ARROWLESS, 2, 3, 2, 2),
     ],
     ids=["kronecker-gf2-cap5", "kronecker-gf3-cap3", "k3-gf2-cap3", "k3-gf3-cap3",
          "a3-gf2-cap3", "d4-gf2-cap3", "arrowless-gf2-cap3"],
 )
-def test_kac_stop_keeps_the_no_stop_inventory(quiver, p, cap, size):
+def test_kac_stop_keeps_the_no_stop_inventory(quiver, p, cap, size, decided):
+    # the members from extensions are the iso classes of the reference walk,
+    # which tries every candidate
     algebra = algebra_from_quiver(quiver, GF(p))
-    want, vectors, last = no_stop_inventory(algebra, cap)
+    want, vectors = no_stop_inventory(algebra, cap)
     inv = enumerate_indecomposables(algebra, cap, seed=0)
     assert len(want) == size
-    assert [m.action for m in inv.members] == [m.action for m in want]
+    assert_same_iso_classes(inv, want, vectors)
+    assert inv.decided == decided and inv.assignments is None
     # the reference's per-vector counts are Kac's, with 0 on the others
-    kac = _kac_counts(quiver, p, cap)
+    kac = kac_counts(quiver, p, cap)
     assert set(kac) == {c for d in range(1, cap + 1) for c in _compositions(d, quiver.n_vertices)}
     assert {alpha: Counter(vectors)[alpha] for alpha in kac} == kac
-    # each vector with members is walked up to its last member, and no further;
-    # a vector with none is not walked
-    assert inv.decided == sum(last.values())
-    assert inv.assignments == sum(
-        p ** sum(c[s - 1] * c[t - 1] for s, t, _ in quiver.arrows) for c in kac
-    )
 
 
-def test_kac_stop_raises_when_a_vector_runs_out(monkeypatch):
-    # negative control: a count one too high at (1, 1) cannot be met, since
-    # the Kronecker quiver has three indecomposables there over GF(2)
-    from ppcalc import inventory
-
-    def over_count(quiver, p, cap):
-        counts = _kac_counts(quiver, p, cap)
-        counts[(1, 1)] += 1
-        return counts
-
-    monkeypatch.setattr(inventory, "_kac_counts", over_count)
-    with pytest.raises(ModuleError, match=r"dimension vector \(1, 1\) has 3 .* count 4"):
-        enumerate_indecomposables(kronecker_algebra(GF(2)), 2, seed=0)
-
-
-# -- quivers with relations: walked per vector, stopped at extension counts ---
+# -- quivers with relations ---------------------------------------------------
 
 A3_AB_ZERO = QuiverSpec(3, [(1, 2, "a"), (2, 3, "b")], relations=[[(1, ["a", "b"])]])
 COMMUTATIVE_SQUARE = QuiverSpec(
@@ -460,42 +567,50 @@ TWO_LOOPS_RAD2 = QuiverSpec(  # S = k<x, y>/(x, y)^2
 
 
 @pytest.mark.parametrize(
-    "quiver, p, cap, size, decided, assignments",
+    "quiver, p, cap, size, decided",
     [
-        (A3_AB_ZERO, 2, 3, 5, 7, 36),
-        (A3_AB_ZERO, 3, 3, 5, 7, 63),
-        (COMMUTATIVE_SQUARE, 2, 3, 10, 20, 74),
-        (LOOP_AND_ARROW, 2, 3, 5, 12, 609),
-        (TWO_LOOPS_RAD2, 2, 3, 6, 34, 262404),
+        (A3_AB_ZERO, 2, 3, 5, 7),
+        (A3_AB_ZERO, 3, 3, 5, 7),
+        (COMMUTATIVE_SQUARE, 2, 3, 10, 15),
+        (LOOP_AND_ARROW, 2, 3, 5, 7),
+        (TWO_LOOPS_RAD2, 2, 3, 6, 16),
     ],
     ids=["a3-ab-gf2-cap3", "a3-ab-gf3-cap3", "square-gf2-cap3", "loop-arrow-gf2-cap3",
          "two-loops-rad2-gf2-cap3"],
 )
 def test_relations_walk_per_vector_keeps_the_per_dimension_inventory(
-    quiver, p, cap, size, decided, assignments
+    quiver, p, cap, size, decided
 ):
+    # with relations too, the members from extensions are the iso classes of
+    # the reference walk, which tries every candidate
     algebra = algebra_from_quiver(quiver, GF(p))
-    want, _, last = no_stop_inventory(algebra, cap)
+    want, vectors = no_stop_inventory(algebra, cap)
     inv = enumerate_indecomposables(algebra, cap, seed=0)
     assert len(want) == size
-    assert [m.action for m in inv.members] == [m.action for m in want]
-    # each vector's walk stops at its last member, and a vector with no
-    # member is not walked
-    assert inv.decided == sum(last.values()) == decided
-    assert inv.assignments == assignments == sum(
-        p ** sum(c[s - 1] * c[t - 1] for s, t, _ in quiver.arrows)
-        for d in range(1, cap + 1)
-        for c in _compositions(d, quiver.n_vertices)
-    )
+    assert_same_iso_classes(inv, want, vectors)
+    assert inv.decided == decided
 
 
-@pytest.mark.parametrize("p, cap, decided", [(2, 4, 3), (3, 3, 3)])
-def test_lambda_inventory_skips_the_dimensions_without_members(p, cap, decided):
-    # the extension counts of (3,) and (4,) are 0: Ext^1(S, Lambda) = 0,
-    # and every extension of S by a sum of copies of S splits off a copy
+@pytest.mark.parametrize("p, cap, decided", [(2, 4, 4), (3, 3, 3)])
+def test_lambda_inventory_decides_one_middle_term_per_dimension(p, cap, decided):
+    # Ext^1(S, Lambda) = 0, so the only middle terms are the extensions of S
+    # by a sum of copies of S, one per dimension, and from dimension 3 on
+    # each splits off a copy of S
     inv = enumerate_indecomposables(lambda_algebra(GF(p)), cap, seed=0)
     assert [m.dim for m in inv.members] == [1, 2]
-    assert inv.decided == decided
+    assert inv.decided == decided == cap
+
+
+def test_lambda_members_are_the_walk_matrices():
+    # extension puts the simple's basis first, so the radical's generator x
+    # acts on the 2-dim member as [[0, 1], [0, 0]], as on the walk's first
+    # indecomposable candidate
+    for p, cap in ((2, 4), (3, 3)):
+        inv = enumerate_indecomposables(lambda_algebra(GF(p)), cap, seed=0)
+        assert [[a.to_rows() for a in m.action] for m in inv.members] == [
+            [[[1]], [[0]]],
+            [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        ]
 
 
 def test_ext_classes_are_made_once_per_vertex_and_member(monkeypatch):
@@ -512,51 +627,32 @@ def test_ext_classes_are_made_once_per_vertex_and_member(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "algebra, cap, middle_terms, decided",
+    "algebra, cap, middle_terms",
     [
-        (lambda_algebra(GF(2)), 4, 4, 3),
-        (algebra_from_quiver(TWO_LOOPS_RAD2, GF(2)), 3, 16, 34),
-        (algebra_from_quiver(KRONECKER, GF(2)), 3, 0, None),
+        (lambda_algebra(GF(2)), 4, 4),
+        (algebra_from_quiver(TWO_LOOPS_RAD2, GF(2)), 3, 16),
+        (algebra_from_quiver(KRONECKER, GF(2)), 3, 17),
     ],
     ids=["lambda-gf2-cap4", "two-loops-rad2-gf2-cap3", "kronecker-gf2-cap3"],
 )
-def test_inventory_counts_the_middle_terms_it_decides(monkeypatch, algebra, cap, middle_terms, decided):
-    # every middle term _middle_terms yields is decided by indecomposability;
-    # decided keeps counting the walk candidates alone
+def test_inventory_counts_the_middle_terms_it_decides(monkeypatch, algebra, cap, middle_terms):
+    # every middle term _middle_terms yields is decided by indecomposability
     from ppcalc import inventory
 
     yielded = []
     monkeypatch.setattr(inventory, "_middle_terms",
                         lambda simple, summands: (yielded.append(e) or e for e in _middle_terms(simple, summands)))
     inv = enumerate_indecomposables(algebra, cap, seed=0)
-    assert inv.middle_terms == len(yielded) == middle_terms
-    if decided is not None:
-        assert inv.decided == decided
-    assert inv.up_to(cap - 1).middle_terms is None
+    assert inv.decided == len(yielded) == middle_terms
+    assert inv.up_to(cap - 1).decided is None
 
 
-def test_extension_stop_raises_when_a_vector_runs_out(monkeypatch):
-    # negative control: a count one too high at (2,) cannot be met, since
-    # Lambda has one indecomposable there, the regular module
-    from ppcalc import inventory
-
-    count = _ExtensionCounts.__call__
-
-    def over_count(counts, alpha):
-        return count(counts, alpha) + (alpha == (2,))
-
-    monkeypatch.setattr(inventory._ExtensionCounts, "__call__", over_count)
-    with pytest.raises(ModuleError, match=r"dimension vector \(2,\) has 1 .* count 2"):
-        enumerate_indecomposables(lambda_algebra(GF(2)), 2, seed=0)
-
-
-def extension_counts(algebra, cap):
-    """_ExtensionCounts at every vector of total dimension <= cap, from the
-    members of the algebra's inventory at cap - 1."""
-    inv = enumerate_indecomposables(algebra, cap - 1, seed=0)
-    count = _ExtensionCounts(algebra, [(dimension_vector(m), m) for m in inv.members], 0)
+def vector_counts(algebra, cap):
+    """The number of members of each vector of total dimension <= cap in
+    the algebra's inventory, 0 included."""
+    counts = Counter(dimension_vector(m) for m in enumerate_indecomposables(algebra, cap, seed=0))
     return {
-        alpha: count(alpha)
+        alpha: counts[alpha]
         for d in range(1, cap + 1)
         for alpha in _compositions(d, algebra.quiver.n_vertices)
     }
@@ -570,17 +666,21 @@ def extension_counts(algebra, cap):
 def test_extension_counts_equal_kac_counts(quiver, p, cap):
     # two independent counts of the same indecomposables: Hua's formula,
     # and the middle terms of extensions of the members below
-    assert extension_counts(algebra_from_quiver(quiver, GF(p)), cap) == _kac_counts(quiver, p, cap)
+    assert vector_counts(algebra_from_quiver(quiver, GF(p)), cap) == kac_counts(quiver, p, cap)
 
 
-@pytest.mark.parametrize("p, cap", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("p, cap", [(2, 3), (3, 2), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)])
 def test_extension_counts_of_rad_square_zero_equal_the_kronecker_counts(p, cap):
     # the separated quiver of S = k<x, y>/(x, y)^2 is the Kronecker quiver:
     # the indecomposables of S of dimension d >= 2 match those of the
     # Kronecker quiver of total dimension d (Auslander, Reiten and Smaloe,
-    # Representation Theory of Artin Algebras, X.2)
-    counts = extension_counts(algebra_from_quiver(TWO_LOOPS_RAD2, GF(p)), cap)
-    kac = _kac_counts(KRONECKER, p, cap)
+    # Representation Theory of Artin Algebras, X.2).  Caps 4 to 6 run under
+    # the default budget of 10^7, which an estimate of the arrow assignments
+    # (about 4.3e9 over GF(2) at cap 4) exceeded; they decide 59 to 684
+    # middle terms, for 10, 12 and 17 members over GF(2) at caps 4, 5 and 6
+    # and 14 and 16 over GF(3) at caps 4 and 5
+    counts = vector_counts(algebra_from_quiver(TWO_LOOPS_RAD2, GF(p)), cap)
+    kac = kac_counts(KRONECKER, p, cap)
     assert counts[(1,)] == 1
     for d in range(2, cap + 1):
         assert counts[(d,)] == sum(n for alpha, n in kac.items() if sum(alpha) == d)
@@ -626,11 +726,42 @@ def test_middle_terms_are_one_per_point_of_the_nonzero_ext_parts(quiver, p):
 
 
 def test_completeness_two_loops_rad2_gf2_cap3():
-    # every module of dimension <= 3 decomposes into the members that the
-    # extension counts stopped at, and every multiset of them occurs
+    # every module of dimension <= 3 decomposes into the members taken from
+    # the middle terms of extensions, and every multiset of them occurs
     algebra = algebra_from_quiver(TWO_LOOPS_RAD2, GF(2))
     report = verify_completeness(enumerate_indecomposables(algebra, 3, seed=0), 3, seed=0)
     assert report["ok"]
     # members by dimension 1, 3, 2: dim 2 holds S + S and three members,
     # dim 3 S + S + S, S plus each dim-2 member and two members
     assert [d["iso_classes"] for d in report["dims"]] == [1, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "quiver, p",
+    [(COMMUTATIVE_SQUARE, 2), (KRONECKER, 3), (A3_AB_ZERO, 3), (LOOP_AND_ARROW, 2)],
+    ids=["square-gf2", "kronecker-gf3", "a3-ab-gf3", "loop-arrow-gf2"],
+)
+def test_extension_inventories_pass_the_blind_walk(quiver, p):
+    # verify_completeness walks every arrow assignment up to dimension 3,
+    # the relations checked on products, and shares no step with the
+    # extensions that built the members
+    algebra = algebra_from_quiver(quiver, GF(p))
+    report = verify_completeness(enumerate_indecomposables(algebra, 3, seed=0), 3, seed=0)
+    assert report["ok"] and len(report["dims"]) == 3
+
+
+def test_quiver_inventories_walk_no_assignments(monkeypatch):
+    # the arrow-matrix walk is verify_completeness's alone: an inventory of a
+    # quiver algebra, with or without relations, never reaches it
+    from ppcalc import inventory
+
+    def refuse(algebra, comp):
+        raise AssertionError("walked arrow assignments")
+
+    monkeypatch.setattr(inventory, "_vector_candidates", refuse)
+    for algebra, size in ((lambda_algebra(GF(2)), 2), (kronecker_algebra(GF(2)), 11),
+                          (algebra_from_quiver(TWO_LOOPS_RAD2, GF(2)), 10)):
+        inv = enumerate_indecomposables(algebra, 4, seed=0)
+        assert len(inv) == size
+    with pytest.raises(AssertionError, match="walked arrow assignments"):
+        verify_completeness(inv, 2, seed=0)

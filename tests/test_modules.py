@@ -1355,15 +1355,15 @@ def test_extensions_are_modules_and_the_zero_class_is_the_direct_sum(field):
     mods = lambda_modules_of(lam)
     for m, n in itertools.product(mods, repeat=2):
         classes = ext1(m, n)
-        assert extension(m, n, Mat.zeros(field, 1, lam.dim * m.dim * n.dim)) == direct_sum(n, m)[0]
+        assert extension(m, n, Mat.zeros(field, 1, lam.dim * m.dim * n.dim)) == direct_sum(m, n)[0]
         rows = [classes.row(r) for r in range(classes.rows)]
         for c in rows + ([functools.reduce(Mat.__add__, rows)] if rows else []):
             e = extension(m, n, c)
             assert validate_module(e).ok
-            # n embeds by the rows [I | 0] and E projects onto m by the columns [0; I]
+            # n embeds by the rows [0 | I] and E projects onto m by the columns [I; 0]
             ident = Mat.identity(field, e.dim)
-            ModuleMap(n, e, ident.take_rows(range(n.dim)))
-            ModuleMap(e, m, ident.take_columns(range(n.dim, e.dim)))
+            ModuleMap(n, e, ident.take_rows(range(m.dim, e.dim)))
+            ModuleMap(e, m, ident.take_columns(range(m.dim)))
 
 
 @pytest.mark.parametrize("field", EXT_FIELDS, ids=repr)
